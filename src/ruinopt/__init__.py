@@ -30,7 +30,6 @@ from .results import (
     NormalizedSurvival,
     StrategyCurve,
     ValueGrid,
-    WindowDiagnostics,
     generator_residual,
     normalize_delta,
 )
@@ -43,8 +42,6 @@ from .constrained import (
 )
 from .unconstrained import (
     HjbResidual,
-    curvature_operator,
-    drift_claims_term,
     extract_strategy_unconstrained,
     hjb_residual,
     solve_v_unconstrained,
@@ -111,7 +108,6 @@ __all__ = [
     "NormalizedSurvival",
     "StrategyCurve",
     "ValueGrid",
-    "WindowDiagnostics",
     "generator_residual",
     "normalize_delta",
     "curvature_best",
@@ -120,8 +116,6 @@ __all__ = [
     "fixed_point_residual",
     "solve_v_constrained",
     "HjbResidual",
-    "curvature_operator",
-    "drift_claims_term",
     "extract_strategy_unconstrained",
     "hjb_residual",
     "solve_v_unconstrained",

@@ -38,7 +38,7 @@ from .asymptotics import (
 from .claims import ClaimDistribution
 from .constrained import extract_strategy_constrained, solve_v_constrained
 from .constrained import hjb_residual as hjb_residual_capped
-from .exp_ode import linear_ode_coeffs, reconstruct_vprime, solve_a_tilde, solve_linear_const_strategy
+from .exp_ode import reconstruct_vprime, solve_a_tilde
 from .mc import SimConfig, estimate_survival
 from .model import ModelParams, Regime, classify_infinity_regime, classify_zero_regime, derive_constants
 from .numerics import Grid
@@ -158,16 +158,6 @@ def _solve_one(sc: Scenario, mode: str):
     return vg, strat, res, res_doc
 
 
-def _window_summary(vg) -> dict:
-    ratios = [r for w in vg.windows for r in w.contraction_ratios]
-    return {
-        "count": len(vg.windows),
-        "total_iterations": int(sum(w.iterations for w in vg.windows)),
-        "max_iterations": max((w.iterations for w in vg.windows), default=0),
-        "max_contraction_ratio": max(ratios, default=None),
-    }
-
-
 def _cmd_solve(args) -> int:
     sc = load_scenario(args.scenario)
     out = Path(args.out)
@@ -181,7 +171,7 @@ def _cmd_solve(args) -> int:
         "mode": args.mode,
         "runtime_s": elapsed,
         "grid": {"h": sc.grid.h, "x_max": sc.grid.x_max, "n": sc.grid.n},
-        "windows": _window_summary(vg),
+        "node_evals": {"total": int(vg.node_evals.sum()), "max_per_node": int(vg.node_evals.max())},
         "residuals": res_doc,
         "v_prime_zero": float(vg.vprime[0]),
         "a_star_zero": float(strat.values[0]),

@@ -17,9 +17,10 @@ minimum sits at an endpoint or at a root of an explicit quadratic; no line
 search is ever needed.  The march uses the same implicit trapezoid closure
 as the unrestricted solver, alternating the exact affine solve in w (for a
 fixed a) with an argmin refresh; the affine solutions decrease monotonically
-onto the fixed point, and a guarded bisection handles the rare corner.  The
-marching is wrapped in contraction windows sized from the Lipschitz bound
-of T, with per-window change sequences recorded.
+onto the fixed point, and a guarded bisection handles the rare corner.  As
+there, node j sees only v_0 .. v_{j-1} and itself (the equation is causal),
+so the single forward pass of `numerics.march_value_slope` is the exact
+discrete solution.
 """
 
 from __future__ import annotations
@@ -28,12 +29,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .claims import ClaimDistribution
 from .model import ModelParams
-from .numerics import Grid, SampledFn, convolve_tail
-from .results import StrategyCurve, ValueGrid, WindowDiagnostics, generator_residual
+from .numerics import Grid, SampledFn, convolve_tail, march_value_slope
+from .results import StrategyCurve, ValueGrid, generator_residual
 
 __all__ = [
     "curvature_candidate",
@@ -90,20 +90,8 @@ def curvature_best(
     return best_val, best_a
 
 
-def _window_steps(c0: float, growth: float, safety: float, h: float, remaining: int) -> int:
-    span = 2.0 * safety / (c0 + math.sqrt(c0 * c0 + 4.0 * growth * safety))
-    return max(1, min(int(span / h), remaining))
-
-
 def solve_v_constrained(
-    params: ModelParams,
-    dist: ClaimDistribution,
-    grid: Grid,
-    *,
-    cap: float | None = None,
-    window_safety: float = 0.4,
-    fp_tol: float = 1e-12,
-    max_iters: int = 50,
+    params: ModelParams, dist: ClaimDistribution, grid: Grid, *, cap: float | None = None
 ) -> ValueGrid:
     """March the scaled value slope of the capped problem; v(0) = 1.
 
@@ -116,25 +104,15 @@ def solve_v_constrained(
         raise ValueError("capped solve needs an investment cap (params.cap or cap=...)")
     h = grid.h
     half_h = 0.5 * h
-    n = grid.n
     x = grid.points
     H = np.asarray(dist.tail(x), dtype=float)
 
-    v = np.empty(n)
-    vp = np.empty(n)
-    argmin = np.empty(n)
-    v[0] = 1.0
-    vp[0], argmin[0] = curvature_best(p, A, 0.0, 1.0, 0.0)
+    argmin = np.empty(grid.n)
+    vp0, argmin[0] = curvature_best(p, A, 0.0, 1.0, 0.0)
 
-    def solve_node(j: int) -> tuple[float, float, float]:
+    def solve_node(j: int, q0: float, alpha: float) -> tuple[float, float, int]:
         xj = x[j]
-        hist = h * (float(np.dot(H[1:j], v[j - 1:0:-1])) + 0.5 * H[j])
-        q0 = p.lam * hist
-        alpha = v[j - 1] + half_h * vp[j - 1]
-        if alpha <= 0.0:
-            raise RuntimeError(
-                f"trapezoid anchor went nonpositive at x={xj:.6g}; grid step too coarse"
-            )
+        evals = 0
 
         def affine_solve(a: float) -> float:
             # w = alpha + h/2 * G_a(w) is affine in w:
@@ -145,6 +123,8 @@ def solve_v_constrained(
             return (alpha + h * q0 / Qa) / denom
 
         def best_at(w: float) -> tuple[float, float]:
+            nonlocal evals
+            evals += 1
             return curvature_best(p, A, xj, w, q0 + p.lam * half_h * w)
 
         a_cur = argmin[j - 1]
@@ -183,47 +163,14 @@ def solve_v_constrained(
             w_cur = hi
             _, a_cur = best_at(w_cur)
             w_cur = affine_solve(a_cur)
+        argmin[j] = a_cur
         val = curvature_candidate(p, a_cur, xj, w_cur, q0 + p.lam * half_h * w_cur)
-        return w_cur, val, a_cur
+        return w_cur, val, evals
 
-    # Lipschitz bound of T on slopes bounded by 1 up to surplus K:
-    # C(K) = 2 * (2 lam K + c + r K + |mu - r| cap) / sigma1^2
-    growth = 2.0 * (2.0 * p.lam + p.r) / p.sigma1**2
-    base = 2.0 * (p.c + abs(p.excess) * A) / p.sigma1**2
-
-    windows: list[WindowDiagnostics] = []
-    j = 1
-    while j < n:
-        c0 = base + growth * x[j - 1]
-        steps = _window_steps(c0, growth, window_safety, h, n - j)
-        j_end = j + steps - 1
-        v[j : j_end + 1] = v[j - 1]
-        changes: list[float] = []
-        for _ in range(max_iters):
-            max_change = 0.0
-            for jj in range(j, j_end + 1):
-                old = v[jj]
-                w, val, a = solve_node(jj)
-                v[jj] = w
-                vp[jj] = val
-                argmin[jj] = a
-                max_change = max(max_change, abs(w - old))
-            changes.append(max_change)
-            if max_change <= fp_tol:
-                break
-        else:
-            raise RuntimeError(
-                f"window [{x[j]:.6g}, {x[j_end]:.6g}] did not contract below "
-                f"{fp_tol} in {max_iters} sweeps"
-            )
-        windows.append(
-            WindowDiagnostics(j, j_end, float(x[j]), float(x[j_end]), len(changes), changes)
-        )
-        j = j_end + 1
-
-    V = cumulative_trapezoid(v, dx=h, initial=0.0)
+    v, vp, V, node_evals = march_value_slope(grid, H, p.lam, vp0, solve_node)
     return ValueGrid(
-        grid=grid, v=v, V=V, vprime=vp, windows=windows, mode="constrained", cap=A, argmin=argmin
+        grid=grid, v=v, V=V, vprime=vp, mode="constrained", cap=A, argmin=argmin,
+        node_evals=node_evals,
     )
 
 

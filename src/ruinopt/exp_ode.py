@@ -233,7 +233,7 @@ def solve_linear_const_strategy(params: ModelParams, A: float, m: float, grid: G
     phi(0) = 1, phi'(0) = -2 (c + (mu-r) A) / A_rho2.  Implicit trapezoid
     on the first-order system: the stiff eigenvalue grows like -a2 x, which
     an explicit integrator cannot take across a long grid at a fixed step.
-    Returns the same container the grid solvers use (windows empty,
+    Returns the same container the grid solvers use (no node_evals,
     mode "constant_strategy").
     """
     co = linear_ode_coeffs(params, A, m)
@@ -260,4 +260,4 @@ def solve_linear_const_strategy(params: ModelParams, A: float, m: float, grid: G
         psi[j] = (-half_h * q1 * r0 + r1) / det
 
     V = cumulative_trapezoid(phi, dx=h, initial=0.0)
-    return ValueGrid(grid=grid, v=phi, V=V, vprime=psi, windows=[], mode="constant_strategy", cap=A)
+    return ValueGrid(grid=grid, v=phi, V=V, vprime=psi, mode="constant_strategy", cap=A)

@@ -1,11 +1,15 @@
-"""Uniform grids, trapezoid convolution quadrature, and prefix integration.
+"""Uniform grids, trapezoid convolution quadrature, and the slope march.
 
 All solver quadrature lives here: the uniform grid x_j = j*h, the tail
-convolution int_0^x H(y) w(x-y) dy, the claims (jump) operator, and
-cumulative trapezoid integration.  Trapezoid rule everywhere: the solvers
-need each new endpoint value from already-known history in one O(j) pass,
-and integrands can have kinks at window joints, so a higher-order rule
-buys nothing reliable here.
+convolution int_0^x H(y) w(x-y) dy, the claims (jump) operator, cumulative
+trapezoid integration, and the implicit-trapezoid march that both value
+slope solvers share.  Trapezoid rule everywhere: the march needs each new
+endpoint value from already-known history in one O(j) pass.
+
+The slope equation is causal (Volterra): the value at node j depends only
+on the nodes before it and on itself.  So one forward pass, solving each
+node's scalar implicit equation against the final history, is the exact
+discrete solution; no sweep over the grid could change it.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ __all__ = [
     "SampledFn",
     "convolve_tail",
     "convolve_tail_all",
+    "march_value_slope",
     "jump_operator_M",
     "integrate_prefix",
 ]
@@ -117,6 +122,41 @@ def convolve_tail_all(w_values: np.ndarray, tail_values: np.ndarray, h: float) -
     out = h * (raw - 0.5 * tail_values[0] * w_values - 0.5 * tail_values[:n] * w_values[0])
     out[0] = 0.0
     return out
+
+
+def march_value_slope(grid: Grid, tail_values: np.ndarray, lam: float, vprime0: float, solve_node):
+    """One implicit-trapezoid pass for the scaled value slope v, v(0) = 1.
+
+    Node j solves v_j = alpha_j + h/2 * v'_j, with the anchor
+    alpha_j = v_{j-1} + h/2 * v'_{j-1} and v'_j given by the pointwise
+    minimisation of the dynamic programming equation.  The claims term at
+    node j is q_j + lam * h/2 * v_j, where q_j is the trapezoid tail
+    convolution over the history v_0 .. v_{j-1}.
+
+    `solve_node(j, q_j, alpha_j)` returns (v_j, v'_j, evaluations), the
+    last being the number of node-equation evaluations it spent.  Returns
+    (v, v', V, node_evals) with V the prefix integral of v and node_evals
+    the per-node evaluation counts (0 at node 0).
+    """
+    h = grid.h
+    half_h = 0.5 * h
+    n = grid.n
+    H = tail_values
+    v = np.empty(n)
+    vp = np.empty(n)
+    node_evals = np.zeros(n, dtype=int)
+    v[0] = 1.0
+    vp[0] = vprime0
+    for j in range(1, n):
+        q = lam * (h * (float(np.dot(H[1:j], v[j - 1:0:-1])) + 0.5 * H[j]))
+        alpha = v[j - 1] + half_h * vp[j - 1]
+        if alpha <= 0.0:
+            raise RuntimeError(
+                f"trapezoid anchor went nonpositive at x={j * h:.6g}; grid step too coarse"
+            )
+        v[j], vp[j], node_evals[j] = solve_node(j, q, alpha)
+    V = cumulative_trapezoid(v, dx=h, initial=0.0)
+    return v, vp, V, node_evals
 
 
 def jump_operator_M(W: SampledFn, f, lam: float, j: int) -> float:

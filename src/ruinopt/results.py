@@ -9,7 +9,7 @@ missing tail mass and flags the cases where truncation actually matters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,34 +18,12 @@ from .model import ModelParams
 from .numerics import Grid, SampledFn, convolve_tail_all
 
 __all__ = [
-    "WindowDiagnostics",
     "ValueGrid",
     "StrategyCurve",
     "NormalizedSurvival",
     "normalize_delta",
     "generator_residual",
 ]
-
-
-@dataclass
-class WindowDiagnostics:
-    """Per-window fixed-point iteration record."""
-
-    first_index: int
-    last_index: int
-    x_start: float
-    x_end: float
-    iterations: int
-    changes: list[float] = field(default_factory=list)
-
-    @property
-    def contraction_ratios(self) -> list[float]:
-        """Successive sup-change ratios; skipped where the previous change is 0."""
-        out = []
-        for prev, cur in zip(self.changes, self.changes[1:]):
-            if prev > 0.0:
-                out.append(cur / prev)
-        return out
 
 
 @dataclass
@@ -56,10 +34,11 @@ class ValueGrid:
     v: np.ndarray
     V: np.ndarray
     vprime: np.ndarray
-    windows: list[WindowDiagnostics]
     mode: str
     cap: float | None = None
     argmin: np.ndarray | None = None  # per-node minimizing investment (capped solve)
+    # node-equation evaluations per node (0 at node 0); None for ODE-built grids
+    node_evals: np.ndarray | None = None
 
     @property
     def x(self) -> np.ndarray:

@@ -25,10 +25,10 @@ rule and solves each node's scalar implicit equation by safeguarded
 Newton.  The implicit closure matters: an explicit sweep has local
 amplification h/2 * |dL/dw| well above 1 at large x, while the implicit
 equation F(w) = w - alpha - h/2 * L(w) has F' >= 1 whenever the net drift
-stays positive, so each node has exactly one positive root.  The marching
-is wrapped in contraction windows sized from the Lipschitz bound of L;
-each window iterates sweeps until the sup-norm change is below fp_tol and
-records the change sequence for diagnostics.
+stays positive, so each node has exactly one positive root.  The equation
+is causal: node j sees only v_0 .. v_{j-1} and itself, so the single
+forward pass of `numerics.march_value_slope` is the exact discrete
+solution.
 """
 
 from __future__ import annotations
@@ -37,30 +37,18 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .claims import ClaimDistribution
 from .model import ModelParams
-from .numerics import Grid, SampledFn, convolve_tail, convolve_tail_all
-from .results import StrategyCurve, ValueGrid, WindowDiagnostics, generator_residual
+from .numerics import Grid, convolve_tail_all, march_value_slope
+from .results import StrategyCurve, ValueGrid, generator_residual
 
 __all__ = [
-    "drift_claims_term",
-    "curvature_operator",
     "solve_v_unconstrained",
     "extract_strategy_unconstrained",
     "HjbResidual",
     "hjb_residual",
 ]
-
-
-def drift_claims_term(params: ModelParams, dist: ClaimDistribution, w: SampledFn, j: int) -> float:
-    """L1(w)(x_j) = (c_rho + r x_j) w(x_j) - lam * int_0^{x_j} H(y) w(x_j - y) dy."""
-    p = params
-    c_rho = p.c - p.rho * p.excess * p.sigma1 / p.sigma
-    x = w.grid.points[j]
-    conv = convolve_tail(w, dist.tail, j)
-    return (c_rho + p.r * x) * w.values[j] - p.lam * conv
 
 
 def _negative_root(l1: float, l2: float, sigma_rho2: float) -> float:
@@ -77,40 +65,15 @@ def _negative_root(l1: float, l2: float, sigma_rho2: float) -> float:
     return -(l2 * l2) / (R - l1)
 
 
-def curvature_operator(params: ModelParams, dist: ClaimDistribution, w: SampledFn, j: int) -> float:
-    """L(w)(x_j): the value-function curvature implied by the slope samples w."""
-    p = params
-    sigma_rho2 = p.sigma1**2 * (1.0 - p.rho * p.rho)
-    l1 = drift_claims_term(params, dist, w, j)
-    l2 = p.excess / p.sigma * w.values[j]
-    return _negative_root(l1, l2, sigma_rho2)
-
-
-def _window_steps(c0: float, growth: float, safety: float, h: float, remaining: int) -> int:
-    """Largest step count with span * LipschitzBound(window end) <= safety."""
-    # span solves span * (c0 + growth * span) = safety; positive root
-    span = 2.0 * safety / (c0 + math.sqrt(c0 * c0 + 4.0 * growth * safety))
-    return max(1, min(int(span / h), remaining))
-
-
-def solve_v_unconstrained(
-    params: ModelParams,
-    dist: ClaimDistribution,
-    grid: Grid,
-    *,
-    window_safety: float = 0.4,
-    fp_tol: float = 1e-12,
-    max_iters: int = 50,
-) -> ValueGrid:
+def solve_v_unconstrained(params: ModelParams, dist: ClaimDistribution, grid: Grid) -> ValueGrid:
     """March the scaled value slope v across the grid; v(0) = 1.
 
     Returns the slope v, its prefix integral V, the operator values
-    v' = L(v), and per-window iteration diagnostics.
+    v' = L(v), and the node-equation evaluations spent per node.
     """
     p = params
     h = grid.h
     half_h = 0.5 * h
-    n = grid.n
     x = grid.points
     ex = p.excess
     sigma_rho2 = p.sigma1**2 * (1.0 - p.rho * p.rho)
@@ -119,23 +82,13 @@ def solve_v_unconstrained(
     kappa1 = ex / p.sigma
     H = np.asarray(dist.tail(x), dtype=float)
 
-    v = np.empty(n)
-    vp = np.empty(n)
-    v[0] = 1.0
-    vp[0] = curvature_operator(p, dist, SampledFn(grid, np.ones(n)), 0)
-
-    def solve_node(j: int) -> tuple[float, float]:
-        # trapezoid history of the tail convolution, the j-node term split off
-        hist = h * (float(np.dot(H[1:j], v[j - 1:0:-1])) + 0.5 * H[j])
-        q = p.lam * hist
+    def solve_node(j: int, q: float, alpha: float) -> tuple[float, float, int]:
         pj = c_rho + p.r * x[j] - p.lam * half_h
-        alpha = v[j - 1] + half_h * vp[j - 1]
-        if alpha <= 0.0:
-            raise RuntimeError(
-                f"trapezoid anchor went nonpositive at x={x[j]:.6g}; grid step too coarse"
-            )
+        evals = 0
 
         def F_and_slope(w: float) -> tuple[float, float, float]:
+            nonlocal evals
+            evals += 1
             l1 = pj * w - q
             l2 = kappa1 * w
             R = math.hypot(l1, srho * l2)
@@ -149,11 +102,10 @@ def solve_v_unconstrained(
             return w - alpha - half_h * L, dF, L
 
         # the root lies in (0, alpha]: L <= 0 gives F(w) >= w - alpha,
-        # and F(0) = -alpha < 0
+        # and F(0) = -alpha < 0; Newton starts from alpha, which is at
+        # most v_{j-1} because v' = L <= 0
         lo, hi = 0.0, alpha
-        w = min(v[j - 1], alpha)
-        if w <= 0.0:
-            w = 0.5 * alpha
+        w = alpha
         L = 0.0
         for _ in range(80):
             F, dF, L = F_and_slope(w)
@@ -174,44 +126,12 @@ def solve_v_unconstrained(
                 _, _, L = F_and_slope(w)
                 break
             w = w_next
-        return w, L
+        return w, L, evals
 
-    # Lipschitz bound of L on slopes bounded by 1 up to surplus K:
-    # C(K) = (2 c + 2 r K + 3 |mu - r| sigma1 / sigma + 2 lam K) / sigma_rho^2
-    growth = (2.0 * p.r + 2.0 * p.lam) / sigma_rho2
-    base = (2.0 * p.c + 3.0 * abs(ex) * p.sigma1 / p.sigma) / sigma_rho2
-
-    windows: list[WindowDiagnostics] = []
-    j = 1
-    while j < n:
-        c0 = base + growth * x[j - 1]
-        steps = _window_steps(c0, growth, window_safety, h, n - j)
-        j_end = j + steps - 1
-        v[j : j_end + 1] = v[j - 1]  # seed for the first sweep's change metric
-        changes: list[float] = []
-        for _ in range(max_iters):
-            max_change = 0.0
-            for jj in range(j, j_end + 1):
-                old = v[jj]
-                w, L = solve_node(jj)
-                v[jj] = w
-                vp[jj] = L
-                max_change = max(max_change, abs(w - old))
-            changes.append(max_change)
-            if max_change <= fp_tol:
-                break
-        else:
-            raise RuntimeError(
-                f"window [{x[j]:.6g}, {x[j_end]:.6g}] did not contract below "
-                f"{fp_tol} in {max_iters} sweeps"
-            )
-        windows.append(
-            WindowDiagnostics(j, j_end, float(x[j]), float(x[j_end]), len(changes), changes)
-        )
-        j = j_end + 1
-
-    V = cumulative_trapezoid(v, dx=h, initial=0.0)
-    return ValueGrid(grid=grid, v=v, V=V, vprime=vp, windows=windows, mode="unconstrained")
+    v, vp, V, node_evals = march_value_slope(
+        grid, H, p.lam, _negative_root(c_rho, kappa1, sigma_rho2), solve_node
+    )
+    return ValueGrid(grid=grid, v=v, V=V, vprime=vp, mode="unconstrained", node_evals=node_evals)
 
 
 def extract_strategy_unconstrained(vg: ValueGrid, params: ModelParams) -> StrategyCurve:

@@ -118,6 +118,17 @@ def max_rel_dev(a, b):
     return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300)))
 
 
+def node_residual(vg):
+    """max_j |v_j - v_{j-1} - h/2 (v'_j + v'_{j-1})| / v_j over j >= 1.
+
+    The implicit-trapezoid node equation each solver solves; it is met to
+    round-off whatever the node solver's stop rule.
+    """
+    v, vp = vg.v, vg.vprime
+    res = np.abs(v[1:] - v[:-1] - 0.5 * vg.grid.h * (vp[1:] + vp[:-1]))
+    return float(np.max(res / v[1:]))
+
+
 def front_line_fit(strategy, x_fit):
     """Least-squares line (slope, intercept) through a*(x_j) for x_j in [h, x_fit]."""
     m = int(round(x_fit / strategy.grid.h))

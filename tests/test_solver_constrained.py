@@ -9,7 +9,7 @@ import pytest
 
 import ruinopt as ro
 from ruinopt import constrained
-from conftest import assert_close
+from conftest import assert_close, node_residual
 
 
 def test_boundary_and_shape(vgc1, ex1):
@@ -130,12 +130,11 @@ def test_initial_regime_sweep(ex1, exp1):
             assert_close(vg.vprime[0], k.v_prime_zero, 1e-12, f"v'(0) at {(rho, cap)}")
 
 
-def test_windows_converged(vgc1):
-    assert len(vgc1.windows) > 0
-    for w in vgc1.windows:
-        assert w.iterations >= 1
-        for ratio in w.contraction_ratios:
-            assert ratio <= 0.5
+def test_node_certificate(vgc1):
+    ne = vgc1.node_evals
+    assert ne.shape == (vgc1.grid.n,)
+    assert ne[0] == 0 and np.all(ne[1:] >= 1)
+    assert node_residual(vgc1) <= 1e-14
 
 
 def test_curvature_best_scans_truthfully(ex1):

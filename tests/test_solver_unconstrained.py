@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import ruinopt as ro
-from conftest import assert_close, front_line_fit
+from conftest import assert_close, front_line_fit, node_residual
 
 
 def test_boundary_values(vg40, k1):
@@ -62,18 +62,12 @@ def test_residual_halves_under_refinement(ex1, exp1):
     assert sups[1] <= 0.5 * sups[0], f"refinement ratio {sups[1] / sups[0]:.3f}"
 
 
-def test_windows_converged_and_contracting(vg40):
-    assert len(vg40.windows) > 0
-    last = 0                                 # node 0 is the given boundary
-    for w in vg40.windows:
-        assert w.first_index == last + 1     # windows tile the rest
-
-        last = w.last_index
-        assert w.iterations >= 1
-        assert len(w.changes) == w.iterations
-        for ratio in w.contraction_ratios:
-            assert ratio <= 0.5
-    assert last == vg40.grid.n - 1
+def test_node_certificate(vg40):
+    # one pass: every node after the boundary is solved once, to round-off
+    ne = vg40.node_evals
+    assert ne.shape == (vg40.grid.n,)
+    assert ne[0] == 0 and np.all(ne[1:] >= 1)
+    assert node_residual(vg40) <= 1e-14
 
 
 def test_strategy_zero_limit(st40, k1):
