@@ -32,7 +32,7 @@ import numpy as np
 
 from .claims import ClaimDistribution
 from .model import ModelParams
-from .numerics import Grid, SampledFn, convolve_tail, march_value_slope
+from .numerics import Grid, convolve_tail_all, march_value_slope
 from .results import StrategyCurve, ValueGrid, generator_residual
 
 __all__ = [
@@ -129,15 +129,15 @@ def solve_v_constrained(
 
         a_cur = argmin[j - 1]
         w_cur = affine_solve(a_cur)
-        ok = False
         for _ in range(60):
-            _, a_new = best_at(w_cur)
-            w_new = affine_solve(a_new)
-            if abs(w_new - w_cur) <= 1e-15 * abs(w_new) and a_new == a_cur:
-                a_cur, w_cur = a_new, w_new
-                ok = True
+            _, a_cur = best_at(w_cur)
+            w_new = affine_solve(a_cur)
+            # stop on w alone: at the fixed point the argmin can flip in its
+            # last ulp between two values whose affine solves agree
+            ok = abs(w_new - w_cur) <= 1e-15 * abs(w_new)
+            w_cur = w_new
+            if ok:
                 break
-            a_cur, w_cur = a_new, w_new
         if not (ok and w_cur > 0.0):
             # guarded bisection on psi(w) = w - alpha - h/2 * min_a G_a(w);
             # psi(0) < 0 and psi grows at least linearly once w dominates
@@ -154,12 +154,14 @@ def solve_v_constrained(
                     raise RuntimeError(f"capped node solve failed to bracket at x={xj:.6g}")
             for _ in range(200):
                 mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:  # lo and hi are adjacent floats
+                    break
                 if psi(mid) < 0.0:
                     lo = mid
                 else:
                     hi = mid
-                if hi - lo <= 1e-16 * hi:
-                    break
+            else:
+                raise RuntimeError(f"capped node solve did not converge at x={xj:.6g}")
             w_cur = hi
             _, a_cur = best_at(w_cur)
             w_cur = affine_solve(a_cur)
@@ -194,12 +196,11 @@ def fixed_point_residual(
     A = cap if cap is not None else vg.cap
     if A is None:
         raise ValueError("fixed-point residual needs the cap")
-    w = SampledFn(vg.grid, vg.v)
     x = vg.grid.points
+    MW = params.lam * convolve_tail_all(vg.v, dist.tail(x), vg.grid.h)
     worst, worst_x = 0.0, 0.0
     for j in range(vg.grid.n):
-        MW = params.lam * convolve_tail(w, dist.tail, j)
-        val, _ = curvature_best(params, A, float(x[j]), float(vg.v[j]), MW)
+        val, _ = curvature_best(params, A, float(x[j]), float(vg.v[j]), float(MW[j]))
         dev = abs(val - vg.vprime[j])
         if dev > worst:
             worst, worst_x = dev, float(x[j])

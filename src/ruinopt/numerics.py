@@ -39,15 +39,16 @@ class Grid:
 
     def __post_init__(self):
         if not (np.isfinite(self.h) and self.h > 0):
-            raise ValueError(f"grid step h must be positive and finite, got {self.h!r}")
+            raise ValueError(f"h (the grid step) must be positive and finite, got {self.h!r}")
         if self.n < 2:
-            raise ValueError(f"grid needs at least 2 points, got n={self.n!r}")
+            raise ValueError(f"n must be at least 2 grid points, got n={self.n!r}")
 
     @classmethod
     def from_xmax(cls, h: float, x_max: float) -> "Grid":
         if not x_max > 0:
             raise ValueError(f"x_max must be positive, got {x_max!r}")
-        return cls(float(h), int(round(x_max / h)) + 1)
+        # a nonpositive step never divides; __post_init__ refuses it
+        return cls(float(h), int(round(x_max / h)) + 1 if h > 0 else 0)
 
     @property
     def points(self) -> np.ndarray:

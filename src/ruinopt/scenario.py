@@ -97,6 +97,20 @@ class Scenario:
         return self.dist.mean if self.dist.family == "exponential" else None
 
 
+def _claim_key(message: str, two_params: bool) -> str:
+    """Scenario key a claim configuration error is about.
+
+    The factories name their first parameter k or u and the second v; the
+    one-parameter half-normal calls its scale v.
+    """
+    if message.startswith("unknown claim family"):
+        return "claim.family"
+    if "parameter" in message:  # claim.p2 given to a one-parameter family, or missing
+        return "claim.p2"
+    name = message.split(" must", 1)[0].split()[-1]
+    return "claim.p2" if two_params and name == "v" else "claim.p1"
+
+
 def parse_scenario(text: str) -> Scenario:
     """Parse scenario text; later duplicates of a key override earlier ones."""
     raw: dict = {}
@@ -153,17 +167,19 @@ def parse_scenario(text: str) -> Scenario:
         key = {"lam": "lambda", "cap": "cap_A"}.get(key, key)
         raise BadValueError(key, f"invalid model parameter: {exc}") from None
 
+    p2 = merged.get("claim.p2")
     try:
-        dist = from_config(
-            merged["claim.family"], merged["claim.p1"], merged.get("claim.p2")
-        )
+        dist = from_config(merged["claim.family"], merged["claim.p1"], p2)
     except ValueError as exc:
-        raise BadValueError("claim.family", f"invalid claim configuration: {exc}") from None
+        key = _claim_key(str(exc), p2 is not None)
+        raise BadValueError(key, f"invalid claim configuration: {exc}") from None
 
     try:
         grid = Grid.from_xmax(merged["grid.h"], merged["grid.xmax"])
     except ValueError as exc:
-        raise BadValueError("grid.h", f"invalid grid: {exc}") from None
+        # n < 2 means x_max is shorter than half a step
+        key = {"h": "grid.h", "x_max": "grid.xmax", "n": "grid.xmax"}[str(exc).split(" ", 1)[0]]
+        raise BadValueError(key, f"invalid grid: {exc}") from None
 
     try:
         sim = SimConfig(
@@ -174,7 +190,9 @@ def parse_scenario(text: str) -> Scenario:
             master_seed=merged["mc.seed"],
         )
     except ValueError as exc:
-        raise BadValueError("mc.dt", f"invalid simulation setup: {exc}") from None
+        key = str(exc).split(" ", 1)[0]
+        key = {"n_paths": "mc.paths", "master_seed": "mc.seed"}.get(key, f"mc.{key}")
+        raise BadValueError(key, f"invalid simulation setup: {exc}") from None
 
     return Scenario(params=params, dist=dist, grid=grid, sim=sim, raw=merged)
 

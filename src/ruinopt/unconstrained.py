@@ -34,6 +34,7 @@ solution.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,9 @@ __all__ = [
     "HjbResidual",
     "hjb_residual",
 ]
+
+
+_EPS = sys.float_info.epsilon
 
 
 def _negative_root(l1: float, l2: float, sigma_rho2: float) -> float:
@@ -106,11 +110,12 @@ def solve_v_unconstrained(params: ModelParams, dist: ClaimDistribution, grid: Gr
         # most v_{j-1} because v' = L <= 0
         lo, hi = 0.0, alpha
         w = alpha
-        L = 0.0
         for _ in range(80):
             F, dF, L = F_and_slope(w)
-            if F == 0.0:
-                break
+            # converged once the Newton step is below an ulp of w; tested
+            # first, since a converged iterate sits on a bracket end
+            if abs(F) <= _EPS * abs(dF * w):
+                return w, L, evals
             if F < 0.0:
                 lo = w
             else:
@@ -122,11 +127,10 @@ def solve_v_unconstrained(params: ModelParams, dist: ClaimDistribution, grid: Gr
                 if not (lo < w_next < hi):
                     w_next = 0.5 * (lo + hi)
             if abs(w_next - w) <= 1e-16 * abs(w_next):
-                w = w_next
-                _, _, L = F_and_slope(w)
-                break
+                _, _, L = F_and_slope(w_next)
+                return w_next, L, evals
             w = w_next
-        return w, L, evals
+        raise RuntimeError(f"unconstrained node solve did not converge at x={x[j]:.6g}")
 
     v, vp, V, node_evals = march_value_slope(
         grid, H, p.lam, _negative_root(c_rho, kappa1, sigma_rho2), solve_node

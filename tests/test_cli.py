@@ -82,6 +82,27 @@ def test_bad_value_exits_4_and_names_key(capsys, tmp_path):
     assert "key: claim.family" in err
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("mc.paths", "0"),
+        ("mc.horizon", "-1"),
+        ("mc.safe_level", "-1"),
+        ("mc.seed", "-1"),
+        ("grid.h", "0"),
+        ("grid.xmax", "-1"),
+        ("claim.p1", "-1"),
+        ("claim.p2", "1"),
+    ],
+)
+def test_bad_setting_names_its_key(capsys, tmp_path, key, value):
+    path = tmp_path / "bad.txt"
+    path.write_text(BASE + f"{key} = {value}\n", encoding="utf-8")
+    code, _, err = run(capsys, ["constants", path])
+    assert code == 4
+    assert err.rstrip().endswith(f"(key: {key})"), err
+
+
 def test_unknown_key_exits_5(capsys, tmp_path):
     path = tmp_path / "typo.txt"
     path.write_text(BASE + "capA = 1.0\n", encoding="utf-8")
@@ -134,6 +155,7 @@ def test_solve_unconstrained_csv_deterministic(capsys, scenario_file, tmp_path):
     assert doc["residuals"]["self_consistency"] <= 1e-6
     assert doc["residuals"]["independent"] <= 5e-3 * 0.3
     assert doc["node_evals"]["total"] >= doc["grid"]["n"] - 1
+    assert doc["node_evals"]["max_per_node"] <= 8
     assert not doc["normalization"]["truncated"]
 
     csv1 = (tmp_path / "s1" / "solve_unconstrained.csv").read_bytes()

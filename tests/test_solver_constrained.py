@@ -134,7 +134,23 @@ def test_node_certificate(vgc1):
     ne = vgc1.node_evals
     assert ne.shape == (vgc1.grid.n,)
     assert ne[0] == 0 and np.all(ne[1:] >= 1)
+    assert ne.max() <= 8
     assert node_residual(vgc1) <= 1e-14
+
+
+def test_node_solves_stop_at_convergence(ex2):
+    # Pareto (2, 2) claims on benchmark 2: near x = 1.5 the capped
+    # alternation settles into a last-ulp argmin 2-cycle, and the Newton
+    # iterate of the unrestricted solve lands on a bracket end; a stop rule
+    # that misses either spins for tens to hundreds of evaluations a node
+    pareto = ro.make_pareto(2.0, 2.0)
+    grid = ro.Grid.from_xmax(5e-3, 5.0)
+    for vg in (
+        ro.solve_v_constrained(ex2, pareto, grid, cap=1.0),
+        ro.solve_v_unconstrained(ex2, pareto, grid),
+    ):
+        assert vg.node_evals.max() <= 8, vg.mode
+        assert node_residual(vg) <= 1e-14, vg.mode
 
 
 def test_curvature_best_scans_truthfully(ex1):

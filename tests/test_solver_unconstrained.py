@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -67,7 +69,21 @@ def test_node_certificate(vg40):
     ne = vg40.node_evals
     assert ne.shape == (vg40.grid.n,)
     assert ne[0] == 0 and np.all(ne[1:] >= 1)
+    assert ne.max() <= 8
     assert node_residual(vg40) <= 1e-14
+
+
+def test_failed_node_solve_names_x(ex1, exp1):
+    # a claim tail that turns NaN past x = 0.5 leaves the node equation
+    # without a root; the solve must stop there, not march on with NaN
+    broken = dataclasses.replace(
+        exp1, tail=lambda y: np.where(np.asarray(y) > 0.5, np.nan, exp1.tail(y))
+    )
+    grid = ro.Grid.from_xmax(5e-3, 1.0)
+    with pytest.raises(RuntimeError, match=r"x=0\.505"):
+        ro.solve_v_unconstrained(ex1, broken, grid)
+    with pytest.raises(RuntimeError, match=r"x=0\.505"):
+        ro.solve_v_constrained(ex1, broken, grid, cap=1.0)
 
 
 def test_strategy_zero_limit(st40, k1):
