@@ -39,7 +39,7 @@ from .claims import ClaimDistribution
 from .constrained import extract_strategy_constrained, solve_v_constrained
 from .constrained import hjb_residual as hjb_residual_capped
 from .exp_ode import reconstruct_vprime, solve_a_tilde
-from .mc import SimConfig, estimate_survival
+from .mc import MIN_PATHS, SimConfig, estimate_survival
 from .model import ModelParams, Regime, classify_infinity_regime, classify_zero_regime, derive_constants
 from .numerics import Grid
 from .results import StrategyCurve, normalize_delta
@@ -269,6 +269,10 @@ def _load_strategy_file(path: str):
         raise BadValueError("strategy", f"strategy file {path!r} needs two columns x,a")
     xs = table[:, 0]
     vals = table[:, 1]
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vals))):
+        raise BadValueError("strategy", f"strategy file {path!r} holds a non-finite value")
+    if np.any(np.diff(xs) <= 0.0):
+        raise BadValueError("strategy", f"strategy file {path!r}: x must be strictly increasing")
 
     def fn(q):
         return np.interp(q, xs, vals)
@@ -293,6 +297,10 @@ def _optimal_strategy(sc: Scenario):
 
 def _cmd_simulate(args) -> int:
     sc = load_scenario(args.scenario)
+    if sc.sim.n_paths < MIN_PATHS:
+        raise BadValueError(
+            "mc.paths", f"need at least {MIN_PATHS} paths for an estimate, got {sc.sim.n_paths}"
+        )
     spec = args.strategy
     if spec == "optimal":
         strategy = _optimal_strategy(sc)

@@ -9,6 +9,15 @@ own history.  Consequently a path's outcome is bit-identical however the
 paths are batched, and runs with the same master seed are coupled across
 strategies (common random numbers), which makes strategy comparisons far
 sharper than independent runs.
+
+A path draws its normals in blocks of (2, _NORM_BLOCK) and uses one pair
+per step while it lives, so every live path sits at the same place in its
+block: one cursor, step % _NORM_BLOCK, serves them all.  The blocks are
+stored transposed, draw-major, so a step reads one contiguous row.  Claims
+are drawn in chunks of _CLAIM_CHUNK per path, each path refilled only when
+its own chunk runs out; the claims due in a step are settled in rounds of
+one claim per path.  Neither layout changes which numbers a path draws or
+the order it uses them in.
 """
 
 from __future__ import annotations
@@ -23,6 +32,7 @@ from .model import ModelParams
 from .results import StrategyCurve
 
 __all__ = [
+    "MIN_PATHS",
     "SimConfig",
     "PathResult",
     "SimReport",
@@ -31,7 +41,10 @@ __all__ = [
     "compare_strategies",
 ]
 
+MIN_PATHS = 100     # fewest paths estimate_survival accepts
+
 _NORM_BLOCK = 512   # diffusion normals drawn per refill, per path
+_REFILL_CHUNK = 128  # paths drawn together before the transpose into nbuf
 _CLAIM_CHUNK = 32   # claim arrivals / sizes drawn per refill, per path
 _COHORT = 8192      # paths simulated per vectorized batch
 
@@ -114,8 +127,11 @@ def _run_paths(
         for i in indices
     ]
 
-    nbuf = np.empty((n, 2, _NORM_BLOCK))
-    npos = np.full(n, _NORM_BLOCK)          # exhausted: refilled lazily
+    # every live path draws one normal pair a step, so all share the cursor
+    # step % _NORM_BLOCK; row k holds draw k of the paths live at the last
+    # refill, and col[m] is the column of path alive[m]
+    nbuf = np.empty((_NORM_BLOCK, 2, n))
+    chunk = np.empty((min(n, _REFILL_CHUNK), 2, _NORM_BLOCK))
     abuf = np.empty((n, _CLAIM_CHUNK))      # inter-arrival times
     apos = np.empty(n, dtype=np.int64)
     sbuf = np.empty((n, _CLAIM_CHUNK))      # claim sizes
@@ -137,14 +153,15 @@ def _run_paths(
             break
         t_new = (step + 1) * dt
 
-        need = alive[npos[alive] == _NORM_BLOCK]
-        for i in need:
-            nbuf[i] = rng_d[i].standard_normal((2, _NORM_BLOCK))
-            npos[i] = 0
-        pos = npos[alive]
-        z0 = nbuf[alive, 0, pos]
-        z1 = nbuf[alive, 1, pos]
-        npos[alive] = pos + 1
+        k = step % _NORM_BLOCK
+        if k == 0:
+            for lo in range(0, alive.size, _REFILL_CHUNK):
+                part = alive[lo:lo + _REFILL_CHUNK]
+                for c, i in enumerate(part):
+                    rng_d[i].standard_normal(out=chunk[c])
+                nbuf[:, :, lo:lo + part.size] = chunk[:part.size].transpose(2, 1, 0)
+            col = np.arange(alive.size)
+        z0, z1 = nbuf[k].take(col, axis=1)
 
         xs = X[alive]
         amt = np.asarray(strategy_fn(xs), dtype=float)
@@ -159,32 +176,40 @@ def _run_paths(
             status[hit] = _RUINED
             ruin_time[hit] = t_new
             alive = alive[~ruined]
+            col = col[~ruined]
 
+        # claims due this step, one per path per round, each path in its own
+        # order: size refill, subtract, ruin check, arrival refill, advance
         due = alive[next_claim[alive] <= t_new]
         if due.size:
-            for i in due:
-                while next_claim[i] <= t_new:
-                    if spos[i] == _CLAIM_CHUNK:
-                        sbuf[i] = dist.ppf(rng_c[i].random(_CLAIM_CHUNK))
-                        spos[i] = 0
-                    X[i] -= sbuf[i, spos[i]]
-                    spos[i] += 1
-                    if X[i] < 0.0:
-                        status[i] = _RUINED
-                        ruin_time[i] = next_claim[i]
-                        break
-                    if apos[i] == _CLAIM_CHUNK:
-                        abuf[i] = rng_c[i].standard_exponential(_CLAIM_CHUNK) / p.lam
-                        apos[i] = 0
-                    next_claim[i] += abuf[i, apos[i]]
-                    apos[i] += 1
-            alive = alive[status[alive] == _PENDING]
+            while due.size:
+                for i in due[spos[due] == _CLAIM_CHUNK]:
+                    sbuf[i] = dist.ppf(rng_c[i].random(_CLAIM_CHUNK))
+                    spos[i] = 0
+                X[due] -= sbuf[due, spos[due]]
+                spos[due] += 1
+                broke = X[due] < 0.0
+                if broke.any():
+                    hit = due[broke]
+                    status[hit] = _RUINED
+                    ruin_time[hit] = next_claim[hit]
+                    due = due[~broke]
+                for i in due[apos[due] == _CLAIM_CHUNK]:
+                    abuf[i] = rng_c[i].standard_exponential(_CLAIM_CHUNK) / p.lam
+                    apos[i] = 0
+                next_claim[due] += abuf[due, apos[due]]
+                apos[due] += 1
+                due = due[next_claim[due] <= t_new]
+            keep = status[alive] == _PENDING
+            alive = alive[keep]
+            col = col[keep]
 
         if alive.size:
             reached = X[alive] >= config.safe_level
             if reached.any():
                 status[alive[reached]] = _SAFE
                 alive = alive[~reached]
+                col = col[~reached]
 
     status[alive] = _HORIZON
     return status, ruin_time
@@ -217,8 +242,8 @@ def estimate_survival(
 
     Survival counts both absorbed-safe and still-alive-at-horizon paths.
     """
-    if config.n_paths < 100:
-        raise ValueError(f"need at least 100 paths for an estimate, got {config.n_paths}")
+    if config.n_paths < MIN_PATHS:
+        raise ValueError(f"need at least {MIN_PATHS} paths for an estimate, got {config.n_paths}")
     if not (0 <= x0 < config.safe_level):
         raise ValueError(
             f"x0 must sit in [0, safe_level); got x0={x0!r}, safe_level={config.safe_level!r}"

@@ -69,7 +69,12 @@ class Grid:
 
 @dataclass
 class SampledFn:
-    """Function sampled on a grid; piecewise-linear between nodes."""
+    """Function sampled on a grid; piecewise-linear between nodes.
+
+    Evaluation equals np.interp(x, grid.points, values) bit for bit, ends
+    held outside the grid, but finds each interval in O(1) on the uniform
+    grid instead of by binary search.  The values are read at construction.
+    """
 
     grid: Grid
     values: np.ndarray
@@ -80,14 +85,39 @@ class SampledFn:
             raise ValueError(
                 f"values shape {self.values.shape} does not match grid n={self.grid.n}"
             )
+        fp = self.values
+        with np.errstate(all="ignore"):
+            slope = np.append(np.diff(fp) / np.diff(self.grid.points), 0.0)
+        # np.interp returns a node's value as stored (a -0.0 stays -0.0) and
+        # retries a NaN result from the right end of the interval; on such
+        # samples only np.interp itself reproduces np.interp
+        odd = not np.all(np.isfinite(slope)) or np.any(np.signbit(fp) & (fp == 0.0))
+        self._slope = None if odd else slope
 
     def __call__(self, x):
-        # np.interp clamps outside the grid; callers wanting a different
-        # extrapolation rule handle it themselves
-        return np.interp(x, self.grid.points, self.values)
+        out = self._interp(np.asarray(x, dtype=float))
+        return out if out.ndim else float(out)
 
     def __len__(self):
         return self.grid.n
+
+    def _interp(self, x: np.ndarray) -> np.ndarray:
+        h, fp = self.grid.h, self.values
+        if self._slope is None or np.isnan(x).any():
+            return np.interp(x, self.grid.points, fp)
+        xc = np.clip(x, 0.0, self.grid.x_max)
+        j = (xc / h).astype(np.intp)
+        lo = j * h  # == grid.points[j], bit for bit
+        # x/h may round across a node; one step either way restores
+        # lo <= xc < (j+1)*h, the interval numpy's search finds
+        down = xc < lo
+        up = xc >= (j + 1) * h
+        if down.any() or up.any():
+            j += up
+            j -= down
+            lo = j * h
+        # at x_max, j = n-1 and the appended zero slope gives values[-1]
+        return self._slope[j] * (xc - lo) + fp[j]
 
 
 def _tail_samples(tail, grid: Grid, upto: int) -> np.ndarray:

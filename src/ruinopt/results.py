@@ -52,7 +52,7 @@ class ValueGrid:
 
 
 @dataclass
-class StrategyCurve:
+class StrategyCurve(SampledFn):
     """Optimal investment sampled on a grid, with optional range and tail.
 
     Outside the grid the curve holds its end value, unless `tail` supplies
@@ -60,20 +60,13 @@ class StrategyCurve:
     the grid evaluate limit + coeff / x.
     """
 
-    grid: Grid
-    values: np.ndarray
     lo: float | None = None
     hi: float | None = None
     tail: tuple[float, float] | None = None
 
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n,):
-            raise ValueError("strategy values do not match the grid")
-
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.interp(x, self.grid.points, self.values)
+        out = self._interp(x)
         if self.tail is not None:
             limit, coeff = self.tail
             beyond = x > self.grid.x_max

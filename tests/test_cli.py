@@ -255,6 +255,35 @@ def test_simulate_strategy_specs(capsys, scenario_file, tmp_path):
     assert code == 3
 
 
+def test_simulate_too_few_paths_names_key(capsys, tmp_path):
+    # mc.paths = 50 is a valid setting for every other command
+    path = tmp_path / "few.txt"
+    path.write_text(BASE.replace("mc.paths = 100", "mc.paths = 50"), encoding="utf-8")
+    code, _, _ = run(capsys, ["constants", path])
+    assert code == 0
+    code, _, err = run(capsys, ["simulate", path, "--x0", "1.0", "--strategy", "zero"])
+    assert code == 4
+    assert err.rstrip().endswith("(key: mc.paths)"), err
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        "x,a\n0.0,0.8\n2.0,0.9\n1.0,1.0\n",   # x not increasing
+        "x,a\n0.0,0.8\n1.0,0.9\n1.0,1.0\n",   # x repeated
+        "x,a\n0.0,0.8\n1.0,nan\n",             # non-finite a
+        "x,a\n0.0,0.8\ninf,0.9\n",             # non-finite x
+    ],
+    ids=["decreasing", "repeated", "nan", "inf"],
+)
+def test_simulate_rejects_bad_strategy_file(capsys, scenario_file, tmp_path, table):
+    path = tmp_path / "strat.csv"
+    path.write_text(table, encoding="utf-8")
+    code, _, err = run(capsys, ["simulate", scenario_file, "--x0", "1.0", "--strategy", f"file:{path}"])
+    assert code == 4
+    assert err.rstrip().endswith("(key: strategy)"), err
+
+
 def test_example1_runner(capsys, tmp_path):
     code, out, _ = run(capsys, ["example1", "--out", tmp_path])
     assert code == 0

@@ -8,10 +8,30 @@ import numpy as np
 import pytest
 
 import ruinopt as ro
-from ruinopt.mc import SimConfig, compare_strategies, estimate_survival, simulate_path
+from ruinopt.mc import (
+    _STATUS_NAMES, SimConfig, SimReport, _as_strategy_fn, _run_paths, compare_strategies,
+    estimate_survival, simulate_path,
+)
 from conftest import assert_close
 
 A_OPT0 = 0.8542114902640175
+
+
+def _golden_curve():
+    # a rising strategy on [0, 4] with a large-surplus tail beyond it
+    grid = ro.Grid(h=0.01, n=401)
+    x = grid.points
+    return ro.StrategyCurve(grid=grid, values=0.8542 + 0.5 * x / (1.0 + x), tail=(10.4, -0.625))
+
+
+# 1200 steps cross two refills of the 512-step normal blocks; the paths end
+# ruined, safe (above the curve's grid, on its tail) and at the horizon
+GOLDEN_CFG = SimConfig(dt=1e-2, horizon=12.0, n_paths=300, safe_level=40.0, master_seed=20261018)
+# about four claims a step: several claims settle in one step, and the
+# 32-claim arrival and size chunks refill every few steps
+HOT_PARAMS = ro.ModelParams(c=2.2, r=0.05, mu=0.1, sigma=0.2, sigma1=0.3, rho=0.3, lam=40.0)
+HOT_DIST = ro.make_exponential(20.0)
+HOT_CFG = SimConfig(dt=0.1, horizon=20.0, n_paths=300, safe_level=6.0, master_seed=77)
 
 
 @pytest.mark.parametrize(
@@ -84,6 +104,62 @@ def test_batching_does_not_change_outcomes(ex1, exp1):
     for s in singles:
         assert s.status in ("ruined", "safe", "horizon")
         assert (s.time is None) == (s.status != "ruined")
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("curve", SimReport(
+            survival=0.8733333333333333, stderr=0.019202623277582175,
+            ci95=(0.8356961917092722, 0.9109704749573944), n_paths=300, n_ruined=38,
+            n_safe=257, n_horizon=5, mean_ruin_time=1.7478904922573175)),
+        ("const", SimReport(
+            survival=0.8633333333333333, stderr=0.01983169927909095,
+            ci95=(0.824463202746315, 0.9022034639203516), n_paths=300, n_ruined=41,
+            n_safe=242, n_horizon=17, mean_ruin_time=1.7613993692430239)),
+        ("zero", SimReport(
+            survival=0.8533333333333334, stderr=0.020425111632135208,
+            ci95=(0.8133001145343484, 0.8933665521323184), n_paths=300, n_ruined=44,
+            n_safe=231, n_horizon=25, mean_ruin_time=1.7693323112627537)),
+        ("claims", SimReport(
+            survival=0.6766666666666666, stderr=0.027005486411029452,
+            ci95=(0.6237359133010489, 0.7295974200322843), n_paths=300, n_ruined=97,
+            n_safe=182, n_horizon=21, mean_ruin_time=1.9032184389714508)),
+    ],
+)
+def test_streams_are_pinned(ex1, exp1, name, expected):
+    # exact reports recorded before the hot loop was vectorised: any change
+    # to which numbers a path draws, or in what order, moves them
+    args = {
+        "curve": (ex1, exp1, _golden_curve(), 1.0, GOLDEN_CFG),
+        "const": (ex1, exp1, 0.8542, 1.0, GOLDEN_CFG),
+        "zero": (ex1, exp1, 0.0, 1.0, GOLDEN_CFG),
+        "claims": (HOT_PARAMS, HOT_DIST, 0.5, 0.5, HOT_CFG),
+    }[name]
+    assert estimate_survival(*args) == expected
+
+
+def test_batching_does_not_change_outcomes_under_many_claims():
+    n = HOT_CFG.n_paths
+    singles = [simulate_path(HOT_PARAMS, HOT_DIST, 0.5, 0.5, HOT_CFG, i) for i in range(n)]
+    status = np.array([s.status for s in singles])
+    times = np.array([np.nan if s.time is None else s.time for s in singles])
+    # some claim ruins fall between steps, so claims really settle mid-step
+    steps = times / HOT_CFG.dt
+    assert np.any(np.abs(steps - np.round(steps)) > 1e-6)
+
+    rep = estimate_survival(HOT_PARAMS, HOT_DIST, 0.5, 0.5, HOT_CFG)
+    assert (rep.n_ruined, rep.n_safe, rep.n_horizon) == tuple(
+        int(np.sum(status == s)) for s in ("ruined", "safe", "horizon")
+    )
+    assert rep.mean_ruin_time == float(np.nansum(times)) / rep.n_ruined
+
+    # path for path, in batches of any order and membership
+    fn = _as_strategy_fn(0.5)
+    for idx in (np.arange(n), np.arange(n)[::-3], np.array([7, 250, 3])):
+        got_status, got_time = _run_paths(HOT_PARAMS, HOT_DIST, fn, 0.5, HOT_CFG, idx)
+        assert [_STATUS_NAMES[s] for s in got_status] == list(status[idx])
+        assert np.array_equal(got_time, times[idx], equal_nan=True)
 
 
 def test_strategy_argument_forms(ex1, exp1):

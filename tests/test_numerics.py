@@ -56,6 +56,69 @@ def test_sampled_fn_linear_interpolation():
         ro.SampledFn(g, np.zeros(4))
 
 
+def _lookup_probes(grid: ro.Grid, rng) -> np.ndarray:
+    """Random points, every node and both its float neighbours, the ends."""
+    pts = grid.points
+    return np.concatenate([
+        rng.uniform(-0.5, 1.5 * grid.x_max, 200_000),
+        pts,
+        np.nextafter(pts, np.inf),
+        np.nextafter(pts, -np.inf),
+        [0.0, -0.0, grid.x_max, 1.5 * grid.x_max, 1e300, np.inf, -1e-300, -np.inf],
+    ])
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and bool(np.all(a.view(np.int64) == b.view(np.int64)))
+
+
+# the uniform-grid lookup must be np.interp bit for bit, on grids where
+# x/h rounds across nodes (h = 5e-3, 1/3, 1e-3) and on the shortest grid
+@pytest.mark.parametrize("h, n", [(5e-3, 8001), (1.0 / 3.0, 100), (1e-3, 2001), (0.7, 2)])
+def test_lookup_is_np_interp(h, n):
+    rng = np.random.default_rng(20261018)
+    grid = ro.Grid(h=h, n=n)
+    values = np.cumsum(rng.standard_normal(n))
+    xs = _lookup_probes(grid, rng)
+    ref = np.interp(xs, grid.points, values)
+    inside = xs <= grid.x_max
+
+    assert _same_bits(ro.SampledFn(grid, values)(xs), ref)
+    # zeros at every other node expose a query assigned to the wrong side
+    # of a node: extrapolating the neighbour interval misses 0 by round-off
+    zigzag = np.where(np.arange(n) % 2 == 1, 0.0, values)
+    assert _same_bits(ro.SampledFn(grid, zigzag)(xs), np.interp(xs, grid.points, zigzag))
+    curve = ro.StrategyCurve(grid=grid, values=values)
+    assert _same_bits(curve.value(xs), ref)
+    limit, coeff = 10.4, -0.625
+    tailed = ro.StrategyCurve(grid=grid, values=values, tail=(limit, coeff))
+    got = tailed.value(xs)
+    assert _same_bits(got[inside], ref[inside])
+    assert _same_bits(got[~inside], limit + coeff / xs[~inside])
+
+    for x in (0.0, 0.5 * grid.x_max, grid.x_max, 2.0 * grid.x_max, -1.0):
+        for f in (ro.SampledFn(grid, values), curve):
+            out = f(x)
+            assert type(out) is float
+            assert _same_bits(out, np.interp(x, grid.points, values))
+
+
+def test_lookup_defers_to_np_interp_on_odd_values():
+    # non-finite samples, signed zeros and NaN queries take np.interp itself
+    grid = ro.Grid(h=0.5, n=5)
+    xs = np.array([0.0, 0.25, 0.5, 1.0, 1.75, 2.0, 3.0])
+    for values in (
+        np.array([1.0, np.inf, 2.0, -np.inf, 0.0]),
+        np.array([1.0, -0.0, -0.0, 2.0, 3.0]),
+    ):
+        ref = np.interp(xs, grid.points, values)
+        assert _same_bits(ro.SampledFn(grid, values)(xs), ref)
+    values = np.array([0.0, 1.0, 4.0, 9.0, 16.0])
+    xs = np.array([np.nan, 0.75, np.nan])
+    assert _same_bits(ro.SampledFn(grid, values)(xs), np.interp(xs, grid.points, values))
+
+
 def _tail_conv_oracle(w_values, tail_values, h, j):
     # direct trapezoid of H(y) w(x_j - y) over [0, x_j]
     if j == 0:
