@@ -25,7 +25,7 @@ from .model import (
     classify_zero_regime,
     derive_constants,
 )
-from .numerics import Grid, SampledFn, convolve_tail, convolve_tail_all, integrate_prefix, jump_operator_M
+from .numerics import Grid, SampledFn, convolve_tail, convolve_tail_all
 from .results import (
     NormalizedSurvival,
     StrategyCurve,
@@ -103,8 +103,6 @@ __all__ = [
     "SampledFn",
     "convolve_tail",
     "convolve_tail_all",
-    "integrate_prefix",
-    "jump_operator_M",
     "NormalizedSurvival",
     "StrategyCurve",
     "ValueGrid",

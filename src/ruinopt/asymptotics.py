@@ -16,7 +16,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .model import DerivedConstants, ModelParams, Regime, RegimeReport, classify_infinity_regime, derive_constants
-from .results import NormalizedSurvival, ValueGrid, normalize_delta
+from .results import ValueGrid, normalize_delta
 
 __all__ = [
     "strategy_slope_zero",

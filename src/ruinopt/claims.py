@@ -3,8 +3,8 @@
 Each distribution bundles the density, CDF, tail (survival) function, mean,
 and inverse CDF on [0, inf).  The tail is always computed from a direct
 closed form, never as 1 - cdf, because the solvers convolve against it far
-into the range where 1 - cdf is pure cancellation.  Sampling is inverse-CDF
-throughout so that Monte Carlo consumes exactly one uniform per claim.
+into the range where 1 - cdf is pure cancellation.  Monte Carlo samples
+by inverse CDF, dist.ppf(u), so it consumes exactly one uniform per claim.
 """
 
 from __future__ import annotations
@@ -24,22 +24,9 @@ __all__ = [
     "make_weibull",
     "make_pareto",
     "from_config",
-    "normal_cdf",
-    "normal_ppf",
 ]
 
 _SQRT2 = math.sqrt(2.0)
-
-
-def normal_cdf(x):
-    """Standard normal CDF via the complementary error function."""
-    x = np.asarray(x, dtype=float)
-    return 0.5 * special.erfc(-x / _SQRT2)
-
-
-def normal_ppf(u):
-    """Standard normal inverse CDF."""
-    return special.ndtri(u)
 
 
 @dataclass(frozen=True)
@@ -56,9 +43,6 @@ class ClaimDistribution:
     cdf: Callable = field(repr=False)
     tail: Callable = field(repr=False)
     ppf: Callable = field(repr=False)
-
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return self.ppf(rng.random(size))
 
 
 def _positive(name: str, value: float) -> float:
@@ -136,7 +120,7 @@ def make_log_normal(u: float, v: float) -> ClaimDistribution:
         y = np.asarray(y, dtype=float)
         with np.errstate(divide="ignore"):
             z = np.where(y > 0, (np.log(np.where(y > 0, y, 1.0)) - u) / v, -np.inf)
-        return normal_cdf(z)
+        return 0.5 * special.erfc(-z / _SQRT2)
 
     def tail(y):
         y = np.asarray(y, dtype=float)

@@ -35,18 +35,16 @@ from .asymptotics import (
     strategy_expansion_infinity_exp,
     strategy_slope_zero,
 )
-from .claims import ClaimDistribution
 from .constrained import extract_strategy_constrained, solve_v_constrained
 from .constrained import hjb_residual as hjb_residual_capped
 from .exp_ode import reconstruct_vprime, solve_a_tilde
-from .mc import MIN_PATHS, SimConfig, estimate_survival
-from .model import ModelParams, Regime, classify_infinity_regime, classify_zero_regime, derive_constants
+from .mc import MIN_PATHS, estimate_survival
+from .model import classify_infinity_regime, classify_zero_regime, derive_constants
 from .numerics import Grid
 from .results import StrategyCurve, normalize_delta
 from .scenario import (
     BadValueError,
     Scenario,
-    ScenarioError,
     UnknownKeyError,
     example1_distributions,
     example1_params,
@@ -139,22 +137,12 @@ def _solve_one(sc: Scenario, mode: str):
         vg = solve_v_constrained(sc.params, sc.dist, sc.grid)
         strat = extract_strategy_constrained(vg, sc.params)
         res = hjb_residual_capped(vg, strat, sc.params, sc.dist)
-        res_doc = {
-            "fixed_point": res.fixed_point,
-            "fixed_point_at": res.fixed_point_at,
-            "independent": res.independent,
-            "independent_at": res.independent_at,
-        }
     else:
         vg = solve_v_unconstrained(sc.params, sc.dist, sc.grid)
         strat = extract_strategy_unconstrained(vg, sc.params)
         res = hjb_residual(vg, strat, sc.params, sc.dist)
-        res_doc = {
-            "self_consistency": res.self_consistency,
-            "self_consistency_at": res.self_consistency_at,
-            "independent": res.independent,
-            "independent_at": res.independent_at,
-        }
+    res_doc = asdict(res)
+    del res_doc["pointwise"]
     return vg, strat, res, res_doc
 
 
@@ -214,6 +202,14 @@ def _cmd_exp_validate(args) -> int:
     sc = load_scenario(args.scenario)
     if sc.dist.family != "exponential":
         raise BadValueError("claim.family", "exp-validate needs exponential claims")
+    x = sc.grid.points
+    lo, hi = 1.0, min(10.0, sc.grid.x_max)
+    mask = (x >= lo) & (x <= hi)
+    if not mask.any():
+        raise BadValueError(
+            "grid.xmax",
+            f"exp-validate compares on [1, 10], but no grid node lies there (x_max={sc.grid.x_max!r})",
+        )
     m = sc.dist.mean
     cons = derive_constants(sc.params, claim_mean=m)
     slope = strategy_slope_zero(cons, sc.params)
@@ -230,17 +226,14 @@ def _cmd_exp_validate(args) -> int:
     curve = solve_a_tilde(sc.params, m, x_seed, x_end, step=1e-3, seed_value=seed_value)
     elapsed = time.perf_counter() - t0
 
-    x = vg.x
-    lo, hi = 1.0, min(10.0, sc.grid.x_max)
-    mask = (x >= lo) & (x <= hi)
     ode_vals = curve(x[mask])
     rel = np.abs(a_tilde_solver[mask] - ode_vals) / np.abs(ode_vals)
     k = int(np.argmax(rel))
 
-    recon = reconstruct_vprime(curve, sc.params, anchor=(x_seed, 1.0))
+    rx, rv = reconstruct_vprime(curve, sc.params, anchor=(x_seed, 1.0))
     pl_lo, pl_hi = min(30.0, 0.75 * x_end), x_end
-    rx = recon.x[(recon.x >= pl_lo) & (recon.x <= pl_hi)]
-    rv = recon(rx)
+    keep = (rx >= pl_lo) & (rx <= pl_hi)
+    rx, rv = rx[keep], rv[keep]
     logc = np.log(rv) + rx / m - (sc.params.lam / sc.params.r - 1.0) * np.log(rx)
     plateau = float(np.exp(logc.max() - logc.min()))
 
@@ -262,7 +255,11 @@ def _load_strategy_file(path: str):
     try:
         table = np.loadtxt(path, delimiter=",", ndmin=2, comments="#", skiprows=0)
     except ValueError:
-        table = np.loadtxt(path, delimiter=",", ndmin=2, comments="#", skiprows=1)
+        # a header line; any other unreadable cell fails the retry as well
+        try:
+            table = np.loadtxt(path, delimiter=",", ndmin=2, comments="#", skiprows=1)
+        except ValueError as exc:
+            raise BadValueError("strategy", f"strategy file {path!r}: {exc}") from None
     except OSError:
         raise FileNotFoundError(path) from None
     if table.shape[1] < 2:
@@ -301,6 +298,10 @@ def _cmd_simulate(args) -> int:
         raise BadValueError(
             "mc.paths", f"need at least {MIN_PATHS} paths for an estimate, got {sc.sim.n_paths}"
         )
+    if not 0 <= args.x0 < sc.sim.safe_level:
+        raise BadValueError(
+            "x0", f"x0 must sit in [0, mc.safe_level = {sc.sim.safe_level!r}), got {args.x0!r}"
+        )
     spec = args.strategy
     if spec == "optimal":
         strategy = _optimal_strategy(sc)
@@ -311,6 +312,8 @@ def _cmd_simulate(args) -> int:
             strategy = float(spec.split(":", 1)[1])
         except ValueError:
             raise BadValueError("strategy", f"bad constant strategy {spec!r}") from None
+        if not math.isfinite(strategy):
+            raise BadValueError("strategy", f"constant strategy must be finite, got {spec!r}")
     elif spec.startswith("file:"):
         strategy = _load_strategy_file(spec.split(":", 1)[1])
     else:

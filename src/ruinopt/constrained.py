@@ -97,6 +97,14 @@ def solve_v_constrained(
 
     The per-node minimizing investment is recorded alongside v so the
     strategy extraction is exactly the argmin the solve converged with.
+
+    The march stops with RuntimeError ("trapezoid anchor went nonpositive")
+    at the first node, x = h, when h >= 2 / |v'(0)|, with v'(0) the
+    minimum of -2 (c + (mu-r) a) / Q(a) over a in [0, cap]
+    (`derive_constants(...).v_prime_zero`).  The seeded sweep in
+    tests/test_solver_sweep.py finds it at no later node.  Unlike the
+    unrestricted slope, v may rise where the claim outflow outweighs the
+    drift: the capped survival probability can be convex there.
     """
     p = params
     A = cap if cap is not None else p.cap

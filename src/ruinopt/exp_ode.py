@@ -7,7 +7,8 @@ solvers:
 * the feedback function a~(x) = -(mu-r)/sigma^2 * V'(x)/V''(x) satisfies an
   explicit first-order ODE; the optimal investment is a~(x) - rho sigma1/sigma,
   so integrating it forward from a large-x series seed reproduces the
-  solver's strategy with no dynamic programming,
+  solver's strategy with no dynamic programming, and the value slope
+  follows from the curve by one quadrature (reconstruct_vprime),
 
 * for a constant strategy the value slope satisfies a linear second-order
   ODE with polynomial coefficients, integrable to machine accuracy.
@@ -34,7 +35,6 @@ __all__ = [
     "a_tilde_rhs",
     "TildeACurve",
     "solve_a_tilde",
-    "CurveSamples",
     "reconstruct_vprime",
     "LinearOdeCoeffs",
     "linear_ode_coeffs",
@@ -80,24 +80,16 @@ class TildeACurve:
     seed: float
     series: tuple[float, float]          # (limit, 1/x coefficient) used for seeding
     seed_note: str | None = None
-    back_x: np.ndarray | None = None     # optional backward leg, ascending
-    back_a: np.ndarray | None = None
-    backward_warning: str | None = None
 
     def __call__(self, xq):
-        if self.back_x is not None:
-            xs = np.concatenate([self.back_x[:-1], self.x])
-            ys = np.concatenate([self.back_a[:-1], self.a])
-        else:
-            xs, ys = self.x, self.a
-        out = np.interp(xq, xs, ys)
+        out = np.interp(xq, self.x, self.a)
         return out if np.ndim(out) else float(out)
 
 
 def _rk4(f, x0: float, y0: float, x1: float, step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step classic Runge-Kutta from x0 to x1 (either direction)."""
+    """Fixed-step classic Runge-Kutta from x0 to x1."""
     span = x1 - x0
-    n = max(1, int(math.ceil(abs(span) / step - 1e-12)))
+    n = max(1, int(math.ceil(span / step - 1e-12)))
     h = span / n
     xs = x0 + h * np.arange(n + 1)
     ys = np.empty(n + 1)
@@ -121,15 +113,12 @@ def solve_a_tilde(
     x_end: float,
     step: float = 1e-3,
     seed_value: float | None = None,
-    backward_to: float | None = None,
 ) -> TildeACurve:
     """Integrate the feedback ODE from a seed at x_seed forward to x_end.
 
     Default seed is the two-term large-x series limit + coeff / x_seed;
     when the dropped next order is not obviously negligible at x_seed a
-    note is attached (and a warning emitted).  An optional backward leg to
-    backward_to is supported but flagged: backward integration amplifies
-    seed error, it is only useful for short spans.
+    note is attached (and a warning emitted).
     """
     p = params
     if x_seed <= 0 or x_end <= x_seed:
@@ -153,37 +142,17 @@ def solve_a_tilde(
         return a_tilde_rhs(x, a, p, m)
 
     xs, ys = _rk4(f, x_seed, seed, x_end, step)
-    curve = TildeACurve(x=xs, a=ys, x_seed=x_seed, seed=seed, series=(a0, a1), seed_note=note)
-    if backward_to is not None:
-        if not 0 < backward_to < x_seed:
-            raise ValueError("backward_to must sit in (0, x_seed)")
-        bx, by = _rk4(f, x_seed, seed, backward_to, step)
-        curve.back_x = bx[::-1].copy()
-        curve.back_a = by[::-1].copy()
-        curve.backward_warning = (
-            "backward leg integrates against the stable direction; seed error "
-            "grows exponentially toward 0"
-        )
-    return curve
+    return TildeACurve(x=xs, a=ys, x_seed=x_seed, seed=seed, series=(a0, a1), seed_note=note)
 
 
-@dataclass
-class CurveSamples:
-    """Plain sampled curve on a possibly offset (still uniform) abscissa."""
-
-    x: np.ndarray
-    values: np.ndarray
-
-    def __call__(self, xq):
-        out = np.interp(xq, self.x, self.values)
-        return out if np.ndim(out) else float(out)
-
-
-def reconstruct_vprime(curve: TildeACurve, params: ModelParams, anchor: tuple[float, float]) -> CurveSamples:
+def reconstruct_vprime(
+    curve: TildeACurve, params: ModelParams, anchor: tuple[float, float]
+) -> tuple[np.ndarray, np.ndarray]:
     """Rebuild the value slope from the feedback curve alone.
 
     V'(x) = V'(x0) * exp( -(mu-r)/sigma^2 * int_{x0}^x dy / a~(y) ),
-    anchored at anchor = (x0, V'(x0)); x0 must lie inside the forward leg.
+    anchored at anchor = (x0, V'(x0)); x0 must lie inside the curve.
+    Returns (x, V'(x)) on the curve's nodes.
     """
     p = params
     x0, val0 = anchor
@@ -196,7 +165,7 @@ def reconstruct_vprime(curve: TildeACurve, params: ModelParams, anchor: tuple[fl
     I = cumulative_trapezoid(integrand, xs, initial=0.0)
     I0 = float(np.interp(x0, xs, I))
     vals = val0 * np.exp(-p.excess / p.sigma**2 * (I - I0))
-    return CurveSamples(x=xs.copy(), values=vals)
+    return xs.copy(), vals
 
 
 @dataclass(frozen=True)

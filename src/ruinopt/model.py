@@ -65,10 +65,6 @@ class ModelParams:
         """Excess return of the stock over the risk-free rate."""
         return self.mu - self.r
 
-    @property
-    def constrained(self) -> bool:
-        return self.cap is not None
-
     def quadratic_form(self, a):
         """Diffusion coefficient Q(a) = sigma^2 a^2 + 2 rho sigma sigma1 a + sigma1^2.
 

@@ -1,8 +1,8 @@
 """Uniform grids, trapezoid convolution quadrature, and the slope march.
 
-All solver quadrature lives here: the uniform grid x_j = j*h, the tail
-convolution int_0^x H(y) w(x-y) dy, the claims (jump) operator, cumulative
-trapezoid integration, and the implicit-trapezoid march that both value
+All solver quadrature lives here: the uniform grid x_j = j*h, the
+piecewise-linear sampled function, the tail convolution
+int_0^x H(y) w(x-y) dy, and the implicit-trapezoid march that both value
 slope solvers share.  Trapezoid rule everywhere: the march needs each new
 endpoint value from already-known history in one O(j) pass.
 
@@ -25,8 +25,6 @@ __all__ = [
     "convolve_tail",
     "convolve_tail_all",
     "march_value_slope",
-    "jump_operator_M",
-    "integrate_prefix",
 ]
 
 
@@ -59,13 +57,6 @@ class Grid:
     def x_max(self) -> float:
         return self.h * (self.n - 1)
 
-    def index_at(self, x: float) -> int:
-        """Nearest grid index for a coordinate inside the grid."""
-        j = int(round(x / self.h))
-        if j < 0 or j >= self.n:
-            raise IndexError(f"x={x!r} outside grid [0, {self.x_max!r}]")
-        return j
-
 
 @dataclass
 class SampledFn:
@@ -97,9 +88,6 @@ class SampledFn:
     def __call__(self, x):
         out = self._interp(np.asarray(x, dtype=float))
         return out if out.ndim else float(out)
-
-    def __len__(self):
-        return self.grid.n
 
     def _interp(self, x: np.ndarray) -> np.ndarray:
         h, fp = self.grid.h, self.values
@@ -189,27 +177,3 @@ def march_value_slope(grid: Grid, tail_values: np.ndarray, lam: float, vprime0: 
     V = cumulative_trapezoid(v, dx=h, initial=0.0)
     return v, vp, V, node_evals
 
-
-def jump_operator_M(W: SampledFn, f, lam: float, j: int) -> float:
-    """Claims operator lam * [W(x_j) - int_0^{x_j} W(x_j - s) f(s) ds].
-
-    Requires W(0) = 0.  The integral uses the continuous claim density f
-    on the grid nodes (trapezoid); distributions with an unbounded density
-    at 0 cannot go through this form, use the tail convolution instead.
-    Non-negative (up to quadrature error) whenever W is non-decreasing.
-    """
-    if j < 0 or j >= W.grid.n:
-        raise IndexError(f"index {j} out of range for grid of {W.grid.n} points")
-    if j == 0:
-        return 0.0
-    s = W.grid.points[: j + 1]
-    fv = np.asarray(f(s), dtype=float) if callable(f) else np.asarray(f, dtype=float)[: j + 1]
-    seg = W.values[j::-1] * fv
-    integral = W.grid.h * (seg.sum() - 0.5 * (seg[0] + seg[-1]))
-    return lam * (W.values[j] - integral)
-
-
-def integrate_prefix(w: SampledFn) -> SampledFn:
-    """Cumulative trapezoid integral W(x_j) = int_0^{x_j} w; W(0) = 0."""
-    vals = cumulative_trapezoid(w.values, dx=w.grid.h, initial=0.0)
-    return SampledFn(w.grid, vals)

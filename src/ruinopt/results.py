@@ -44,12 +44,6 @@ class ValueGrid:
     def x(self) -> np.ndarray:
         return self.grid.points
 
-    def slope_fn(self) -> SampledFn:
-        return SampledFn(self.grid, self.v)
-
-    def value_fn(self) -> SampledFn:
-        return SampledFn(self.grid, self.V)
-
 
 @dataclass
 class StrategyCurve(SampledFn):
@@ -66,15 +60,16 @@ class StrategyCurve(SampledFn):
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        out = self._interp(x)
+        # a fresh array (0-d for a scalar query), so the tail can fill it in place
+        out = np.asarray(self._interp(x))
         if self.tail is not None:
             limit, coeff = self.tail
-            beyond = x > self.grid.x_max
-            if np.any(beyond):
-                ext = limit + coeff / np.where(beyond, x, 1.0)
+            beyond = np.flatnonzero(x > self.grid.x_max)
+            if beyond.size:
+                ext = limit + coeff / x.take(beyond)
                 if self.lo is not None or self.hi is not None:
                     ext = np.clip(ext, self.lo, self.hi)
-                out = np.where(beyond, ext, out)
+                out.put(beyond, ext)
         return out if out.ndim else float(out)
 
     __call__ = value

@@ -88,10 +88,6 @@ class Scenario:
     raw: dict
 
     @property
-    def claim_mean(self) -> float:
-        return self.dist.mean
-
-    @property
     def exponential_mean(self) -> float | None:
         """Claim mean when the family is exponential, else None."""
         return self.dist.mean if self.dist.family == "exponential" else None

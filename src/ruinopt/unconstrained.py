@@ -74,6 +74,12 @@ def solve_v_unconstrained(params: ModelParams, dist: ClaimDistribution, grid: Gr
 
     Returns the slope v, its prefix integral V, the operator values
     v' = L(v), and the node-equation evaluations spent per node.
+
+    The march stops with RuntimeError ("trapezoid anchor went nonpositive")
+    at the first node, x = h, when h >= 2 / |v'(0)|, with v'(0) = -B
+    (`derive_constants(...).B`), close to -2 c_rho / sigma_rho^2 when
+    c_rho > 0 and sigma_rho^2 is small.  The seeded sweep in
+    tests/test_solver_sweep.py finds it at no later node.
     """
     p = params
     h = grid.h

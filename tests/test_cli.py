@@ -217,6 +217,16 @@ def test_exp_validate_agrees(capsys, tmp_path):
     assert "claim.family" in err
 
 
+@pytest.mark.parametrize("xmax", ["0.5", "0.01"])
+def test_exp_validate_needs_a_node_in_its_window(capsys, tmp_path, xmax):
+    # no node in [1, 10]: refused before the solve, naming the key
+    path = tmp_path / "short.txt"
+    path.write_text(BASE.replace("grid.xmax = 5.0", f"grid.xmax = {xmax}"), encoding="utf-8")
+    code, _, err = run(capsys, ["exp-validate", path])
+    assert code == 4
+    assert err.rstrip().endswith("(key: grid.xmax)"), err
+
+
 def test_simulate_deterministic(capsys, scenario_file):
     docs = []
     for _ in range(2):
@@ -273,8 +283,9 @@ def test_simulate_too_few_paths_names_key(capsys, tmp_path):
         "x,a\n0.0,0.8\n1.0,0.9\n1.0,1.0\n",   # x repeated
         "x,a\n0.0,0.8\n1.0,nan\n",             # non-finite a
         "x,a\n0.0,0.8\ninf,0.9\n",             # non-finite x
+        "x,a\n0.0,0.8\n1,oops\n",              # not a number
     ],
-    ids=["decreasing", "repeated", "nan", "inf"],
+    ids=["decreasing", "repeated", "nan", "inf", "non-numeric"],
 )
 def test_simulate_rejects_bad_strategy_file(capsys, scenario_file, tmp_path, table):
     path = tmp_path / "strat.csv"
@@ -282,6 +293,23 @@ def test_simulate_rejects_bad_strategy_file(capsys, scenario_file, tmp_path, tab
     code, _, err = run(capsys, ["simulate", scenario_file, "--x0", "1.0", "--strategy", f"file:{path}"])
     assert code == 4
     assert err.rstrip().endswith("(key: strategy)"), err
+
+
+@pytest.mark.parametrize(
+    "x0, strategy, key",
+    [
+        ("1.0", "const:nan", "strategy"),
+        ("1.0", "const:inf", "strategy"),
+        ("1.0", "const:-inf", "strategy"),
+        ("-0.5", "zero", "x0"),
+        ("8.0", "zero", "x0"),          # the safe level itself
+        ("nan", "zero", "x0"),
+    ],
+)
+def test_simulate_rejects_bad_input_naming_key(capsys, scenario_file, x0, strategy, key):
+    code, _, err = run(capsys, ["simulate", scenario_file, "--x0", x0, "--strategy", strategy])
+    assert code == 4
+    assert err.rstrip().endswith(f"(key: {key})"), err
 
 
 def test_example1_runner(capsys, tmp_path):

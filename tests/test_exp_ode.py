@@ -10,7 +10,6 @@ import pytest
 
 import ruinopt as ro
 from ruinopt.exp_ode import (
-    CurveSamples,
     TildeACurve,
     a_tilde_rhs,
     linear_ode_coeffs,
@@ -48,8 +47,6 @@ def test_seed_validation(ex1):
         solve_a_tilde(ex1, 1.0, -1.0, 10.0)
     with pytest.raises(ValueError):
         solve_a_tilde(ex1, 1.0, 8.0, 8.0)
-    with pytest.raises(ValueError, match="backward_to"):
-        solve_a_tilde(ex1, 1.0, 8.0, 10.0, backward_to=9.0)
 
 
 def test_series_seed_advisory(ex1):
@@ -91,23 +88,13 @@ def test_forward_approach_is_monotone(ex1):
     assert gap[-1] < gap[0] / 4
 
 
-def test_backward_leg_bookkeeping(ex1):
-    curve = solve_a_tilde(ex1, 1.0, 8.0, 10.0, backward_to=7.5)
-    assert curve.backward_warning is not None
-    assert curve.back_x is not None
-    assert curve.back_x[0] == pytest.approx(7.5, abs=1e-12)
-    assert np.all(np.diff(curve.back_x) > 0)
-    # the joined curve interpolates across the seam
-    assert np.isfinite(curve(7.8)) and np.isfinite(curve(9.0))
-
-
 def test_reconstruct_vprime_matches_solver(ex1, vg40):
     curve = solve_a_tilde(ex1, 1.0, 8.0, 40.0)
     x0 = 10.0
     v0 = float(np.interp(x0, vg40.x, vg40.v))
     rec = reconstruct_vprime(curve, ex1, (x0, v0))
     mask = (vg40.x >= 10.0) & (vg40.x <= 35.0)
-    dev = max_rel_dev(rec(vg40.x[mask]), vg40.v[mask])
+    dev = max_rel_dev(np.interp(vg40.x[mask], *rec), vg40.v[mask])
     assert dev <= 1e-6, f"reconstruction deviates {dev:.3e}"  # observed 1.3e-8
 
 
@@ -174,9 +161,3 @@ def test_constant_strategies_never_beat_optimum(ex1, exp1, vg40):
         vg = solve_linear_const_strategy(ex1, A, 1.0, vg40.grid)
         nA = ro.normalize_delta(vg, claim_mean=1.0)
         assert float(np.max(nA.delta.values - opt.delta.values)) <= 1e-6, f"A={A}"
-
-
-def test_curve_samples_interpolates():
-    cs = CurveSamples(x=np.array([0.0, 1.0, 2.0]), values=np.array([0.0, 2.0, 4.0]))
-    assert cs(0.5) == 1.0
-    np.testing.assert_allclose(cs(np.array([0.0, 1.5])), [0.0, 3.0])

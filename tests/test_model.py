@@ -48,8 +48,6 @@ def test_params_frozen():
 def test_accessors():
     p = _params(cap=1.0)
     assert p.excess == p.mu - p.r
-    assert p.constrained
-    assert not _params().constrained
     for a in (-2.0, 0.0, 0.7, 5.0):
         expected = p.sigma**2 * a**2 + 2 * p.rho * p.sigma * p.sigma1 * a + p.sigma1**2
         assert_close(p.quadratic_form(a), expected, 1e-15, f"Q({a})")

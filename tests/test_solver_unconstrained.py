@@ -137,15 +137,6 @@ def test_strategy_tail_expansion(st40, ex1):
     assert np.all(np.diff(dist_to_limit) <= 1e-12)
 
 
-def test_interpolating_accessors(vg40):
-    f = vg40.value_fn()
-    s = vg40.slope_fn()
-    j = 1000
-    x = vg40.grid.points[j]
-    assert f(x) == vg40.V[j]
-    assert s(x) == vg40.v[j]
-
-
 def test_coarse_grid_rejected(ex1, exp1):
     # step too large for the boundary curvature: the half-step predictor
     # goes non-positive and the solve must refuse rather than continue
