@@ -159,7 +159,6 @@ def _cmd_solve(args) -> int:
         "mode": args.mode,
         "runtime_s": elapsed,
         "grid": {"h": sc.grid.h, "x_max": sc.grid.x_max, "n": sc.grid.n},
-        "node_evals": {"total": int(vg.node_evals.sum()), "max_per_node": int(vg.node_evals.max())},
         "residuals": res_doc,
         "v_prime_zero": float(vg.vprime[0]),
         "a_star_zero": float(strat.values[0]),
@@ -251,11 +250,24 @@ def _cmd_exp_validate(args) -> int:
     return EXIT_OK
 
 
+def _parses(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def _load_strategy_file(path: str):
     try:
         table = np.loadtxt(path, delimiter=",", ndmin=2, comments="#", skiprows=0)
-    except ValueError:
-        # a header line; any other unreadable cell fails the retry as well
+    except ValueError as exc:
+        # only a first line in which no cell parses is a header; any other
+        # unreadable cell, there or further down, is an error
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            first = fh.readline()
+        if any(_parses(cell) for cell in first.split(",")):
+            raise BadValueError("strategy", f"strategy file {path!r}: {exc}") from None
         try:
             table = np.loadtxt(path, delimiter=",", ndmin=2, comments="#", skiprows=1)
         except ValueError as exc:

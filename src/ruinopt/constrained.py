@@ -15,12 +15,32 @@ is evaluated through the claim tail H:
 For fixed x and w the candidate curvature is a smooth ratio in a, so the
 minimum sits at an endpoint or at a root of an explicit quadratic; no line
 search is ever needed.  The march uses the same implicit trapezoid closure
-as the unrestricted solver, alternating the exact affine solve in w (for a
-fixed a) with an argmin refresh; the affine solutions decrease monotonically
-onto the fixed point, and a guarded bisection handles the rare corner.  As
-there, node j sees only v_0 .. v_{j-1} and itself (the equation is causal),
-so the single forward pass of `numerics.march_value_slope` is the exact
-discrete solution.
+as the unrestricted solver: node j solves w = alpha + h/2 * min_a G_a(w),
+where G_a is the candidate curvature with the claims term
+q_j + lam h/2 w (q_j the trapezoid sum over the history).  For a fixed a
+the equation is affine in w, with root w_a = N(a) / D(a):
+
+    N(a) = alpha Q(a) + h q_j,
+    D(a) = Q(a) + h (c + r x_j + (mu-r) a) - lam h^2 / 2.
+
+N > 0 for every a (alpha > 0, Q > 0, q_j >= 0), so
+w - alpha - h/2 G_a(w) = (D(a) w - N(a)) / Q(a) is negative at w = 0 and
+the node is where the largest of these lines first reaches 0:
+
+    w* = 1 / max over a in [0, cap] of D(a) / N(a).
+
+An a with D(a) <= 0 never reaches 0, so no contraction check is needed;
+the node has a positive root exactly when the maximum is positive.  The
+maximiser is an endpoint or a root of the stationary quadratic of D/N,
+
+    (mu-r) sigma^2 alpha a^2 + 2 sigma^2 E a
+        + 2 rho sigma sigma1 E - (mu-r) (alpha sigma1^2 + h q_j) = 0,
+
+with E = alpha (c + r x_j - lam h/2) - q_j, and it is also the argmin of
+the candidate curvature at w*.  As in the unrestricted solver, node j sees
+only v_0 .. v_{j-1} and itself (the equation is causal), so the single
+forward pass of `numerics.march_value_slope` is the exact discrete
+solution.
 """
 
 from __future__ import annotations
@@ -52,6 +72,33 @@ def curvature_candidate(params: ModelParams, a: float, x: float, w_x: float, MW_
     return 2.0 * (MW_x - (p.c + p.r * x + p.excess * a) * w_x) / p.quadratic_form(a)
 
 
+def _best_candidate(qa: float, qb: float, qc: float, cap: float, objective) -> tuple[float, float]:
+    """Minimize a smooth objective over [0, cap] whose interior stationary
+    points solve qa a^2 + qb a + qc = 0.
+
+    Candidates: both endpoints plus the roots inside.  Returns
+    (value, argmin); exact ties go to the smaller investment.
+    """
+    candidates = [0.0, cap]
+    if qa == 0.0:
+        if qb != 0.0:
+            candidates.append(-qc / qb)
+    else:
+        disc = qb * qb - 4.0 * qa * qc
+        if disc >= 0.0:
+            root = math.sqrt(disc)
+            qq = -0.5 * (qb + math.copysign(root, qb)) if qb != 0.0 else 0.5 * root
+            candidates.append(qq / qa)
+            if qq != 0.0:
+                candidates.append(qc / qq)
+    best_val, best_a = math.inf, 0.0
+    for a in sorted(c for c in candidates if 0.0 <= c <= cap):
+        val = objective(a)
+        if val < best_val:
+            best_val, best_a = val, a
+    return best_val, best_a
+
+
 def curvature_best(
     params: ModelParams, cap: float, x: float, w_x: float, MW_x: float
 ) -> tuple[float, float]:
@@ -67,27 +114,38 @@ def curvature_best(
     """
     p = params
     E = MW_x - (p.c + p.r * x) * w_x
-    qa = p.excess * p.sigma**2 * w_x
-    qb = -2.0 * p.sigma**2 * E
-    qc = -(p.excess * p.sigma1**2 * w_x + 2.0 * p.rho * p.sigma * p.sigma1 * E)
-    candidates = [0.0, cap]
-    if qa == 0.0:
-        if qb != 0.0:
-            candidates.append(-qc / qb)
-    else:
-        disc = qb * qb - 4.0 * qa * qc
-        if disc >= 0.0:
-            root = math.sqrt(disc)
-            qq = -0.5 * (qb + math.copysign(root, qb)) if qb != 0.0 else 0.5 * root
-            candidates.append(qq / qa)
-            if qq != 0.0:
-                candidates.append(qc / qq)
-    best_val, best_a = math.inf, 0.0
-    for a in sorted(c for c in candidates if 0.0 <= c <= cap):
-        val = curvature_candidate(p, a, x, w_x, MW_x)
-        if val < best_val:
-            best_val, best_a = val, a
-    return best_val, best_a
+    return _best_candidate(
+        p.excess * p.sigma**2 * w_x,
+        -2.0 * p.sigma**2 * E,
+        -(p.excess * p.sigma1**2 * w_x + 2.0 * p.rho * p.sigma * p.sigma1 * E),
+        cap,
+        lambda a: curvature_candidate(p, a, x, w_x, MW_x),
+    )
+
+
+def _solve_node(
+    p: ModelParams, cap: float, h: float, x: float, q: float, alpha: float
+) -> tuple[float, float, float]:
+    """(v_j, v'_j, argmin) at surplus x: w* = 1 / max D(a) / N(a) in closed form."""
+    half_h = 0.5 * h
+    drift = p.c + p.r * x
+    E = alpha * (drift - p.lam * half_h) - q
+
+    def neg_ratio(a: float) -> float:
+        Qa = p.quadratic_form(a)
+        return -(Qa + h * (drift + p.excess * a) - p.lam * h * half_h) / (alpha * Qa + h * q)
+
+    best, a = _best_candidate(
+        p.excess * p.sigma**2 * alpha,
+        2.0 * p.sigma**2 * E,
+        2.0 * p.rho * p.sigma * p.sigma1 * E - p.excess * (alpha * p.sigma1**2 + h * q),
+        cap,
+        neg_ratio,
+    )
+    if not best < 0.0:
+        raise RuntimeError(f"capped node solve found no positive root at x={x:.6g}")
+    w = -1.0 / best
+    return w, curvature_candidate(p, a, x, w, q + p.lam * half_h * w), a
 
 
 def solve_v_constrained(
@@ -96,7 +154,7 @@ def solve_v_constrained(
     """March the scaled value slope of the capped problem; v(0) = 1.
 
     The per-node minimizing investment is recorded alongside v so the
-    strategy extraction is exactly the argmin the solve converged with.
+    strategy extraction is exactly the argmin of each node's solve.
 
     The march stops with RuntimeError ("trapezoid anchor went nonpositive")
     at the first node, x = h, when h >= 2 / |v'(0)|, with v'(0) the
@@ -111,77 +169,17 @@ def solve_v_constrained(
     if A is None:
         raise ValueError("capped solve needs an investment cap (params.cap or cap=...)")
     h = grid.h
-    half_h = 0.5 * h
-    x = grid.points
-    H = np.asarray(dist.tail(x), dtype=float)
+    H = np.asarray(dist.tail(grid.points), dtype=float)
 
     argmin = np.empty(grid.n)
     vp0, argmin[0] = curvature_best(p, A, 0.0, 1.0, 0.0)
 
-    def solve_node(j: int, q0: float, alpha: float) -> tuple[float, float, int]:
-        xj = x[j]
-        evals = 0
+    def solve_node(j: int, q: float, alpha: float) -> tuple[float, float]:
+        w, vp, argmin[j] = _solve_node(p, A, h, j * h, q, alpha)
+        return w, vp
 
-        def affine_solve(a: float) -> float:
-            # w = alpha + h/2 * G_a(w) is affine in w:
-            # G_a(w) = [2 q0 + (lam h - 2 P(a)) w] / Q(a)
-            Qa = p.quadratic_form(a)
-            Pa = p.c + p.r * xj + p.excess * a
-            denom = 1.0 - half_h * (p.lam * h - 2.0 * Pa) / Qa
-            return (alpha + h * q0 / Qa) / denom
-
-        def best_at(w: float) -> tuple[float, float]:
-            nonlocal evals
-            evals += 1
-            return curvature_best(p, A, xj, w, q0 + p.lam * half_h * w)
-
-        a_cur = argmin[j - 1]
-        w_cur = affine_solve(a_cur)
-        for _ in range(60):
-            _, a_cur = best_at(w_cur)
-            w_new = affine_solve(a_cur)
-            # stop on w alone: at the fixed point the argmin can flip in its
-            # last ulp between two values whose affine solves agree
-            ok = abs(w_new - w_cur) <= 1e-15 * abs(w_new)
-            w_cur = w_new
-            if ok:
-                break
-        if not (ok and w_cur > 0.0):
-            # guarded bisection on psi(w) = w - alpha - h/2 * min_a G_a(w);
-            # psi(0) < 0 and psi grows at least linearly once w dominates
-            def psi(w: float) -> float:
-                val, _ = best_at(w)
-                return w - alpha - half_h * val
-
-            lo, hi = 0.0, alpha
-            guard = 0
-            while psi(hi) < 0.0:
-                hi *= 2.0
-                guard += 1
-                if guard > 200:
-                    raise RuntimeError(f"capped node solve failed to bracket at x={xj:.6g}")
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if not lo < mid < hi:  # lo and hi are adjacent floats
-                    break
-                if psi(mid) < 0.0:
-                    lo = mid
-                else:
-                    hi = mid
-            else:
-                raise RuntimeError(f"capped node solve did not converge at x={xj:.6g}")
-            w_cur = hi
-            _, a_cur = best_at(w_cur)
-            w_cur = affine_solve(a_cur)
-        argmin[j] = a_cur
-        val = curvature_candidate(p, a_cur, xj, w_cur, q0 + p.lam * half_h * w_cur)
-        return w_cur, val, evals
-
-    v, vp, V, node_evals = march_value_slope(grid, H, p.lam, vp0, solve_node)
-    return ValueGrid(
-        grid=grid, v=v, V=V, vprime=vp, mode="constrained", cap=A, argmin=argmin,
-        node_evals=node_evals,
-    )
+    v, vp, V = march_value_slope(grid, H, p.lam, vp0, solve_node)
+    return ValueGrid(grid=grid, v=v, V=V, vprime=vp, mode="constrained", cap=A, argmin=argmin)
 
 
 def extract_strategy_constrained(vg: ValueGrid, params: ModelParams, cap: float | None = None) -> StrategyCurve:

@@ -58,8 +58,8 @@ def a_tilde_rhs(x: float, a: float, params: ModelParams, m: float) -> float:
     if ex == 0.0:
         raise ValueError("feedback ODE needs mu != r (the a^2 coefficient divides by mu - r)")
     gamma = ex * ex / (2.0 * p.sigma**2)
-    c_rho = p.c - p.rho * ex * p.sigma1 / p.sigma
-    sigma_rho2 = p.sigma1**2 * (1.0 - p.rho * p.rho)
+    c_rho = p.c_rho
+    sigma_rho2 = p.sigma_rho2
     s2 = p.sigma**2
     num = (
         -(s2 / m) * a**3
@@ -202,8 +202,8 @@ def solve_linear_const_strategy(params: ModelParams, A: float, m: float, grid: G
     phi(0) = 1, phi'(0) = -2 (c + (mu-r) A) / A_rho2.  Implicit trapezoid
     on the first-order system: the stiff eigenvalue grows like -a2 x, which
     an explicit integrator cannot take across a long grid at a fixed step.
-    Returns the same container the grid solvers use (no node_evals,
-    mode "constant_strategy").
+    Returns the same container the grid solvers use (mode
+    "constant_strategy").
     """
     co = linear_ode_coeffs(params, A, m)
     h = grid.h

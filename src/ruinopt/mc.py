@@ -29,7 +29,6 @@ import numpy as np
 
 from .claims import ClaimDistribution
 from .model import ModelParams
-from .results import StrategyCurve
 
 __all__ = [
     "MIN_PATHS",
@@ -94,8 +93,6 @@ class SimReport:
 
 
 def _as_strategy_fn(strategy):
-    if isinstance(strategy, StrategyCurve):
-        return strategy.value
     if callable(strategy):
         return strategy
     amount = float(strategy)

@@ -65,6 +65,16 @@ class ModelParams:
         """Excess return of the stock over the risk-free rate."""
         return self.mu - self.r
 
+    @property
+    def c_rho(self) -> float:
+        """Premium rate corrected for correlation drag, c - rho (mu-r) sigma1 / sigma."""
+        return self.c - self.rho * self.excess * self.sigma1 / self.sigma
+
+    @property
+    def sigma_rho2(self) -> float:
+        """Residual perturbation variance sigma1^2 (1 - rho^2)."""
+        return self.sigma1**2 * (1.0 - self.rho * self.rho)
+
     def quadratic_form(self, a):
         """Diffusion coefficient Q(a) = sigma^2 a^2 + 2 rho sigma sigma1 a + sigma1^2.
 
@@ -164,8 +174,8 @@ def derive_constants(params: ModelParams, claim_mean: float | None = None) -> De
     p = params
     ex = p.excess
     gamma = ex * ex / (2.0 * p.sigma**2)
-    c_rho = p.c - p.rho * ex * p.sigma1 / p.sigma
-    sigma_rho2 = p.sigma1**2 * (1.0 - p.rho * p.rho)
+    c_rho = p.c_rho
+    sigma_rho2 = p.sigma_rho2
     s = _curvature_root_s(gamma, c_rho, sigma_rho2)
     B = (c_rho + s) / sigma_rho2
     # c_rho - B sigma_rho2 = -s exactly, so write eta over -2s and avoid

@@ -152,10 +152,10 @@ def march_value_slope(grid: Grid, tail_values: np.ndarray, lam: float, vprime0: 
     node j is q_j + lam * h/2 * v_j, where q_j is the trapezoid tail
     convolution over the history v_0 .. v_{j-1}.
 
-    `solve_node(j, q_j, alpha_j)` returns (v_j, v'_j, evaluations), the
-    last being the number of node-equation evaluations it spent.  Returns
-    (v, v', V, node_evals) with V the prefix integral of v and node_evals
-    the per-node evaluation counts (0 at node 0).
+    `solve_node(j, q_j, alpha_j)` returns (v_j, v'_j); each solver solves
+    its node in closed form and raises RuntimeError, naming x_j, when the
+    node has no positive root.  Returns (v, v', V) with V the prefix
+    integral of v.
     """
     h = grid.h
     half_h = 0.5 * h
@@ -163,7 +163,6 @@ def march_value_slope(grid: Grid, tail_values: np.ndarray, lam: float, vprime0: 
     H = tail_values
     v = np.empty(n)
     vp = np.empty(n)
-    node_evals = np.zeros(n, dtype=int)
     v[0] = 1.0
     vp[0] = vprime0
     for j in range(1, n):
@@ -173,7 +172,7 @@ def march_value_slope(grid: Grid, tail_values: np.ndarray, lam: float, vprime0: 
             raise RuntimeError(
                 f"trapezoid anchor went nonpositive at x={j * h:.6g}; grid step too coarse"
             )
-        v[j], vp[j], node_evals[j] = solve_node(j, q, alpha)
+        v[j], vp[j] = solve_node(j, q, alpha)
     V = cumulative_trapezoid(v, dx=h, initial=0.0)
-    return v, vp, V, node_evals
+    return v, vp, V
 

@@ -37,8 +37,6 @@ class ValueGrid:
     mode: str
     cap: float | None = None
     argmin: np.ndarray | None = None  # per-node minimizing investment (capped solve)
-    # node-equation evaluations per node (0 at node 0); None for ODE-built grids
-    node_evals: np.ndarray | None = None
 
     @property
     def x(self) -> np.ndarray:

@@ -21,20 +21,34 @@ of the density keeps it stable where v has decayed by many orders of
 magnitude.
 
 The march discretizes v(x_j) = v(x_{j-1}) + int of v' with the trapezoid
-rule and solves each node's scalar implicit equation by safeguarded
-Newton.  The implicit closure matters: an explicit sweep has local
-amplification h/2 * |dL/dw| well above 1 at large x, while the implicit
-equation F(w) = w - alpha - h/2 * L(w) has F' >= 1 whenever the net drift
-stays positive, so each node has exactly one positive root.  The equation
-is causal: node j sees only v_0 .. v_{j-1} and itself, so the single
-forward pass of `numerics.march_value_slope` is the exact discrete
-solution.
+rule, so node j solves w = alpha + h/2 * y with y = L(w) and
+alpha = v_{j-1} + h/2 v'_{j-1}.  The claims integral at node j is
+q_j + lam h/2 w, with q_j the trapezoid sum over the history, so with
+kappa = (mu - r) / sigma and p_j = c_rho + r x_j - lam h/2 the slope y is
+the negative root of
+
+    0.5 * sigma_rho^2 * y^2 + (p_j w - q_j) * y - 0.5 * kappa^2 * w^2 = 0.
+
+Substituting w = alpha + h/2 * y leaves one quadratic A y^2 + B y + C = 0:
+
+    A = 0.5 sigma_rho^2 + h/2 p_j - 0.5 (kappa h/2)^2,
+    B = p_j alpha - q_j - kappa^2 alpha h/2,
+    C = -0.5 (kappa alpha)^2.
+
+It is <= 0 at y = 0 (w = alpha) and > 0 at y = -2 alpha/h (w = 0), so it
+has exactly one root in (-2 alpha/h, 0]: the node, solved in closed form
+with the cancellation-free pair of root formulas.  B >= 0 forces
+p_j >= kappa^2 h/2 and so A > 0, the case that divides by A.  Then
+v_j = alpha + h/2 y and v'_j = y.  An explicit sweep would have local
+amplification h/2 * |dL/dw| well above 1 at large x; the implicit closure
+has none.  The equation is causal: node j sees only v_0 .. v_{j-1} and
+itself, so the single forward pass of `numerics.march_value_slope` is the
+exact discrete solution.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +66,6 @@ __all__ = [
 ]
 
 
-_EPS = sys.float_info.epsilon
-
-
 def _negative_root(l1: float, l2: float, sigma_rho2: float) -> float:
     """Negative root of 0.5 sigma_rho^2 y^2 + l1 y - 0.5 l2^2 = 0.
 
@@ -69,11 +80,27 @@ def _negative_root(l1: float, l2: float, sigma_rho2: float) -> float:
     return -(l2 * l2) / (R - l1)
 
 
+def _solve_node(p: ModelParams, h: float, x: float, q: float, alpha: float) -> tuple[float, float]:
+    """(v_j, v'_j) at surplus x: the closed-form root of w = alpha + h/2 L(w)."""
+    half_h = 0.5 * h
+    kappa = p.excess / p.sigma
+    pj = p.c_rho + p.r * x - p.lam * half_h
+    A = 0.5 * p.sigma_rho2 + half_h * pj - 0.5 * (kappa * half_h) ** 2
+    B = pj * alpha - q - kappa * kappa * alpha * half_h
+    C = -0.5 * (kappa * alpha) ** 2
+    R = math.sqrt(B * B - 4.0 * A * C)
+    y = -(B + R) / (2.0 * A) if B >= 0.0 else 2.0 * C / (R - B)
+    w = alpha + half_h * y
+    if not (math.isfinite(w) and w > 0.0):
+        raise RuntimeError(f"unconstrained node solve found no positive root at x={x:.6g}")
+    return w, y
+
+
 def solve_v_unconstrained(params: ModelParams, dist: ClaimDistribution, grid: Grid) -> ValueGrid:
     """March the scaled value slope v across the grid; v(0) = 1.
 
-    Returns the slope v, its prefix integral V, the operator values
-    v' = L(v), and the node-equation evaluations spent per node.
+    Returns the slope v, its prefix integral V and the operator values
+    v' = L(v).
 
     The march stops with RuntimeError ("trapezoid anchor went nonpositive")
     at the first node, x = h, when h >= 2 / |v'(0)|, with v'(0) = -B
@@ -83,65 +110,14 @@ def solve_v_unconstrained(params: ModelParams, dist: ClaimDistribution, grid: Gr
     """
     p = params
     h = grid.h
-    half_h = 0.5 * h
-    x = grid.points
-    ex = p.excess
-    sigma_rho2 = p.sigma1**2 * (1.0 - p.rho * p.rho)
-    srho = math.sqrt(sigma_rho2)
-    c_rho = p.c - p.rho * ex * p.sigma1 / p.sigma
-    kappa1 = ex / p.sigma
-    H = np.asarray(dist.tail(x), dtype=float)
+    H = np.asarray(dist.tail(grid.points), dtype=float)
 
-    def solve_node(j: int, q: float, alpha: float) -> tuple[float, float, int]:
-        pj = c_rho + p.r * x[j] - p.lam * half_h
-        evals = 0
+    def solve_node(j: int, q: float, alpha: float) -> tuple[float, float]:
+        return _solve_node(p, h, j * h, q, alpha)
 
-        def F_and_slope(w: float) -> tuple[float, float, float]:
-            nonlocal evals
-            evals += 1
-            l1 = pj * w - q
-            l2 = kappa1 * w
-            R = math.hypot(l1, srho * l2)
-            if R == 0.0:
-                return w - alpha, 1.0, 0.0
-            if l1 >= 0.0:
-                L = -(l1 + R) / sigma_rho2
-            else:
-                L = -(l2 * l2) / (R - l1)
-            dF = 1.0 + half_h * (pj + (l1 * pj + sigma_rho2 * kappa1 * kappa1 * w) / R) / sigma_rho2
-            return w - alpha - half_h * L, dF, L
-
-        # the root lies in (0, alpha]: L <= 0 gives F(w) >= w - alpha,
-        # and F(0) = -alpha < 0; Newton starts from alpha, which is at
-        # most v_{j-1} because v' = L <= 0
-        lo, hi = 0.0, alpha
-        w = alpha
-        for _ in range(80):
-            F, dF, L = F_and_slope(w)
-            # converged once the Newton step is below an ulp of w; tested
-            # first, since a converged iterate sits on a bracket end
-            if abs(F) <= _EPS * abs(dF * w):
-                return w, L, evals
-            if F < 0.0:
-                lo = w
-            else:
-                hi = w
-            if dF <= 0.0:
-                w_next = 0.5 * (lo + hi)
-            else:
-                w_next = w - F / dF
-                if not (lo < w_next < hi):
-                    w_next = 0.5 * (lo + hi)
-            if abs(w_next - w) <= 1e-16 * abs(w_next):
-                _, _, L = F_and_slope(w_next)
-                return w_next, L, evals
-            w = w_next
-        raise RuntimeError(f"unconstrained node solve did not converge at x={x[j]:.6g}")
-
-    v, vp, V, node_evals = march_value_slope(
-        grid, H, p.lam, _negative_root(c_rho, kappa1, sigma_rho2), solve_node
-    )
-    return ValueGrid(grid=grid, v=v, V=V, vprime=vp, mode="unconstrained", node_evals=node_evals)
+    vprime0 = _negative_root(p.c_rho, p.excess / p.sigma, p.sigma_rho2)
+    v, vp, V = march_value_slope(grid, H, p.lam, vprime0, solve_node)
+    return ValueGrid(grid=grid, v=v, V=V, vprime=vp, mode="unconstrained")
 
 
 def extract_strategy_unconstrained(vg: ValueGrid, params: ModelParams) -> StrategyCurve:
@@ -186,13 +162,11 @@ def hjb_residual(
     p = params
     x = vg.grid.points
     h = vg.grid.h
-    sigma_rho2 = p.sigma1**2 * (1.0 - p.rho * p.rho)
-    c_rho = p.c - p.rho * p.excess * p.sigma1 / p.sigma
     gamma = p.excess**2 / (2.0 * p.sigma**2)
 
     conv = convolve_tail_all(vg.v, dist.tail(x), h)
-    L1 = (c_rho + p.r * x) * vg.v - p.lam * conv
-    res1 = 0.5 * sigma_rho2 * vg.vprime**2 + L1 * vg.vprime - gamma * vg.v**2
+    L1 = (p.c_rho + p.r * x) * vg.v - p.lam * conv
+    res1 = 0.5 * p.sigma_rho2 * vg.vprime**2 + L1 * vg.vprime - gamma * vg.v**2
     k1 = int(np.argmax(np.abs(res1)))
 
     pw, sup2, at2 = generator_residual(vg, strategy, params, dist)

@@ -11,6 +11,12 @@ import pytest
 
 import ruinopt as ro
 
+# mu << r and a large cap: at h = 0.1 and small x, some invested amounts give
+# a capped node map that does not contract (D(a) <= 0 in constrained.py)
+NONCONTRACTING = ro.ModelParams(
+    c=0.0286, r=0.3387, mu=0.1038, sigma=0.0877, sigma1=0.1351, rho=-0.469, lam=0.882, cap=9.89
+)
+
 
 @pytest.fixture(scope="session")
 def ex1():
@@ -127,6 +133,18 @@ def node_residual(vg):
     v, vp = vg.v, vg.vprime
     res = np.abs(v[1:] - v[:-1] - 0.5 * vg.grid.h * (vp[1:] + vp[:-1]))
     return float(np.max(res / v[1:]))
+
+
+def node_draws(seed, n, lam, x_max):
+    """Seeded (h, x, alpha, q) draws for one node of either march.
+
+    q, the claims history sum, is drawn as a fraction of lam * alpha.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        h = float(rng.choice([5e-3, 2e-2, 0.1]))
+        alpha = float(rng.uniform(1e-3, 1.0))
+        yield h, float(rng.uniform(0.0, x_max)), alpha, float(rng.uniform(0.0, 1.0)) * lam * alpha
 
 
 def front_line_fit(strategy, x_fit):

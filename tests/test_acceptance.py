@@ -157,15 +157,13 @@ def test_criterion_6_regime_matrix(acceptance, ex1, exp1):
 
 def test_criterion_7_node_certificate(acceptance, timed_solve, vgc1):
     # the march is one pass, so the certificate is per node: the node
-    # equation met to round-off, within a few evaluations
+    # equation met to round-off
     grids = (timed_solve.vg, vgc1)
-    max_evals = max(int(vg.node_evals.max()) for vg in grids)
-    total = sum(int(vg.node_evals.sum()) for vg in grids)
     worst = max(node_residual(vg) for vg in grids)
-    ok = max_evals <= 8 and worst <= 1e-14
+    ok = worst <= 1e-14
     assert acceptance(
         7, ok,
-        f"{total} node-equation evaluations, max {max_evals} per node (tol 8); "
+        f"{sum(vg.grid.n - 1 for vg in grids)} nodes solved in closed form; "
         f"max node residual {worst:.1e} v_j (tol 1e-14)",
     )
 

@@ -136,7 +136,6 @@ def test_linear_solve_shape_and_slope(ex1):
     assert_close(vg.vprime[0], -0.92 / 0.042, 1e-12, "slope at 0")
     assert np.all(vg.v > 0)
     assert np.all(np.diff(vg.v) < 0)
-    assert vg.node_evals is None
 
 
 def test_no_investment_ode_near_classical_reference(ex1):

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import ruinopt as ro
-from conftest import assert_close, front_line_fit, node_residual
+from ruinopt import unconstrained
+from conftest import NONCONTRACTING, assert_close, front_line_fit, node_draws, node_residual
 
 
 def test_boundary_values(vg40, k1):
@@ -66,11 +67,28 @@ def test_residual_halves_under_refinement(ex1, exp1):
 
 def test_node_certificate(vg40):
     # one pass: every node after the boundary is solved once, to round-off
-    ne = vg40.node_evals
-    assert ne.shape == (vg40.grid.n,)
-    assert ne[0] == 0 and np.all(ne[1:] >= 1)
-    assert ne.max() <= 8
     assert node_residual(vg40) <= 1e-14
+
+
+@pytest.mark.parametrize("which", ["bench1", "bench2", "noncontracting"])
+def test_node_is_root_of_its_equation(which):
+    # the closed-form node is the root of w - alpha - h/2 L(w), L the
+    # negative root of the curvature quadratic, to a few ulps of the anchor
+    # alpha: v_j = alpha + h/2 v'_j is a sum rounded on alpha's scale
+    p = {"bench1": ro.example1_params(), "bench2": ro.example2_params(),
+         "noncontracting": dataclasses.replace(NONCONTRACTING, cap=None)}[which]
+    for h, x, alpha, q in node_draws(3, 300, p.lam, x_max=40.0):
+        pj = p.c_rho + p.r * x - p.lam * 0.5 * h
+        w, y = unconstrained._solve_node(p, h, x, q, alpha)
+
+        def F(u):
+            L = unconstrained._negative_root(pj * u - q, p.excess / p.sigma * u, p.sigma_rho2)
+            return u - alpha - 0.5 * h * L
+
+        ulps = 4.0 * np.finfo(float).eps * alpha
+        assert F(w - ulps) <= 0.0 <= F(w + ulps), (h, x, alpha, q)
+        L = unconstrained._negative_root(pj * w - q, p.excess / p.sigma * w, p.sigma_rho2)
+        assert abs(y - L) <= 1e-13 * abs(L), (h, x, alpha, q)
 
 
 def test_failed_node_solve_names_x(ex1, exp1):
