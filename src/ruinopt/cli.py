@@ -87,12 +87,16 @@ def _emit(doc: dict) -> None:
     print(json.dumps(_round9(doc), indent=2, sort_keys=True, allow_nan=True))
 
 
+_CSV_BLOCK = 1024   # rows formatted per write
+
+
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    n = len(columns[0])
-    lines = [",".join(header)]
-    for i in range(n):
-        lines.append(",".join(f"{float(col[i]):.9g}" for col in columns))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    row = ",".join(["{:.9g}"] * len(columns)) + "\n"
+    with path.open("w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(columns[0]), _CSV_BLOCK):
+            block = [np.asarray(col[lo:lo + _CSV_BLOCK], dtype=float).tolist() for col in columns]
+            fh.write("".join(row.format(*r) for r in zip(*block)))
 
 
 def _regime_doc(report) -> dict:

@@ -10,14 +10,23 @@ paths are batched, and runs with the same master seed are coupled across
 strategies (common random numbers), which makes strategy comparisons far
 sharper than independent runs.
 
+Each generator is default_rng(SeedSequence((master_seed, path_index,
+stream))), but a batch does not build those SeedSequences one at a time:
+_seed_states runs numpy's SeedSequence hash over every index at once in
+uint32 arithmetic, and each PCG64 takes its precomputed state words.  The
+streams are numpy's own, word for word.  The horizon must be a whole
+number of steps, so the simulated time is exactly the horizon.
+
 A path draws its normals in blocks of (2, _NORM_BLOCK) and uses one pair
 per step while it lives, so every live path sits at the same place in its
 block: one cursor, step % _NORM_BLOCK, serves them all.  The blocks are
 stored transposed, draw-major, so a step reads one contiguous row.  Claims
 are drawn in chunks of _CLAIM_CHUNK per path, each path refilled only when
 its own chunk runs out; the claims due in a step are settled in rounds of
-one claim per path.  Neither layout changes which numbers a path draws or
-the order it uses them in.
+one claim per path.  The live state (surplus, next claim time, normal
+column) is kept dense, in the order of the live paths, and is compacted
+only on a step where some path leaves.  Neither layout changes which
+numbers a path draws or the order it uses them in.
 """
 
 from __future__ import annotations
@@ -26,6 +35,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random import PCG64, Generator
+from numpy.random.bit_generator import ISeedSequence
 
 from .claims import ClaimDistribution
 from .model import ModelParams
@@ -47,6 +58,12 @@ _REFILL_CHUNK = 128  # paths drawn together before the transpose into nbuf
 _CLAIM_CHUNK = 32   # claim arrivals / sizes drawn per refill, per path
 _COHORT = 8192      # paths simulated per vectorized batch
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
 _PENDING, _RUINED, _SAFE, _HORIZON = -1, 0, 1, 2
 _STATUS_NAMES = {_RUINED: "ruined", _SAFE: "safe", _HORIZON: "horizon"}
 
@@ -66,6 +83,12 @@ class SimConfig:
             raise ValueError(f"horizon must be positive, got {self.horizon!r}")
         if self.dt > self.horizon:
             raise ValueError(f"dt must not exceed the horizon, got dt={self.dt!r}, horizon={self.horizon!r}")
+        steps = self.horizon / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(
+                f"horizon must be a whole number of steps, got horizon={self.horizon!r}, "
+                f"dt={self.dt!r} ({steps:.9g} steps)"
+            )
         if self.n_paths < 1:
             raise ValueError(f"n_paths must be positive, got {self.n_paths!r}")
         if not (math.isfinite(self.safe_level) and self.safe_level > 0):
@@ -92,6 +115,81 @@ class SimReport:
     mean_ruin_time: float | None
 
 
+def _hasher(init: int, mult: int):
+    """numpy's hashmix on uint32 arrays, carrying its running constant."""
+    const = init
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return out ^ out >> 16
+
+
+def _seed_states(master_seed: int, indices: np.ndarray, stream: int) -> np.ndarray:
+    """SeedSequence((master_seed, i, stream)).generate_state(4, np.uint64) for every i.
+
+    numpy's hash of the entropy words into a pool of four, then its state
+    generation, run over all indices at once in wrapping uint32 arithmetic.
+    Each integer enters as its 32-bit words, least significant first, and
+    zero as one word: the seed and the index give one word each below 2**32
+    and two from there on.  A short tuple hashes as if zero-padded to the
+    pool size; a fifth word is mixed into every pool word afterwards.
+    """
+    idx = np.asarray(indices)
+    if (idx < 0).any():
+        raise ValueError("path indices must be nonnegative")
+    idx = idx.astype(np.uint64)
+    seed = [master_seed & _MASK32, master_seed >> 32] if master_seed >> 32 else [master_seed]
+    s = len(seed)
+    wide = idx > _MASK32
+    words = np.zeros((5, idx.size), dtype=np.uint32)
+    words[:s] = np.array(seed, dtype=np.uint32)[:, None]
+    words[s] = idx.astype(np.uint32)
+    words[s + 1] = np.where(wide, (idx >> 32).astype(np.uint32), stream)
+    words[s + 2] = np.where(wide, stream, 0)
+
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(words[k]) for k in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    if s == 2 and wide.any():
+        for dst in range(4):
+            pool[dst] = np.where(wide, _mix(pool[dst], hashmix(words[4])), pool[dst])
+
+    hashout = _hasher(_INIT_B, _MULT_B)
+    half = [hashout(pool[k % 4]).astype(np.uint64) for k in range(8)]
+    return np.stack([half[2 * k] | half[2 * k + 1] << 32 for k in range(4)], axis=1)
+
+
+class _SeedState(ISeedSequence):
+    """Hands PCG64 the state words its SeedSequence would have generated.
+
+    PCG64 asks its seed sequence for one thing, generate_state(4, np.uint64).
+    """
+
+    def __init__(self, state: np.ndarray):
+        self._state = state
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self._state
+
+
+def _generators(master_seed: int, indices: np.ndarray, stream: int) -> list[Generator]:
+    """default_rng(SeedSequence((master_seed, i, stream))) for every i, seeded in one pass."""
+    return [Generator(PCG64(_SeedState(w))) for w in _seed_states(master_seed, indices, stream)]
+
+
 def _as_strategy_fn(strategy):
     if callable(strategy):
         return strategy
@@ -113,16 +211,10 @@ def _run_paths(
     dt = config.dt
     sq_dt = math.sqrt(dt)
     rho_c = math.sqrt(1.0 - p.rho * p.rho)
-    n_steps = int(round(config.horizon / dt))
+    n_steps = round(config.horizon / dt)
 
-    rng_d = [
-        np.random.default_rng(np.random.SeedSequence((config.master_seed, int(i), 0)))
-        for i in indices
-    ]
-    rng_c = [
-        np.random.default_rng(np.random.SeedSequence((config.master_seed, int(i), 1)))
-        for i in indices
-    ]
+    rng_d = _generators(config.master_seed, indices, 0)
+    rng_c = _generators(config.master_seed, indices, 1)
 
     # every live path draws one normal pair a step, so all share the cursor
     # step % _NORM_BLOCK; row k holds draw k of the paths live at the last
@@ -130,17 +222,17 @@ def _run_paths(
     nbuf = np.empty((_NORM_BLOCK, 2, n))
     chunk = np.empty((min(n, _REFILL_CHUNK), 2, _NORM_BLOCK))
     abuf = np.empty((n, _CLAIM_CHUNK))      # inter-arrival times
-    apos = np.empty(n, dtype=np.int64)
+    for i in range(n):
+        rng_c[i].standard_exponential(out=abuf[i])
+    abuf /= p.lam
+    apos = np.ones(n, dtype=np.int64)
     sbuf = np.empty((n, _CLAIM_CHUNK))      # claim sizes
     spos = np.full(n, _CLAIM_CHUNK)
 
-    next_claim = np.empty(n)
-    for i in range(n):
-        abuf[i] = rng_c[i].standard_exponential(_CLAIM_CHUNK) / p.lam
-        next_claim[i] = abuf[i, 0]
-        apos[i] = 1
-
-    X = np.full(n, float(x0))
+    # the live state is dense: entry m of col, x and next_claim belongs to
+    # path alive[m], and all four shrink together only when a path leaves
+    next_claim = abuf[:, 0].copy()
+    x = np.full(n, float(x0))
     status = np.full(n, _PENDING, dtype=np.int8)
     ruin_time = np.full(n, np.nan)
     alive = np.arange(n)
@@ -160,53 +252,52 @@ def _run_paths(
             col = np.arange(alive.size)
         z0, z1 = nbuf[k].take(col, axis=1)
 
-        xs = X[alive]
-        amt = np.asarray(strategy_fn(xs), dtype=float)
+        amt = np.asarray(strategy_fn(x), dtype=float)
         dB = sq_dt * z0
         dB1 = p.rho * dB + rho_c * sq_dt * z1
-        xs = xs + (p.c + p.r * xs + p.excess * amt) * dt + p.sigma * amt * dB + p.sigma1 * dB1
-        X[alive] = xs
+        x = x + (p.c + p.r * x + p.excess * amt) * dt + p.sigma * amt * dB + p.sigma1 * dB1
 
-        ruined = xs < 0.0
+        ruined = x < 0.0
         if ruined.any():
             hit = alive[ruined]
             status[hit] = _RUINED
             ruin_time[hit] = t_new
-            alive = alive[~ruined]
-            col = col[~ruined]
+            keep = ~ruined
+            alive, col, x, next_claim = alive[keep], col[keep], x[keep], next_claim[keep]
 
         # claims due this step, one per path per round, each path in its own
-        # order: size refill, subtract, ruin check, arrival refill, advance
-        due = alive[next_claim[alive] <= t_new]
-        if due.size:
-            while due.size:
-                for i in due[spos[due] == _CLAIM_CHUNK]:
-                    sbuf[i] = dist.ppf(rng_c[i].random(_CLAIM_CHUNK))
-                    spos[i] = 0
-                X[due] -= sbuf[due, spos[due]]
-                spos[due] += 1
-                broke = X[due] < 0.0
-                if broke.any():
-                    hit = due[broke]
-                    status[hit] = _RUINED
-                    ruin_time[hit] = next_claim[hit]
-                    due = due[~broke]
-                for i in due[apos[due] == _CLAIM_CHUNK]:
-                    abuf[i] = rng_c[i].standard_exponential(_CLAIM_CHUNK) / p.lam
-                    apos[i] = 0
-                next_claim[due] += abuf[due, apos[due]]
-                apos[due] += 1
-                due = due[next_claim[due] <= t_new]
+        # order: size refill, subtract, ruin check, arrival refill, advance;
+        # due holds live positions and ids the paths at them
+        due = np.flatnonzero(next_claim <= t_new)
+        any_broke = False
+        while due.size:
+            ids = alive[due]
+            for i in ids[spos[ids] == _CLAIM_CHUNK]:
+                sbuf[i] = dist.ppf(rng_c[i].random(_CLAIM_CHUNK))
+                spos[i] = 0
+            x[due] -= sbuf[ids, spos[ids]]
+            spos[ids] += 1
+            broke = x[due] < 0.0
+            if broke.any():
+                any_broke = True
+                status[ids[broke]] = _RUINED
+                ruin_time[ids[broke]] = next_claim[due[broke]]
+                due, ids = due[~broke], ids[~broke]
+            for i in ids[apos[ids] == _CLAIM_CHUNK]:
+                abuf[i] = rng_c[i].standard_exponential(_CLAIM_CHUNK) / p.lam
+                apos[i] = 0
+            next_claim[due] += abuf[ids, apos[ids]]
+            apos[ids] += 1
+            due = due[next_claim[due] <= t_new]
+        if any_broke:
             keep = status[alive] == _PENDING
-            alive = alive[keep]
-            col = col[keep]
+            alive, col, x, next_claim = alive[keep], col[keep], x[keep], next_claim[keep]
 
-        if alive.size:
-            reached = X[alive] >= config.safe_level
-            if reached.any():
-                status[alive[reached]] = _SAFE
-                alive = alive[~reached]
-                col = col[~reached]
+        reached = x >= config.safe_level
+        if reached.any():
+            status[alive[reached]] = _SAFE
+            keep = ~reached
+            alive, col, x, next_claim = alive[keep], col[keep], x[keep], next_claim[keep]
 
     status[alive] = _HORIZON
     return status, ruin_time

@@ -163,16 +163,20 @@ def march_value_slope(grid: Grid, tail_values: np.ndarray, lam: float, vprime0: 
     H = tail_values
     v = np.empty(n)
     vp = np.empty(n)
-    v[0] = 1.0
+    # vr[n-1-i] = v_i: the history v_{j-1} .. v_1 is the contiguous slice
+    # vr[n-j:n-1], which np.dot reads in place instead of copying v[j-1:0:-1]
+    vr = np.empty(n)
+    v[0] = vr[n - 1] = 1.0
     vp[0] = vprime0
     for j in range(1, n):
-        q = lam * (h * (float(np.dot(H[1:j], v[j - 1:0:-1])) + 0.5 * H[j]))
+        q = lam * (h * (float(np.dot(H[1:j], vr[n - j:n - 1])) + 0.5 * H[j]))
         alpha = v[j - 1] + half_h * vp[j - 1]
         if alpha <= 0.0:
             raise RuntimeError(
                 f"trapezoid anchor went nonpositive at x={j * h:.6g}; grid step too coarse"
             )
         v[j], vp[j] = solve_node(j, q, alpha)
+        vr[n - 1 - j] = v[j]
     V = cumulative_trapezoid(v, dx=h, initial=0.0)
     return v, vp, V
 

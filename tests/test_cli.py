@@ -264,6 +264,20 @@ def test_simulate_strategy_specs(capsys, scenario_file, tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("horizon, dt", [("0.7", "0.4"), ("1.0", "0.3")])
+def test_horizon_off_the_step_grid_names_key(capsys, tmp_path, horizon, dt):
+    # the Euler loop runs whole steps: 0.7 / 0.4 would end at 0.8, 1.0 / 0.3 at 0.9
+    path = tmp_path / "ragged.txt"
+    path.write_text(
+        BASE.replace("mc.horizon = 5.0", f"mc.horizon = {horizon}").replace("mc.dt = 0.01", f"mc.dt = {dt}"),
+        encoding="utf-8",
+    )
+    code, _, err = run(capsys, ["simulate", path, "--x0", "1.0", "--strategy", "zero"])
+    assert code == 4
+    assert "whole number of steps" in err
+    assert err.rstrip().endswith("(key: mc.horizon)"), err
+
+
 def test_simulate_too_few_paths_names_key(capsys, tmp_path):
     # mc.paths = 50 is a valid setting for every other command
     path = tmp_path / "few.txt"

@@ -9,8 +9,8 @@ import pytest
 
 import ruinopt as ro
 from ruinopt.mc import (
-    _STATUS_NAMES, SimConfig, SimReport, _as_strategy_fn, _run_paths, compare_strategies,
-    estimate_survival, simulate_path,
+    _STATUS_NAMES, SimConfig, SimReport, _as_strategy_fn, _generators, _run_paths, _seed_states,
+    compare_strategies, estimate_survival, simulate_path,
 )
 from conftest import assert_close
 
@@ -47,11 +47,47 @@ HOT_CFG = SimConfig(dt=0.1, horizon=20.0, n_paths=300, safe_level=6.0, master_se
         {"safe_level": math.nan},
         {"master_seed": -1},
         {"master_seed": 2**64},
+        {"dt": 0.4, "horizon": 0.7},    # not a whole number of steps
+        {"dt": 0.3, "horizon": 1.0},
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         SimConfig(**kwargs)
+
+
+# one- and two-word master seeds at their edges, and an arbitrary 64-bit one
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**63 - 1, 2**64 - 1, 0x9E3779B97F4A7C15]
+# one-word indices, the last one-word index, and two-word indices
+INDICES = np.array(list(range(50)) + [2**32 - 1, 2**32, 2**40])
+
+
+@pytest.mark.parametrize("stream", [0, 1])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_seed_states_equal_seed_sequence(seed, stream):
+    got = _seed_states(seed, INDICES, stream)
+    expected = np.array([
+        np.random.SeedSequence((seed, int(i), stream)).generate_state(4, np.uint64)
+        for i in INDICES
+    ])
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, expected)
+
+
+@pytest.mark.parametrize("stream", [0, 1])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_generators_equal_default_rng(seed, stream):
+    (rng,) = _generators(seed, np.array([2**32]), stream)
+    ref = np.random.default_rng(np.random.SeedSequence((seed, 2**32, stream)))
+    assert np.array_equal(rng.standard_normal(8), ref.standard_normal(8))
+    assert np.array_equal(rng.random(8), ref.random(8))
+
+
+def test_negative_path_index_raises(ex1, exp1):
+    with pytest.raises(ValueError):
+        _seed_states(3, np.array([0, -1]), 0)
+    with pytest.raises(ValueError):
+        simulate_path(ex1, exp1, 0.0, 1.0, SimConfig(dt=0.1, horizon=1.0), -1)
 
 
 def test_config_frozen():

@@ -8,6 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ruinopt as ro
+import ruinopt.constrained
+import ruinopt.unconstrained
+from ruinopt.numerics import march_value_slope
 from conftest import assert_close
 
 
@@ -175,3 +178,41 @@ def test_convolution_order_h2():
         errs.append(np.max(np.abs(got - exact)))
     ratio = errs[0] / errs[1]
     assert 3.5 <= ratio <= 4.5, f"convergence ratio {ratio:.2f}"
+
+
+def _march_sliced(grid, H, lam, vprime0, solve_node):
+    # the march as first written, reading the history through v[j-1:0:-1]
+    h, n = grid.h, grid.n
+    v, vp = np.empty(n), np.empty(n)
+    v[0], vp[0] = 1.0, vprime0
+    for j in range(1, n):
+        q = lam * (h * (float(np.dot(H[1:j], v[j - 1:0:-1])) + 0.5 * H[j]))
+        v[j], vp[j] = solve_node(j, q, v[j - 1] + 0.5 * h * vp[j - 1])
+    return v, vp
+
+
+@pytest.mark.parametrize("module", [ruinopt.unconstrained, ruinopt.constrained])
+@pytest.mark.parametrize("bench", [1, 2])
+def test_march_history_is_bit_identical(monkeypatch, module, bench):
+    # the reversed-copy history must feed every node exactly the sum the
+    # sliced history did, so v and v' agree bit for bit
+    seen = []
+
+    def spy(grid, H, lam, vprime0, solve_node):
+        v, vp, V = march_value_slope(grid, H, lam, vprime0, solve_node)
+        seen.append((v, vp, _march_sliced(grid, H, lam, vprime0, solve_node)))
+        return v, vp, V
+
+    monkeypatch.setattr(module, "march_value_slope", spy)
+    if bench == 1:
+        params, dist = ro.example1_params(), ro.make_exponential(1.0)
+    else:
+        params, dist = ro.example2_params(), ro.make_pareto(2.0, 2.0)
+    grid = ro.Grid.from_xmax(5e-3, 40.0)
+    if module is ruinopt.constrained:
+        ro.solve_v_constrained(params, dist, grid, cap=1.0)
+    else:
+        ro.solve_v_unconstrained(params, dist, grid)
+    ((v, vp, (v_ref, vp_ref)),) = seen
+    assert np.array_equal(v, v_ref)
+    assert np.array_equal(vp, vp_ref)
