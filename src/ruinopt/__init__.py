@@ -23,6 +23,8 @@ from .model import (
     RegimeReport,
     classify_infinity_regime,
     classify_zero_regime,
+    curvature_best,
+    curvature_candidate,
     derive_constants,
 )
 from .numerics import Grid, SampledFn, convolve_tail, convolve_tail_all
@@ -34,8 +36,6 @@ from .results import (
     normalize_delta,
 )
 from .constrained import (
-    curvature_best,
-    curvature_candidate,
     extract_strategy_constrained,
     fixed_point_residual,
     solve_v_constrained,
@@ -98,6 +98,8 @@ __all__ = [
     "RegimeReport",
     "classify_infinity_regime",
     "classify_zero_regime",
+    "curvature_best",
+    "curvature_candidate",
     "derive_constants",
     "Grid",
     "SampledFn",
@@ -108,8 +110,6 @@ __all__ = [
     "ValueGrid",
     "generator_residual",
     "normalize_delta",
-    "curvature_best",
-    "curvature_candidate",
     "extract_strategy_constrained",
     "fixed_point_residual",
     "solve_v_constrained",

@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
-from .model import DerivedConstants, ModelParams, Regime, RegimeReport, classify_infinity_regime, derive_constants
+from .model import DerivedConstants, ModelParams, Regime, RegimeReport, classify_infinity_regime
+from .model import derive_constants, large_surplus_series
 from .results import ValueGrid, normalize_delta
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "value_expansion_zero",
     "strategy_expansion_infinity_exp",
     "ruin_tail_exp",
+    "tail_log_compensated",
     "TailFit",
     "fit_tail_constant",
     "TailStrategy",
@@ -48,7 +49,7 @@ def strategy_slope_zero(constants: DerivedConstants, params: ModelParams) -> flo
     k = constants
     s = math.sqrt(k.c_rho**2 + 2.0 * k.gamma * k.sigma_rho2)
     explicit = ex / p.sigma**2 - (
-        (p.lam - p.r + 2.0 * k.gamma) * (k.a_star_zero + p.rho * p.sigma1 / p.sigma)
+        (p.lam - p.r + 2.0 * k.gamma) * (k.a_star_zero + p.hedge)
         + k.c_rho * ex / p.sigma**2
     ) / s
     via_eta = ex / p.sigma**2 * (1.0 + 2.0 * k.eta / k.B)
@@ -82,9 +83,8 @@ def strategy_expansion_infinity_exp(params: ModelParams, m: float) -> tuple[floa
     p = params
     if not (math.isfinite(m) and m > 0):
         raise ValueError(f"claim mean must be positive, got {m!r}")
-    limit = p.excess * m / p.sigma**2 - p.rho * p.sigma1 / p.sigma
-    coeff = -(1.0 - p.lam / p.r) * p.excess * m * m / p.sigma**2
-    return limit, coeff
+    a_tilde0, coeff = large_surplus_series(p, m)
+    return a_tilde0 - p.hedge, coeff
 
 
 def ruin_tail_exp(params: ModelParams, m: float, K1: float, x) -> np.ndarray:
@@ -94,6 +94,12 @@ def ruin_tail_exp(params: ModelParams, m: float, K1: float, x) -> np.ndarray:
         raise ValueError("tail formula needs x > 0; the power factor blows up at 0")
     out = K1 * np.exp(-x / m) * x ** (params.lam / params.r - 1.0)
     return out if out.ndim else float(out)
+
+
+def tail_log_compensated(params: ModelParams, m: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """log(v e^{x/m} x^{1 - lam/r}), flat where v has the exponential-claims tail;
+    the log avoids the overflow of e^{x/m} at large x."""
+    return np.log(v) + x / m - (params.lam / params.r - 1.0) * np.log(x)
 
 
 @dataclass
@@ -135,8 +141,7 @@ def fit_tail_constant(
         raise ValueError("fit window contains fewer than 4 grid nodes")
     if np.any(vs <= 0.0):
         raise ValueError("slope is not positive over the fit window")
-    # log compensator avoids overflow of e^{x/m} at large x
-    logc = np.log(vs) + xs / m - (params.lam / params.r - 1.0) * np.log(xs)
+    logc = tail_log_compensated(params, m, xs, vs)
     K_v = float(np.exp(np.median(logc)))
     ratio = float(np.exp(logc.max() - logc.min()))
     norm = normalize_delta(vg, claim_mean=m)
@@ -195,6 +200,8 @@ def no_investment_ruin_reference(c: float, r: float, lam: float, m: float, x: fl
             raise ValueError(f"{name} must be positive, got {val!r}")
     if x < 0:
         raise ValueError(f"surplus must be nonnegative, got {x!r}")
+    from scipy.integrate import quad   # here only: importing scipy.integrate is slow
+
     expo = lam / r - 1.0
 
     def integrand(u):

@@ -34,6 +34,7 @@ from .asymptotics import (
     fit_tail_constant,
     strategy_expansion_infinity_exp,
     strategy_slope_zero,
+    tail_log_compensated,
 )
 from .constrained import extract_strategy_constrained, solve_v_constrained
 from .constrained import hjb_residual as hjb_residual_capped
@@ -134,29 +135,28 @@ def _cmd_constants(args) -> int:
     return EXIT_OK
 
 
-def _solve_one(sc: Scenario, mode: str):
-    if mode == "constrained":
+def _solve(sc: Scenario, capped: bool):
+    """(value grid, strategy) of the capped or the unrestricted problem."""
+    if capped:
         if sc.params.cap is None:
             raise BadValueError("cap_A", "constrained solve needs cap_A in the scenario")
         vg = solve_v_constrained(sc.params, sc.dist, sc.grid)
-        strat = extract_strategy_constrained(vg, sc.params)
-        res = hjb_residual_capped(vg, strat, sc.params, sc.dist)
-    else:
-        vg = solve_v_unconstrained(sc.params, sc.dist, sc.grid)
-        strat = extract_strategy_unconstrained(vg, sc.params)
-        res = hjb_residual(vg, strat, sc.params, sc.dist)
-    res_doc = asdict(res)
-    del res_doc["pointwise"]
-    return vg, strat, res, res_doc
+        return vg, extract_strategy_constrained(vg, sc.params)
+    vg = solve_v_unconstrained(sc.params, sc.dist, sc.grid)
+    return vg, extract_strategy_unconstrained(vg, sc.params)
 
 
 def _cmd_solve(args) -> int:
     sc = load_scenario(args.scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    capped = args.mode == "constrained"
     t0 = time.perf_counter()
-    vg, strat, res, res_doc = _solve_one(sc, args.mode)
+    vg, strat = _solve(sc, capped)
+    res = (hjb_residual_capped if capped else hjb_residual)(vg, strat, sc.params, sc.dist)
     elapsed = time.perf_counter() - t0
+    res_doc = asdict(res)
+    del res_doc["pointwise"]
 
     norm = normalize_delta(vg, claim_mean=sc.exponential_mean)
     doc = {
@@ -174,10 +174,14 @@ def _cmd_solve(args) -> int:
             "delta_slope_zero": 1.0 / norm.v_inf_hat if norm.v_inf_hat > 0 else None,
         },
     }
-    if sc.dist.family == "exponential" and args.mode == "unconstrained":
+    if sc.dist.family == "exponential" and not capped:
         hi = sc.grid.x_max
         window = (min(30.0, 0.75 * hi), hi)
-        fit = fit_tail_constant(vg, sc.params, sc.dist.mean, window=window)
+        try:
+            fit = fit_tail_constant(vg, sc.params, sc.dist.mean, window=window)
+        except ValueError as exc:
+            # the window follows the grid end, so grid.xmax is the key to change
+            raise BadValueError("grid.xmax", f"tail fit on {window!r} failed: {exc}") from None
         doc["tail_fit"] = asdict(fit)
 
     delta_vals = norm.delta.values
@@ -220,7 +224,7 @@ def _cmd_exp_validate(args) -> int:
     t0 = time.perf_counter()
     vg = solve_v_unconstrained(sc.params, sc.dist, sc.grid)
     strat = extract_strategy_unconstrained(vg, sc.params)
-    shift = sc.params.rho * sc.params.sigma1 / sc.params.sigma
+    shift = sc.params.hedge
     a_tilde_solver = strat.values + shift
 
     x_seed = 1e-2
@@ -237,7 +241,7 @@ def _cmd_exp_validate(args) -> int:
     pl_lo, pl_hi = min(30.0, 0.75 * x_end), x_end
     keep = (rx >= pl_lo) & (rx <= pl_hi)
     rx, rv = rx[keep], rv[keep]
-    logc = np.log(rv) + rx / m - (sc.params.lam / sc.params.r - 1.0) * np.log(rx)
+    logc = tail_log_compensated(sc.params, m, rx, rv)
     plateau = float(np.exp(logc.max() - logc.min()))
 
     doc = {
@@ -294,17 +298,15 @@ def _load_strategy_file(path: str):
 
 
 def _optimal_strategy(sc: Scenario):
-    if sc.params.cap is not None:
-        vg = solve_v_constrained(sc.params, sc.dist, sc.grid)
-        strat = extract_strategy_constrained(vg, sc.params)
-        if sc.dist.family == "exponential" and sc.params.mu > sc.params.r:
-            tail = constrained_infinity_strategy(sc.params, sc.params.cap, sc.dist.mean)
-            strat.tail = (tail.limit, tail.coeff if tail.coeff is not None else 0.0)
+    capped = sc.params.cap is not None
+    _, strat = _solve(sc, capped)
+    if sc.dist.family != "exponential":
         return strat
-    vg = solve_v_unconstrained(sc.params, sc.dist, sc.grid)
-    strat = extract_strategy_unconstrained(vg, sc.params)
-    if sc.dist.family == "exponential":
+    if not capped:
         strat.tail = strategy_expansion_infinity_exp(sc.params, sc.dist.mean)
+    elif sc.params.mu > sc.params.r:
+        tail = constrained_infinity_strategy(sc.params, sc.params.cap, sc.dist.mean)
+        strat.tail = (tail.limit, tail.coeff if tail.coeff is not None else 0.0)
     return strat
 
 

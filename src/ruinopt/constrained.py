@@ -14,11 +14,13 @@ is evaluated through the claim tail H:
 
 For fixed x and w the candidate curvature is a smooth ratio in a, so the
 minimum sits at an endpoint or at a root of an explicit quadratic; no line
-search is ever needed.  The march uses the same implicit trapezoid closure
-as the unrestricted solver: node j solves w = alpha + h/2 * min_a G_a(w),
-where G_a is the candidate curvature with the claims term
-q_j + lam h/2 w (q_j the trapezoid sum over the history).  For a fixed a
-the equation is affine in w, with root w_a = N(a) / D(a):
+search is ever needed.  This minimiser, `curvature_best`, lives in
+`model.py`, where `derive_constants` also takes the capped v'(0+) from it.
+The march uses the same implicit trapezoid closure as the unrestricted
+solver: node j solves w = alpha + h/2 * min_a G_a(w), where G_a is the
+candidate curvature with the claims term q_j + lam h/2 w (q_j the
+trapezoid sum over the history).  For a fixed a the equation is affine
+in w, with root w_a = N(a) / D(a):
 
     N(a) = alpha Q(a) + h q_j,
     D(a) = Q(a) + h (c + r x_j + (mu-r) a) - lam h^2 / 2.
@@ -45,82 +47,22 @@ solution.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .claims import ClaimDistribution
-from .model import ModelParams
+from .model import ModelParams, _best_candidate, curvature_best, curvature_candidate
 from .numerics import Grid, convolve_tail_all, march_value_slope
 from .results import StrategyCurve, ValueGrid, generator_residual
 
 __all__ = [
-    "curvature_candidate",
-    "curvature_best",
     "solve_v_constrained",
     "extract_strategy_constrained",
     "fixed_point_residual",
     "CappedHjbResidual",
     "hjb_residual",
 ]
-
-
-def curvature_candidate(params: ModelParams, a: float, x: float, w_x: float, MW_x: float) -> float:
-    """Candidate curvature when the amount a is invested at surplus x."""
-    p = params
-    return 2.0 * (MW_x - (p.c + p.r * x + p.excess * a) * w_x) / p.quadratic_form(a)
-
-
-def _best_candidate(qa: float, qb: float, qc: float, cap: float, objective) -> tuple[float, float]:
-    """Minimize a smooth objective over [0, cap] whose interior stationary
-    points solve qa a^2 + qb a + qc = 0.
-
-    Candidates: both endpoints plus the roots inside.  Returns
-    (value, argmin); exact ties go to the smaller investment.
-    """
-    candidates = [0.0, cap]
-    if qa == 0.0:
-        if qb != 0.0:
-            candidates.append(-qc / qb)
-    else:
-        disc = qb * qb - 4.0 * qa * qc
-        if disc >= 0.0:
-            root = math.sqrt(disc)
-            qq = -0.5 * (qb + math.copysign(root, qb)) if qb != 0.0 else 0.5 * root
-            candidates.append(qq / qa)
-            if qq != 0.0:
-                candidates.append(qc / qq)
-    best_val, best_a = math.inf, 0.0
-    for a in sorted(c for c in candidates if 0.0 <= c <= cap):
-        val = objective(a)
-        if val < best_val:
-            best_val, best_a = val, a
-    return best_val, best_a
-
-
-def curvature_best(
-    params: ModelParams, cap: float, x: float, w_x: float, MW_x: float
-) -> tuple[float, float]:
-    """Minimize the candidate curvature over a in [0, cap].
-
-    Candidates: both endpoints plus interior stationary points, which solve
-
-        (mu-r) sigma^2 w a^2 - 2 sigma^2 E a
-            - [ (mu-r) sigma1^2 w + 2 rho sigma sigma1 E ] = 0,
-
-    with E = MW_x - (c + r x) w_x.  Returns (value, argmin); exact ties go
-    to the smaller investment.
-    """
-    p = params
-    E = MW_x - (p.c + p.r * x) * w_x
-    return _best_candidate(
-        p.excess * p.sigma**2 * w_x,
-        -2.0 * p.sigma**2 * E,
-        -(p.excess * p.sigma1**2 * w_x + 2.0 * p.rho * p.sigma * p.sigma1 * E),
-        cap,
-        lambda a: curvature_candidate(p, a, x, w_x, MW_x),
-    )
 
 
 def _solve_node(

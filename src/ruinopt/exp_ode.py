@@ -25,10 +25,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
-from .model import ModelParams
-from .numerics import Grid
+from .model import ModelParams, large_surplus_series
+from .numerics import Grid, prefix_trapezoid
 from .results import ValueGrid
 
 __all__ = [
@@ -53,21 +52,24 @@ def a_tilde_rhs(x: float, a: float, params: ModelParams, m: float) -> float:
 
     Exponential claims with mean m; needs mu != r.
     """
-    p = params
+    return _a_tilde_rhs(params, m)(x, a)
+
+
+def _a_tilde_rhs(p: ModelParams, m: float):
+    """a_tilde_rhs as a function of (x, a), the parts free of x and a evaluated once."""
     ex = p.excess
     if ex == 0.0:
         raise ValueError("feedback ODE needs mu != r (the a^2 coefficient divides by mu - r)")
-    gamma = ex * ex / (2.0 * p.sigma**2)
-    c_rho = p.c_rho
-    sigma_rho2 = p.sigma_rho2
+    c_rho, r, sigma_rho2 = p.c_rho, p.r, p.sigma_rho2
     s2 = p.sigma**2
-    num = (
-        -(s2 / m) * a**3
-        - 2.0 * (p.r - p.lam + c_rho / m - gamma + (p.r / m) * x) * (s2 / ex) * a**2
-        + 2.0 * (c_rho + p.r * x + sigma_rho2 / (2.0 * m)) * a
-        - sigma_rho2 * ex / s2
-    )
-    return num / (s2 * a * a + sigma_rho2)
+    q3, q2, q1, q0 = s2 / m, s2 / ex, sigma_rho2 / (2.0 * m), sigma_rho2 * ex / s2
+    drift, slope = r - p.lam + c_rho / m - p.gamma, r / m
+
+    def f(x, a):
+        num = -q3 * a**3 - 2.0 * (drift + slope * x) * q2 * a**2 + 2.0 * (c_rho + r * x + q1) * a - q0
+        return num / (s2 * a * a + sigma_rho2)
+
+    return f
 
 
 @dataclass
@@ -123,8 +125,7 @@ def solve_a_tilde(
     p = params
     if x_seed <= 0 or x_end <= x_seed:
         raise ValueError("need 0 < x_seed < x_end")
-    a0 = p.excess * m / p.sigma**2
-    a1 = -(1.0 - p.lam / p.r) * p.excess * m * m / p.sigma**2
+    a0, a1 = large_surplus_series(p, m)
     note = None
     if seed_value is None:
         seed = a0 + a1 / x_seed
@@ -138,10 +139,7 @@ def solve_a_tilde(
     else:
         seed = float(seed_value)
 
-    def f(x, a):
-        return a_tilde_rhs(x, a, p, m)
-
-    xs, ys = _rk4(f, x_seed, seed, x_end, step)
+    xs, ys = _rk4(_a_tilde_rhs(p, m), x_seed, seed, x_end, step)
     return TildeACurve(x=xs, a=ys, x_seed=x_seed, seed=seed, series=(a0, a1), seed_note=note)
 
 
@@ -162,7 +160,7 @@ def reconstruct_vprime(
     if np.any(curve.a == 0.0):
         raise ValueError("feedback curve crosses zero; slope reconstruction undefined")
     integrand = 1.0 / curve.a
-    I = cumulative_trapezoid(integrand, xs, initial=0.0)
+    I = prefix_trapezoid(integrand, np.diff(xs))
     I0 = float(np.interp(x0, xs, I))
     vals = val0 * np.exp(-p.excess / p.sigma**2 * (I - I0))
     return xs.copy(), vals
@@ -228,5 +226,5 @@ def solve_linear_const_strategy(params: ModelParams, A: float, m: float, grid: G
         phi[j] = ((1.0 + half_h * p1) * r0 + half_h * r1) / det
         psi[j] = (-half_h * q1 * r0 + r1) / det
 
-    V = cumulative_trapezoid(phi, dx=h, initial=0.0)
+    V = prefix_trapezoid(phi, h)
     return ValueGrid(grid=grid, v=phi, V=V, vprime=psi, mode="constant_strategy", cap=A)

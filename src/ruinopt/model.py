@@ -9,7 +9,8 @@ sigma1, correlated with the stock driver by rho.
 Everything in this module is exact arithmetic on the parameters: the
 behaviour of the optimal strategy at zero and at infinity, and the
 correlation thresholds separating the qualitative regimes, all have closed
-forms that the grid solvers are later checked against.
+forms that the grid solvers are later checked against.  Each is written
+here once; the capped solver takes its pointwise minimiser from here.
 """
 
 from __future__ import annotations
@@ -23,6 +24,9 @@ __all__ = [
     "DerivedConstants",
     "Regime",
     "RegimeReport",
+    "curvature_candidate",
+    "curvature_best",
+    "large_surplus_series",
     "derive_constants",
     "classify_zero_regime",
     "classify_infinity_regime",
@@ -64,6 +68,16 @@ class ModelParams:
     def excess(self) -> float:
         """Excess return of the stock over the risk-free rate."""
         return self.mu - self.r
+
+    @property
+    def gamma(self) -> float:
+        """Sharpe ratio squared over 2, (mu-r)^2 / (2 sigma^2)."""
+        return self.excess * self.excess / (2.0 * self.sigma**2)
+
+    @property
+    def hedge(self) -> float:
+        """Stock position rho sigma1 / sigma that offsets the perturbation's correlated part."""
+        return self.rho * self.sigma1 / self.sigma
 
     @property
     def c_rho(self) -> float:
@@ -125,25 +139,20 @@ class DerivedConstants:
     d0: float | None = None        # decay rate of seed perturbations in the large-x ODE
 
 
-def _curvature_root_s(gamma: float, c_rho: float, sigma_rho2: float) -> float:
-    return math.sqrt(c_rho * c_rho + 2.0 * gamma * sigma_rho2)
+def curvature_candidate(params: ModelParams, a: float, x: float, w_x: float, MW_x: float) -> float:
+    """Candidate curvature when the amount a is invested at surplus x."""
+    p = params
+    return 2.0 * (MW_x - (p.c + p.r * x + p.excess * a) * w_x) / p.quadratic_form(a)
 
 
-def _min_zero_curvature(p: ModelParams) -> tuple[float, float]:
-    """Minimize g(a) = -2 (c + (mu-r) a) / Q(a) over [0, cap].
+def _best_candidate(qa: float, qb: float, qc: float, cap: float, objective) -> tuple[float, float]:
+    """Minimize a smooth objective over [0, cap] whose interior stationary
+    points solve qa a^2 + qb a + qc = 0.
 
-    This is the capped value-slope at 0: candidates are the endpoints and
-    the stationary points of g inside (0, cap).  Returns (value, argmin);
-    ties go to the smaller investment.
+    Candidates: both endpoints plus the roots inside.  Returns
+    (value, argmin); exact ties go to the smaller investment.
     """
-    A = p.cap
-    ex = p.excess
-    candidates = [0.0, A]
-    # stationary condition of g: (mu-r) sigma^2 a^2 + 2 c sigma^2 a
-    #                            + (2 rho sigma sigma1 c - sigma1^2 (mu-r)) = 0
-    qa = ex * p.sigma**2
-    qb = 2.0 * p.c * p.sigma**2
-    qc = 2.0 * p.rho * p.sigma * p.sigma1 * p.c - p.sigma1**2 * ex
+    candidates = [0.0, cap]
     if qa == 0.0:
         if qb != 0.0:
             candidates.append(-qc / qb)
@@ -151,17 +160,50 @@ def _min_zero_curvature(p: ModelParams) -> tuple[float, float]:
         disc = qb * qb - 4.0 * qa * qc
         if disc >= 0.0:
             root = math.sqrt(disc)
-            # standard stable quadratic roots
-            q = -0.5 * (qb + math.copysign(root, qb))
-            candidates.append(q / qa)
-            if q != 0.0:
-                candidates.append(qc / q)
+            qq = -0.5 * (qb + math.copysign(root, qb)) if qb != 0.0 else 0.5 * root
+            candidates.append(qq / qa)
+            if qq != 0.0:
+                candidates.append(qc / qq)
     best_val, best_a = math.inf, 0.0
-    for a in sorted(c for c in candidates if 0.0 <= c <= A):
-        val = -2.0 * (p.c + ex * a) / p.quadratic_form(a)
+    for a in sorted(c for c in candidates if 0.0 <= c <= cap):
+        val = objective(a)
         if val < best_val:
             best_val, best_a = val, a
     return best_val, best_a
+
+
+def curvature_best(
+    params: ModelParams, cap: float, x: float, w_x: float, MW_x: float
+) -> tuple[float, float]:
+    """Minimize the candidate curvature over a in [0, cap].
+
+    Candidates: both endpoints plus interior stationary points, which solve
+
+        (mu-r) sigma^2 w a^2 - 2 sigma^2 E a
+            - [ (mu-r) sigma1^2 w + 2 rho sigma sigma1 E ] = 0,
+
+    with E = MW_x - (c + r x) w_x.  Returns (value, argmin); exact ties go
+    to the smaller investment.  At x = 0, w = 1, MW = 0 the value is the
+    capped v'(0+).
+    """
+    p = params
+    E = MW_x - (p.c + p.r * x) * w_x
+    return _best_candidate(
+        p.excess * p.sigma**2 * w_x,
+        -2.0 * p.sigma**2 * E,
+        -(p.excess * p.sigma1**2 * w_x + 2.0 * p.rho * p.sigma * p.sigma1 * E),
+        cap,
+        lambda a: curvature_candidate(p, a, x, w_x, MW_x),
+    )
+
+
+def large_surplus_series(params: ModelParams, m: float) -> tuple[float, float]:
+    """(a~0, a~1): the feedback a~(x) = a*(x) + rho sigma1 / sigma tends to
+    a~0 + a~1 / x + o(1/x) as x grows, under exponential claims of mean m."""
+    p = params
+    a_tilde0 = p.excess * m / p.sigma**2
+    a_tilde1 = -(1.0 - p.lam / p.r) * p.excess * m * m / p.sigma**2
+    return a_tilde0, a_tilde1
 
 
 def derive_constants(params: ModelParams, claim_mean: float | None = None) -> DerivedConstants:
@@ -173,34 +215,31 @@ def derive_constants(params: ModelParams, claim_mean: float | None = None) -> De
     """
     p = params
     ex = p.excess
-    gamma = ex * ex / (2.0 * p.sigma**2)
+    gamma = p.gamma
     c_rho = p.c_rho
     sigma_rho2 = p.sigma_rho2
-    s = _curvature_root_s(gamma, c_rho, sigma_rho2)
+    s = math.sqrt(c_rho * c_rho + 2.0 * gamma * sigma_rho2)
     B = (c_rho + s) / sigma_rho2
     # c_rho - B sigma_rho2 = -s exactly, so write eta over -2s and avoid
     # the cancellation of the raw denominator
     eta = -(p.lam - p.r + 2.0 * gamma + B * c_rho) / (2.0 * s)
-    a_star_zero = ex / (p.sigma**2 * B) - p.rho * p.sigma1 / p.sigma
+    a_star_zero = ex / (p.sigma**2 * B) - p.hedge
     tail_exponent = p.lam / p.r - 1.0
 
     rho1 = ex * p.sigma1 / (2.0 * p.c * p.sigma)
-    rho2 = None
-    if p.cap is not None:
-        rho2 = rho1 - (ex * p.cap**2 + 2.0 * p.c * p.cap) * p.sigma / (2.0 * p.c * p.sigma1)
-
     if p.cap is None:
+        rho2 = None
         v_prime_zero = -B
     else:
-        v_prime_zero, _ = _min_zero_curvature(p)
+        rho2 = rho1 - (ex * p.cap**2 + 2.0 * p.c * p.cap) * p.sigma / (2.0 * p.c * p.sigma1)
+        v_prime_zero, _ = curvature_best(p, p.cap, 0.0, 1.0, 0.0)
 
     rho3 = rho4 = a_tilde0 = a_tilde1 = d0 = None
     if claim_mean is not None:
         m = float(claim_mean)
         if not (math.isfinite(m) and m > 0):
             raise ValueError(f"claim_mean must be positive and finite, got {claim_mean!r}")
-        a_tilde0 = ex * m / p.sigma**2
-        a_tilde1 = -(1.0 - p.lam / p.r) * ex * m * m / p.sigma**2
+        a_tilde0, a_tilde1 = large_surplus_series(p, m)
         rho3 = m * ex / (p.sigma * p.sigma1)
         if p.cap is not None:
             rho4 = rho3 - p.cap * p.sigma / p.sigma1
@@ -244,9 +283,8 @@ def classify_zero_regime(constants: DerivedConstants, params: ModelParams) -> Re
     if p.mu <= p.r:
         raise ValueError("zero-surplus regime classification needs mu > r")
     rho1 = constants.rho1
-    rho2 = constants.rho2
-    if rho2 is None:
-        rho2 = rho1 - (p.excess * p.cap**2 + 2.0 * p.c * p.cap) * p.sigma / (2.0 * p.c * p.sigma1)
+    # constants derived without the cap: derive them again with it
+    rho2 = constants.rho2 if constants.rho2 is not None else derive_constants(p).rho2
     if _on_threshold(p.rho, rho2):
         return RegimeReport(
             Regime.BOUNDARY,
@@ -294,8 +332,8 @@ def classify_infinity_regime(constants: DerivedConstants, params: ModelParams, c
     if not (math.isfinite(m) and m > 0):
         raise ValueError(f"claim mean must be positive and finite, got {m!r}")
 
-    rho3 = m * p.excess / (p.sigma * p.sigma1)
-    rho4 = rho3 - p.cap * p.sigma / p.sigma1
+    thresholds = derive_constants(p, claim_mean=m)
+    rho3, rho4 = thresholds.rho3, thresholds.rho4
 
     if _on_threshold(p.rho, rho4):
         if p.lam > p.r:

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 __all__ = [
     "Grid",
@@ -25,6 +24,7 @@ __all__ = [
     "convolve_tail",
     "convolve_tail_all",
     "march_value_slope",
+    "prefix_trapezoid",
 ]
 
 
@@ -143,6 +143,16 @@ def convolve_tail_all(w_values: np.ndarray, tail_values: np.ndarray, h: float) -
     return out
 
 
+def prefix_trapezoid(y: np.ndarray, d) -> np.ndarray:
+    """Trapezoid integral of y from its first sample to each sample.
+
+    d is the step, or the n-1 widths of the intervals.  Bit for bit equal to
+    scipy's cumulative_trapezoid(..., initial=0), whose operations it repeats.
+    """
+    y = np.asarray(y, dtype=float)
+    return np.concatenate(([0.0], np.cumsum(d * (y[1:] + y[:-1]) / 2.0)))
+
+
 def march_value_slope(grid: Grid, tail_values: np.ndarray, lam: float, vprime0: float, solve_node):
     """One implicit-trapezoid pass for the scaled value slope v, v(0) = 1.
 
@@ -177,6 +187,6 @@ def march_value_slope(grid: Grid, tail_values: np.ndarray, lam: float, vprime0: 
             )
         v[j], vp[j] = solve_node(j, q, alpha)
         vr[n - 1 - j] = v[j]
-    V = cumulative_trapezoid(v, dx=h, initial=0.0)
+    V = prefix_trapezoid(v, h)
     return v, vp, V
 

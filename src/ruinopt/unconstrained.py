@@ -128,9 +128,9 @@ def extract_strategy_unconstrained(vg: ValueGrid, params: ModelParams) -> Strate
     """
     p = params
     if p.excess == 0.0:
-        a = np.full(vg.grid.n, -p.rho * p.sigma1 / p.sigma)
+        a = np.full(vg.grid.n, -p.hedge)
     else:
-        a = -p.excess * vg.v / (p.sigma**2 * vg.vprime) - p.rho * p.sigma1 / p.sigma
+        a = -p.excess * vg.v / (p.sigma**2 * vg.vprime) - p.hedge
     return StrategyCurve(grid=vg.grid, values=a)
 
 
@@ -162,11 +162,9 @@ def hjb_residual(
     p = params
     x = vg.grid.points
     h = vg.grid.h
-    gamma = p.excess**2 / (2.0 * p.sigma**2)
-
     conv = convolve_tail_all(vg.v, dist.tail(x), h)
     L1 = (p.c_rho + p.r * x) * vg.v - p.lam * conv
-    res1 = 0.5 * p.sigma_rho2 * vg.vprime**2 + L1 * vg.vprime - gamma * vg.v**2
+    res1 = 0.5 * p.sigma_rho2 * vg.vprime**2 + L1 * vg.vprime - p.gamma * vg.v**2
     k1 = int(np.argmax(np.abs(res1)))
 
     pw, sup2, at2 = generator_residual(vg, strategy, params, dist)

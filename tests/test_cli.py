@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -162,6 +165,23 @@ def test_solve_unconstrained_csv_deterministic(capsys, scenario_file, tmp_path):
     assert csv1 == csv2
     header = csv1.decode().splitlines()[0]
     assert header == "x,v,V,delta,a_star,hjb_residual"
+
+
+def test_solve_on_a_grid_too_short_for_the_tail_fit_names_key(capsys, tmp_path):
+    # exponential claims, unrestricted: the tail-fit window [0.0075, 0.01] holds one node
+    path = tmp_path / "short.txt"
+    path.write_text(BASE.replace("grid.xmax = 5.0", "grid.xmax = 0.01"), encoding="utf-8")
+    code, _, err = run(capsys, ["solve", path, "--mode", "unconstrained", "--out", tmp_path / "o"])
+    assert code == 4
+    assert err.rstrip().endswith("(key: grid.xmax)"), err
+    assert not (tmp_path / "o" / "solve_unconstrained.csv").exists()
+
+
+def test_import_leaves_scipy_integrate_out():
+    code = "import sys, ruinopt.cli; print('scipy.integrate' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
 
 
 def test_solve_constrained_needs_cap(capsys, scenario_file, tmp_path):

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import cumulative_trapezoid
 
 import ruinopt as ro
 import ruinopt.constrained
 import ruinopt.unconstrained
-from ruinopt.numerics import march_value_slope
+from ruinopt.numerics import march_value_slope, prefix_trapezoid
 from conftest import assert_close
 
 
@@ -216,3 +217,18 @@ def test_march_history_is_bit_identical(monkeypatch, module, bench):
     ((v, vp, (v_ref, vp_ref)),) = seen
     assert np.array_equal(v, v_ref)
     assert np.array_equal(vp, vp_ref)
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 1000, 32001])
+@pytest.mark.parametrize("spacing", ["uniform", "non-uniform"])
+def test_prefix_trapezoid_is_scipys(n, spacing):
+    rng = np.random.default_rng(n)
+    y = rng.normal(size=n)
+    if spacing == "uniform":
+        h = 5e-3
+        got, want = prefix_trapezoid(y, h), cumulative_trapezoid(y, dx=h, initial=0.0)
+    else:
+        x = np.cumsum(rng.uniform(1e-3, 1.0, n))
+        got, want = prefix_trapezoid(y, np.diff(x)), cumulative_trapezoid(y, x, initial=0.0)
+    assert got.shape == want.shape == (n,)
+    assert np.array_equal(got, want)

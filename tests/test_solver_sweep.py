@@ -78,6 +78,8 @@ def test_solver_sweep(capped, case):
     assert first_anchor > -1e-12, first_anchor
     assert np.all(vg.v > 0.0)
     if capped:
+        # the solver and derive_constants share one minimiser
+        assert vg.vprime[0] == ro.derive_constants(params).v_prime_zero
         assert np.all((vg.argmin >= 0.0) & (vg.argmin <= params.cap))
     else:
         assert np.all(np.diff(vg.v) <= 0.0)
