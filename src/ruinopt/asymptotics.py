@@ -168,8 +168,7 @@ def constrained_infinity_strategy(params: ModelParams, cap: float, m: float) -> 
     the violated endpoint otherwise.
     """
     p = params if params.cap == cap else replace(params, cap=cap)
-    constants = derive_constants(p, claim_mean=m)
-    report = classify_infinity_regime(constants, p, m)
+    report = classify_infinity_regime(p, m)
     q_inf, open_coeff = strategy_expansion_infinity_exp(p, m)
     regime = report.regime if report.regime is not Regime.BOUNDARY else report.resolution
     if regime is Regime.FULL_CAP:

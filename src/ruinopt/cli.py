@@ -116,7 +116,7 @@ def _constants_doc(sc: Scenario) -> dict:
         doc["regimes"]["zero_surplus"] = _regime_doc(classify_zero_regime(cons, sc.params))
         if sc.dist.family == "exponential":
             doc["regimes"]["large_surplus"] = _regime_doc(
-                classify_infinity_regime(cons, sc.params, sc.dist)
+                classify_infinity_regime(sc.params, sc.dist)
             )
     return doc
 

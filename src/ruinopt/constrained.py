@@ -149,7 +149,7 @@ def fixed_point_residual(
     worst, worst_x = 0.0, 0.0
     for j in range(vg.grid.n):
         val, _ = curvature_best(params, A, float(x[j]), float(vg.v[j]), float(MW[j]))
-        dev = abs(val - vg.vprime[j])
+        dev = abs(val - float(vg.vprime[j]))
         if dev > worst:
             worst, worst_x = dev, float(x[j])
     return worst, worst_x

@@ -306,7 +306,7 @@ def classify_zero_regime(constants: DerivedConstants, params: ModelParams) -> Re
     return RegimeReport(Regime.INTERIOR)
 
 
-def classify_infinity_regime(constants: DerivedConstants, params: ModelParams, claims) -> RegimeReport:
+def classify_infinity_regime(params: ModelParams, claims) -> RegimeReport:
     """Behaviour of the capped optimal investment as the surplus grows.
 
     Exponential claims only.  `claims` is either the claim mean (a float)

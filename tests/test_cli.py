@@ -184,6 +184,17 @@ def test_import_leaves_scipy_integrate_out():
     assert out.stdout.strip() == "False"
 
 
+def test_import_leaves_scipy_linalg_signal_fft_out():
+    # the convolution kernel is numpy-only; none of these may load at startup
+    code = (
+        "import sys, ruinopt.cli; "
+        "print([m for m in ('scipy.linalg', 'scipy.signal', 'scipy.fft') if m in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_solve_constrained_needs_cap(capsys, scenario_file, tmp_path):
     code, _, err = run(
         capsys, ["solve", scenario_file, "--mode", "constrained", "--out", tmp_path / "c"]

@@ -246,37 +246,33 @@ def test_zero_regime_recomputes_rho2(ex1):
 
 def test_infinity_regime_cases(ex1, ex2):
     p = replace(ex1, cap=1.0)   # open-form limit 10.4 far above the cap
-    k = ro.derive_constants(p, claim_mean=1.0)
-    assert ro.classify_infinity_regime(k, p, 1.0).regime is ro.Regime.FULL_CAP
+    assert ro.classify_infinity_regime(p, 1.0).regime is ro.Regime.FULL_CAP
 
     p = replace(ex1, cap=20.0)  # cap clears the limit
-    k = ro.derive_constants(p, claim_mean=1.0)
-    assert ro.classify_infinity_regime(k, p, 1.0).regime is ro.Regime.INTERIOR
+    assert ro.classify_infinity_regime(p, 1.0).regime is ro.Regime.INTERIOR
 
     p = replace(ex2, rho=0.9, cap=1.0)  # drag pushes the limit below zero
-    k = ro.derive_constants(p, claim_mean=2.0)
-    assert ro.classify_infinity_regime(k, p, 2.0).regime is ro.Regime.ZERO_INVESTMENT
+    assert ro.classify_infinity_regime(p, 2.0).regime is ro.Regime.ZERO_INVESTMENT
 
 
 def test_infinity_regime_accepts_distribution(ex1, exp1):
     p = replace(ex1, cap=1.0)
-    k = ro.derive_constants(p, claim_mean=1.0)
-    assert ro.classify_infinity_regime(k, p, exp1).regime is ro.Regime.FULL_CAP
+    assert ro.classify_infinity_regime(p, exp1).regime is ro.Regime.FULL_CAP
     heavy = ro.make_pareto(2.0, 2.0)
     with pytest.raises(ValueError, match="exponential"):
-        ro.classify_infinity_regime(k, p, heavy)
+        ro.classify_infinity_regime(p, heavy)
 
 
 def test_infinity_regime_boundaries(ex2):
     # lam > r on both benchmark 2 thresholds, which lie inside |rho| < 1
     k0 = ro.derive_constants(replace(ex2, cap=0.5), claim_mean=2.0)
     on_rho3 = replace(ex2, rho=k0.rho3, cap=0.5)
-    rep = ro.classify_infinity_regime(ro.derive_constants(on_rho3, claim_mean=2.0), on_rho3, 2.0)
+    rep = ro.classify_infinity_regime(on_rho3, 2.0)
     assert (rep.regime, rep.boundary, rep.resolution) == (
         ro.Regime.BOUNDARY, "rho3", ro.Regime.INTERIOR)
 
     on_rho4 = replace(ex2, rho=k0.rho4, cap=0.5)
-    rep = ro.classify_infinity_regime(ro.derive_constants(on_rho4, claim_mean=2.0), on_rho4, 2.0)
+    rep = ro.classify_infinity_regime(on_rho4, 2.0)
     assert (rep.regime, rep.boundary, rep.resolution) == (
         ro.Regime.BOUNDARY, "rho4", ro.Regime.FULL_CAP)
 
@@ -285,7 +281,7 @@ def test_infinity_regime_tie_unresolved(ex2):
     tied = replace(ex2, lam=ex2.r, cap=0.5)
     k = ro.derive_constants(tied, claim_mean=2.0)
     on_rho3 = replace(tied, rho=k.rho3)
-    rep = ro.classify_infinity_regime(ro.derive_constants(on_rho3, claim_mean=2.0), on_rho3, 2.0)
+    rep = ro.classify_infinity_regime(on_rho3, 2.0)
     assert rep.regime is ro.Regime.BOUNDARY
     assert rep.resolution is None
     assert "lam = r" in rep.note

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from scipy.integrate import cumulative_trapezoid
 import ruinopt as ro
 import ruinopt.constrained
 import ruinopt.unconstrained
-from ruinopt.numerics import march_value_slope, prefix_trapezoid
+from ruinopt.numerics import _BLOCK, march_value_slope, prefix_trapezoid
 from conftest import assert_close
 
 
@@ -179,6 +181,61 @@ def test_convolution_order_h2():
         errs.append(np.max(np.abs(got - exact)))
     ratio = errs[0] / errs[1]
     assert 3.5 <= ratio <= 4.5, f"convergence ratio {ratio:.2f}"
+
+
+def _trapezoid_fsum(w_values, tail_values, h):
+    # every node's trapezoid sum, correctly rounded by math.fsum
+    out = np.zeros(w_values.shape[0])
+    for j in range(1, out.shape[0]):
+        seg = tail_values[:j + 1] * w_values[j::-1]
+        out[j] = h * math.fsum([*seg[1:-1], 0.5 * seg[0], 0.5 * seg[-1]])
+    return out
+
+
+def _trapezoid_numpy(w_values, tail_values, h):
+    # the plain per-output sums of np.convolve, trimmed to the causal part
+    n = w_values.shape[0]
+    raw = np.convolve(tail_values[:n], w_values)[:n]
+    out = h * (raw - 0.5 * tail_values[0] * w_values - 0.5 * tail_values[:n] * w_values[0])
+    out[0] = 0.0
+    return out
+
+
+def test_convolve_tail_all_relative_accuracy_bench1(vg40, exp1):
+    # v * tail decays to about 3e-18 at x = 40: every node must keep its
+    # own relative accuracy, not one relative to the largest output
+    H = exp1.tail(vg40.grid.points)
+    got = ro.convolve_tail_all(vg40.v, H, vg40.grid.h)
+    want = _trapezoid_fsum(vg40.v, H, vg40.grid.h)
+    assert got[0] == want[0] == 0.0
+    assert want[-1] < 1e-17
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17])
+def test_convolve_tail_all_relative_accuracy_block_edges(n):
+    rng = np.random.default_rng(n)
+    w_values = rng.uniform(0.0, 3.0, n) * np.exp(-0.05 * np.arange(n))
+    tail_values = np.exp(-0.1 * np.arange(n + 5))  # longer than w: only n are read
+    got = ro.convolve_tail_all(w_values, tail_values, 7e-3)
+    assert got.shape == (n,)
+    np.testing.assert_allclose(got, _trapezoid_fsum(w_values, tail_values, 7e-3), rtol=1e-13, atol=0)
+
+
+def test_convolve_tail_all_relative_accuracy_bench2_long():
+    # benchmark 2, Pareto claims, n = 32001: both certificate convolutions
+    params, dist = ro.example2_params(), ro.make_pareto(2.0, 2.0)
+    vg = ro.solve_v_unconstrained(params, dist, ro.Grid.from_xmax(5e-3, 160.0))
+    x, h = vg.grid.points, vg.grid.h
+    assert vg.grid.n == 32001
+    for w_values, tail_values in ((vg.v, dist.tail(x)), (vg.V, dist.pdf(x))):
+        got = ro.convolve_tail_all(w_values, tail_values, h)
+        np.testing.assert_allclose(got, _trapezoid_numpy(w_values, tail_values, h), rtol=1e-13, atol=0)
+
+
+def test_convolve_tail_all_refuses_short_tail():
+    with pytest.raises(ValueError, match=r"len\(w\)=10, len\(tail\)=6"):
+        ro.convolve_tail_all(np.ones(10), np.ones(6), 0.1)
 
 
 def _march_sliced(grid, H, lam, vprime0, solve_node):

@@ -24,6 +24,7 @@ def test_boundary_and_shape(vgc1, ex1):
 
 def test_fixed_point_residual(vgc1, ex1, exp1):
     sup, at = ro.fixed_point_residual(vgc1, ex1, exp1, cap=1.0)
+    assert type(sup) is float and type(at) is float
     assert sup <= 1e-8                       # observed ~1e-15
     assert 0.0 <= at <= vgc1.grid.x_max
 
