@@ -27,7 +27,7 @@ from .model import (
     curvature_candidate,
     derive_constants,
 )
-from .numerics import Grid, SampledFn, convolve_tail, convolve_tail_all
+from .numerics import Grid, SampledFn, convolve_tail_all
 from .results import (
     NormalizedSurvival,
     StrategyCurve,
@@ -35,14 +35,9 @@ from .results import (
     generator_residual,
     normalize_delta,
 )
-from .constrained import (
-    extract_strategy_constrained,
-    fixed_point_residual,
-    solve_v_constrained,
-)
+from .constrained import fixed_point_residual, solve_v_constrained
 from .unconstrained import (
     HjbResidual,
-    extract_strategy_unconstrained,
     hjb_residual,
     solve_v_unconstrained,
 )
@@ -103,18 +98,15 @@ __all__ = [
     "derive_constants",
     "Grid",
     "SampledFn",
-    "convolve_tail",
     "convolve_tail_all",
     "NormalizedSurvival",
     "StrategyCurve",
     "ValueGrid",
     "generator_residual",
     "normalize_delta",
-    "extract_strategy_constrained",
     "fixed_point_residual",
     "solve_v_constrained",
     "HjbResidual",
-    "extract_strategy_unconstrained",
     "hjb_residual",
     "solve_v_unconstrained",
     "AsymptoteReport",

@@ -10,7 +10,7 @@ as an independent reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,17 +159,17 @@ class TailStrategy:
     report: RegimeReport
 
 
-def constrained_infinity_strategy(params: ModelParams, cap: float, m: float) -> TailStrategy:
+def constrained_infinity_strategy(params: ModelParams, m: float) -> TailStrategy:
     """Where the capped strategy settles as the surplus grows.
 
     The uncapped limit is q = (mu-r) m / sigma^2 - rho sigma1 / sigma; the
     capped strategy follows q when it is inside [0, cap] (with the 1/x
     refinement of the uncapped expansion when strictly inside) and pins to
-    the violated endpoint otherwise.
+    the violated endpoint otherwise.  The cap is params.cap.
     """
-    p = params if params.cap == cap else replace(params, cap=cap)
-    report = classify_infinity_regime(p, m)
-    q_inf, open_coeff = strategy_expansion_infinity_exp(p, m)
+    cap = params.cap
+    report = classify_infinity_regime(params, m)
+    q_inf, open_coeff = strategy_expansion_infinity_exp(params, m)
     regime = report.regime if report.regime is not Regime.BOUNDARY else report.resolution
     if regime is Regime.FULL_CAP:
         return TailStrategy(report.regime, cap, None, report)

@@ -36,8 +36,8 @@ from .asymptotics import (
     strategy_slope_zero,
     tail_log_compensated,
 )
-from .constrained import extract_strategy_constrained, solve_v_constrained
 from .constrained import hjb_residual as hjb_residual_capped
+from .constrained import solve_v_constrained
 from .exp_ode import reconstruct_vprime, solve_a_tilde
 from .mc import MIN_PATHS, estimate_survival
 from .model import classify_infinity_regime, classify_zero_regime, derive_constants
@@ -54,7 +54,7 @@ from .scenario import (
     load_scenario,
     scenario_text,
 )
-from .unconstrained import extract_strategy_unconstrained, hjb_residual, solve_v_unconstrained
+from .unconstrained import hjb_residual, solve_v_unconstrained
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -113,7 +113,7 @@ def _constants_doc(sc: Scenario) -> dict:
     cons = derive_constants(sc.params, claim_mean=sc.exponential_mean)
     doc = {"constants": asdict(cons), "scenario": dict(sc.raw), "regimes": {}}
     if sc.params.cap is not None and sc.params.mu > sc.params.r:
-        doc["regimes"]["zero_surplus"] = _regime_doc(classify_zero_regime(cons, sc.params))
+        doc["regimes"]["zero_surplus"] = _regime_doc(classify_zero_regime(sc.params))
         if sc.dist.family == "exponential":
             doc["regimes"]["large_surplus"] = _regime_doc(
                 classify_infinity_regime(sc.params, sc.dist)
@@ -136,14 +136,12 @@ def _cmd_constants(args) -> int:
 
 
 def _solve(sc: Scenario, capped: bool):
-    """(value grid, strategy) of the capped or the unrestricted problem."""
+    """Value grid, a* included, of the capped or the unrestricted problem."""
     if capped:
         if sc.params.cap is None:
             raise BadValueError("cap_A", "constrained solve needs cap_A in the scenario")
-        vg = solve_v_constrained(sc.params, sc.dist, sc.grid)
-        return vg, extract_strategy_constrained(vg, sc.params)
-    vg = solve_v_unconstrained(sc.params, sc.dist, sc.grid)
-    return vg, extract_strategy_unconstrained(vg, sc.params)
+        return solve_v_constrained(sc.params, sc.dist, sc.grid)
+    return solve_v_unconstrained(sc.params, sc.dist, sc.grid)
 
 
 def _cmd_solve(args) -> int:
@@ -152,8 +150,8 @@ def _cmd_solve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     capped = args.mode == "constrained"
     t0 = time.perf_counter()
-    vg, strat = _solve(sc, capped)
-    res = (hjb_residual_capped if capped else hjb_residual)(vg, strat, sc.params, sc.dist)
+    vg = _solve(sc, capped)
+    res = (hjb_residual_capped if capped else hjb_residual)(vg, sc.params, sc.dist)
     elapsed = time.perf_counter() - t0
     res_doc = asdict(res)
     del res_doc["pointwise"]
@@ -165,7 +163,7 @@ def _cmd_solve(args) -> int:
         "grid": {"h": sc.grid.h, "x_max": sc.grid.x_max, "n": sc.grid.n},
         "residuals": res_doc,
         "v_prime_zero": float(vg.vprime[0]),
-        "a_star_zero": float(strat.values[0]),
+        "a_star_zero": float(vg.a_star[0]),
         "normalization": {
             "v_inf_hat": norm.v_inf_hat,
             "tail_remainder": norm.tail_remainder,
@@ -189,7 +187,7 @@ def _cmd_solve(args) -> int:
     _write_csv(
         csv_path,
         ["x", "v", "V", "delta", "a_star", "hjb_residual"],
-        [vg.x, vg.v, vg.V, delta_vals, strat.values, res.pointwise],
+        [vg.x, vg.v, vg.V, delta_vals, vg.a_star, res.pointwise],
     )
     doc["csv"] = str(csv_path)
     _emit(doc)
@@ -223,9 +221,8 @@ def _cmd_exp_validate(args) -> int:
 
     t0 = time.perf_counter()
     vg = solve_v_unconstrained(sc.params, sc.dist, sc.grid)
-    strat = extract_strategy_unconstrained(vg, sc.params)
     shift = sc.params.hedge
-    a_tilde_solver = strat.values + shift
+    a_tilde_solver = vg.a_star + shift
 
     x_seed = 1e-2
     seed_value = (cons.a_star_zero - slope * x_seed) + shift
@@ -297,17 +294,21 @@ def _load_strategy_file(path: str):
     return fn
 
 
-def _optimal_strategy(sc: Scenario):
-    capped = sc.params.cap is not None
-    _, strat = _solve(sc, capped)
-    if sc.dist.family != "exponential":
-        return strat
-    if not capped:
-        strat.tail = strategy_expansion_infinity_exp(sc.params, sc.dist.mean)
-    elif sc.params.mu > sc.params.r:
-        tail = constrained_infinity_strategy(sc.params, sc.params.cap, sc.dist.mean)
-        strat.tail = (tail.limit, tail.coeff if tail.coeff is not None else 0.0)
-    return strat
+def _optimal_strategy(sc: Scenario) -> StrategyCurve:
+    """The solved a* as a curve: held to [0, cap] when the scenario has a
+    cap, and continued past the grid by its large-surplus expansion under
+    exponential claims."""
+    p = sc.params
+    capped = p.cap is not None
+    vg = _solve(sc, capped)
+    tail = None
+    if sc.dist.family == "exponential":
+        if not capped:
+            tail = strategy_expansion_infinity_exp(p, sc.dist.mean)
+        elif p.mu > p.r:
+            settle = constrained_infinity_strategy(p, sc.dist.mean)
+            tail = (settle.limit, settle.coeff if settle.coeff is not None else 0.0)
+    return StrategyCurve(grid=vg.grid, values=vg.a_star, lo=0.0 if capped else None, hi=p.cap, tail=tail)
 
 
 def _cmd_simulate(args) -> int:
@@ -394,15 +395,14 @@ def _run_example(n: int, out_dir: str) -> int:
     names = []
     for name, dist in dists.items():
         vg = solve_v_unconstrained(params, dist, grid)
-        strat = extract_strategy_unconstrained(vg, params)
         norm = normalize_delta(vg, claim_mean=dist.mean if dist.family == "exponential" else None)
         names.append(name)
-        low_cols.append(strat.values[low_mask])
-        high_cols.append(strat.values[high_mask])
+        low_cols.append(vg.a_star[low_mask])
+        high_cols.append(vg.a_star[high_mask])
         entry = {
             "mean": dist.mean,
             "v_prime_zero": float(vg.vprime[0]),
-            "a_star_zero": float(strat.values[0]),
+            "a_star_zero": float(vg.a_star[0]),
             "v_inf_hat": norm.v_inf_hat,
             "truncated": norm.truncated,
         }

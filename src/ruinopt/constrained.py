@@ -1,7 +1,8 @@
 """Value-slope solver for capped investment.
 
-When the invested amount is restricted to [0, cap], the dynamic programming
-equation for the scaled value slope v (v(0) = 1) reads v' = T(v) with
+When the invested amount is restricted to [0, cap], with the cap taken from
+ModelParams.cap (its only source), the dynamic programming equation for the
+scaled value slope v (v(0) = 1) reads v' = T(v) with
 
     T(w)(x) = min over a in [0, cap] of
         2 * [ M(W)(x) - (c + r x + (mu-r) a) w(x) ] / Q(a),
@@ -39,10 +40,10 @@ maximiser is an endpoint or a root of the stationary quadratic of D/N,
         + 2 rho sigma sigma1 E - (mu-r) (alpha sigma1^2 + h q_j) = 0,
 
 with E = alpha (c + r x_j - lam h/2) - q_j, and it is also the argmin of
-the candidate curvature at w*.  As in the unrestricted solver, node j sees
-only v_0 .. v_{j-1} and itself (the equation is causal), so the single
-forward pass of `numerics.march_value_slope` is the exact discrete
-solution.
+the candidate curvature at w*: the solve returns it as the strategy a*.
+As in the unrestricted solver, node j sees only v_0 .. v_{j-1} and itself
+(the equation is causal), so the single forward pass of
+`numerics.march_value_slope` is the exact discrete solution.
 """
 
 from __future__ import annotations
@@ -54,20 +55,17 @@ import numpy as np
 from .claims import ClaimDistribution
 from .model import ModelParams, _best_candidate, curvature_best, curvature_candidate
 from .numerics import Grid, convolve_tail_all, march_value_slope
-from .results import StrategyCurve, ValueGrid, generator_residual
+from .results import ValueGrid, generator_residual
 
 __all__ = [
     "solve_v_constrained",
-    "extract_strategy_constrained",
     "fixed_point_residual",
     "CappedHjbResidual",
     "hjb_residual",
 ]
 
 
-def _solve_node(
-    p: ModelParams, cap: float, h: float, x: float, q: float, alpha: float
-) -> tuple[float, float, float]:
+def _solve_node(p: ModelParams, h: float, x: float, q: float, alpha: float) -> tuple[float, float, float]:
     """(v_j, v'_j, argmin) at surplus x: w* = 1 / max D(a) / N(a) in closed form."""
     half_h = 0.5 * h
     drift = p.c + p.r * x
@@ -81,7 +79,7 @@ def _solve_node(
         p.excess * p.sigma**2 * alpha,
         2.0 * p.sigma**2 * E,
         2.0 * p.rho * p.sigma * p.sigma1 * E - p.excess * (alpha * p.sigma1**2 + h * q),
-        cap,
+        p.cap,
         neg_ratio,
     )
     if not best < 0.0:
@@ -90,13 +88,12 @@ def _solve_node(
     return w, curvature_candidate(p, a, x, w, q + p.lam * half_h * w), a
 
 
-def solve_v_constrained(
-    params: ModelParams, dist: ClaimDistribution, grid: Grid, *, cap: float | None = None
-) -> ValueGrid:
+def solve_v_constrained(params: ModelParams, dist: ClaimDistribution, grid: Grid) -> ValueGrid:
     """March the scaled value slope of the capped problem; v(0) = 1.
 
-    The per-node minimizing investment is recorded alongside v so the
-    strategy extraction is exactly the argmin of each node's solve.
+    The cap is params.cap.  Each node's minimizing investment is recorded
+    as a* alongside v, so the strategy is exactly the argmin of each
+    node's solve.
 
     The march stops with RuntimeError ("trapezoid anchor went nonpositive")
     at the first node, x = h, when h >= 2 / |v'(0)|, with v'(0) the
@@ -107,48 +104,37 @@ def solve_v_constrained(
     drift: the capped survival probability can be convex there.
     """
     p = params
-    A = cap if cap is not None else p.cap
-    if A is None:
-        raise ValueError("capped solve needs an investment cap (params.cap or cap=...)")
+    if p.cap is None:
+        raise ValueError("capped solve needs an investment cap (params.cap)")
     h = grid.h
     H = np.asarray(dist.tail(grid.points), dtype=float)
 
-    argmin = np.empty(grid.n)
-    vp0, argmin[0] = curvature_best(p, A, 0.0, 1.0, 0.0)
+    a_star = np.empty(grid.n)
+    vp0, a_star[0] = curvature_best(p, 0.0, 1.0, 0.0)
 
     def solve_node(j: int, q: float, alpha: float) -> tuple[float, float]:
-        w, vp, argmin[j] = _solve_node(p, A, h, j * h, q, alpha)
+        w, vp, a_star[j] = _solve_node(p, h, j * h, q, alpha)
         return w, vp
 
     v, vp, V = march_value_slope(grid, H, p.lam, vp0, solve_node)
-    return ValueGrid(grid=grid, v=v, V=V, vprime=vp, mode="constrained", cap=A, argmin=argmin)
+    return ValueGrid(grid=grid, v=v, V=V, vprime=vp, a_star=a_star)
 
 
-def extract_strategy_constrained(vg: ValueGrid, params: ModelParams, cap: float | None = None) -> StrategyCurve:
-    """Strategy curve from the per-node argmins recorded during the solve."""
-    A = cap if cap is not None else vg.cap
-    if vg.argmin is None:
-        raise ValueError("value grid carries no argmin record; was it solved capped?")
-    return StrategyCurve(grid=vg.grid, values=vg.argmin.copy(), lo=0.0, hi=A)
-
-
-def fixed_point_residual(
-    vg: ValueGrid, params: ModelParams, dist: ClaimDistribution, cap: float | None = None
-) -> tuple[float, float]:
+def fixed_point_residual(vg: ValueGrid, params: ModelParams, dist: ClaimDistribution) -> tuple[float, float]:
     """sup_j |v'_j - T(v)(x_j)| recomputed from the converged slope.
 
     The recomputation runs the full tail convolution and the candidate
-    minimization from scratch, so it verifies that the stored operator
-    values are the fixed point of T, not of some drifted variant.
+    minimization over [0, params.cap] from scratch, so it verifies that the
+    stored operator values are the fixed point of T, not of some drifted
+    variant.
     """
-    A = cap if cap is not None else vg.cap
-    if A is None:
-        raise ValueError("fixed-point residual needs the cap")
+    if params.cap is None:
+        raise ValueError("fixed-point residual needs an investment cap (params.cap)")
     x = vg.grid.points
     MW = params.lam * convolve_tail_all(vg.v, dist.tail(x), vg.grid.h)
     worst, worst_x = 0.0, 0.0
     for j in range(vg.grid.n):
-        val, _ = curvature_best(params, A, float(x[j]), float(vg.v[j]), float(MW[j]))
+        val, _ = curvature_best(params, float(x[j]), float(vg.v[j]), float(MW[j]))
         dev = abs(val - float(vg.vprime[j]))
         if dev > worst:
             worst, worst_x = dev, float(x[j])
@@ -162,7 +148,7 @@ class CappedHjbResidual:
     fixed_point recomputes T(v) from scratch and compares it with the
     stored v'; it measures solver convergence, not discretization.
     independent rebuilds the controlled generator with a centered finite
-    difference for the curvature and the recorded argmin strategy, so it
+    difference for the curvature and the recorded argmin strategy a*, so it
     carries the O(h^2) discretization error.
     """
 
@@ -173,14 +159,9 @@ class CappedHjbResidual:
     pointwise: np.ndarray
 
 
-def hjb_residual(
-    vg: ValueGrid,
-    strategy: StrategyCurve,
-    params: ModelParams,
-    dist: ClaimDistribution,
-) -> CappedHjbResidual:
+def hjb_residual(vg: ValueGrid, params: ModelParams, dist: ClaimDistribution) -> CappedHjbResidual:
     fp, fp_at = fixed_point_residual(vg, params, dist)
-    pw, sup2, at2 = generator_residual(vg, strategy, params, dist)
+    pw, sup2, at2 = generator_residual(vg, params, dist)
     return CappedHjbResidual(
         fixed_point=fp,
         fixed_point_at=fp_at,

@@ -200,8 +200,8 @@ def solve_linear_const_strategy(params: ModelParams, A: float, m: float, grid: G
     phi(0) = 1, phi'(0) = -2 (c + (mu-r) A) / A_rho2.  Implicit trapezoid
     on the first-order system: the stiff eigenvalue grows like -a2 x, which
     an explicit integrator cannot take across a long grid at a fixed step.
-    Returns the same container the grid solvers use (mode
-    "constant_strategy").
+    Returns the same container the grid solvers use, with a* = A at every
+    node.
     """
     co = linear_ode_coeffs(params, A, m)
     h = grid.h
@@ -227,4 +227,4 @@ def solve_linear_const_strategy(params: ModelParams, A: float, m: float, grid: G
         psi[j] = (-half_h * q1 * r0 + r1) / det
 
     V = prefix_trapezoid(phi, h)
-    return ValueGrid(grid=grid, v=phi, V=V, vprime=psi, mode="constant_strategy", cap=A)
+    return ValueGrid(grid=grid, v=phi, V=V, vprime=psi, a_star=np.full(n, A))

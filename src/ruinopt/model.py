@@ -145,14 +145,14 @@ def curvature_candidate(params: ModelParams, a: float, x: float, w_x: float, MW_
     return 2.0 * (MW_x - (p.c + p.r * x + p.excess * a) * w_x) / p.quadratic_form(a)
 
 
-def _best_candidate(qa: float, qb: float, qc: float, cap: float, objective) -> tuple[float, float]:
-    """Minimize a smooth objective over [0, cap] whose interior stationary
+def _best_candidate(qa: float, qb: float, qc: float, hi: float, objective) -> tuple[float, float]:
+    """Minimize a smooth objective over [0, hi] whose interior stationary
     points solve qa a^2 + qb a + qc = 0.
 
     Candidates: both endpoints plus the roots inside.  Returns
     (value, argmin); exact ties go to the smaller investment.
     """
-    candidates = [0.0, cap]
+    candidates = [0.0, hi]
     if qa == 0.0:
         if qb != 0.0:
             candidates.append(-qc / qb)
@@ -165,17 +165,15 @@ def _best_candidate(qa: float, qb: float, qc: float, cap: float, objective) -> t
             if qq != 0.0:
                 candidates.append(qc / qq)
     best_val, best_a = math.inf, 0.0
-    for a in sorted(c for c in candidates if 0.0 <= c <= cap):
+    for a in sorted(c for c in candidates if 0.0 <= c <= hi):
         val = objective(a)
         if val < best_val:
             best_val, best_a = val, a
     return best_val, best_a
 
 
-def curvature_best(
-    params: ModelParams, cap: float, x: float, w_x: float, MW_x: float
-) -> tuple[float, float]:
-    """Minimize the candidate curvature over a in [0, cap].
+def curvature_best(params: ModelParams, x: float, w_x: float, MW_x: float) -> tuple[float, float]:
+    """Minimize the candidate curvature over a in [0, params.cap].
 
     Candidates: both endpoints plus interior stationary points, which solve
 
@@ -192,7 +190,7 @@ def curvature_best(
         p.excess * p.sigma**2 * w_x,
         -2.0 * p.sigma**2 * E,
         -(p.excess * p.sigma1**2 * w_x + 2.0 * p.rho * p.sigma * p.sigma1 * E),
-        cap,
+        p.cap,
         lambda a: curvature_candidate(p, a, x, w_x, MW_x),
     )
 
@@ -232,7 +230,7 @@ def derive_constants(params: ModelParams, claim_mean: float | None = None) -> De
         v_prime_zero = -B
     else:
         rho2 = rho1 - (ex * p.cap**2 + 2.0 * p.c * p.cap) * p.sigma / (2.0 * p.c * p.sigma1)
-        v_prime_zero, _ = curvature_best(p, p.cap, 0.0, 1.0, 0.0)
+        v_prime_zero, _ = curvature_best(p, 0.0, 1.0, 0.0)
 
     rho3 = rho4 = a_tilde0 = a_tilde1 = d0 = None
     if claim_mean is not None:
@@ -268,7 +266,7 @@ def _on_threshold(rho: float, threshold: float) -> bool:
     return math.isclose(rho, threshold, rel_tol=_THRESHOLD_RTOL, abs_tol=1e-15)
 
 
-def classify_zero_regime(constants: DerivedConstants, params: ModelParams) -> RegimeReport:
+def classify_zero_regime(params: ModelParams) -> RegimeReport:
     """Behaviour of the capped optimal investment as the surplus tends to 0.
 
     Needs a cap and mu > r.  Below rho2 the whole cap is invested, above
@@ -282,9 +280,8 @@ def classify_zero_regime(constants: DerivedConstants, params: ModelParams) -> Re
         raise ValueError("zero-surplus regime classification needs an investment cap")
     if p.mu <= p.r:
         raise ValueError("zero-surplus regime classification needs mu > r")
-    rho1 = constants.rho1
-    # constants derived without the cap: derive them again with it
-    rho2 = constants.rho2 if constants.rho2 is not None else derive_constants(p).rho2
+    thresholds = derive_constants(p)
+    rho1, rho2 = thresholds.rho1, thresholds.rho2
     if _on_threshold(p.rho, rho2):
         return RegimeReport(
             Regime.BOUNDARY,

@@ -33,7 +33,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 __all__ = [
     "Grid",
     "SampledFn",
-    "convolve_tail",
     "convolve_tail_all",
     "march_value_slope",
     "prefix_trapezoid",
@@ -50,13 +49,13 @@ class Grid:
     def __post_init__(self):
         if not (np.isfinite(self.h) and self.h > 0):
             raise ValueError(f"h (the grid step) must be positive and finite, got {self.h!r}")
-        if self.n < 2:
-            raise ValueError(f"n must be at least 2 grid points, got n={self.n!r}")
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
+            raise ValueError(f"n must be an integer of at least 2 grid points, got n={self.n!r}")
 
     @classmethod
     def from_xmax(cls, h: float, x_max: float) -> "Grid":
-        if not x_max > 0:
-            raise ValueError(f"x_max must be positive, got {x_max!r}")
+        if not (np.isfinite(x_max) and x_max > 0):
+            raise ValueError(f"x_max must be positive and finite, got {x_max!r}")
         # a nonpositive step never divides; __post_init__ refuses it
         return cls(float(h), int(round(x_max / h)) + 1 if h > 0 else 0)
 
@@ -118,30 +117,6 @@ class SampledFn:
             lo = j * h
         # at x_max, j = n-1 and the appended zero slope gives values[-1]
         return self._slope[j] * (xc - lo) + fp[j]
-
-
-def _tail_samples(tail, grid: Grid, upto: int) -> np.ndarray:
-    if callable(tail):
-        return np.asarray(tail(grid.points[:upto]), dtype=float)
-    arr = np.asarray(tail, dtype=float)
-    if arr.shape[0] < upto:
-        raise ValueError("tail sample array shorter than required grid range")
-    return arr[:upto]
-
-
-def convolve_tail(w: SampledFn, tail, j: int) -> float:
-    """Trapezoid approximation of int_0^{x_j} H(y) w(x_j - y) dy.
-
-    `tail` is either a callable H(y) or an array of H sampled on the grid.
-    Exact zero at j = 0 (empty integral).
-    """
-    if j < 0 or j >= w.grid.n:
-        raise IndexError(f"index {j} out of range for grid of {w.grid.n} points")
-    if j == 0:
-        return 0.0
-    H = _tail_samples(tail, w.grid, j + 1)
-    seg = H * w.values[j::-1]
-    return w.grid.h * (seg.sum() - 0.5 * (seg[0] + seg[-1]))
 
 
 def convolve_tail_all(w_values: np.ndarray, tail_values: np.ndarray, h: float) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Solver output containers, survival normalization, and residual checks.
 
 Both solvers produce the scaled value slope v = V'/V'(0-ish scale) with
-v(0) = 1 on a uniform grid, plus its integral V.  The ruin probability
-needs V(inf), which the grid never reaches; normalize_delta estimates the
-missing tail mass and flags the cases where truncation actually matters.
+v(0) = 1 on a uniform grid, plus its integral V and the strategy a* that
+attains the minimum at each node; every solve returns them together in a
+ValueGrid.  The ruin probability needs V(inf), which the grid never
+reaches; normalize_delta estimates the missing tail mass and flags the
+cases where truncation actually matters.
 """
 
 from __future__ import annotations
@@ -28,15 +30,13 @@ __all__ = [
 
 @dataclass
 class ValueGrid:
-    """Scaled value slope v, its integral V, and solve diagnostics."""
+    """Scaled value slope v, its integral V, its slope v', and the strategy a*."""
 
     grid: Grid
     v: np.ndarray
     V: np.ndarray
     vprime: np.ndarray
-    mode: str
-    cap: float | None = None
-    argmin: np.ndarray | None = None  # per-node minimizing investment (capped solve)
+    a_star: np.ndarray  # investment at each node: the solve's minimizer (or a fixed strategy)
 
     @property
     def x(self) -> np.ndarray:
@@ -135,27 +135,22 @@ def normalize_delta(vg: ValueGrid, claim_mean: float | None = None) -> Normalize
 
 
 def generator_residual(
-    vg: ValueGrid,
-    strategy: np.ndarray | StrategyCurve,
-    params: ModelParams,
-    dist: ClaimDistribution,
+    vg: ValueGrid, params: ModelParams, dist: ClaimDistribution
 ) -> tuple[np.ndarray, float, float]:
     """Pointwise residual of the controlled generator applied to V.
 
     Evaluates 0.5 Q(a) V'' + (c + (mu-r) a + r x) V' - M(V) at each interior
-    node with a centered finite difference for V'' = v', so the check is
-    independent of how the solver represented the curvature.  The claims
-    term M(V) uses the density form when the density is bounded at 0 and
-    the tail-convolution form otherwise.  Returns (residuals, sup, x_at_sup)
-    with NaN at the two endpoint nodes where the stencil does not exist.
+    node with a centered finite difference for V'' = v' and the solve's own
+    a = a*, so the check is independent of how the solver represented the
+    curvature.  The claims term M(V) uses the density form when the density
+    is bounded at 0 and the tail-convolution form otherwise.  Returns
+    (residuals, sup, x_at_sup) with NaN at the two endpoint nodes where the
+    stencil does not exist.
     """
     grid = vg.grid
     x = grid.points
     h = grid.h
     n = grid.n
-    a = strategy.values if isinstance(strategy, StrategyCurve) else np.asarray(strategy, dtype=float)
-    if a.shape != (n,):
-        raise ValueError("strategy samples do not match the solver grid")
 
     vpp = np.full(n, np.nan)
     vpp[1:-1] = (vg.v[2:] - vg.v[:-2]) / (2.0 * h)
@@ -169,8 +164,8 @@ def generator_residual(
         # parts against the bounded tail instead
         M = params.lam * convolve_tail_all(vg.v, dist.tail(x), h)
 
-    Q = params.quadratic_form(a)
-    P = params.c + params.excess * a + params.r * x
+    Q = params.quadratic_form(vg.a_star)
+    P = params.c + params.excess * vg.a_star + params.r * x
     res = 0.5 * Q * vpp + P * vg.v - M
     res[0] = np.nan
     res[-1] = np.nan

@@ -56,11 +56,10 @@ import numpy as np
 from .claims import ClaimDistribution
 from .model import ModelParams
 from .numerics import Grid, convolve_tail_all, march_value_slope
-from .results import StrategyCurve, ValueGrid, generator_residual
+from .results import ValueGrid, generator_residual
 
 __all__ = [
     "solve_v_unconstrained",
-    "extract_strategy_unconstrained",
     "HjbResidual",
     "hjb_residual",
 ]
@@ -99,8 +98,14 @@ def _solve_node(p: ModelParams, h: float, x: float, q: float, alpha: float) -> t
 def solve_v_unconstrained(params: ModelParams, dist: ClaimDistribution, grid: Grid) -> ValueGrid:
     """March the scaled value slope v across the grid; v(0) = 1.
 
-    Returns the slope v, its prefix integral V and the operator values
-    v' = L(v).
+    Returns the slope v, its prefix integral V, the operator values
+    v' = L(v) and the optimal investment
+
+        a*(x_j) = -(mu-r) v / (sigma^2 v') - rho sigma1 / sigma,
+
+    taken from the operator values, never a finite difference of v, so it
+    is exact at x = 0 where the closed form lives.  Investment is
+    unrestricted here: params.cap, if set, is ignored.
 
     The march stops with RuntimeError ("trapezoid anchor went nonpositive")
     at the first node, x = h, when h >= 2 / |v'(0)|, with v'(0) = -B
@@ -117,21 +122,11 @@ def solve_v_unconstrained(params: ModelParams, dist: ClaimDistribution, grid: Gr
 
     vprime0 = _negative_root(p.c_rho, p.excess / p.sigma, p.sigma_rho2)
     v, vp, V = march_value_slope(grid, H, p.lam, vprime0, solve_node)
-    return ValueGrid(grid=grid, v=v, V=V, vprime=vp, mode="unconstrained")
-
-
-def extract_strategy_unconstrained(vg: ValueGrid, params: ModelParams) -> StrategyCurve:
-    """Optimal invested amount a*(x_j) = -(mu-r) v / (sigma^2 v') - rho sigma1 / sigma.
-
-    Uses the solver's operator values for v', never a finite difference of
-    v, so the extraction is exact at x = 0 where the closed form lives.
-    """
-    p = params
     if p.excess == 0.0:
-        a = np.full(vg.grid.n, -p.hedge)
+        a = np.full(grid.n, -p.hedge)
     else:
-        a = -p.excess * vg.v / (p.sigma**2 * vg.vprime) - p.hedge
-    return StrategyCurve(grid=vg.grid, values=a)
+        a = -p.excess * v / (p.sigma**2 * vp) - p.hedge
+    return ValueGrid(grid=grid, v=v, V=V, vprime=vp, a_star=a)
 
 
 @dataclass
@@ -142,7 +137,7 @@ class HjbResidual:
     quadratic; it vanishes identically in exact arithmetic, so it measures
     round-off and root-solve tolerance, not discretization error.
     independent rebuilds the controlled generator with a centered finite
-    difference for the curvature and the extracted strategy, so it carries
+    difference for the curvature and the solve's a*, so it carries
     the full O(h^2) discretization error and halves like h^2.
     """
 
@@ -153,12 +148,7 @@ class HjbResidual:
     pointwise: np.ndarray
 
 
-def hjb_residual(
-    vg: ValueGrid,
-    strategy: StrategyCurve,
-    params: ModelParams,
-    dist: ClaimDistribution,
-) -> HjbResidual:
+def hjb_residual(vg: ValueGrid, params: ModelParams, dist: ClaimDistribution) -> HjbResidual:
     p = params
     x = vg.grid.points
     h = vg.grid.h
@@ -167,7 +157,7 @@ def hjb_residual(
     res1 = 0.5 * p.sigma_rho2 * vg.vprime**2 + L1 * vg.vprime - p.gamma * vg.v**2
     k1 = int(np.argmax(np.abs(res1)))
 
-    pw, sup2, at2 = generator_residual(vg, strategy, params, dist)
+    pw, sup2, at2 = generator_residual(vg, params, dist)
     return HjbResidual(
         self_consistency=float(abs(res1[k1])),
         self_consistency_at=float(x[k1]),

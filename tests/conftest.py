@@ -6,6 +6,8 @@ them as read-only; re-solving per test would dominate the suite runtime.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -55,26 +57,20 @@ def vg40(ex1, exp1, grid40):
 
 
 @pytest.fixture(scope="session")
-def st40(vg40, ex1):
-    return ro.extract_strategy_unconstrained(vg40, ex1)
-
-
-@pytest.fixture(scope="session")
-def st_front(ex1, exp1):
-    """Benchmark 1 strategy on a short, fine front grid: h = 1e-5 to x = 1e-3.
+def vg_front(ex1, exp1):
+    """Benchmark 1 solve on a short, fine front grid: h = 1e-5 to x = 1e-3.
 
     The march is causal, so these nodes are what a grid of the same step
-    but any length gives at the front; the near-zero checks read them.
+    but any length gives at the front; the near-zero checks read its a*.
     """
-    vg = ro.solve_v_unconstrained(ex1, exp1, ro.Grid.from_xmax(1e-5, 1e-3))
-    return ro.extract_strategy_unconstrained(vg, ex1)
+    return ro.solve_v_unconstrained(ex1, exp1, ro.Grid.from_xmax(1e-5, 1e-3))
 
 
 @pytest.fixture(scope="session")
 def vgc1(ex1, exp1):
     """Benchmark 1 constrained solve, cap 1, shorter grid."""
     grid = ro.Grid.from_xmax(5e-3, 10.0)
-    return ro.solve_v_constrained(ex1, exp1, grid, cap=1.0)
+    return ro.solve_v_constrained(replace(ex1, cap=1.0), exp1, grid)
 
 
 def _acceptance_lines(config) -> list[str]:
@@ -147,19 +143,19 @@ def node_draws(seed, n, lam, x_max):
         yield h, float(rng.uniform(0.0, x_max)), alpha, float(rng.uniform(0.0, 1.0)) * lam * alpha
 
 
-def front_line_fit(strategy, x_fit):
+def front_line_fit(vg, x_fit):
     """Least-squares line (slope, intercept) through a*(x_j) for x_j in [h, x_fit]."""
-    m = int(round(x_fit / strategy.grid.h))
-    x = strategy.grid.points[1 : m + 1]
-    slope, intercept = np.polyfit(x, strategy.values[1 : m + 1], 1)
+    m = int(round(x_fit / vg.grid.h))
+    x = vg.grid.points[1 : m + 1]
+    slope, intercept = np.polyfit(x, vg.a_star[1 : m + 1], 1)
     return float(slope), float(intercept)
 
 
-def richardson_slope_zero(strategy):
+def richardson_slope_zero(vg):
     """a*'(0+) as 2 D(h) - D(2h), D(s) = (a*(s) - a*(0)) / s.
 
     The combination cancels the quadratic term of a* at 0, so the error is
     O(h^2) and no fit window is involved.
     """
-    a = strategy.values
-    return float((4.0 * a[1] - a[2] - 3.0 * a[0]) / (2.0 * strategy.grid.h))
+    a = vg.a_star
+    return float((4.0 * a[1] - a[2] - 3.0 * a[0]) / (2.0 * vg.grid.h))

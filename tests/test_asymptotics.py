@@ -107,15 +107,15 @@ def test_fit_window_validation(vg40, ex1):
 
 
 def test_constrained_infinity_cases(ex1, ex2):
-    t = ro.constrained_infinity_strategy(ex1, 1.0, 1.0)
+    t = ro.constrained_infinity_strategy(replace(ex1, cap=1.0), 1.0)
     assert t.regime is ro.Regime.FULL_CAP and t.limit == 1.0 and t.coeff is None
 
-    t = ro.constrained_infinity_strategy(ex1, 20.0, 1.0)
+    t = ro.constrained_infinity_strategy(replace(ex1, cap=20.0), 1.0)
     assert t.regime is ro.Regime.INTERIOR
     assert_close(t.limit, 10.4, 1e-12, "interior limit")
     assert_close(t.coeff, -0.625, 1e-12, "interior coeff")
 
-    t = ro.constrained_infinity_strategy(replace(ex2, rho=0.9), 1.0, 2.0)
+    t = ro.constrained_infinity_strategy(replace(ex2, rho=0.9, cap=1.0), 2.0)
     assert t.regime is ro.Regime.ZERO_INVESTMENT and t.limit == 0.0
 
 

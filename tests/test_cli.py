@@ -7,9 +7,12 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from ruinopt.cli import main
+import ruinopt as ro
+from ruinopt.cli import _optimal_strategy, main
+from ruinopt.scenario import parse_scenario
 from conftest import assert_close
 
 BASE = """\
@@ -214,6 +217,26 @@ def test_solve_constrained_respects_cap(capsys, tmp_path):
     a_col = [float(row.split(",")[4]) for row in lines[1:]]
     assert all(0.0 <= a <= 1.0 for a in a_col)
     assert a_col[-1] == 1.0  # cap binds by the end of the grid
+
+
+def test_optimal_strategy_capped_range_and_tail():
+    # mu > r with a cap: the curve is held to [0, cap] and continued by
+    # where the capped strategy settles (the cap binds on benchmark 1)
+    sc = parse_scenario(BASE + "cap_A = 1.0\n")
+    strat = _optimal_strategy(sc)
+    assert strat.lo == 0.0 and strat.hi == sc.params.cap == 1.0
+    settle = ro.constrained_infinity_strategy(sc.params, sc.dist.mean)
+    assert strat.tail == (settle.limit, 0.0) == (1.0, 0.0)
+    assert np.array_equal(strat.values, ro.solve_v_constrained(sc.params, sc.dist, sc.grid).a_star)
+    assert strat(sc.grid.x_max + 1.0) == 1.0
+
+
+def test_optimal_strategy_uncapped_tail_no_bounds():
+    sc = parse_scenario(BASE)
+    strat = _optimal_strategy(sc)
+    assert strat.lo is None and strat.hi is None
+    assert strat.tail == ro.strategy_expansion_infinity_exp(sc.params, sc.dist.mean)
+    assert np.array_equal(strat.values, ro.solve_v_unconstrained(sc.params, sc.dist, sc.grid).a_star)
 
 
 def test_asymptotes_report(capsys, scenario_file):

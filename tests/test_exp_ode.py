@@ -70,13 +70,13 @@ def test_explicit_seed_respected(ex1):
     assert curve.seed_note is None
 
 
-def test_forward_matches_grid_solver(ex1, vg40, st40):
+def test_forward_matches_grid_solver(ex1, vg40):
     # no dynamic programming here: series seed + RK4 must land on the
     # strategy the windowed fixed point produced
     curve = solve_a_tilde(ex1, 1.0, 8.0, 40.0)
     x = vg40.x
     mask = (x >= 10.0) & (x <= 35.0)
-    atil_solver = st40.values[mask] + SHIFT1
+    atil_solver = vg40.a_star[mask] + SHIFT1
     dev = max_rel_dev(curve(x[mask]), atil_solver)
     assert dev <= 1e-4, f"feedback ODE deviates {dev:.3e}"   # observed 2.1e-6
 
@@ -130,8 +130,7 @@ def test_linear_coeffs_frozen(ex1):
 def test_linear_solve_shape_and_slope(ex1):
     grid = ro.Grid.from_xmax(5e-3, 10.0)
     vg = solve_linear_const_strategy(ex1, 1.0, 1.0, grid)
-    assert vg.mode == "constant_strategy"
-    assert vg.cap == 1.0
+    assert np.array_equal(vg.a_star, np.full(grid.n, 1.0))
     assert vg.v[0] == 1.0
     assert_close(vg.vprime[0], -0.92 / 0.042, 1e-12, "slope at 0")
     assert np.all(vg.v > 0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import replace
 
@@ -37,6 +38,20 @@ def test_rho_open_interval(bad):
 def test_cap_positive_when_given(bad):
     with pytest.raises(ValueError, match="cap"):
         _params(cap=bad)
+
+
+def test_cap_has_one_home():
+    # the investment cap enters only through ModelParams; apart from it,
+    # only the benchmark parameter builders name a cap
+    builders = {"ModelParams", "example1_params", "example2_params"}
+    takes_cap = [
+        name
+        for name in ro.__all__
+        if name not in builders
+        and callable(obj := getattr(ro, name))
+        and "cap" in inspect.signature(obj).parameters
+    ]
+    assert takes_cap == []
 
 
 def test_params_frozen():
@@ -205,41 +220,34 @@ def test_zero_regime_table(ex1):
     for rho, expected in ((-0.5, ro.Regime.FULL_CAP), (-0.2, ro.Regime.INTERIOR),
                           (0.5, ro.Regime.ZERO_INVESTMENT)):
         p = replace(ex1, rho=rho, cap=1.0)
-        rep = ro.classify_zero_regime(ro.derive_constants(p), p)
+        rep = ro.classify_zero_regime(p)
         assert rep.regime is expected, rho
 
 
 def test_zero_regime_boundaries(ex1):
     k = ro.derive_constants(replace(ex1, cap=1.0))
     on_rho1 = replace(ex1, rho=k.rho1, cap=1.0)
-    rep = ro.classify_zero_regime(ro.derive_constants(on_rho1), on_rho1)
+    rep = ro.classify_zero_regime(on_rho1)
     assert rep.regime is ro.Regime.BOUNDARY
     assert rep.boundary == "rho1"
     assert rep.resolution is ro.Regime.ZERO_INVESTMENT
 
     on_rho2 = replace(ex1, rho=k.rho2, cap=1.0)
-    rep = ro.classify_zero_regime(ro.derive_constants(on_rho2), on_rho2)
+    rep = ro.classify_zero_regime(on_rho2)
     assert rep.regime is ro.Regime.BOUNDARY
     assert rep.boundary == "rho2"
     assert rep.resolution is ro.Regime.FULL_CAP
 
 
-def test_zero_regime_requires_cap_and_edge(ex1, k1):
+def test_zero_regime_requires_cap_and_edge(ex1):
     with pytest.raises(ValueError, match="cap"):
-        ro.classify_zero_regime(k1, ex1)
+        ro.classify_zero_regime(ex1)
     flat = replace(ex1, mu=ex1.r, cap=1.0)
     with pytest.raises(ValueError, match="mu"):
-        ro.classify_zero_regime(ro.derive_constants(flat), flat)
+        ro.classify_zero_regime(flat)
     inverted = replace(ex1, mu=ex1.r / 2.0, cap=1.0)
     with pytest.raises(ValueError, match="mu"):
-        ro.classify_zero_regime(ro.derive_constants(inverted), inverted)
-
-
-def test_zero_regime_recomputes_rho2(ex1):
-    # constants derived without the cap still classify once params carry one
-    k = ro.derive_constants(ex1)
-    p = replace(ex1, cap=1.0)
-    assert ro.classify_zero_regime(k, p).regime is ro.Regime.INTERIOR
+        ro.classify_zero_regime(inverted)
 
 
 # ---------------------------------------------------------- infinity regime

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,6 +39,20 @@ def test_grid_validation():
         ro.Grid(h=0.1, n=1)
     with pytest.raises(ValueError):
         ro.Grid.from_xmax(0.1, -1.0)
+
+
+@pytest.mark.parametrize("x_max", [math.inf, -math.inf, math.nan])
+def test_grid_from_xmax_refuses_nonfinite(x_max):
+    # the message leads with x_max, which scenario.py maps to grid.xmax
+    with pytest.raises(ValueError, match="^x_max "):
+        ro.Grid.from_xmax(5e-3, x_max)
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, "3"])
+def test_grid_refuses_non_integer_n(n):
+    # Grid(h=0.1, n=2.5) would lay out 3 points
+    with pytest.raises(ValueError, match="^n "):
+        ro.Grid(h=0.1, n=n)
 
 
 def test_sampled_fn_linear_interpolation():
@@ -114,6 +129,17 @@ def test_lookup_defers_to_np_interp_on_odd_values():
     assert _same_bits(ro.SampledFn(grid, values)(xs), np.interp(xs, grid.points, values))
 
 
+def test_strategy_curve_clips_its_tail():
+    # past the grid the tail expansion is held to the curve's [lo, hi]
+    grid = ro.Grid(h=0.5, n=5)
+    capped = ro.StrategyCurve(grid=grid, values=np.full(5, 0.9), hi=1.0, tail=(0.9, 5.0))
+    assert capped(grid.x_max + 1.0) == 1.0
+    # inside the range, and inside the grid, nothing is clipped
+    assert np.array_equal(capped(np.array([1.0, 100.0])), [0.9, 0.9 + 5.0 / 100.0])
+    floored = ro.StrategyCurve(grid=grid, values=np.full(5, 0.1), lo=0.0, tail=(0.1, -5.0))
+    assert floored(grid.x_max + 1.0) == 0.0
+
+
 def _tail_conv_oracle(w_values, tail_values, h, j):
     # direct trapezoid of H(y) w(x_j - y) over [0, x_j]
     if j == 0:
@@ -132,28 +158,10 @@ def test_convolve_tail_matches_direct_trapezoid(ws, ts):
     w_values = np.asarray(ws[:n])
     tail_values = np.asarray(ts[:n])
     h = 0.01
-    w = ro.SampledFn(ro.Grid(h=h, n=n), w_values)
+    got = ro.convolve_tail_all(w_values, tail_values, h)
     for j in range(n):
-        got = ro.convolve_tail(w, tail_values, j)
         want = _tail_conv_oracle(w_values, tail_values, h, j)
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
-
-
-def test_convolve_tail_accepts_callable(exp1):
-    g = ro.Grid(h=0.02, n=101)
-    w = ro.SampledFn(g, np.exp(-g.points))
-    j = 70
-    got = ro.convolve_tail(w, exp1.tail, j)
-    want = ro.convolve_tail(w, exp1.tail(g.points), j)
-    assert_close(got, want, 1e-14, "callable vs sampled tail")
-
-
-def test_convolve_tail_index_bounds():
-    g = ro.Grid(h=0.1, n=10)
-    w = ro.SampledFn(g, np.ones(10))
-    assert ro.convolve_tail(w, np.ones(10), 0) == 0.0
-    with pytest.raises(IndexError):
-        ro.convolve_tail(w, np.ones(10), 10)
+        assert abs(got[j] - want) <= 1e-12 * max(1.0, abs(want))
 
 
 def test_convolve_tail_all_consistent():
@@ -162,8 +170,7 @@ def test_convolve_tail_all_consistent():
     tail_values = np.exp(-np.linspace(0.0, 2.0, 257))
     h = 7e-3
     full = ro.convolve_tail_all(w_values, tail_values, h)
-    w = ro.SampledFn(ro.Grid(h=h, n=257), w_values)
-    per_node = np.array([ro.convolve_tail(w, tail_values, j) for j in range(257)])
+    per_node = np.array([_tail_conv_oracle(w_values, tail_values, h, j) for j in range(257)])
     assert full[0] == 0.0
     np.testing.assert_allclose(full, per_node, rtol=0, atol=1e-13)
 
@@ -268,7 +275,7 @@ def test_march_history_is_bit_identical(monkeypatch, module, bench):
         params, dist = ro.example2_params(), ro.make_pareto(2.0, 2.0)
     grid = ro.Grid.from_xmax(5e-3, 40.0)
     if module is ruinopt.constrained:
-        ro.solve_v_constrained(params, dist, grid, cap=1.0)
+        ro.solve_v_constrained(replace(params, cap=1.0), dist, grid)
     else:
         ro.solve_v_unconstrained(params, dist, grid)
     ((v, vp, (v_ref, vp_ref)),) = seen

@@ -19,11 +19,11 @@ def test_boundary_and_shape(vgc1, ex1):
     assert np.all(vgc1.v > 0)
     assert np.all(np.diff(vgc1.v) < 0)
     assert np.all(vgc1.vprime < 0)
-    assert np.all((vgc1.argmin >= 0.0) & (vgc1.argmin <= 1.0))
+    assert np.all((vgc1.a_star >= 0.0) & (vgc1.a_star <= 1.0))
 
 
 def test_fixed_point_residual(vgc1, ex1, exp1):
-    sup, at = ro.fixed_point_residual(vgc1, ex1, exp1, cap=1.0)
+    sup, at = ro.fixed_point_residual(vgc1, replace(ex1, cap=1.0), exp1)
     assert type(sup) is float and type(at) is float
     assert sup <= 1e-8                       # observed ~1e-15
     assert 0.0 <= at <= vgc1.grid.x_max
@@ -35,8 +35,7 @@ def test_independent_residual_and_refinement(ex1, exp1):
     for h in (1e-2, 5e-3):
         grid = ro.Grid.from_xmax(h, 5.0)
         vg = ro.solve_v_constrained(p, exp1, grid)
-        st = ro.extract_strategy_constrained(vg, p)
-        res = constrained.hjb_residual(vg, st, p, exp1)
+        res = constrained.hjb_residual(vg, p, exp1)
         if h == 5e-3:
             assert res.independent <= 5e-3 * p.lam
         sups.append(res.independent)
@@ -53,18 +52,11 @@ def test_solution_refines_at_order_h2(ex1, exp1):
     assert 2.5 <= d1 / d2 <= 6.0, f"refinement ratio {d1 / d2:.2f}"
 
 
-def test_cap_source_equivalence(ex1, exp1):
-    # cap travels either inside the params or as an argument; same solve
-    grid = ro.Grid.from_xmax(5e-3, 2.0)
-    a = ro.solve_v_constrained(replace(ex1, cap=1.0), exp1, grid)
-    b = ro.solve_v_constrained(ex1, exp1, grid, cap=1.0)
-    assert np.array_equal(a.v, b.v)
-    assert np.array_equal(a.argmin, b.argmin)
-
-
-def test_missing_cap_rejected(ex1, exp1):
-    with pytest.raises(ValueError):
+def test_missing_cap_rejected(ex1, exp1, vgc1):
+    with pytest.raises(ValueError, match="cap"):
         ro.solve_v_constrained(ex1, exp1, ro.Grid.from_xmax(5e-3, 1.0))
+    with pytest.raises(ValueError, match="cap"):
+        ro.fixed_point_residual(vgc1, ex1, exp1)
 
 
 def test_matches_unconstrained_when_cap_is_slack(ex1, exp1):
@@ -72,18 +64,15 @@ def test_matches_unconstrained_when_cap_is_slack(ex1, exp1):
     # no code path, must produce the same solution
     grid = ro.Grid.from_xmax(5e-3, 10.0)
     vg_u = ro.solve_v_unconstrained(ex1, exp1, grid)
-    vg_c = ro.solve_v_constrained(ex1, exp1, grid, cap=50.0)
+    vg_c = ro.solve_v_constrained(replace(ex1, cap=50.0), exp1, grid)
     assert np.max(np.abs(vg_u.v - vg_c.v) / vg_u.v) <= 1e-12
-    a_u = ro.extract_strategy_unconstrained(vg_u, ex1).values
-    a_c = ro.extract_strategy_constrained(vg_c, ex1, cap=50.0).values
-    assert np.max(np.abs(a_u - a_c)) <= 1e-9
+    assert np.max(np.abs(vg_u.a_star - vg_c.a_star)) <= 1e-9
 
 
 def test_interior_argmin_matches_closed_form(vgc1, ex1):
     # wherever the cap is not binding the minimizer must sit on the
     # stationary point of the curvature quadratic
-    st = ro.extract_strategy_constrained(vgc1, ex1, cap=1.0)
-    a = st.values
+    a = vgc1.a_star
     interior = (a > 1e-9) & (a < 1.0 - 1e-9)
     assert interior.sum() > 10
     shift = ex1.rho * ex1.sigma1 / ex1.sigma
@@ -91,9 +80,8 @@ def test_interior_argmin_matches_closed_form(vgc1, ex1):
     assert np.max(np.abs(a[interior] - closed[interior])) <= 1e-9
 
 
-def test_strategy_curve_bounds(vgc1, ex1):
-    st = ro.extract_strategy_constrained(vgc1, ex1, cap=1.0)
-    assert st.lo == 0.0 and st.hi == 1.0
+def test_strategy_curve_bounds(vgc1):
+    st = ro.StrategyCurve(grid=vgc1.grid, values=vgc1.a_star, lo=0.0, hi=1.0)
     assert np.all((st.values >= 0.0) & (st.values <= 1.0))
     # past the grid the curve holds its final value (no tail attached)
     assert st(vgc1.grid.x_max + 5.0) == st.values[-1]
@@ -101,7 +89,7 @@ def test_strategy_curve_bounds(vgc1, ex1):
 
 def test_cap_binds_after_interior_start(vgc1):
     # interior at 0 (a = 0.854), then the rising open optimum hits the cap
-    a = vgc1.argmin
+    a = vgc1.a_star
     assert a[0] < 1.0
     assert a[-1] == 1.0
     hit = np.argmax(a >= 1.0)
@@ -117,9 +105,9 @@ def test_initial_regime_sweep(ex1, exp1):
         for cap in (0.5, 1.0, 2.0):
             p = replace(ex1, rho=rho, cap=cap)
             k = ro.derive_constants(p)
-            rep = ro.classify_zero_regime(k, p)
+            rep = ro.classify_zero_regime(p)
             vg = ro.solve_v_constrained(p, exp1, grid)
-            a0 = vg.argmin[0]
+            a0 = vg.a_star[0]
             if rep.regime is ro.Regime.FULL_CAP:
                 expected = cap
             elif rep.regime is ro.Regime.ZERO_INVESTMENT:
@@ -141,18 +129,18 @@ def test_node_solves_stop_at_convergence(ex2):
     # node must still meet its equation
     pareto = ro.make_pareto(2.0, 2.0)
     grid = ro.Grid.from_xmax(5e-3, 5.0)
-    for vg in (
-        ro.solve_v_constrained(ex2, pareto, grid, cap=1.0),
-        ro.solve_v_unconstrained(ex2, pareto, grid),
+    for mode, vg in (
+        ("constrained", ro.solve_v_constrained(replace(ex2, cap=1.0), pareto, grid)),
+        ("unconstrained", ro.solve_v_unconstrained(ex2, pareto, grid)),
     ):
-        assert node_residual(vg) <= 1e-14, vg.mode
+        assert node_residual(vg) <= 1e-14, mode
 
 
-def _bisect_node(p, cap, h, x, q, alpha):
+def _bisect_node(p, h, x, q, alpha):
     """Root of w - alpha - h/2 min_a G_a(w), bisected to adjacent floats."""
 
     def psi(w):
-        return w - alpha - 0.5 * h * ro.curvature_best(p, cap, x, w, q + p.lam * 0.5 * h * w)[0]
+        return w - alpha - 0.5 * h * ro.curvature_best(p, x, w, q + p.lam * 0.5 * h * w)[0]
 
     lo, hi = 0.0, alpha
     while psi(hi) < 0.0:
@@ -170,9 +158,9 @@ def test_capped_node_matches_bisection(which):
     a_scan = np.linspace(0.0, p.cap, 401)
     non_contracting = 0
     for h, x, alpha, q in node_draws(5, 200, p.lam, x_max=2.0 if which == "noncontracting" else 10.0):
-        w, vp, a = constrained._solve_node(p, p.cap, h, x, q, alpha)
-        assert_close(w, _bisect_node(p, p.cap, h, x, q, alpha), 1e-14, f"node at {(h, x, alpha, q)}")
-        best, _ = ro.curvature_best(p, p.cap, x, w, q + p.lam * 0.5 * h * w)
+        w, vp, a = constrained._solve_node(p, h, x, q, alpha)
+        assert_close(w, _bisect_node(p, h, x, q, alpha), 1e-14, f"node at {(h, x, alpha, q)}")
+        best, _ = ro.curvature_best(p, x, w, q + p.lam * 0.5 * h * w)
         assert_close(vp, best, 1e-12, "v'_j")
         assert 0.0 <= a <= p.cap
         # does some invested amount give an affine map that never reaches its root?
@@ -190,7 +178,7 @@ def test_curvature_best_scans_truthfully(ex1):
         x = float(rng.uniform(0.0, 5.0))
         w_x = float(rng.uniform(1e-4, 1.0))
         MW_x = float(rng.uniform(0.0, 0.5))
-        val, arg = ro.curvature_best(ex1, cap, x, w_x, MW_x)
+        val, arg = ro.curvature_best(replace(ex1, cap=cap), x, w_x, MW_x)
         a_scan = np.linspace(0.0, cap, 2001)
         scan = np.array([ro.curvature_candidate(ex1, a, x, w_x, MW_x) for a in a_scan])
         assert val <= scan.min() + 1e-10

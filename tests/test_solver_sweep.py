@@ -80,6 +80,6 @@ def test_solver_sweep(capped, case):
     if capped:
         # the solver and derive_constants share one minimiser
         assert vg.vprime[0] == ro.derive_constants(params).v_prime_zero
-        assert np.all((vg.argmin >= 0.0) & (vg.argmin <= params.cap))
+        assert np.all((vg.a_star >= 0.0) & (vg.a_star <= params.cap))
     else:
         assert np.all(np.diff(vg.v) <= 0.0)

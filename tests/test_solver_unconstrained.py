@@ -30,8 +30,8 @@ def test_shape(vg40):
     assert vg40.V[0] == 0.0
 
 
-def test_quadratic_identity_residual(vg40, st40, ex1, exp1):
-    res = ro.hjb_residual(vg40, st40, ex1, exp1)
+def test_quadratic_identity_residual(vg40, ex1, exp1):
+    res = ro.hjb_residual(vg40, ex1, exp1)
     assert res.self_consistency <= 1e-6     # observed ~1e-15
     assert res.independent <= 5e-3 * ex1.lam
     assert res.pointwise.shape == vg40.v.shape
@@ -60,8 +60,7 @@ def test_residual_halves_under_refinement(ex1, exp1):
     for h in (1e-2, 5e-3):
         grid = ro.Grid.from_xmax(h, 10.0)
         vg = ro.solve_v_unconstrained(ex1, exp1, grid)
-        st = ro.extract_strategy_unconstrained(vg, ex1)
-        sups.append(ro.hjb_residual(vg, st, ex1, exp1).independent)
+        sups.append(ro.hjb_residual(vg, ex1, exp1).independent)
     assert sups[1] <= 0.5 * sups[0], f"refinement ratio {sups[1] / sups[0]:.3f}"
 
 
@@ -101,14 +100,14 @@ def test_failed_node_solve_names_x(ex1, exp1):
     with pytest.raises(RuntimeError, match=r"x=0\.505"):
         ro.solve_v_unconstrained(ex1, broken, grid)
     with pytest.raises(RuntimeError, match=r"x=0\.505"):
-        ro.solve_v_constrained(ex1, broken, grid, cap=1.0)
+        ro.solve_v_constrained(dataclasses.replace(ex1, cap=1.0), broken, grid)
 
 
-def test_strategy_zero_limit(st40, k1):
-    assert_close(st40.values[0], k1.a_star_zero, 1e-12, "a*(0)")
+def test_strategy_zero_limit(vg40, k1):
+    assert_close(vg40.a_star[0], k1.a_star_zero, 1e-12, "a*(0)")
 
 
-def test_strategy_near_zero_line(st_front, st40, k1, ex1, exp1):
+def test_strategy_near_zero_line(vg_front, vg40, k1, ex1, exp1):
     # target: near zero the solver's strategy follows the expansion
     # a*(0+) - S x, read as a least-squares line (intercept to 1e-3, slope
     # to 10%).  The line is fitted where the expansion holds: on the fine
@@ -118,7 +117,7 @@ def test_strategy_near_zero_line(st_front, st40, k1, ex1, exp1):
     # (3.35, 3.28, 3.25, 3.23 at h = 2e-3 down to 2.5e-4); X = 3e-4 keeps
     # that error near 5%, half the tolerance.
     slope = ro.strategy_slope_zero(k1, ex1)
-    fit_slope, fit_intercept = front_line_fit(st_front, 3e-4)
+    fit_slope, fit_intercept = front_line_fit(vg_front, 3e-4)
     assert abs(fit_intercept - k1.a_star_zero) <= 1e-3, (
         f"intercept {fit_intercept:.7f} vs {k1.a_star_zero:.7f}"
     )
@@ -128,10 +127,8 @@ def test_strategy_near_zero_line(st_front, st40, k1, ex1, exp1):
     # the march is causal, so a short grid's front is the long grid's,
     # bit for bit; that is what lets a short fine grid stand in for the
     # reporting solve near zero
-    short = ro.extract_strategy_unconstrained(
-        ro.solve_v_unconstrained(ex1, exp1, ro.Grid.from_xmax(st40.grid.h, 1.0)), ex1
-    )
-    assert np.array_equal(short.values, st40.values[: short.grid.n])
+    short = ro.solve_v_unconstrained(ex1, exp1, ro.Grid.from_xmax(vg40.grid.h, 1.0))
+    assert np.array_equal(short.a_star, vg40.a_star[: short.grid.n])
 
 
 def test_exponential_tail_plateau(vg40, ex1):
@@ -144,14 +141,14 @@ def test_exponential_tail_plateau(vg40, ex1):
     assert ratio.max() / ratio.min() <= 1.02
 
 
-def test_strategy_tail_expansion(st40, ex1):
+def test_strategy_tail_expansion(vg40, ex1):
     limit, coeff = ro.strategy_expansion_infinity_exp(ex1, 1.0)
-    x = st40.grid.points
+    x = vg40.grid.points
     tail = x >= 5.0
-    gap = np.abs(st40.values[tail] - (limit + coeff / x[tail]))
+    gap = np.abs(vg40.a_star[tail] - (limit + coeff / x[tail]))
     assert gap[-1] <= 5e-3                  # 1/x law at the far end
     # approach to the limit is monotone once past the transient
-    dist_to_limit = np.abs(st40.values[tail] - limit)
+    dist_to_limit = np.abs(vg40.a_star[tail] - limit)
     assert np.all(np.diff(dist_to_limit) <= 1e-12)
 
 
@@ -170,15 +167,14 @@ def test_benchmark2_solve(ex2):
     assert_close(vg.vprime[0], -k.B, 1e-14, "v'(0)")
     assert np.all(vg.v > 0)
     assert np.all(np.diff(vg.v) < 0)
-    st = ro.extract_strategy_unconstrained(vg, ex2)
-    res = ro.hjb_residual(vg, st, ex2, dist)
+    res = ro.hjb_residual(vg, ex2, dist)
     assert res.self_consistency <= 1e-6
     assert res.independent <= 5e-3 * ex2.lam
     # weak edge and heavy volatility: the optimal exposure starts negative
     # (short position) and climbs toward the small positive limit
-    assert st.values[0] < 0
+    assert vg.a_star[0] < 0
     limit, _ = ro.strategy_expansion_infinity_exp(ex2, 2.0)
-    assert abs(st.values[-1] - limit) < 0.1
+    assert abs(vg.a_star[-1] - limit) < 0.1
 
 
 def test_all_benchmark_distributions_solve(ex1, ex2):
@@ -189,8 +185,7 @@ def test_all_benchmark_distributions_solve(ex1, ex2):
             vg = ro.solve_v_unconstrained(params, dist, grid)
             assert np.all(vg.v > 0), family
             assert np.all(np.diff(vg.v) < 0), family
-            st = ro.extract_strategy_unconstrained(vg, params)
-            res = ro.hjb_residual(vg, st, params, dist)
+            res = ro.hjb_residual(vg, params, dist)
             assert res.independent <= 5e-3 * params.lam, family
 
 
@@ -198,8 +193,6 @@ def test_light_tail_invests_less(ex1):
     # a lighter claim tail means less hedging demand at large surplus
     grid = ro.Grid.from_xmax(5e-3, 10.0)
     d = ro.example1_distributions()
-    a_exp = ro.extract_strategy_unconstrained(
-        ro.solve_v_unconstrained(ex1, d["exponential"], grid), ex1).values[-1]
-    a_hn = ro.extract_strategy_unconstrained(
-        ro.solve_v_unconstrained(ex1, d["half_normal"], grid), ex1).values[-1]
+    a_exp = ro.solve_v_unconstrained(ex1, d["exponential"], grid).a_star[-1]
+    a_hn = ro.solve_v_unconstrained(ex1, d["half_normal"], grid).a_star[-1]
     assert a_hn < a_exp
