@@ -17,16 +17,21 @@ uint32 arithmetic, and each PCG64 takes its precomputed state words.  The
 streams are numpy's own, word for word.  The horizon must be a whole
 number of steps, so the simulated time is exactly the horizon.
 
-A path draws its normals in blocks of (2, _NORM_BLOCK) and uses one pair
-per step while it lives, so every live path sits at the same place in its
-block: one cursor, step % _NORM_BLOCK, serves them all.  The blocks are
-stored transposed, draw-major, so a step reads one contiguous row.  Claims
-are drawn in chunks of _CLAIM_CHUNK per path, each path refilled only when
-its own chunk runs out; the claims due in a step are settled in rounds of
-one claim per path.  The live state (surplus, next claim time, normal
-column) is kept dense, in the order of the live paths, and is compacted
-only on a step where some path leaves.  Neither layout changes which
-numbers a path draws or the order it uses them in.
+Over one step the two Brownian parts of the surplus, sigma a dB + sigma1
+dB1, form a single normal of variance Q(a) dt (ModelParams.quadratic_form),
+so the Euler step moves x by (c + r x + (mu - r) a) dt + sqrt(Q(a) dt) z
+with one standard normal z, read from stream 0.  A path draws these
+normals in blocks of (_NORM_BLOCK,) and uses one per step while it lives,
+so every live path sits at the same place in its block: one cursor,
+step % _NORM_BLOCK, serves them all.  The blocks are stored transposed,
+draw-major, so a step reads one contiguous row; estimate_survival
+allocates that storage once and hands it to every cohort.  Claims are
+drawn in chunks of _CLAIM_CHUNK per path, each path refilled only when its
+own chunk runs out; the claims due in a step are settled in rounds of one
+claim per path.  The live state (surplus, next claim time, normal column)
+is kept dense, in the order of the live paths, and is compacted only on a
+step where some path leaves.  Neither layout changes which numbers a path
+draws or the order it uses them in.
 """
 
 from __future__ import annotations
@@ -204,23 +209,27 @@ def _run_paths(
     x0: float,
     config: SimConfig,
     indices: np.ndarray,
+    nbuf: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Simulate the given path indices; returns (status, ruin_time) arrays."""
+    """Simulate the given path indices; returns (status, ruin_time) arrays.
+
+    nbuf, when given, is the storage for the normal block: _NORM_BLOCK
+    rows and at least len(indices) columns, overwritten here.
+    """
     p = params
     n = len(indices)
     dt = config.dt
     sq_dt = math.sqrt(dt)
-    rho_c = math.sqrt(1.0 - p.rho * p.rho)
     n_steps = round(config.horizon / dt)
 
     rng_d = _generators(config.master_seed, indices, 0)
     rng_c = _generators(config.master_seed, indices, 1)
 
-    # every live path draws one normal pair a step, so all share the cursor
+    # every live path draws one normal a step, so all share the cursor
     # step % _NORM_BLOCK; row k holds draw k of the paths live at the last
     # refill, and col[m] is the column of path alive[m]
-    nbuf = np.empty((_NORM_BLOCK, 2, n))
-    chunk = np.empty((min(n, _REFILL_CHUNK), 2, _NORM_BLOCK))
+    nbuf = np.empty((_NORM_BLOCK, n)) if nbuf is None else nbuf[:, :n]
+    chunk = np.empty((min(n, _REFILL_CHUNK), _NORM_BLOCK))
     abuf = np.empty((n, _CLAIM_CHUNK))      # inter-arrival times
     for i in range(n):
         rng_c[i].standard_exponential(out=abuf[i])
@@ -248,14 +257,13 @@ def _run_paths(
                 part = alive[lo:lo + _REFILL_CHUNK]
                 for c, i in enumerate(part):
                     rng_d[i].standard_normal(out=chunk[c])
-                nbuf[:, :, lo:lo + part.size] = chunk[:part.size].transpose(2, 1, 0)
+                nbuf[:, lo:lo + part.size] = chunk[:part.size].T
             col = np.arange(alive.size)
-        z0, z1 = nbuf[k].take(col, axis=1)
+        z = nbuf[k].take(col)
 
+        # sigma a dB + sigma1 dB1 over a step is one normal of variance Q(a) dt
         amt = np.asarray(strategy_fn(x), dtype=float)
-        dB = sq_dt * z0
-        dB1 = p.rho * dB + rho_c * sq_dt * z1
-        x = x + (p.c + p.r * x + p.excess * amt) * dt + p.sigma * amt * dB + p.sigma1 * dB1
+        x = x + (p.c + p.r * x + p.excess * amt) * dt + np.sqrt(p.quadratic_form(amt)) * (sq_dt * z)
 
         ruined = x < 0.0
         if ruined.any():
@@ -340,9 +348,10 @@ def estimate_survival(
     n = config.n_paths
     n_ruined = n_safe = n_horizon = 0
     ruin_time_sum = 0.0
+    nbuf = np.empty((_NORM_BLOCK, min(n, _COHORT)))  # one normal block serves every cohort
     for start in range(0, n, _COHORT):
         idx = np.arange(start, min(start + _COHORT, n))
-        status, ruin_time = _run_paths(params, dist, fn, x0, config, idx)
+        status, ruin_time = _run_paths(params, dist, fn, x0, config, idx, nbuf)
         n_ruined += int((status == _RUINED).sum())
         n_safe += int((status == _SAFE).sum())
         n_horizon += int((status == _HORIZON).sum())

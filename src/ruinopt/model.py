@@ -185,6 +185,8 @@ def curvature_best(params: ModelParams, x: float, w_x: float, MW_x: float) -> tu
     capped v'(0+).
     """
     p = params
+    if p.cap is None:
+        raise ValueError("capped curvature minimum needs an investment cap (params.cap)")
     E = MW_x - (p.c + p.r * x) * w_x
     return _best_candidate(
         p.excess * p.sigma**2 * w_x,

@@ -57,7 +57,10 @@ class Grid:
         if not (np.isfinite(x_max) and x_max > 0):
             raise ValueError(f"x_max must be positive and finite, got {x_max!r}")
         # a nonpositive step never divides; __post_init__ refuses it
-        return cls(float(h), int(round(x_max / h)) + 1 if h > 0 else 0)
+        steps = x_max / h if h > 0 else -1.0
+        if not np.isfinite(steps):
+            raise ValueError(f"h (the grid step) is too small for x_max={x_max!r}, got {h!r}")
+        return cls(float(h), int(round(steps)) + 1)
 
     @property
     def points(self) -> np.ndarray:

@@ -96,6 +96,7 @@ def test_bad_value_exits_4_and_names_key(capsys, tmp_path):
         ("mc.safe_level", "-1"),
         ("mc.seed", "-1"),
         ("grid.h", "0"),
+        ("grid.h", "1e-310"),    # x_max / h overflows
         ("grid.xmax", "-1"),
         ("claim.p1", "-1"),
         ("claim.p2", "1"),

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 import ruinopt as ro
 from ruinopt.mc import (
@@ -148,24 +149,25 @@ def test_batching_does_not_change_outcomes(ex1, exp1):
         ("curve", SimReport(
             survival=0.8733333333333333, stderr=0.019202623277582175,
             ci95=(0.8356961917092722, 0.9109704749573944), n_paths=300, n_ruined=38,
-            n_safe=257, n_horizon=5, mean_ruin_time=1.7478904922573175)),
+            n_safe=254, n_horizon=8, mean_ruin_time=1.2806846687680162)),
         ("const", SimReport(
-            survival=0.8633333333333333, stderr=0.01983169927909095,
-            ci95=(0.824463202746315, 0.9022034639203516), n_paths=300, n_ruined=41,
-            n_safe=242, n_horizon=17, mean_ruin_time=1.7613993692430239)),
+            survival=0.8566666666666667, stderr=0.020231072544388155,
+            ci95=(0.8170137644796659, 0.8963195688536675), n_paths=300, n_ruined=43,
+            n_safe=239, n_horizon=18, mean_ruin_time=1.5938308764523386)),
         ("zero", SimReport(
-            survival=0.8533333333333334, stderr=0.020425111632135208,
-            ci95=(0.8133001145343484, 0.8933665521323184), n_paths=300, n_ruined=44,
-            n_safe=231, n_horizon=25, mean_ruin_time=1.7693323112627537)),
+            survival=0.8433333333333334, stderr=0.02098588590952041,
+            ci95=(0.8022009969506734, 0.8844656697159934), n_paths=300, n_ruined=47,
+            n_safe=220, n_horizon=33, mean_ruin_time=1.6912363598644968)),
         ("claims", SimReport(
-            survival=0.6766666666666666, stderr=0.027005486411029452,
-            ci95=(0.6237359133010489, 0.7295974200322843), n_paths=300, n_ruined=97,
-            n_safe=182, n_horizon=21, mean_ruin_time=1.9032184389714508)),
+            survival=0.68, stderr=0.02693201316896554,
+            ci95=(0.6272132541888276, 0.7327867458111725), n_paths=300, n_ruined=96,
+            n_safe=180, n_horizon=24, mean_ruin_time=2.2282770844993505)),
     ],
 )
 def test_streams_are_pinned(ex1, exp1, name, expected):
-    # exact reports recorded before the hot loop was vectorised: any change
-    # to which numbers a path draws, or in what order, moves them
+    # exact reports recorded when the Euler step went to one normal a step,
+    # sqrt(Q(a) dt) z: any change to which numbers a path draws, or in what
+    # order, moves them
     args = {
         "curve": (ex1, exp1, _golden_curve(), 1.0, GOLDEN_CFG),
         "const": (ex1, exp1, 0.8542, 1.0, GOLDEN_CFG),
@@ -241,7 +243,28 @@ def test_time_step_refinement_is_stable(ex1, exp1):
     ]
     diff = abs(reports[0].survival - reports[1].survival)
     pooled = math.hypot(reports[0].stderr, reports[1].stderr)
-    assert diff <= 3.0 * pooled, f"dt bias {diff:.4f} vs noise {pooled:.4f}"  # observed z = 0.28
+    assert diff <= 3.0 * pooled, f"dt bias {diff:.4f} vs noise {pooled:.4f}"  # observed z = 0.40
+
+
+@pytest.mark.parametrize("rho", [-0.5, 0.5])
+@pytest.mark.parametrize("a", [0.0, 1.0])
+def test_one_step_has_the_diffusion_law(exp1, rho, a):
+    # with claims switched off, one Euler step from x0 is normal with mean
+    # x0 + (c + r x0 + (mu-r) a) dt and variance Q(a) dt; the share of paths
+    # that reach a barrier k standard deviations above the mean is 1 - Phi(k).
+    # sigma = sigma1 = 1 makes Q(1) = 2 + 2 rho, so the cross term moves it
+    p = ro.ModelParams(c=0.36, r=0.32, mu=0.42, sigma=1.0, sigma1=1.0, rho=rho, lam=1e-300)
+    x0, dt, k, n = 1.0, 0.01, 0.5, 10_000
+    mean = x0 + (p.c + p.r * x0 + p.excess * a) * dt
+    level = mean + k * math.sqrt(p.quadratic_form(a) * dt)
+    rep = estimate_survival(
+        p, exp1, a, x0, SimConfig(dt=dt, horizon=dt, n_paths=n, safe_level=level, master_seed=8)
+    )
+    assert rep.n_ruined == 0
+    target = float(ndtr(-k))
+    se = math.sqrt(target * (1.0 - target) / n)
+    z = (rep.n_safe / n - target) / se
+    assert abs(z) <= 4.0, f"{rep.n_safe} of {n} past the barrier, z = {z:+.2f}"
 
 
 def test_premium_only_flow_matches_ode(exp1):

@@ -48,6 +48,12 @@ def test_grid_from_xmax_refuses_nonfinite(x_max):
         ro.Grid.from_xmax(5e-3, x_max)
 
 
+def test_grid_from_xmax_refuses_a_step_too_small_to_count():
+    # x_max / h overflows to inf; the message leads with h, for grid.h
+    with pytest.raises(ValueError, match="^h "):
+        ro.Grid.from_xmax(1e-310, 1.0)
+
+
 @pytest.mark.parametrize("n", [2.5, 3.0, "3"])
 def test_grid_refuses_non_integer_n(n):
     # Grid(h=0.1, n=2.5) would lay out 3 points

@@ -57,6 +57,8 @@ def test_missing_cap_rejected(ex1, exp1, vgc1):
         ro.solve_v_constrained(ex1, exp1, ro.Grid.from_xmax(5e-3, 1.0))
     with pytest.raises(ValueError, match="cap"):
         ro.fixed_point_residual(vgc1, ex1, exp1)
+    with pytest.raises(ValueError, match="needs an investment cap"):
+        ro.curvature_best(ex1, 0.0, 1.0, 0.0)
 
 
 def test_matches_unconstrained_when_cap_is_slack(ex1, exp1):
