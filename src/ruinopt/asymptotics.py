@@ -1,10 +1,10 @@
 """Closed-form behaviour of the optimal strategy and ruin probability.
 
-Three groups live here: the small-surplus expansions (initial investment,
-its slope, the value-slope parabola), the large-surplus expansions under
-exponential claims (investment limit, 1/x correction, ruin tail shape with
-its fitted constant), and the classical no-investment ruin probability used
-as an independent reference.
+Three groups live here: the small-surplus expansions (the slope of the
+initial investment, the value-slope parabola), the large-surplus expansions
+under exponential claims (investment limit, 1/x correction, ruin tail shape
+with its constant fitted on the one tail window), and the classical
+no-investment ruin probability used as an independent reference.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DerivedConstants, ModelParams, Regime, RegimeReport, classify_infinity_regime
+from .model import DerivedConstants, ModelParams, Regime, classify_infinity_regime
 from .model import derive_constants, large_surplus_series
 from .results import ValueGrid, normalize_delta
 
@@ -25,8 +25,8 @@ __all__ = [
     "ruin_tail_exp",
     "tail_log_compensated",
     "TailFit",
+    "tail_window",
     "fit_tail_constant",
-    "TailStrategy",
     "constrained_infinity_strategy",
     "no_investment_ruin_reference",
     "AsymptoteReport",
@@ -37,28 +37,26 @@ __all__ = [
 def strategy_slope_zero(constants: DerivedConstants, params: ModelParams) -> float:
     """Initial decay rate S of the unrestricted optimal investment.
 
-    a*(x) = a*(0+) - S x + o(x).  Two algebraically equal forms are
-    evaluated, the explicit one and the one through the second-order
-    slope coefficient eta; they must agree to 1e-10 relative, which traps
-    transcription slips in either.
+    a*(x) = a*(0+) - S x + o(x), with
+
+        S = (mu-r)(r-lam) / (sigma^2 s B),   s = B sigma_rho^2 - c_rho.
+
+    The textbook form is S = (mu-r)/sigma^2 - [(lam-r+2 gamma)(a*(0+) +
+    rho sigma1/sigma) + c_rho (mu-r)/sigma^2] / s.  With a*(0+) + rho sigma1/sigma
+    = (mu-r)/(sigma^2 B) it is (mu-r)/(sigma^2 s B) [B(s - c_rho) - 2 gamma
+    + r - lam], and B(s - c_rho) = (s^2 - c_rho^2)/sigma_rho^2 = 2 gamma.  In
+    terms of the eta of `derive_constants` the same identity reads
+    B + 2 eta = (r - lam)/s, so S = (mu-r)/sigma^2 (1 + 2 eta/B).  The
+    product form subtracts no nearly equal terms, which both others do
+    when mu is close to r.
     """
     p = params
     ex = p.excess
     if ex == 0.0:
         return 0.0
     k = constants
-    s = math.sqrt(k.c_rho**2 + 2.0 * k.gamma * k.sigma_rho2)
-    explicit = ex / p.sigma**2 - (
-        (p.lam - p.r + 2.0 * k.gamma) * (k.a_star_zero + p.hedge)
-        + k.c_rho * ex / p.sigma**2
-    ) / s
-    via_eta = ex / p.sigma**2 * (1.0 + 2.0 * k.eta / k.B)
-    scale = max(abs(explicit), abs(via_eta), 1e-300)
-    if abs(explicit - via_eta) > 1e-10 * scale:
-        raise AssertionError(
-            f"slope forms disagree: explicit {explicit!r} vs eta-form {via_eta!r}"
-        )
-    return explicit
+    s = k.B * k.sigma_rho2 - k.c_rho
+    return ex * (p.r - p.lam) / (p.sigma**2 * s * k.B)
 
 
 def value_expansion_zero(constants: DerivedConstants):
@@ -113,26 +111,22 @@ class TailFit:
     window: tuple[float, float]
 
 
-def fit_tail_constant(
-    vg: ValueGrid,
-    params: ModelParams,
-    m: float,
-    window: tuple[float, float] = (30.0, 40.0),
-) -> TailFit:
+def tail_window(x_max: float) -> tuple[float, float]:
+    """Window (min(30, 0.75 x_max), x_max) on which a grid ending at x_max
+    is checked against the exponential-claims tail shape."""
+    return min(30.0, 0.75 * x_max), x_max
+
+
+def fit_tail_constant(vg: ValueGrid, params: ModelParams, m: float) -> TailFit:
     """Fit the multiplicative constant of the exponential-claims tail.
 
-    Compensates the solved slope by e^{x/m} x^{1 - lam/r} over the window;
-    on a grid that reached the asymptotic regime the product is flat, and
-    its median is the constant.  plateau_ratio quantifies the flatness and
-    ok flags whether the window was asymptotic at all.
+    Compensates the solved slope by e^{x/m} x^{1 - lam/r} over
+    `tail_window(vg.grid.x_max)`; on a grid that reached the asymptotic
+    regime the product is flat, and its median is the constant.
+    plateau_ratio quantifies the flatness and ok flags whether the window
+    was asymptotic at all.
     """
-    lo, hi = window
-    if not (0.0 < lo < hi):
-        raise ValueError(f"bad fit window {window!r}")
-    if hi > vg.grid.x_max * (1.0 + 1e-12):
-        raise ValueError(
-            f"fit window {window!r} reaches beyond the grid end {vg.grid.x_max:.6g}"
-        )
+    lo, hi = tail_window(vg.grid.x_max)
     x = vg.grid.points
     mask = (x >= lo) & (x <= hi)
     xs = x[mask]
@@ -149,38 +143,28 @@ def fit_tail_constant(
     return TailFit(K_vprime=K_v, K1_ruin=K1, plateau_ratio=ratio, ok=ratio <= 1.05, window=(lo, hi))
 
 
-@dataclass
-class TailStrategy:
-    """Large-surplus behaviour of the capped strategy, exponential claims."""
-
-    regime: Regime
-    limit: float
-    coeff: float | None
-    report: RegimeReport
-
-
-def constrained_infinity_strategy(params: ModelParams, m: float) -> TailStrategy:
-    """Where the capped strategy settles as the surplus grows.
+def constrained_infinity_strategy(params: ModelParams, m: float) -> tuple[float, float]:
+    """Where the capped strategy settles as the surplus grows: (limit, coeff)
+    with a*(x) = limit + coeff / x + o(1/x), as `strategy_expansion_infinity_exp`.
 
     The uncapped limit is q = (mu-r) m / sigma^2 - rho sigma1 / sigma; the
     capped strategy follows q when it is inside [0, cap] (with the 1/x
     refinement of the uncapped expansion when strictly inside) and pins to
-    the violated endpoint otherwise.  The cap is params.cap.
+    the violated endpoint otherwise, where coeff is 0.  The cap is params.cap.
     """
     cap = params.cap
     report = classify_infinity_regime(params, m)
     q_inf, open_coeff = strategy_expansion_infinity_exp(params, m)
     regime = report.regime if report.regime is not Regime.BOUNDARY else report.resolution
     if regime is Regime.FULL_CAP:
-        return TailStrategy(report.regime, cap, None, report)
+        return cap, 0.0
     if regime is Regime.ZERO_INVESTMENT:
-        return TailStrategy(report.regime, 0.0, None, report)
+        return 0.0, 0.0
     if regime is Regime.INTERIOR:
         # the uncapped 1/x correction applies verbatim only strictly inside
-        coeff = open_coeff if report.regime is Regime.INTERIOR else None
-        return TailStrategy(report.regime, q_inf, coeff, report)
+        return q_inf, (open_coeff if report.regime is Regime.INTERIOR else 0.0)
     # unresolved boundary (lam = r): report the threshold value itself
-    return TailStrategy(report.regime, min(max(q_inf, 0.0), cap), None, report)
+    return min(max(q_inf, 0.0), cap), 0.0
 
 
 def no_investment_ruin_reference(c: float, r: float, lam: float, m: float, x: float) -> float:
@@ -233,7 +217,6 @@ def asymptote_report(
     params: ModelParams,
     claim_mean: float | None = None,
     vg: ValueGrid | None = None,
-    window: tuple[float, float] = (30.0, 40.0),
 ) -> AsymptoteReport:
     """Assemble the closed-form constants, plus fitted ones when a grid is given.
 
@@ -259,7 +242,7 @@ def asymptote_report(
         norm = normalize_delta(vg, claim_mean=claim_mean)
         report.delta_slope_zero = 1.0 / norm.v_inf_hat if norm.v_inf_hat > 0 else None
         if claim_mean is not None:
-            fit = fit_tail_constant(vg, params, claim_mean, window=window)
+            fit = fit_tail_constant(vg, params, claim_mean)
             report.fit = fit
             report.K1_ruin = fit.K1_ruin
     return report

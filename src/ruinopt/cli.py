@@ -35,6 +35,7 @@ from .asymptotics import (
     strategy_expansion_infinity_exp,
     strategy_slope_zero,
     tail_log_compensated,
+    tail_window,
 )
 from .constrained import hjb_residual as hjb_residual_capped
 from .constrained import solve_v_constrained
@@ -116,7 +117,7 @@ def _constants_doc(sc: Scenario) -> dict:
         doc["regimes"]["zero_surplus"] = _regime_doc(classify_zero_regime(sc.params))
         if sc.dist.family == "exponential":
             doc["regimes"]["large_surplus"] = _regime_doc(
-                classify_infinity_regime(sc.params, sc.dist)
+                classify_infinity_regime(sc.params, sc.dist.mean)
             )
     return doc
 
@@ -173,12 +174,11 @@ def _cmd_solve(args) -> int:
         },
     }
     if sc.dist.family == "exponential" and not capped:
-        hi = sc.grid.x_max
-        window = (min(30.0, 0.75 * hi), hi)
         try:
-            fit = fit_tail_constant(vg, sc.params, sc.dist.mean, window=window)
+            fit = fit_tail_constant(vg, sc.params, sc.dist.mean)
         except ValueError as exc:
             # the window follows the grid end, so grid.xmax is the key to change
+            window = tail_window(sc.grid.x_max)
             raise BadValueError("grid.xmax", f"tail fit on {window!r} failed: {exc}") from None
         doc["tail_fit"] = asdict(fit)
 
@@ -224,7 +224,7 @@ def _cmd_exp_validate(args) -> int:
     shift = sc.params.hedge
     a_tilde_solver = vg.a_star + shift
 
-    x_seed = 1e-2
+    x_seed = 1e-4
     seed_value = (cons.a_star_zero - slope * x_seed) + shift
     x_end = sc.grid.x_max
     curve = solve_a_tilde(sc.params, m, x_seed, x_end, step=1e-3, seed_value=seed_value)
@@ -235,7 +235,7 @@ def _cmd_exp_validate(args) -> int:
     k = int(np.argmax(rel))
 
     rx, rv = reconstruct_vprime(curve, sc.params, anchor=(x_seed, 1.0))
-    pl_lo, pl_hi = min(30.0, 0.75 * x_end), x_end
+    pl_lo, pl_hi = tail_window(x_end)
     keep = (rx >= pl_lo) & (rx <= pl_hi)
     rx, rv = rx[keep], rv[keep]
     logc = tail_log_compensated(sc.params, m, rx, rv)
@@ -306,8 +306,7 @@ def _optimal_strategy(sc: Scenario) -> StrategyCurve:
         if not capped:
             tail = strategy_expansion_infinity_exp(p, sc.dist.mean)
         elif p.mu > p.r:
-            settle = constrained_infinity_strategy(p, sc.dist.mean)
-            tail = (settle.limit, settle.coeff if settle.coeff is not None else 0.0)
+            tail = constrained_infinity_strategy(p, sc.dist.mean)
     return StrategyCurve(grid=vg.grid, values=vg.a_star, lo=0.0 if capped else None, hi=p.cap, tail=tail)
 
 

@@ -10,7 +10,9 @@ Everything in this module is exact arithmetic on the parameters: the
 behaviour of the optimal strategy at zero and at infinity, and the
 correlation thresholds separating the qualitative regimes, all have closed
 forms that the grid solvers are later checked against.  Each is written
-here once; the capped solver takes its pointwise minimiser from here.
+here once: the capped solver takes its pointwise minimiser from here, the
+unrestricted solver its start value v'(0) = -B, and both capped regime
+classifiers share one threshold rule.
 """
 
 from __future__ import annotations
@@ -206,6 +208,20 @@ def large_surplus_series(params: ModelParams, m: float) -> tuple[float, float]:
     return a_tilde0, a_tilde1
 
 
+def _negative_root(l1: float, l2: float, sigma_rho2: float) -> float:
+    """Negative root of 0.5 sigma_rho^2 y^2 + l1 y - 0.5 l2^2 = 0.
+
+    Conjugate form when l1 < 0 so the root never loses digits to
+    cancellation.  Zero when both coefficients vanish.
+    """
+    R = math.hypot(l1, math.sqrt(sigma_rho2) * l2)
+    if R == 0.0:
+        return 0.0
+    if l1 >= 0.0:
+        return -(l1 + R) / sigma_rho2
+    return -(l2 * l2) / (R - l1)
+
+
 def derive_constants(params: ModelParams, claim_mean: float | None = None) -> DerivedConstants:
     """Evaluate every closed-form constant available for these parameters.
 
@@ -218,10 +234,14 @@ def derive_constants(params: ModelParams, claim_mean: float | None = None) -> De
     gamma = p.gamma
     c_rho = p.c_rho
     sigma_rho2 = p.sigma_rho2
-    s = math.sqrt(c_rho * c_rho + 2.0 * gamma * sigma_rho2)
-    B = (c_rho + s) / sigma_rho2
-    # c_rho - B sigma_rho2 = -s exactly, so write eta over -2s and avoid
-    # the cancellation of the raw denominator
+    # -B is the negative root of 0.5 sigma_rho^2 y^2 + c_rho y - gamma = 0,
+    # the very v'(0) the unrestricted solve starts from.  Then
+    # s = sqrt(c_rho^2 + 2 gamma sigma_rho^2) = B sigma_rho^2 - c_rho adds two
+    # positive terms when c_rho < 0 and subtracts c_rho <= s from c_rho + s
+    # otherwise, so no step cancels.  eta's raw denominator c_rho - B sigma_rho^2
+    # is -s, so eta is written over -2s
+    B = -_negative_root(c_rho, ex / p.sigma, sigma_rho2)
+    s = B * sigma_rho2 - c_rho
     eta = -(p.lam - p.r + 2.0 * gamma + B * c_rho) / (2.0 * s)
     a_star_zero = ex / (p.sigma**2 * B) - p.hedge
     tail_exponent = p.lam / p.r - 1.0
@@ -264,8 +284,37 @@ def derive_constants(params: ModelParams, claim_mean: float | None = None) -> De
     )
 
 
-def _on_threshold(rho: float, threshold: float) -> bool:
-    return math.isclose(rho, threshold, rel_tol=_THRESHOLD_RTOL, abs_tol=1e-15)
+def _classify_capped(
+    params: ModelParams,
+    where: str,
+    claim_mean: float | None,
+    full: tuple[str, Regime | None, str],
+    zero: tuple[str, Regime | None, str],
+) -> RegimeReport:
+    """The rule both capped classifiers share.
+
+    full and zero are (threshold name, resolution, note) for the full-cap
+    and the zero-investment threshold of `derive_constants`.  Below the
+    full-cap threshold the whole cap is invested, above the zero threshold
+    nothing is, and between the two the optimum is interior.  Within
+    _THRESHOLD_RTOL of a threshold the report is BOUNDARY, with that
+    threshold's resolution and note.
+    """
+    p = params
+    if p.cap is None:
+        raise ValueError(f"{where} regime classification needs an investment cap")
+    if p.mu <= p.r:
+        raise ValueError(f"{where} regime classification needs mu > r")
+    constants = derive_constants(p, claim_mean=claim_mean)
+    rho_full, rho_zero = getattr(constants, full[0]), getattr(constants, zero[0])
+    for (name, resolution, note), threshold in ((full, rho_full), (zero, rho_zero)):
+        if math.isclose(p.rho, threshold, rel_tol=_THRESHOLD_RTOL, abs_tol=1e-15):
+            return RegimeReport(Regime.BOUNDARY, boundary=name, resolution=resolution, note=note)
+    if p.rho < rho_full:
+        return RegimeReport(Regime.FULL_CAP)
+    if p.rho > rho_zero:
+        return RegimeReport(Regime.ZERO_INVESTMENT)
+    return RegimeReport(Regime.INTERIOR)
 
 
 def classify_zero_regime(params: ModelParams) -> RegimeReport:
@@ -277,81 +326,31 @@ def classify_zero_regime(params: ModelParams) -> RegimeReport:
     coincide (the formulas are continuous there), reported as BOUNDARY with
     the matching value noted.
     """
-    p = params
-    if p.cap is None:
-        raise ValueError("zero-surplus regime classification needs an investment cap")
-    if p.mu <= p.r:
-        raise ValueError("zero-surplus regime classification needs mu > r")
-    thresholds = derive_constants(p)
-    rho1, rho2 = thresholds.rho1, thresholds.rho2
-    if _on_threshold(p.rho, rho2):
-        return RegimeReport(
-            Regime.BOUNDARY,
-            boundary="rho2",
-            resolution=Regime.FULL_CAP,
-            note="interior optimum meets the cap; both formulas give a = cap",
-        )
-    if _on_threshold(p.rho, rho1):
-        return RegimeReport(
-            Regime.BOUNDARY,
-            boundary="rho1",
-            resolution=Regime.ZERO_INVESTMENT,
-            note="interior optimum reaches 0; both formulas give a = 0",
-        )
-    if p.rho < rho2:
-        return RegimeReport(Regime.FULL_CAP)
-    if p.rho > rho1:
-        return RegimeReport(Regime.ZERO_INVESTMENT)
-    return RegimeReport(Regime.INTERIOR)
+    return _classify_capped(
+        params,
+        "zero-surplus",
+        None,
+        ("rho2", Regime.FULL_CAP, "interior optimum meets the cap; both formulas give a = cap"),
+        ("rho1", Regime.ZERO_INVESTMENT, "interior optimum reaches 0; both formulas give a = 0"),
+    )
 
 
-def classify_infinity_regime(params: ModelParams, claims) -> RegimeReport:
+def classify_infinity_regime(params: ModelParams, m: float) -> RegimeReport:
     """Behaviour of the capped optimal investment as the surplus grows.
 
-    Exponential claims only.  `claims` is either the claim mean (a float)
-    or a ClaimDistribution, in which case its family is checked.  The
+    Exponential claims of mean m only; the caller checks the family.  The
     uncapped investment tends to q_inf = (mu-r) m / sigma^2 - rho sigma1 / sigma;
     the capped optimum follows it when 0 <= q_inf <= cap and saturates
     otherwise.  On a threshold the sign of lam - r decides, and lam = r is
     genuinely unresolved by the expansion.
     """
     p = params
-    if p.cap is None:
-        raise ValueError("large-surplus regime classification needs an investment cap")
-    if p.mu <= p.r:
-        raise ValueError("large-surplus regime classification needs mu > r")
-    if hasattr(claims, "family"):
-        if claims.family != "exponential":
-            raise ValueError(
-                f"large-surplus regime formulas hold for exponential claims, got {claims.family!r}"
-            )
-        m = claims.mean
+    if p.lam > p.r:
+        on_rho4 = (Regime.FULL_CAP, "claim load exceeds discounting; the cap stays binding")
+        on_rho3 = (Regime.INTERIOR, "claim load keeps the optimum interior")
+    elif p.lam < p.r:
+        on_rho4 = (Regime.INTERIOR, "discounting dominates; the optimum comes off the cap")
+        on_rho3 = (Regime.ZERO_INVESTMENT, "discounting pushes the optimum to 0")
     else:
-        m = float(claims)
-    if not (math.isfinite(m) and m > 0):
-        raise ValueError(f"claim mean must be positive and finite, got {m!r}")
-
-    thresholds = derive_constants(p, claim_mean=m)
-    rho3, rho4 = thresholds.rho3, thresholds.rho4
-
-    if _on_threshold(p.rho, rho4):
-        if p.lam > p.r:
-            res, note = Regime.FULL_CAP, "claim load exceeds discounting; the cap stays binding"
-        elif p.lam < p.r:
-            res, note = Regime.INTERIOR, "discounting dominates; the optimum comes off the cap"
-        else:
-            res, note = None, "lam = r: first-order expansion cannot split the tie"
-        return RegimeReport(Regime.BOUNDARY, boundary="rho4", resolution=res, note=note)
-    if _on_threshold(p.rho, rho3):
-        if p.lam > p.r:
-            res, note = Regime.INTERIOR, "claim load keeps the optimum interior"
-        elif p.lam < p.r:
-            res, note = Regime.ZERO_INVESTMENT, "discounting pushes the optimum to 0"
-        else:
-            res, note = None, "lam = r: first-order expansion cannot split the tie"
-        return RegimeReport(Regime.BOUNDARY, boundary="rho3", resolution=res, note=note)
-    if p.rho < rho4:
-        return RegimeReport(Regime.FULL_CAP)
-    if p.rho > rho3:
-        return RegimeReport(Regime.ZERO_INVESTMENT)
-    return RegimeReport(Regime.INTERIOR)
+        on_rho4 = on_rho3 = (None, "lam = r: first-order expansion cannot split the tie")
+    return _classify_capped(p, "large-surplus", m, ("rho4", *on_rho4), ("rho3", *on_rho3))

@@ -38,6 +38,10 @@ __all__ = [
     "prefix_trapezoid",
 ]
 
+# largest grid Grid.from_xmax builds: at 10^7 nodes the march's O(n^2)
+# history alone is 5e13 multiply-adds
+MAX_NODES = 10**7
+
 
 @dataclass(frozen=True)
 class Grid:
@@ -58,8 +62,11 @@ class Grid:
             raise ValueError(f"x_max must be positive and finite, got {x_max!r}")
         # a nonpositive step never divides; __post_init__ refuses it
         steps = x_max / h if h > 0 else -1.0
-        if not np.isfinite(steps):
-            raise ValueError(f"h (the grid step) is too small for x_max={x_max!r}, got {h!r}")
+        if not (np.isfinite(steps) and round(steps) < MAX_NODES):
+            raise ValueError(
+                f"h (the grid step) is too small for x_max={x_max!r}, got {h!r}: "
+                f"a grid holds at most {MAX_NODES} nodes"
+            )
         return cls(float(h), int(round(steps)) + 1)
 
     @property

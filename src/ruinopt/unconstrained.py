@@ -18,7 +18,9 @@ built from the drift-and-claims functional
 and the excess-return functional L2(v)(x) = (mu - r) / sigma * v(x).
 H is the claim-size tail; integrating the claims term against H instead
 of the density keeps it stable where v has decayed by many orders of
-magnitude.
+magnitude.  At x = 0, with v(0) = 1, the quadratic's negative root is
+v'(0) = -B; the march takes it from `model.derive_constants`, which forms
+it without cancellation.
 
 The march discretizes v(x_j) = v(x_{j-1}) + int of v' with the trapezoid
 rule, so node j solves w = alpha + h/2 * y with y = L(w) and
@@ -54,7 +56,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .claims import ClaimDistribution
-from .model import ModelParams
+from .model import ModelParams, derive_constants
 from .numerics import Grid, convolve_tail_all, march_value_slope
 from .results import ValueGrid, generator_residual
 
@@ -63,20 +65,6 @@ __all__ = [
     "HjbResidual",
     "hjb_residual",
 ]
-
-
-def _negative_root(l1: float, l2: float, sigma_rho2: float) -> float:
-    """Negative root of 0.5 sigma_rho^2 y^2 + l1 y - 0.5 l2^2 = 0.
-
-    Conjugate form when l1 < 0 so the root never loses digits to
-    cancellation.  Zero when both coefficients vanish.
-    """
-    R = math.hypot(l1, math.sqrt(sigma_rho2) * l2)
-    if R == 0.0:
-        return 0.0
-    if l1 >= 0.0:
-        return -(l1 + R) / sigma_rho2
-    return -(l2 * l2) / (R - l1)
 
 
 def _solve_node(p: ModelParams, h: float, x: float, q: float, alpha: float) -> tuple[float, float]:
@@ -107,9 +95,10 @@ def solve_v_unconstrained(params: ModelParams, dist: ClaimDistribution, grid: Gr
     is exact at x = 0 where the closed form lives.  Investment is
     unrestricted here: params.cap, if set, is ignored.
 
-    The march stops with RuntimeError ("trapezoid anchor went nonpositive")
-    at the first node, x = h, when h >= 2 / |v'(0)|, with v'(0) = -B
-    (`derive_constants(...).B`), close to -2 c_rho / sigma_rho^2 when
+    The march starts from v'(0) = -B, the very `derive_constants(...).B`,
+    so v'(0) and a*(0) equal the closed forms bit for bit.  It stops with
+    RuntimeError ("trapezoid anchor went nonpositive") at the first node,
+    x = h, when h >= 2 / B, with B close to 2 c_rho / sigma_rho^2 when
     c_rho > 0 and sigma_rho^2 is small.  The seeded sweep in
     tests/test_solver_sweep.py finds it at no later node.
     """
@@ -120,8 +109,7 @@ def solve_v_unconstrained(params: ModelParams, dist: ClaimDistribution, grid: Gr
     def solve_node(j: int, q: float, alpha: float) -> tuple[float, float]:
         return _solve_node(p, h, j * h, q, alpha)
 
-    vprime0 = _negative_root(p.c_rho, p.excess / p.sigma, p.sigma_rho2)
-    v, vp, V = march_value_slope(grid, H, p.lam, vprime0, solve_node)
+    v, vp, V = march_value_slope(grid, H, p.lam, -derive_constants(p).B, solve_node)
     if p.excess == 0.0:
         a = np.full(grid.n, -p.hedge)
     else:

@@ -6,6 +6,7 @@ them as read-only; re-solving per test would dominate the suite runtime.
 
 from __future__ import annotations
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -118,6 +119,19 @@ def max_rel_dev(a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     return float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300)))
+
+
+def textbook_slopes(k, p):
+    """The two textbook forms of the initial slope S of a*, each with a
+    subtraction that loses digits when mu is close to r: the explicit form,
+    and the one through the second-order coefficient eta."""
+    ex = p.excess
+    s = math.sqrt(k.c_rho**2 + 2.0 * k.gamma * k.sigma_rho2)
+    explicit = ex / p.sigma**2 - (
+        (p.lam - p.r + 2.0 * k.gamma) * (k.a_star_zero + p.hedge) + k.c_rho * ex / p.sigma**2
+    ) / s
+    via_eta = ex / p.sigma**2 * (1.0 + 2.0 * k.eta / k.B)
+    return explicit, via_eta
 
 
 def node_residual(vg):

@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import simpson
 
 import ruinopt as ro
-from conftest import assert_close
+from conftest import assert_close, textbook_slopes
 
 
 def test_strategy_slope_frozen(k1, ex1, k2, ex2):
@@ -19,8 +19,8 @@ def test_strategy_slope_frozen(k1, ex1, k2, ex2):
 
 
 def test_slope_dual_forms_agree_on_random_params():
-    # the function itself cross-checks two algebraic forms and raises on
-    # disagreement; sweep a parameter cloud through it
+    # with mu - r of at least 0.01 the two textbook forms keep enough digits
+    # to agree with the product form to 1e-10; sweep a parameter cloud
     rng = np.random.default_rng(20260816)
     for _ in range(100):
         r = float(rng.uniform(0.05, 1.0))
@@ -35,7 +35,8 @@ def test_slope_dual_forms_agree_on_random_params():
         )
         k = ro.derive_constants(p)
         s = ro.strategy_slope_zero(k, p)
-        assert math.isfinite(s)
+        for form in textbook_slopes(k, p):
+            assert abs(form - s) <= 1e-10 * abs(s), (p, form, s)
 
 
 def test_slope_zero_edge(ex1):
@@ -89,34 +90,38 @@ def test_fit_tail_constant(vg40, ex1):
     assert_close(fit.K1_ruin, 1.0 * fit.K_vprime / norm.v_inf_hat, 1e-12, "K1 link")
 
 
-def test_fit_window_not_asymptotic(vg40, ex1):
-    # hugging the origin, v decays at rate B ~ 22 rather than 1/m, so the
+def test_fit_window_not_asymptotic(ex1, exp1):
+    # a grid ending at 0.5 puts the window on [0.375, 0.5], hugging the
+    # origin, where v decays at rate B ~ 22 rather than 1/m, so the
     # compensated product is nowhere near flat
-    fit = ro.fit_tail_constant(vg40, ex1, 1.0, window=(0.05, 0.5))
+    vg = ro.solve_v_unconstrained(ex1, exp1, ro.Grid.from_xmax(5e-3, 0.5))
+    fit = ro.fit_tail_constant(vg, ex1, 1.0)
+    assert fit.window == (0.375, 0.5)
     assert not fit.ok
     assert fit.plateau_ratio > 1.05
 
 
-def test_fit_window_validation(vg40, ex1):
-    with pytest.raises(ValueError, match="beyond the grid"):
-        ro.fit_tail_constant(vg40, ex1, 1.0, window=(30.0, 60.0))
-    with pytest.raises(ValueError, match="window"):
-        ro.fit_tail_constant(vg40, ex1, 1.0, window=(2.0, 1.0))
+def test_fit_window_validation(ex1, exp1):
+    # a grid ending at 0.01 leaves one node in the window [0.0075, 0.01]
+    vg = ro.solve_v_unconstrained(ex1, exp1, ro.Grid.from_xmax(5e-3, 0.01))
     with pytest.raises(ValueError, match="fewer than 4"):
-        ro.fit_tail_constant(vg40, ex1, 1.0, window=(30.0, 30.01))
+        ro.fit_tail_constant(vg, ex1, 1.0)
 
 
 def test_constrained_infinity_cases(ex1, ex2):
-    t = ro.constrained_infinity_strategy(replace(ex1, cap=1.0), 1.0)
-    assert t.regime is ro.Regime.FULL_CAP and t.limit == 1.0 and t.coeff is None
+    p = replace(ex1, cap=1.0)
+    assert ro.classify_infinity_regime(p, 1.0).regime is ro.Regime.FULL_CAP
+    assert ro.constrained_infinity_strategy(p, 1.0) == (1.0, 0.0)
 
-    t = ro.constrained_infinity_strategy(replace(ex1, cap=20.0), 1.0)
-    assert t.regime is ro.Regime.INTERIOR
-    assert_close(t.limit, 10.4, 1e-12, "interior limit")
-    assert_close(t.coeff, -0.625, 1e-12, "interior coeff")
+    p = replace(ex1, cap=20.0)
+    assert ro.classify_infinity_regime(p, 1.0).regime is ro.Regime.INTERIOR
+    limit, coeff = ro.constrained_infinity_strategy(p, 1.0)
+    assert_close(limit, 10.4, 1e-12, "interior limit")
+    assert_close(coeff, -0.625, 1e-12, "interior coeff")
 
-    t = ro.constrained_infinity_strategy(replace(ex2, rho=0.9, cap=1.0), 2.0)
-    assert t.regime is ro.Regime.ZERO_INVESTMENT and t.limit == 0.0
+    p = replace(ex2, rho=0.9, cap=1.0)
+    assert ro.classify_infinity_regime(p, 2.0).regime is ro.Regime.ZERO_INVESTMENT
+    assert ro.constrained_infinity_strategy(p, 2.0) == (0.0, 0.0)
 
 
 def test_no_investment_reference_against_direct_quadrature(ex1):

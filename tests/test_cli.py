@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ import ruinopt as ro
 from ruinopt.cli import _optimal_strategy, main
 from ruinopt.scenario import parse_scenario
 from conftest import assert_close
+
+# scenarios and the exact stdout their closed-form commands printed when pinned
+PINNED = Path(__file__).parent / "pinned"
 
 BASE = """\
 mu = 0.42
@@ -97,6 +101,7 @@ def test_bad_value_exits_4_and_names_key(capsys, tmp_path):
         ("mc.seed", "-1"),
         ("grid.h", "0"),
         ("grid.h", "1e-310"),    # x_max / h overflows
+        ("grid.h", "1e-12"),     # n = 4e13 + 1, above the node limit
         ("grid.xmax", "-1"),
         ("claim.p1", "-1"),
         ("claim.p2", "1"),
@@ -226,8 +231,8 @@ def test_optimal_strategy_capped_range_and_tail():
     sc = parse_scenario(BASE + "cap_A = 1.0\n")
     strat = _optimal_strategy(sc)
     assert strat.lo == 0.0 and strat.hi == sc.params.cap == 1.0
-    settle = ro.constrained_infinity_strategy(sc.params, sc.dist.mean)
-    assert strat.tail == (settle.limit, 0.0) == (1.0, 0.0)
+    assert ro.classify_infinity_regime(sc.params, sc.dist.mean).regime is ro.Regime.FULL_CAP
+    assert strat.tail == ro.constrained_infinity_strategy(sc.params, sc.dist.mean) == (1.0, 0.0)
     assert np.array_equal(strat.values, ro.solve_v_constrained(sc.params, sc.dist, sc.grid).a_star)
     assert strat(sc.grid.x_max + 1.0) == 1.0
 
@@ -250,6 +255,15 @@ def test_asymptotes_report(capsys, scenario_file):
     assert doc["K1_ruin"] is None  # no solved grid on this route
 
 
+@pytest.mark.parametrize("command", ["constants", "asymptotes"])
+@pytest.mark.parametrize("name", ["bench1", "bench2_pareto", "bench2_exp"])
+def test_closed_form_output_pinned(capsys, command, name):
+    # scalar float arithmetic only, so the text does not depend on BLAS or CPU
+    code, out, _ = run(capsys, [command, PINNED / f"{name}.scn"])
+    assert code == 0
+    assert out == (PINNED / f"{name}.{command}.json").read_text(encoding="utf-8")
+
+
 def test_exp_validate_agrees(capsys, tmp_path):
     path = tmp_path / "bench1_long.txt"
     path.write_text(BASE.replace("grid.xmax = 5.0", "grid.xmax = 10.0"), encoding="utf-8")
@@ -269,6 +283,18 @@ def test_exp_validate_agrees(capsys, tmp_path):
     code, _, err = run(capsys, ["exp-validate", path])
     assert code == 4
     assert "claim.family" in err
+
+
+def test_mu_close_to_r_runs(capsys, tmp_path):
+    # the initial slope keeps its digits when mu - r = 1e-8
+    path = tmp_path / "near_r.txt"
+    path.write_text(BASE.replace("mu = 0.42", "mu = 0.32000001"), encoding="utf-8")
+    code, out, err = run(capsys, ["asymptotes", path])
+    assert code == 0, err
+    assert json.loads(out)["strategy_slope_zero"] > 0.0
+    code, out, err = run(capsys, ["exp-validate", path])
+    assert code == 0, err
+    assert json.loads(out)["max_rel_deviation"] < 1e-3
 
 
 @pytest.mark.parametrize("xmax", ["0.5", "0.01"])

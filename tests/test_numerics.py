@@ -14,7 +14,7 @@ from scipy.integrate import cumulative_trapezoid
 import ruinopt as ro
 import ruinopt.constrained
 import ruinopt.unconstrained
-from ruinopt.numerics import _BLOCK, march_value_slope, prefix_trapezoid
+from ruinopt.numerics import _BLOCK, MAX_NODES, march_value_slope, prefix_trapezoid
 from conftest import assert_close
 
 
@@ -52,6 +52,15 @@ def test_grid_from_xmax_refuses_a_step_too_small_to_count():
     # x_max / h overflows to inf; the message leads with h, for grid.h
     with pytest.raises(ValueError, match="^h "):
         ro.Grid.from_xmax(1e-310, 1.0)
+
+
+def test_grid_from_xmax_refuses_more_than_max_nodes():
+    # n = 10^7 is the last grid built; one more node is refused, h first
+    assert ro.Grid.from_xmax(1.0, MAX_NODES - 1.0).n == MAX_NODES
+    with pytest.raises(ValueError, match="^h .* at most 10000000 nodes"):
+        ro.Grid.from_xmax(1.0, float(MAX_NODES))
+    with pytest.raises(ValueError, match="^h "):
+        ro.Grid.from_xmax(1e-12, 40.0)   # n = 4e13 + 1
 
 
 @pytest.mark.parametrize("n", [2.5, 3.0, "3"])

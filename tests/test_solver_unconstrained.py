@@ -9,6 +9,7 @@ import pytest
 
 import ruinopt as ro
 from ruinopt import unconstrained
+from ruinopt.model import _negative_root
 from conftest import NONCONTRACTING, assert_close, front_line_fit, node_draws, node_residual
 
 
@@ -81,12 +82,12 @@ def test_node_is_root_of_its_equation(which):
         w, y = unconstrained._solve_node(p, h, x, q, alpha)
 
         def F(u):
-            L = unconstrained._negative_root(pj * u - q, p.excess / p.sigma * u, p.sigma_rho2)
+            L = _negative_root(pj * u - q, p.excess / p.sigma * u, p.sigma_rho2)
             return u - alpha - 0.5 * h * L
 
         ulps = 4.0 * np.finfo(float).eps * alpha
         assert F(w - ulps) <= 0.0 <= F(w + ulps), (h, x, alpha, q)
-        L = unconstrained._negative_root(pj * w - q, p.excess / p.sigma * w, p.sigma_rho2)
+        L = _negative_root(pj * w - q, p.excess / p.sigma * w, p.sigma_rho2)
         assert abs(y - L) <= 1e-13 * abs(L), (h, x, alpha, q)
 
 
