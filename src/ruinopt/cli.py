@@ -207,6 +207,8 @@ def _cmd_exp_validate(args) -> int:
     sc = load_scenario(args.scenario)
     if sc.dist.family != "exponential":
         raise BadValueError("claim.family", "exp-validate needs exponential claims")
+    if sc.params.excess == 0.0:
+        raise BadValueError("mu", "exp-validate needs mu != r: the feedback ODE divides by mu - r")
     x = sc.grid.points
     lo, hi = 1.0, min(10.0, sc.grid.x_max)
     mask = (x >= lo) & (x <= hi)

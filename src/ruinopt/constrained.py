@@ -44,6 +44,12 @@ the candidate curvature at w*: the solve returns it as the strategy a*.
 As in the unrestricted solver, node j sees only v_0 .. v_{j-1} and itself
 (the equation is causal), so the single forward pass of
 `numerics.march_value_slope` is the exact discrete solution.
+
+The march solves one node at a time with the scalar `_best_candidate`,
+since each node needs the one before it.  The fixed-point certificate
+has every v_j at hand, so it evaluates T(v) at all nodes in one call of
+the array `curvature_best`, which picks the same candidate as the scalar
+scan bit for bit.
 """
 
 from __future__ import annotations
@@ -126,19 +132,17 @@ def fixed_point_residual(vg: ValueGrid, params: ModelParams, dist: ClaimDistribu
     The recomputation runs the full tail convolution and the candidate
     minimization over [0, params.cap] from scratch, so it verifies that the
     stored operator values are the fixed point of T, not of some drifted
-    variant.
+    variant.  Returns (sup, x at the sup); a NaN deviation is reported as
+    nan at the first node that has one.
     """
     if params.cap is None:
         raise ValueError("fixed-point residual needs an investment cap (params.cap)")
     x = vg.grid.points
     MW = params.lam * convolve_tail_all(vg.v, dist.tail(x), vg.grid.h)
-    worst, worst_x = 0.0, 0.0
-    for j in range(vg.grid.n):
-        val, _ = curvature_best(params, float(x[j]), float(vg.v[j]), float(MW[j]))
-        dev = abs(val - float(vg.vprime[j]))
-        if dev > worst:
-            worst, worst_x = dev, float(x[j])
-    return worst, worst_x
+    val, _ = curvature_best(params, x, vg.v, MW)
+    dev = np.abs(val - vg.vprime)
+    k = int(np.argmax(dev))
+    return float(dev[k]), float(x[k])
 
 
 @dataclass

@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 __all__ = [
     "ModelParams",
     "DerivedConstants",
@@ -174,29 +176,52 @@ def _best_candidate(qa: float, qb: float, qc: float, hi: float, objective) -> tu
     return best_val, best_a
 
 
-def curvature_best(params: ModelParams, x: float, w_x: float, MW_x: float) -> tuple[float, float]:
-    """Minimize the candidate curvature over a in [0, params.cap].
+def curvature_best(params: ModelParams, x, w_x, MW_x):
+    """Minimize the candidate curvature over a in [0, params.cap], elementwise.
 
     Candidates: both endpoints plus interior stationary points, which solve
 
         (mu-r) sigma^2 w a^2 - 2 sigma^2 E a
             - [ (mu-r) sigma1^2 w + 2 rho sigma sigma1 E ] = 0,
 
-    with E = MW_x - (c + r x) w_x.  Returns (value, argmin); exact ties go
-    to the smaller investment.  At x = 0, w = 1, MW = 0 the value is the
-    capped v'(0+).
+    with E = MW_x - (c + r x) w_x.  The inputs broadcast; returns
+    (value, argmin) arrays, or floats when every input is a scalar.  The
+    roots and the choice follow `_best_candidate` operation for operation:
+    out-of-range roots and NaN values drop out, exact ties go to the
+    smaller investment, and with no candidate left the value is inf at
+    a = 0.  At x = 0, w = 1, MW = 0 the value is the capped v'(0+).
     """
     p = params
     if p.cap is None:
         raise ValueError("capped curvature minimum needs an investment cap (params.cap)")
+    x, w_x, MW_x = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, w_x, MW_x)))
     E = MW_x - (p.c + p.r * x) * w_x
-    return _best_candidate(
-        p.excess * p.sigma**2 * w_x,
-        -2.0 * p.sigma**2 * E,
-        -(p.excess * p.sigma1**2 * w_x + 2.0 * p.rho * p.sigma * p.sigma1 * E),
-        p.cap,
-        lambda a: curvature_candidate(p, a, x, w_x, MW_x),
-    )
+    qa = p.excess * p.sigma**2 * w_x
+    qb = -2.0 * p.sigma**2 * E
+    qc = -(p.excess * p.sigma1**2 * w_x + 2.0 * p.rho * p.sigma * p.sigma1 * E)
+    with np.errstate(all="ignore"):
+        linear = qa == 0.0
+        disc = qb * qb - 4.0 * qa * qc
+        qq = np.where(qb != 0.0, -0.5 * (qb + np.copysign(np.sqrt(disc), qb)), 0.5 * np.sqrt(disc))
+        real = ~linear & (disc >= 0.0)
+        cand = np.stack([
+            np.zeros_like(x),
+            np.full_like(x, p.cap),
+            np.where(linear, np.where(qb != 0.0, -qc / qb, np.nan), np.where(real, qq / qa, np.nan)),
+            np.where(real & (qq != 0.0), qc / qq, np.nan),
+        ])
+        vals = curvature_candidate(p, cand, x, w_x, MW_x)
+    # a NaN candidate or value fails every comparison, as in the scalar scan
+    ok = (cand >= 0.0) & (cand <= p.cap) & (vals < np.inf)
+    vals = np.where(ok, vals, np.inf)
+    best = vals.min(axis=0)
+    # first smallest investment among the exact ties; row 0 (a = 0) when none is left
+    k = np.where(ok & (vals == best), cand, np.inf).argmin(axis=0)
+    val = np.take_along_axis(vals, k[None], axis=0)[0]
+    arg = np.take_along_axis(cand, k[None], axis=0)[0]
+    if val.ndim == 0:
+        return float(val), float(arg)
+    return val, arg
 
 
 def large_surplus_series(params: ModelParams, m: float) -> tuple[float, float]:

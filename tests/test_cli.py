@@ -297,6 +297,15 @@ def test_mu_close_to_r_runs(capsys, tmp_path):
     assert json.loads(out)["max_rel_deviation"] < 1e-3
 
 
+def test_exp_validate_names_mu_when_mu_equals_r(capsys, tmp_path):
+    # the feedback ODE divides by mu - r: refused before the solve, naming the key
+    path = tmp_path / "flat.txt"
+    path.write_text(BASE.replace("mu = 0.42", "mu = 0.32"), encoding="utf-8")
+    code, _, err = run(capsys, ["exp-validate", path])
+    assert code == 4
+    assert err.rstrip().endswith("(key: mu)"), err
+
+
 @pytest.mark.parametrize("xmax", ["0.5", "0.01"])
 def test_exp_validate_needs_a_node_in_its_window(capsys, tmp_path, xmax):
     # no node in [1, 10]: refused before the solve, naming the key

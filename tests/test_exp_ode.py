@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import replace
 
@@ -43,10 +44,56 @@ def test_rhs_attractivity_matches_d0(which, ex1, ex2, k1, k2):
 
 
 def test_seed_validation(ex1):
-    with pytest.raises(ValueError):
-        solve_a_tilde(ex1, 1.0, -1.0, 10.0)
-    with pytest.raises(ValueError):
-        solve_a_tilde(ex1, 1.0, 8.0, 8.0)
+    for x_seed, x_end in ((-1.0, 10.0), (8.0, 8.0), (float("nan"), 10.0), (8.0, float("nan")), (8.0, float("inf"))):
+        with pytest.raises(ValueError, match="x_seed"):
+            solve_a_tilde(ex1, 1.0, x_seed, x_end)
+
+
+@pytest.mark.parametrize("step", [-1e-3, 0.0, float("inf"), float("nan"), 1e-12, 5e-324])
+def test_bad_step_refused(ex1, step):
+    # 1e-12 over [8, 40] is 3.2e13 steps, above numerics.MAX_NODES; the
+    # span over 5e-324 overflows
+    with pytest.raises(ValueError, match="step"):
+        solve_a_tilde(ex1, 1.0, 8.0, 40.0, step=step)
+
+
+def _plain_rk4(p, m, x0, y0, x1, step):
+    """Classic RK4 with one call of a_tilde_rhs per stage: the oracle for solve_a_tilde."""
+    span = x1 - x0
+    n = max(1, int(math.ceil(span / step - 1e-12)))
+    h = span / n
+    xs = x0 + h * np.arange(n + 1)
+    ys = np.empty(n + 1)
+    y = y0
+    ys[0] = y
+    for i in range(n):
+        xi = xs[i]
+        k1 = a_tilde_rhs(xi, y, p, m)
+        k2 = a_tilde_rhs(xi + 0.5 * h, y + 0.5 * h * k1, p, m)
+        k3 = a_tilde_rhs(xi + 0.5 * h, y + 0.5 * h * k2, p, m)
+        k4 = a_tilde_rhs(xi + h, y + h * k3, p, m)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        ys[i + 1] = y
+    return xs, ys
+
+
+@pytest.mark.parametrize(
+    "which, m, x_seed, seed, x_end",
+    [
+        # the exp-validate span and seed on benchmark 1, and on benchmark 2
+        # with exponential claims
+        ("ex1", 1.0, 1e-4, 0.4542, 40.0),
+        ("ex2", 0.5, 1e-4, 0.0244, 40.0),
+        ("ex1", 1.0, 8.0, 8.9, 12.3),       # 4,300 steps: not a whole number of blocks
+        ("ex1", 1.0, 8.0, 8.9, 8.0005),     # a single step
+    ],
+)
+def test_rk4_equals_plain_loop_bit_for_bit(which, m, x_seed, seed, x_end, ex1, ex2):
+    p = ex1 if which == "ex1" else ex2
+    xs, ys = _plain_rk4(p, m, x_seed, seed, x_end, 1e-3)
+    curve = solve_a_tilde(p, m, x_seed, x_end, step=1e-3, seed_value=seed)
+    assert np.array_equal(curve.x, xs)
+    assert np.array_equal(curve.a.view(np.int64), ys.view(np.int64))
 
 
 def test_series_seed_advisory(ex1):

@@ -9,6 +9,8 @@ import pytest
 
 import ruinopt as ro
 from ruinopt import constrained
+from ruinopt.model import _best_candidate
+from ruinopt.numerics import convolve_tail_all
 from conftest import NONCONTRACTING, assert_close, node_draws, node_residual
 
 
@@ -27,6 +29,20 @@ def test_fixed_point_residual(vgc1, ex1, exp1):
     assert type(sup) is float and type(at) is float
     assert sup <= 1e-8                       # observed ~1e-15
     assert 0.0 <= at <= vgc1.grid.x_max
+
+
+def test_fixed_point_residual_sees_nan_and_bump(vgc1, ex1, exp1):
+    p = replace(ex1, cap=1.0)
+    x = vgc1.x
+    vp = vgc1.vprime.copy()
+    vp[100] = np.nan
+    vp[300] = np.nan
+    sup, at = ro.fixed_point_residual(replace(vgc1, vprime=vp), p, exp1)
+    assert np.isnan(sup) and at == x[100]
+    vp = vgc1.vprime.copy()
+    vp[250] += 1e-6
+    sup, at = ro.fixed_point_residual(replace(vgc1, vprime=vp), p, exp1)
+    assert abs(sup - 1e-6) <= 1e-12 and at == x[250]
 
 
 def test_independent_residual_and_refinement(ex1, exp1):
@@ -187,3 +203,79 @@ def test_curvature_best_scans_truthfully(ex1):
         assert 0.0 <= arg <= cap
         assert_close(ro.curvature_candidate(ex1, arg, x, w_x, MW_x), val, 1e-12,
                      "value at argmin")
+
+
+def _quadratic(p, x, w, MW):
+    """(qa, qb, qc) of the stationary quadratic, as curvature_best forms them."""
+    E = MW - (p.c + p.r * x) * w
+    qc = -(p.excess * p.sigma1**2 * w + 2.0 * p.rho * p.sigma * p.sigma1 * E)
+    return p.excess * p.sigma**2 * w, -2.0 * p.sigma**2 * E, qc
+
+
+def _scalar_curvature_best(p, x, w_x, MW_x):
+    """The per-point minimiser the array curvature_best replaced: the oracle."""
+    return _best_candidate(
+        *_quadratic(p, x, w_x, MW_x), p.cap, lambda a: ro.curvature_candidate(p, a, x, w_x, MW_x)
+    )
+
+
+def _assert_same_as_scalar(p, x, w, MW):
+    val, arg = ro.curvature_best(p, x, w, MW)
+    ref = np.array([_scalar_curvature_best(p, *map(float, t)) for t in zip(x, w, MW)])
+    assert np.array_equal(val.view(np.int64), ref[:, 0].view(np.int64))
+    assert np.array_equal(arg.view(np.int64), ref[:, 1].view(np.int64))
+
+
+@pytest.mark.parametrize("which", ["bench1", "bench2"])
+def test_curvature_best_equals_scalar_scan_on_solves(which):
+    # the operands fixed_point_residual hands it on each benchmark's capped solve
+    p, dist = {
+        "bench1": (ro.example1_params(cap=1.0), ro.make_exponential(1.0)),
+        "bench2": (ro.example2_params(cap=1.0), ro.make_pareto(2.0, 2.0)),
+    }[which]
+    grid = ro.Grid.from_xmax(5e-3, 10.0)
+    vg = ro.solve_v_constrained(p, dist, grid)
+    MW = p.lam * convolve_tail_all(vg.v, dist.tail(grid.points), grid.h)
+    _assert_same_as_scalar(p, grid.points, vg.v, MW)
+
+
+def test_curvature_best_equals_scalar_scan_on_edge_cases(ex1, ex2):
+    rng = np.random.default_rng(13)
+    n = 3000
+    x = rng.uniform(0.0, 5.0, n)
+    w = rng.uniform(-1.0, 1.0, n)
+    MW = rng.uniform(-0.5, 0.5, n)
+    w[::7] = 0.0                                 # qa = 0
+    MW[1::11] = ((ex1.c + ex1.r * x) * w)[1::11]  # E = 0, so qb = 0
+    w[2::13] = MW[2::13] = 0.0                   # every candidate ties at 0
+    p = replace(ex1, cap=1.0)
+    qa, qb, _ = _quadratic(p, x, w, MW)
+    assert np.sum(qa == 0.0) > 100 and np.sum((qb == 0.0) & (qa != 0.0)) > 100
+    _assert_same_as_scalar(p, x, w, MW)
+    w[[5, 9]] = np.nan
+    _assert_same_as_scalar(p, x, w, MW)
+    # rho = 0 and w = 0 put the linear root at -qc/qb = +-0.0
+    _assert_same_as_scalar(replace(p, rho=0.0), x[::7], w[::7], MW[::7])
+    # an interior root of a wide cap becomes the cap itself, or lies just
+    # below it, where the flat minimum ties the cap's value: the smaller
+    # investment, the root, must win
+    _, arg = ro.curvature_best(replace(p, cap=50.0), x[:40], w[:40], MW[:40])
+    roots = [j for j in range(40) if 0.0 < arg[j] < 50.0]
+    assert len(roots) >= 5
+    ties = 0
+    for j in roots:
+        pt = (x[j : j + 1], w[j : j + 1], MW[j : j + 1])
+        for cap in (float(arg[j]), float(arg[j]) * (1.0 + 1e-9)):
+            _assert_same_as_scalar(replace(p, cap=cap), *pt)
+        on_cap, at_root = (ro.curvature_candidate(p, a, x[j], w[j], MW[j]) for a in (cap, arg[j]))
+        ties += on_cap == at_root
+    assert ties > 0
+    # the discriminant is a positive definite form in (w, E) scaled by
+    # 1 - rho^2, so only rounding takes it below 0: rho one ulp from 1 and
+    # E within a few ulps of the tangent sigma E = -(mu-r) rho sigma1 w
+    p = replace(ex2, rho=float(np.nextafter(1.0, 0.0)), cap=1.0)
+    MW = (p.c + p.r * x - p.excess * p.rho * p.sigma1 / p.sigma) * w
+    MW += rng.integers(-30, 31, n) * np.spacing(MW)
+    qa, qb, qc = _quadratic(p, x, w, MW)
+    assert np.sum(qb * qb - 4.0 * qa * qc < 0.0) > 0
+    _assert_same_as_scalar(p, x, w, MW)
