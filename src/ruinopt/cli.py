@@ -265,7 +265,7 @@ def _parses(cell: str) -> bool:
     return True
 
 
-def _load_strategy_file(path: str):
+def _load_strategy_file(path: str) -> tuple[np.ndarray, np.ndarray]:
     try:
         table = np.loadtxt(path, delimiter=",", ndmin=2, comments="#", skiprows=0)
     except ValueError as exc:
@@ -289,11 +289,21 @@ def _load_strategy_file(path: str):
         raise BadValueError("strategy", f"strategy file {path!r} holds a non-finite value")
     if np.any(np.diff(xs) <= 0.0):
         raise BadValueError("strategy", f"strategy file {path!r}: x must be strictly increasing")
+    return xs, vals
 
-    def fn(q):
-        return np.interp(q, xs, vals)
 
-    return fn
+def _refuse_overflow(params, amounts, what: str) -> None:
+    """Refuse investments whose Q(a) or (mu - r) a is not a finite float.
+
+    Q is convex and (mu - r) a monotone in a, so the extremes of a strategy's
+    range are the amounts to check.
+    """
+    for a in amounts:
+        a = float(a)
+        if not (math.isfinite(params.quadratic_form(a)) and math.isfinite(params.excess * a)):
+            raise BadValueError(
+                "strategy", f"{what}: investing a = {a!r} overflows Q(a) or (mu - r) a"
+            )
 
 
 def _optimal_strategy(sc: Scenario) -> StrategyCurve:
@@ -334,8 +344,14 @@ def _cmd_simulate(args) -> int:
             raise BadValueError("strategy", f"bad constant strategy {spec!r}") from None
         if not math.isfinite(strategy):
             raise BadValueError("strategy", f"constant strategy must be finite, got {spec!r}")
+        _refuse_overflow(sc.params, [strategy], f"constant strategy {spec!r}")
     elif spec.startswith("file:"):
-        strategy = _load_strategy_file(spec.split(":", 1)[1])
+        path = spec.split(":", 1)[1]
+        xs, vals = _load_strategy_file(path)
+        _refuse_overflow(sc.params, [vals.min(), vals.max()], f"strategy file {path!r}")
+
+        def strategy(q):
+            return np.interp(q, xs, vals)
     else:
         raise BadValueError(
             "strategy", f"unknown strategy {spec!r}; use optimal, zero, const:<a>, file:<path>"

@@ -21,22 +21,39 @@ Over one step the two Brownian parts of the surplus, sigma a dB + sigma1
 dB1, form a single normal of variance Q(a) dt (ModelParams.quadratic_form),
 so the Euler step moves x by (c + r x + (mu - r) a) dt + sqrt(Q(a) dt) z
 with one standard normal z, read from stream 0.  A path draws these
-normals in blocks of (_NORM_BLOCK,) and uses one per step while it lives,
-so every live path sits at the same place in its block: one cursor,
-step % _NORM_BLOCK, serves them all.  The blocks are stored transposed,
-draw-major, so a step reads one contiguous row; estimate_survival
-allocates that storage once and hands it to every cohort.  Claims are
+normals in blocks and uses one per step while it lives, so every live path
+sits at the same place in its block: one cursor serves them all.  A
+cohort's first block is _FIRST_BLOCK draws long and each next one twice
+the last, up to _NORM_BLOCK, so paths that leave early do not draw long
+blocks they never read; a stream's numbers do not depend on how it is cut
+into blocks.  The blocks are stored transposed, draw-major, so a step
+reads one contiguous row; that storage is allocated once per share and
+handed to every cohort in it.  Claims are
 drawn in chunks of _CLAIM_CHUNK per path, each path refilled only when its
 own chunk runs out; the claims due in a step are settled in rounds of one
 claim per path.  The live state (surplus, next claim time, normal column)
 is kept dense, in the order of the live paths, and is compacted only on a
 step where some path leaves.  Neither layout changes which numbers a path
 draws or the order it uses them in.
+
+estimate_survival splits the path indices into contiguous shares, one per
+usable CPU and each of at least _MIN_SHARE paths, and runs every share in
+a child forked for it, while the parent only forks, waits and reduces.
+Processes, not threads: the Euler loop is many small numpy calls, and
+threads serialise on the GIL between them, which made a threaded run
+slower than a serial one.  The job reaches the children through fork, so
+lambdas and closures work as strategies, and only the (status, ruin_time)
+arrays come back through a pipe.  The parent concatenates them in index
+order and sums the ruin times per _COHORT slice, as a run in one process
+does, so every report is bit-identical to that run's.  The paths run in
+the calling process when there are too few for two shares, where fork is
+not available, and inside a daemonic process, which may have no children.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,10 +75,12 @@ __all__ = [
 
 MIN_PATHS = 100     # fewest paths estimate_survival accepts
 
-_NORM_BLOCK = 512   # diffusion normals drawn per refill, per path
+_NORM_BLOCK = 512   # diffusion normals drawn per refill, per path, at most
+_FIRST_BLOCK = 128  # ... and at a cohort's first refill, doubling from there
 _REFILL_CHUNK = 128  # paths drawn together before the transpose into nbuf
 _CLAIM_CHUNK = 32   # claim arrivals / sizes drawn per refill, per path
 _COHORT = 8192      # paths simulated per vectorized batch
+_MIN_SHARE = 1024   # fewest paths worth a worker process of their own
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _MASK32 = 0xFFFFFFFF
@@ -226,9 +245,11 @@ def _run_paths(
     rng_c = _generators(config.master_seed, indices, 1)
 
     # every live path draws one normal a step, so all share the cursor
-    # step % _NORM_BLOCK; row k holds draw k of the paths live at the last
+    # step - block_start; row k holds draw k of the paths live at the last
     # refill, and col[m] is the column of path alive[m]
     nbuf = np.empty((_NORM_BLOCK, n)) if nbuf is None else nbuf[:, :n]
+    rows = _FIRST_BLOCK     # length of the next normal block
+    block_start = block_end = 0
     chunk = np.empty((min(n, _REFILL_CHUNK), _NORM_BLOCK))
     abuf = np.empty((n, _CLAIM_CHUNK))      # inter-arrival times
     for i in range(n):
@@ -251,15 +272,16 @@ def _run_paths(
             break
         t_new = (step + 1) * dt
 
-        k = step % _NORM_BLOCK
-        if k == 0:
+        if step == block_end:
             for lo in range(0, alive.size, _REFILL_CHUNK):
                 part = alive[lo:lo + _REFILL_CHUNK]
                 for c, i in enumerate(part):
-                    rng_d[i].standard_normal(out=chunk[c])
-                nbuf[:, lo:lo + part.size] = chunk[:part.size].T
+                    rng_d[i].standard_normal(out=chunk[c, :rows])
+                nbuf[:rows, lo:lo + part.size] = chunk[:part.size, :rows].T
             col = np.arange(alive.size)
-        z = nbuf[k].take(col)
+            block_start, block_end = step, step + rows
+            rows = min(2 * rows, _NORM_BLOCK)
+        z = nbuf[step - block_start].take(col)
 
         # sigma a dB + sigma1 dB1 over a step is one normal of variance Q(a) dt
         amt = np.asarray(strategy_fn(x), dtype=float)
@@ -327,6 +349,97 @@ def simulate_path(
     return PathResult(_STATUS_NAMES[s], float(ruin_time[0]) if s == _RUINED else None)
 
 
+def _run_share(job: tuple, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """(status, ruin_time) of paths lo..hi-1, run in cohorts of _COHORT.
+
+    One normal block serves every cohort of the share.
+    """
+    nbuf = np.empty((_NORM_BLOCK, min(hi - lo, _COHORT)))
+    parts = [
+        _run_paths(*job, np.arange(start, min(start + _COHORT, hi)), nbuf)
+        for start in range(lo, hi, _COHORT)
+    ]
+    return np.concatenate([s for s, _ in parts]), np.concatenate([t for _, t in parts])
+
+
+def _share_count(n: int) -> int:
+    """Worker processes for n paths: one per usable CPU, each given at least
+    _MIN_SHARE paths.  1 means run in this process, as where fork is not
+    available or this process is itself a daemonic worker."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    shares = min(len(os.sched_getaffinity(0)), n // _MIN_SHARE)
+    if shares < 2:
+        return 1
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods() or multiprocessing.current_process().daemon:
+        return 1
+    return shares
+
+
+def _share_worker(conn, job: tuple, lo: int, hi: int) -> None:
+    """Child side: run one share and send back (True, result) or (False, error)."""
+    try:
+        out = (True, _run_share(job, lo, hi))
+    except BaseException as exc:
+        import pickle
+        import traceback
+
+        exc.add_note(f"raised in the Monte Carlo worker for paths [{lo}, {hi}):\n{traceback.format_exc()}")
+        try:
+            pickle.loads(pickle.dumps(exc))
+        except Exception:
+            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+        out = (False, exc)
+    conn.send(out)
+    conn.close()
+
+
+def _run_forked(job: tuple, bounds: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Run each (lo, hi) share in a forked child and concatenate the results.
+
+    The job reaches the children through fork, so a strategy need not be
+    picklable.  Every child is joined before this returns or raises; an
+    error in a child is raised here, and the other children are stopped.
+    """
+    import multiprocessing
+
+    ctx = multiprocessing.get_context("fork")
+    procs, conns = [], []
+    try:
+        for lo, hi in bounds:
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_share_worker, args=(send, job, lo, hi), daemon=True)
+            proc.start()
+            send.close()
+            procs.append(proc)
+            conns.append(recv)
+        parts = []
+        for proc, conn, (lo, hi) in zip(procs, conns, bounds):
+            try:
+                ok, value = conn.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"Monte Carlo worker for paths [{lo}, {hi}) exited with code {proc.exitcode} "
+                    "before sending its result"
+                ) from None
+            if not ok:
+                raise value
+            parts.append(value)
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for proc in procs:
+            proc.join()
+        for conn in conns:
+            conn.close()
+    return np.concatenate([s for s, _ in parts]), np.concatenate([t for _, t in parts])
+
+
 def estimate_survival(
     params: ModelParams,
     dist: ClaimDistribution,
@@ -344,18 +457,22 @@ def estimate_survival(
         raise ValueError(
             f"x0 must sit in [0, safe_level); got x0={x0!r}, safe_level={config.safe_level!r}"
         )
-    fn = _as_strategy_fn(strategy)
+    job = (params, dist, _as_strategy_fn(strategy), x0, config)
     n = config.n_paths
-    n_ruined = n_safe = n_horizon = 0
+    shares = _share_count(n)
+    if shares < 2:
+        status, ruin_time = _run_share(job, 0, n)
+    else:
+        bounds = [n * k // shares for k in range(shares + 1)]
+        status, ruin_time = _run_forked(job, list(zip(bounds[:-1], bounds[1:])))
+    n_ruined = int(np.count_nonzero(status == _RUINED))
+    n_safe = int(np.count_nonzero(status == _SAFE))
+    n_horizon = int(np.count_nonzero(status == _HORIZON))
+    # summed cohort by cohort in index order, so the mean ruin time does not
+    # depend on how the paths were shared out
     ruin_time_sum = 0.0
-    nbuf = np.empty((_NORM_BLOCK, min(n, _COHORT)))  # one normal block serves every cohort
     for start in range(0, n, _COHORT):
-        idx = np.arange(start, min(start + _COHORT, n))
-        status, ruin_time = _run_paths(params, dist, fn, x0, config, idx, nbuf)
-        n_ruined += int((status == _RUINED).sum())
-        n_safe += int((status == _SAFE).sum())
-        n_horizon += int((status == _HORIZON).sum())
-        ruin_time_sum += float(np.nansum(ruin_time))
+        ruin_time_sum += float(np.nansum(ruin_time[start:start + _COHORT]))
     survival = (n_safe + n_horizon) / n
     stderr = math.sqrt(max(survival * (1.0 - survival), 0.0) / n)
     return SimReport(

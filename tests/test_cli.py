@@ -416,6 +416,27 @@ def test_simulate_rejects_bad_input_naming_key(capsys, scenario_file, x0, strate
     assert err.rstrip().endswith(f"(key: {key})"), err
 
 
+@pytest.mark.parametrize("spec", ["const:1e200", "const:-1e200", "file"])
+def test_simulate_refuses_overflowing_strategy(capsys, scenario_file, tmp_path, spec):
+    # Q(1e200) = sigma^2 1e400 + ... is inf: the Euler step would run on
+    # infinite surpluses, so the strategy is refused before any path runs
+    if spec == "file":
+        path = tmp_path / "strat.csv"
+        path.write_text("x,a\n0.0,0.8\n1.0,1e200\n2.0,0.9\n", encoding="utf-8")
+        spec = f"file:{path}"
+    code, out, err = run(capsys, ["simulate", scenario_file, "--x0", "1.0", "--strategy", spec])
+    assert (code, out) == (4, "")
+    assert "overflows" in err
+    assert err.rstrip().endswith("(key: strategy)"), err
+
+
+def test_simulate_accepts_large_finite_strategy(capsys, scenario_file):
+    # Q(1e150) is about 1e298: large, but a finite float
+    code, out, _ = run(capsys, ["simulate", scenario_file, "--x0", "1.0", "--strategy", "const:1e150"])
+    assert code == 0
+    assert json.loads(out)["n_paths"] == 100
+
+
 def test_example1_runner(capsys, tmp_path):
     code, out, _ = run(capsys, ["example1", "--out", tmp_path])
     assert code == 0

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import math
+import multiprocessing
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.special import ndtr
 
 import ruinopt as ro
+from ruinopt import mc
 from ruinopt.mc import (
     _STATUS_NAMES, SimConfig, SimReport, _as_strategy_fn, _generators, _run_paths, _seed_states,
     compare_strategies, estimate_survival, simulate_path,
@@ -286,3 +289,126 @@ def test_premium_only_flow_matches_ode(exp1):
     assert (below.n_safe, below.n_horizon, below.n_ruined) == (100, 0, 0)
     assert above.survival == below.survival == 1.0
     assert above.mean_ruin_time is None
+
+
+# -- shares in worker processes ---------------------------------------------
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """Forking at 1,000 paths a share; yields the share bounds of each forked run."""
+    monkeypatch.setattr(mc, "_MIN_SHARE", 1000)
+    runs = []
+    real = mc._run_forked
+
+    def recording(job, bounds):
+        runs.append(bounds)
+        return real(job, bounds)
+
+    monkeypatch.setattr(mc, "_run_forked", recording)
+    yield runs
+    assert multiprocessing.active_children() == []
+
+
+def _in_process(monkeypatch, *args):
+    with monkeypatch.context() as m:
+        m.setattr(mc, "_MIN_SHARE", args[-1].n_paths + 1)
+        return estimate_survival(*args)
+
+
+def _cpus(monkeypatch, count):
+    monkeypatch.setattr(mc.os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.mark.parametrize("n", [2_500, 10_001, 20_000])
+def test_forked_run_equals_in_process_run(monkeypatch, forks, ex1, exp1, n):
+    # 20,000 paths in two shares run two cohorts each; the in-process run
+    # cuts its cohorts at other indices, yet every field agrees exactly
+    _cpus(monkeypatch, 2)
+    args = (ex1, exp1, _golden_curve(), 1.0, replace(GOLDEN_CFG, n_paths=n))
+    serial = _in_process(monkeypatch, *args)
+    assert forks == []
+    assert estimate_survival(*args) == serial
+    assert forks == [[(0, n // 2), (n // 2, n)]]
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [0.8542, 0.0, lambda xs: 0.8542 + 0.5 * xs / (1.0 + xs)],
+    ids=["const", "zero", "lambda"],
+)
+def test_forked_run_equals_in_process_run_for_every_strategy_form(monkeypatch, forks, ex1, exp1, strategy):
+    # three uneven shares: 3,333, 3,334 and 3,334 paths
+    _cpus(monkeypatch, 3)
+    cfg = SimConfig(dt=1e-2, horizon=12.0, n_paths=10_001, safe_level=40.0, master_seed=20261018)
+    serial = _in_process(monkeypatch, ex1, exp1, strategy, 1.0, cfg)
+    assert estimate_survival(ex1, exp1, strategy, 1.0, cfg) == serial
+    assert forks == [[(0, 3333), (3333, 6667), (6667, 10_001)]]
+
+
+def test_forked_run_equals_in_process_run_under_many_claims(monkeypatch, forks):
+    _cpus(monkeypatch, 2)
+    cfg = replace(HOT_CFG, n_paths=3_000)
+    serial = _in_process(monkeypatch, HOT_PARAMS, HOT_DIST, 0.5, 0.5, cfg)
+    assert serial.n_ruined > 1000 and serial.n_safe > 0
+    assert estimate_survival(HOT_PARAMS, HOT_DIST, 0.5, 0.5, cfg) == serial
+    assert len(forks) == 1
+
+
+class _TwoArgError(Exception):
+    # pickles, but cannot be rebuilt from its args: the parent gets a RuntimeError
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+@pytest.mark.parametrize("failing_share", [0, 1, None])
+@pytest.mark.parametrize(
+    "error, raised, message",
+    [
+        (ValueError("strategy blew up"), ValueError, "strategy blew up"),
+        (_TwoArgError(1, 2), RuntimeError, "_TwoArgError: 1 and 2"),
+    ],
+    ids=["ValueError", "unpicklable"],
+)
+def test_error_in_a_worker_is_raised_in_the_parent(
+    monkeypatch, forks, ex1, exp1, failing_share, error, raised, message
+):
+    # shares of 1,250 and 1,251 paths: the first step's live count tells
+    # the worker which share it runs; None fails in both
+    _cpus(monkeypatch, 2)
+    sizes = {0: {1250}, 1: {1251}, None: {1250, 1251}}[failing_share]
+
+    def strategy(xs):
+        if xs.size in sizes:
+            raise error
+        return np.full_like(xs, 0.8542)
+
+    cfg = SimConfig(dt=1e-2, horizon=2.0, n_paths=2_501, safe_level=10.0, master_seed=5)
+    with pytest.raises(raised) as info:
+        estimate_survival(ex1, exp1, strategy, 1.0, cfg)
+    assert type(info.value) is raised
+    assert str(info.value) == message
+    assert forks == [[(0, 1250), (1250, 2501)]]
+    assert multiprocessing.active_children() == []
+
+
+def test_no_fork_without_fork_or_inside_a_daemon(monkeypatch, forks, ex1, exp1):
+    _cpus(monkeypatch, 2)
+    cfg = SimConfig(dt=1e-2, horizon=2.0, n_paths=2_500, safe_level=10.0, master_seed=5)
+    expected = estimate_survival(ex1, exp1, 0.8542, 1.0, cfg)
+    assert len(forks) == 1
+
+    # a daemonic process may not have children, so it runs its paths itself
+    recv, send = multiprocessing.Pipe(duplex=False)
+    ctx = multiprocessing.get_context("fork")
+    child = ctx.Process(
+        target=lambda: send.send(estimate_survival(ex1, exp1, 0.8542, 1.0, cfg)), daemon=True
+    )
+    child.start()
+    assert recv.recv() == expected
+    child.join()
+    assert child.exitcode == 0
+
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert estimate_survival(ex1, exp1, 0.8542, 1.0, cfg) == expected
+    assert len(forks) == 1
