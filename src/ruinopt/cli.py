@@ -93,12 +93,12 @@ _CSV_BLOCK = 1024   # rows formatted per write
 
 
 def _write_csv(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
-    row = ",".join(["{:.9g}"] * len(columns)) + "\n"
+    row = ",".join(["%.9g"] * len(columns)) + "\n"
     with path.open("w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for lo in range(0, len(columns[0]), _CSV_BLOCK):
-            block = [np.asarray(col[lo:lo + _CSV_BLOCK], dtype=float).tolist() for col in columns]
-            fh.write("".join(row.format(*r) for r in zip(*block)))
+            block = np.column_stack([np.asarray(col[lo:lo + _CSV_BLOCK], dtype=float) for col in columns])
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _regime_doc(report) -> dict:
@@ -138,11 +138,13 @@ def _cmd_constants(args) -> int:
 
 def _solve(sc: Scenario, capped: bool):
     """Value grid, a* included, of the capped or the unrestricted problem."""
-    if capped:
-        if sc.params.cap is None:
-            raise BadValueError("cap_A", "constrained solve needs cap_A in the scenario")
-        return solve_v_constrained(sc.params, sc.dist, sc.grid)
-    return solve_v_unconstrained(sc.params, sc.dist, sc.grid)
+    if capped and sc.params.cap is None:
+        raise BadValueError("cap_A", "constrained solve needs cap_A in the scenario")
+    solve = solve_v_constrained if capped else solve_v_unconstrained
+    try:
+        return solve(sc.params, sc.dist, sc.grid)
+    except RuntimeError as exc:  # a node without a positive root: h is too coarse
+        raise BadValueError("grid.h", str(exc)) from None
 
 
 def _cmd_solve(args) -> int:
@@ -222,7 +224,7 @@ def _cmd_exp_validate(args) -> int:
     slope = strategy_slope_zero(cons, sc.params)
 
     t0 = time.perf_counter()
-    vg = solve_v_unconstrained(sc.params, sc.dist, sc.grid)
+    vg = _solve(sc, False)
     shift = sc.params.hedge
     a_tilde_solver = vg.a_star + shift
 

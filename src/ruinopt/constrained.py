@@ -46,10 +46,12 @@ As in the unrestricted solver, node j sees only v_0 .. v_{j-1} and itself
 `numerics.march_value_slope` is the exact discrete solution.
 
 The march solves one node at a time with the scalar `_best_candidate`,
-since each node needs the one before it.  The fixed-point certificate
-has every v_j at hand, so it evaluates T(v) at all nodes in one call of
-the array `curvature_best`, which picks the same candidate as the scalar
-scan bit for bit.
+since each node needs the one before it; each solve builds one
+`_node_solver`, which forms the node-independent scalars once and groups
+Q(a) and the curvature as `quadratic_form` and `curvature_candidate` do.
+The fixed-point certificate has every v_j at hand, so it evaluates T(v)
+at all nodes in one call of the array `curvature_best`, which picks the
+same candidate as the scalar scan bit for bit.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .claims import ClaimDistribution
-from .model import ModelParams, _best_candidate, curvature_best, curvature_candidate
+from .model import ModelParams, _best_candidate, curvature_best
 from .numerics import Grid, convolve_tail_all, march_value_slope
 from .results import ValueGrid, generator_residual
 
@@ -71,27 +73,34 @@ __all__ = [
 ]
 
 
-def _solve_node(p: ModelParams, h: float, x: float, q: float, alpha: float) -> tuple[float, float, float]:
-    """(v_j, v'_j, argmin) at surplus x: w* = 1 / max D(a) / N(a) in closed form."""
+def _node_solver(p: ModelParams, h: float):
+    """The node solve of a march with step h: (x, q, alpha) -> (v_j, v'_j,
+    argmin), with w* = 1 / max D(a) / N(a) in closed form at surplus x."""
     half_h = 0.5 * h
-    drift = p.c + p.r * x
-    E = alpha * (drift - p.lam * half_h) - q
+    c, r, excess, cap = p.c, p.r, p.excess, p.cap
+    lam_half_h, lam_h_half_h = p.lam * half_h, p.lam * h * half_h
+    s2, two_rss, s12 = p.sigma**2, 2.0 * p.rho * p.sigma * p.sigma1, p.sigma1**2
 
-    def neg_ratio(a: float) -> float:
-        Qa = p.quadratic_form(a)
-        return -(Qa + h * (drift + p.excess * a) - p.lam * h * half_h) / (alpha * Qa + h * q)
+    def Q(a: float) -> float:  # ModelParams.quadratic_form, grouped as it groups
+        return s2 * a * a + two_rss * a + s12
 
-    best, a = _best_candidate(
-        p.excess * p.sigma**2 * alpha,
-        2.0 * p.sigma**2 * E,
-        2.0 * p.rho * p.sigma * p.sigma1 * E - p.excess * (alpha * p.sigma1**2 + h * q),
-        p.cap,
-        neg_ratio,
-    )
-    if not best < 0.0:
-        raise RuntimeError(f"capped node solve found no positive root at x={x:.6g}")
-    w = -1.0 / best
-    return w, curvature_candidate(p, a, x, w, q + p.lam * half_h * w), a
+    def solve(x: float, q: float, alpha: float) -> tuple[float, float, float]:
+        drift = c + r * x
+        E = alpha * (drift - lam_half_h) - q
+
+        def neg_ratio(a: float) -> float:
+            Qa = Q(a)
+            return -(Qa + h * (drift + excess * a) - lam_h_half_h) / (alpha * Qa + h * q)
+
+        qc = two_rss * E - excess * (alpha * s12 + h * q)
+        best, a = _best_candidate(excess * s2 * alpha, 2.0 * s2 * E, qc, cap, neg_ratio)
+        if not best < 0.0:
+            raise RuntimeError(f"capped node solve found no positive root at x={x:.6g}")
+        w = -1.0 / best
+        # curvature_candidate(p, a, x, w, q + lam h/2 w), grouped as it groups
+        return w, 2.0 * (q + lam_half_h * w - (drift + excess * a) * w) / Q(a), a
+
+    return solve
 
 
 def solve_v_constrained(params: ModelParams, dist: ClaimDistribution, grid: Grid) -> ValueGrid:
@@ -118,8 +127,10 @@ def solve_v_constrained(params: ModelParams, dist: ClaimDistribution, grid: Grid
     a_star = np.empty(grid.n)
     vp0, a_star[0] = curvature_best(p, 0.0, 1.0, 0.0)
 
+    solve = _node_solver(p, h)
+
     def solve_node(j: int, q: float, alpha: float) -> tuple[float, float]:
-        w, vp, a_star[j] = _solve_node(p, h, j * h, q, alpha)
+        w, vp, a_star[j] = solve(j * h, q, alpha)
         return w, vp
 
     v, vp, V = march_value_slope(grid, H, p.lam, vp0, solve_node)

@@ -203,8 +203,9 @@ def march_value_slope(grid: Grid, tail_values: np.ndarray, lam: float, vprime0: 
 
     `solve_node(j, q_j, alpha_j)` returns (v_j, v'_j); each solver solves
     its node in closed form and raises RuntimeError, naming x_j, when the
-    node has no positive root.  Returns (v, v', V) with V the prefix
-    integral of v.
+    node has no positive root.  q_j, alpha_j and the carried previous node
+    are Python floats, so node arithmetic never runs on numpy scalars.
+    Returns (v, v', V) with V the prefix integral of v.
     """
     h = grid.h
     half_h = 0.5 * h
@@ -215,17 +216,18 @@ def march_value_slope(grid: Grid, tail_values: np.ndarray, lam: float, vprime0: 
     # vr[n-1-i] = v_i: the history v_{j-1} .. v_1 is the contiguous slice
     # vr[n-j:n-1], which np.dot reads in place instead of copying v[j-1:0:-1]
     vr = np.empty(n)
-    v[0] = vr[n - 1] = 1.0
-    vp[0] = vprime0
+    v[0] = vr[n - 1] = w = 1.0
+    vp[0] = y = float(vprime0)
     for j in range(1, n):
-        q = lam * (h * (float(np.dot(H[1:j], vr[n - j:n - 1])) + 0.5 * H[j]))
-        alpha = v[j - 1] + half_h * vp[j - 1]
+        q = lam * (h * (float(np.dot(H[1:j], vr[n - j:n - 1])) + 0.5 * H.item(j)))
+        alpha = w + half_h * y
         if alpha <= 0.0:
             raise RuntimeError(
                 f"trapezoid anchor went nonpositive at x={j * h:.6g}; grid step too coarse"
             )
-        v[j], vp[j] = solve_node(j, q, alpha)
-        vr[n - 1 - j] = v[j]
+        w, y = solve_node(j, q, alpha)
+        v[j] = vr[n - 1 - j] = w
+        vp[j] = y
     V = prefix_trapezoid(v, h)
     return v, vp, V
 

@@ -41,11 +41,12 @@ It is <= 0 at y = 0 (w = alpha) and > 0 at y = -2 alpha/h (w = 0), so it
 has exactly one root in (-2 alpha/h, 0]: the node, solved in closed form
 with the cancellation-free pair of root formulas.  B >= 0 forces
 p_j >= kappa^2 h/2 and so A > 0, the case that divides by A.  Then
-v_j = alpha + h/2 y and v'_j = y.  An explicit sweep would have local
-amplification h/2 * |dL/dw| well above 1 at large x; the implicit closure
-has none.  The equation is causal: node j sees only v_0 .. v_{j-1} and
-itself, so the single forward pass of `numerics.march_value_slope` is the
-exact discrete solution.
+v_j = alpha + h/2 y and v'_j = y.  Each solve builds one `_node_solver`,
+which forms the node-independent scalars once and keeps the grouping
+above.  An explicit sweep would have local amplification h/2 * |dL/dw|
+well above 1 at large x; the implicit closure has none.  The equation is
+causal: node j sees only v_0 .. v_{j-1} and itself, so the single forward
+pass of `numerics.march_value_slope` is the exact discrete solution.
 """
 
 from __future__ import annotations
@@ -67,20 +68,27 @@ __all__ = [
 ]
 
 
-def _solve_node(p: ModelParams, h: float, x: float, q: float, alpha: float) -> tuple[float, float]:
-    """(v_j, v'_j) at surplus x: the closed-form root of w = alpha + h/2 L(w)."""
+def _node_solver(p: ModelParams, h: float):
+    """The node solve of a march with step h: (x, q, alpha) -> (v_j, v'_j),
+    the closed-form root of w = alpha + h/2 L(w) at surplus x."""
     half_h = 0.5 * h
     kappa = p.excess / p.sigma
-    pj = p.c_rho + p.r * x - p.lam * half_h
-    A = 0.5 * p.sigma_rho2 + half_h * pj - 0.5 * (kappa * half_h) ** 2
-    B = pj * alpha - q - kappa * kappa * alpha * half_h
-    C = -0.5 * (kappa * alpha) ** 2
-    R = math.sqrt(B * B - 4.0 * A * C)
-    y = -(B + R) / (2.0 * A) if B >= 0.0 else 2.0 * C / (R - B)
-    w = alpha + half_h * y
-    if not (math.isfinite(w) and w > 0.0):
-        raise RuntimeError(f"unconstrained node solve found no positive root at x={x:.6g}")
-    return w, y
+    c_rho, r, lam_half_h = p.c_rho, p.r, p.lam * half_h
+    half_sr2, shrink = 0.5 * p.sigma_rho2, 0.5 * (kappa * half_h) ** 2
+
+    def solve(x: float, q: float, alpha: float) -> tuple[float, float]:
+        pj = c_rho + r * x - lam_half_h
+        A = half_sr2 + half_h * pj - shrink
+        B = pj * alpha - q - kappa * kappa * alpha * half_h
+        C = -0.5 * (kappa * alpha) ** 2
+        R = math.sqrt(B * B - 4.0 * A * C)
+        y = -(B + R) / (2.0 * A) if B >= 0.0 else 2.0 * C / (R - B)
+        w = alpha + half_h * y
+        if not (math.isfinite(w) and w > 0.0):
+            raise RuntimeError(f"unconstrained node solve found no positive root at x={x:.6g}")
+        return w, y
+
+    return solve
 
 
 def solve_v_unconstrained(params: ModelParams, dist: ClaimDistribution, grid: Grid) -> ValueGrid:
@@ -106,10 +114,9 @@ def solve_v_unconstrained(params: ModelParams, dist: ClaimDistribution, grid: Gr
     h = grid.h
     H = np.asarray(dist.tail(grid.points), dtype=float)
 
-    def solve_node(j: int, q: float, alpha: float) -> tuple[float, float]:
-        return _solve_node(p, h, j * h, q, alpha)
-
-    v, vp, V = march_value_slope(grid, H, p.lam, -derive_constants(p).B, solve_node)
+    solve = _node_solver(p, h)
+    v, vp, V = march_value_slope(grid, H, p.lam, -derive_constants(p).B,
+                                 lambda j, q, alpha: solve(j * h, q, alpha))
     if p.excess == 0.0:
         a = np.full(grid.n, -p.hedge)
     else:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import ruinopt as ro
+from ruinopt import cli
 from ruinopt.cli import _optimal_strategy, main
 from ruinopt.scenario import parse_scenario
 from conftest import assert_close
@@ -225,6 +227,43 @@ def test_solve_constrained_respects_cap(capsys, tmp_path):
     assert a_col[-1] == 1.0  # cap binds by the end of the grid
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--mode", "unconstrained"],
+        ["solve", "--mode", "constrained"],
+        ["exp-validate"],
+        ["simulate", "--x0", "1.0", "--strategy", "optimal"],
+    ],
+)
+def test_too_coarse_grid_names_grid_h(capsys, tmp_path, argv):
+    # h = 0.9 exceeds 2 / |v'(0)| (about 0.09 on benchmark 1), so the
+    # trapezoid anchor of the first node goes negative in both marches
+    path = tmp_path / "coarse.txt"
+    path.write_text(BASE.replace("grid.h = 0.005", "grid.h = 0.9") + "cap_A = 1.0\n", encoding="utf-8")
+    argv = [argv[0], path, *argv[1:]] + (["--out", tmp_path] if argv[0] == "solve" else [])
+    code, out, err = run(capsys, argv)
+    assert code == 4
+    assert out == ""
+    assert "x=0.9" in err
+    assert err.rstrip().endswith("(key: grid.h)"), err
+
+
+def test_write_csv_matches_per_row_format(tmp_path):
+    # the oracle: each row formatted on its own with str.format
+    special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e-300, 1e16, 123456789.5, 0.1]
+    rng = np.random.default_rng(5)
+    for rows in (2, 2049):   # 2049 is not a multiple of the 1024-row block
+        columns = [np.resize(special, rows), rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows),
+                   np.roll(np.resize(special, rows), 1)]
+        path = tmp_path / f"t{rows}.csv"
+        cli._write_csv(path, ["a", "b", "c"], columns)
+        want = "a,b,c\n" + "".join(
+            ",".join("{:.9g}".format(float(col[i])) for col in columns) + "\n" for i in range(rows)
+        )
+        assert path.read_text(encoding="utf-8") == want
+
+
 def test_optimal_strategy_capped_range_and_tail():
     # mu > r with a cap: the curve is held to [0, cap] and continued by
     # where the capped strategy settles (the cap binds on benchmark 1)
@@ -262,6 +301,33 @@ def test_closed_form_output_pinned(capsys, command, name):
     code, out, _ = run(capsys, [command, PINNED / f"{name}.scn"])
     assert code == 0
     assert out == (PINNED / f"{name}.{command}.json").read_text(encoding="utf-8")
+
+
+SOLVE_GRID = "grid.h = 0.01\ngrid.xmax = 40.0\n"
+
+
+def _solve_digests(capsys, tmp_path, name, mode):
+    """sha256 of the solve CSV and of its JSON less runtime_s and csv."""
+    path = tmp_path / f"{name}.scn"
+    path.write_text((PINNED / f"{name}.scn").read_text(encoding="utf-8") + SOLVE_GRID, encoding="utf-8")
+    code, out, err = run(capsys, ["solve", path, "--mode", mode, "--out", tmp_path])
+    assert code == 0, err
+    doc = json.loads(out)
+    del doc["runtime_s"], doc["csv"]
+    return {
+        "csv": hashlib.sha256((tmp_path / f"solve_{mode}.csv").read_bytes()).hexdigest(),
+        "json": hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest(),
+    }
+
+
+@pytest.mark.parametrize("mode", ["unconstrained", "constrained"])
+@pytest.mark.parametrize("name", ["bench1", "bench2_pareto"])
+def test_solve_output_pinned(capsys, tmp_path, name, mode):
+    # the solves must keep their bytes through any speed-up; the sums run
+    # through numpy's dot and BLAS matmul, so the digests hold for one
+    # numpy build on one CPU family
+    pinned = json.loads((PINNED / "solve.sha256.json").read_text(encoding="utf-8"))
+    assert _solve_digests(capsys, tmp_path, name, mode) == pinned[f"{name}.{mode}"]
 
 
 def test_exp_validate_agrees(capsys, tmp_path):

@@ -176,7 +176,7 @@ def test_capped_node_matches_bisection(which):
     a_scan = np.linspace(0.0, p.cap, 401)
     non_contracting = 0
     for h, x, alpha, q in node_draws(5, 200, p.lam, x_max=2.0 if which == "noncontracting" else 10.0):
-        w, vp, a = constrained._solve_node(p, h, x, q, alpha)
+        w, vp, a = constrained._node_solver(p, h)(x, q, alpha)
         assert_close(w, _bisect_node(p, h, x, q, alpha), 1e-14, f"node at {(h, x, alpha, q)}")
         best, _ = ro.curvature_best(p, x, w, q + p.lam * 0.5 * h * w)
         assert_close(vp, best, 1e-12, "v'_j")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import ruinopt as ro
-from ruinopt import unconstrained
+from ruinopt import constrained, unconstrained
 from ruinopt.model import _negative_root
 from conftest import NONCONTRACTING, assert_close, front_line_fit, node_draws, node_residual
 
@@ -79,7 +79,7 @@ def test_node_is_root_of_its_equation(which):
          "noncontracting": dataclasses.replace(NONCONTRACTING, cap=None)}[which]
     for h, x, alpha, q in node_draws(3, 300, p.lam, x_max=40.0):
         pj = p.c_rho + p.r * x - p.lam * 0.5 * h
-        w, y = unconstrained._solve_node(p, h, x, q, alpha)
+        w, y = unconstrained._node_solver(p, h)(x, q, alpha)
 
         def F(u):
             L = _negative_root(pj * u - q, p.excess / p.sigma * u, p.sigma_rho2)
@@ -98,10 +98,16 @@ def test_failed_node_solve_names_x(ex1, exp1):
         exp1, tail=lambda y: np.where(np.asarray(y) > 0.5, np.nan, exp1.tail(y))
     )
     grid = ro.Grid.from_xmax(5e-3, 1.0)
+    capped = dataclasses.replace(ex1, cap=1.0)
     with pytest.raises(RuntimeError, match=r"x=0\.505"):
         ro.solve_v_unconstrained(ex1, broken, grid)
     with pytest.raises(RuntimeError, match=r"x=0\.505"):
-        ro.solve_v_constrained(dataclasses.replace(ex1, cap=1.0), broken, grid)
+        ro.solve_v_constrained(capped, broken, grid)
+    # the node solvers the marches call, fed that node's NaN claims sum
+    with pytest.raises(RuntimeError, match=r"x=0\.505"):
+        unconstrained._node_solver(ex1, 5e-3)(0.505, np.nan, 0.5)
+    with pytest.raises(RuntimeError, match=r"x=0\.505"):
+        constrained._node_solver(capped, 5e-3)(0.505, np.nan, 0.5)
 
 
 def test_strategy_zero_limit(vg40, k1):
