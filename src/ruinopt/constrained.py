@@ -133,7 +133,7 @@ def solve_v_constrained(params: ModelParams, dist: ClaimDistribution, grid: Grid
         w, vp, a_star[j] = solve(j * h, q, alpha)
         return w, vp
 
-    v, vp, V = march_value_slope(grid, H, p.lam, vp0, solve_node)
+    v, vp, V = march_value_slope(grid, H, p.lam, vp0, solve_node, dist.tail_mixture)
     return ValueGrid(grid=grid, v=v, V=V, vprime=vp, a_star=a_star)
 
 
@@ -161,7 +161,9 @@ class CappedHjbResidual:
     """Residual channels for a capped solve.
 
     fixed_point recomputes T(v) from scratch and compares it with the
-    stored v'; it measures solver convergence, not discretization.
+    stored v'; it measures solver convergence, not discretization.  Its
+    convolution is exact, so it also carries the march's far-history fit
+    error for a claim law with a tail_mixture.
     independent rebuilds the controlled generator with a centered finite
     difference for the curvature and the recorded argmin strategy a*, so it
     carries the O(h^2) discretization error.

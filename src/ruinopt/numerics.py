@@ -4,7 +4,12 @@ All solver quadrature lives here: the uniform grid x_j = j*h, the
 piecewise-linear sampled function, the tail convolution
 int_0^x H(y) w(x-y) dy, and the implicit-trapezoid march that both value
 slope solvers share.  Trapezoid rule everywhere: the march needs each new
-endpoint value from already-known history in one O(j) pass.
+endpoint value from already-known history in one pass.  That pass is O(j)
+at node j for a general tail.  For a tail that is a positive sum of K
+exponentials (exponential claims, and Pareto claims of shape up to 10),
+the history older than a block or so is carried as K decaying states,
+and node j costs at most 2 _BLOCK multiply-adds plus its share of two
+block products.
 
 The slope equation is causal (Volterra): the value at node j depends only
 on the nodes before it and on itself.  So one forward pass, solving each
@@ -39,7 +44,9 @@ __all__ = [
 ]
 
 # largest grid Grid.from_xmax builds: at 10^7 nodes the march's O(n^2)
-# history alone is 5e13 multiply-adds
+# history for half-normal, log-normal, Weibull and shape > 10 Pareto
+# claims alone is 5e13 multiply-adds (exponential and other Pareto claims
+# carry it in O(n))
 MAX_NODES = 10**7
 
 
@@ -192,14 +199,36 @@ def prefix_trapezoid(y: np.ndarray, d) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(d * (y[1:] + y[:-1]) / 2.0)))
 
 
-def march_value_slope(grid: Grid, tail_values: np.ndarray, lam: float, vprime0: float, solve_node):
+def march_value_slope(grid: Grid, tail_values: np.ndarray, lam: float, vprime0: float, solve_node,
+                      tail_mixture: tuple | None = None):
     """One implicit-trapezoid pass for the scaled value slope v, v(0) = 1.
 
     Node j solves v_j = alpha_j + h/2 * v'_j, with the anchor
     alpha_j = v_{j-1} + h/2 * v'_{j-1} and v'_j given by the pointwise
     minimisation of the dynamic programming equation.  The claims term at
     node j is q_j + lam * h/2 * v_j, where q_j is the trapezoid tail
-    convolution over the history v_0 .. v_{j-1}.
+    convolution over the history v_0 .. v_{j-1}: lam h (S_j + H_j / 2), with
+    the history sum S_j = sum_{i=1}^{j-1} H_i v_{j-i}.
+
+    `tail_mixture` is the claim law's (weights, rates, y_max), with
+    H(y) = sum_k w_k e^{-r_k y} on [0, y_max], or None.  With it, the march
+    keeps the far history in K decaying states (Lubich & Schadle 2002,
+    SIAM J. Sci. Comput. 24).  The grid is cut into blocks of L = _BLOCK
+    nodes; node j = s + o of the block starting at s splits S_j at
+    t = s - L (t = 0 in the first two blocks):
+
+        S_j = sum_k w_k e^{-r_k (o + L) h} F_k + sum_{m=t+1}^{j-1} H_{j-m} v_m,
+        F_k = sum_{m=1}^{t} e^{-r_k (t - m) h} v_m.
+
+    The near part is one exact dot product of at most 2L - 1 terms; the far
+    part for the whole block is one product P F taken at the block start,
+    after F <- e^{-r L h} F + E v_{t-L+1..t}.  The matrices
+    P[o, k] = w_k e^{-r_k (o+L) h} and E[k, i] = e^{-r_k (L-1-i) h} and the
+    factors e^{-r L h} are formed directly, never as powers of a per-node
+    factor, whose rounding would compound over the march.  Every weight,
+    factor and v_m is positive, so S_j keeps the fit's relative accuracy.
+    Without a mixture, or on a grid longer than y_max, F stays empty, t
+    stays 0, and S_j is the full dot product.
 
     `solve_node(j, q_j, alpha_j)` returns (v_j, v'_j); each solver solves
     its node in closed form and raises RuntimeError, naming x_j, when the
@@ -211,23 +240,38 @@ def march_value_slope(grid: Grid, tail_values: np.ndarray, lam: float, vprime0: 
     half_h = 0.5 * h
     n = grid.n
     H = tail_values
+    L = _BLOCK
     v = np.empty(n)
     vp = np.empty(n)
-    # vr[n-1-i] = v_i: the history v_{j-1} .. v_1 is the contiguous slice
-    # vr[n-j:n-1], which np.dot reads in place instead of copying v[j-1:0:-1]
+    # vr[n-1-i] = v_i: the near history v_{j-1} .. v_{t+1} is the contiguous
+    # slice vr[n-j:n-1-t], which np.dot reads in place
     vr = np.empty(n)
     v[0] = vr[n - 1] = w = 1.0
     vp[0] = y = float(vprime0)
-    for j in range(1, n):
-        q = lam * (h * (float(np.dot(H[1:j], vr[n - j:n - 1])) + 0.5 * H.item(j)))
-        alpha = w + half_h * y
-        if alpha <= 0.0:
-            raise RuntimeError(
-                f"trapezoid anchor went nonpositive at x={j * h:.6g}; grid step too coarse"
-            )
-        w, y = solve_node(j, q, alpha)
-        v[j] = vr[n - 1 - j] = w
-        vp[j] = y
+    far = [0.0] * L
+    t = 0
+    if tail_mixture is not None and grid.x_max <= tail_mixture[2]:
+        weights, rates = np.asarray(tail_mixture[0]), np.asarray(tail_mixture[1])
+        decay = np.exp(-rates * (L * h))
+        E = np.exp(np.outer(rates, -h * np.arange(L - 1, -1, -1)))
+        P = weights * np.exp(np.outer(-h * np.arange(L, 2 * L), rates))
+        F = np.zeros(rates.shape[0])
+    else:
+        F = None
+    for s in range(0, n, L):
+        if F is not None and s >= 2 * L:
+            t = s - L
+            F = decay * F + E @ v[t - L + 1:t + 1]
+            far = (P @ F).tolist()
+        for j in range(max(s, 1), min(s + L, n)):
+            q = lam * (h * (far[j - s] + float(np.dot(H[1:j - t], vr[n - j:n - 1 - t])) + 0.5 * H.item(j)))
+            alpha = w + half_h * y
+            if alpha <= 0.0:
+                raise RuntimeError(
+                    f"trapezoid anchor went nonpositive at x={j * h:.6g}; grid step too coarse"
+                )
+            w, y = solve_node(j, q, alpha)
+            v[j] = vr[n - 1 - j] = w
+            vp[j] = y
     V = prefix_trapezoid(v, h)
     return v, vp, V
-

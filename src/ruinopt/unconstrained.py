@@ -116,7 +116,7 @@ def solve_v_unconstrained(params: ModelParams, dist: ClaimDistribution, grid: Gr
 
     solve = _node_solver(p, h)
     v, vp, V = march_value_slope(grid, H, p.lam, -derive_constants(p).B,
-                                 lambda j, q, alpha: solve(j * h, q, alpha))
+                                 lambda j, q, alpha: solve(j * h, q, alpha), dist.tail_mixture)
     if p.excess == 0.0:
         a = np.full(grid.n, -p.hedge)
     else:
@@ -130,7 +130,10 @@ class HjbResidual:
 
     self_consistency plugs the solver's own v' back into the curvature
     quadratic; it vanishes identically in exact arithmetic, so it measures
-    round-off and root-solve tolerance, not discretization error.
+    round-off and root-solve tolerance, not discretization error.  Its
+    claims term is the exact convolve_tail_all, so for a claim law with a
+    tail_mixture it also carries the fit's error in the march's far
+    history, up to 1e-14 relative of each history sum.
     independent rebuilds the controlled generator with a centered finite
     difference for the curvature and the solve's a*, so it carries
     the full O(h^2) discretization error and halves like h^2.

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import ruinopt as ro
+import ruinopt.constrained
+import ruinopt.unconstrained
 from conftest import assert_close
 
 # the six laws the benchmarks use, plus shape variants that stress the
@@ -113,6 +116,53 @@ def test_pareto_requires_finite_mean():
         ro.make_pareto(1.0, 1.0)
     with pytest.raises(ValueError):
         ro.make_pareto(1.0, 0.5)
+
+
+@pytest.mark.parametrize("shape", [1.1, 2.0, 5.0, 10.0])
+@pytest.mark.parametrize("scale", [0.5, 2.0])
+def test_pareto_tail_mixture(scale, shape):
+    # the Pareto tail as a positive sum of exponentials, to 1e-14 relative
+    # on the whole of its stated range [0, y_max]
+    dist = ro.make_pareto(scale, shape)
+    weights, rates, y_max = dist.tail_mixture
+    w, r = np.array(weights), np.array(rates)
+    assert np.all(w > 0.0) and np.all(r > 0.0)
+    assert y_max == 1e6 * scale
+    y = np.concatenate([[0.0], np.geomspace(1e-6 * scale, y_max, 10_000)])
+    fit = np.exp(-np.outer(y, r)) @ w
+    gap = np.max(np.abs(fit / dist.tail(y) - 1.0))
+    assert gap <= 1e-14, f"max relative error {gap:.2e}"
+    assert ro.make_pareto(scale, shape).tail_mixture == dist.tail_mixture
+
+
+def test_tail_mixture_of_each_family():
+    # the exponential tail is its own one-term sum; tails that are not
+    # completely monotone, or whose mixing law is not elementary, have none;
+    # nor has a Pareto tail above shape 10, which the fit cannot hold to 1e-14
+    assert ro.make_exponential(1.5).tail_mixture == ((1.0,), (1.5,), math.inf)
+    assert ro.make_pareto(2.0, 10.0).tail_mixture is not None
+    for dist in (ro.make_half_normal(1.0), ro.make_log_normal(-0.5, 1.0), ro.make_weibull(1.0, 0.5),
+                 ro.make_pareto(2.0, 10.5), ro.make_pareto(2.0, 50.0)):
+        assert dist.tail_mixture is None
+
+
+def test_tail_mixture_does_not_depend_on_the_grid(monkeypatch):
+    # both solvers hand the march the law's own fit, on every grid, so a
+    # longer grid repeats a shorter one's nodes
+    seen = []
+    for module in (ruinopt.unconstrained, ruinopt.constrained):
+        real = module.march_value_slope
+
+        def spy(grid, H, lam, vprime0, solve_node, tail_mixture, real=real):
+            seen.append(tail_mixture)
+            return real(grid, H, lam, vprime0, solve_node, tail_mixture)
+
+        monkeypatch.setattr(module, "march_value_slope", spy)
+    params, dist = replace(ro.example2_params(), cap=1.0), ro.make_pareto(2.0, 2.0)
+    for h, x_max in ((5e-3, 2.0), (1e-2, 4.0)):
+        ro.solve_v_unconstrained(params, dist, ro.Grid.from_xmax(h, x_max))
+        ro.solve_v_constrained(params, dist, ro.Grid.from_xmax(h, x_max))
+    assert len(seen) == 4 and all(fit is dist.tail_mixture for fit in seen)
 
 
 def test_from_config_families():

@@ -260,42 +260,122 @@ def test_convolve_tail_all_refuses_short_tail():
         ro.convolve_tail_all(np.ones(10), np.ones(6), 0.1)
 
 
-def _march_sliced(grid, H, lam, vprime0, solve_node):
-    # the march as first written, reading the history through v[j-1:0:-1]
+def _march_sliced(grid, H, lam, vprime0, solve_node, fsum=False):
+    # the march as first written, one dot over the whole history read
+    # through v[j-1:0:-1]; with fsum, each history sum correctly rounded
     h, n = grid.h, grid.n
     v, vp = np.empty(n), np.empty(n)
     v[0], vp[0] = 1.0, vprime0
     for j in range(1, n):
-        q = lam * (h * (float(np.dot(H[1:j], v[j - 1:0:-1])) + 0.5 * H[j]))
+        if fsum:
+            S = math.fsum((H[1:j] * v[j - 1:0:-1]).tolist())
+        else:
+            S = float(np.dot(H[1:j], v[j - 1:0:-1]))
+        q = lam * (h * (S + 0.5 * H[j]))
         v[j], vp[j] = solve_node(j, q, v[j - 1] + 0.5 * h * vp[j - 1])
     return v, vp
 
 
+def _bench_law(bench):
+    """(params, claim law): benchmark 1 with exponential claims, benchmark 2
+    with Pareto(2, 2) claims, or benchmark 2 with Weibull(2, 0.5) or
+    Pareto(2, 50) claims, neither of which has a tail fit."""
+    if bench == 1:
+        return ro.example1_params(), ro.make_exponential(1.0)
+    if bench == 2:
+        return ro.example2_params(), ro.make_pareto(2.0, 2.0)
+    if bench == "pareto50":
+        return ro.example2_params(), ro.make_pareto(2.0, 50.0)
+    return ro.example2_params(), ro.make_weibull(2.0, 0.5)
+
+
+def _solve(module, params, dist, grid):
+    if module is ruinopt.constrained:
+        return ro.solve_v_constrained(replace(params, cap=1.0), dist, grid)
+    return ro.solve_v_unconstrained(params, dist, grid)
+
+
+def _rel_gap(a, b) -> float:
+    return float(np.max(np.abs(a / b - 1.0)))
+
+
 @pytest.mark.parametrize("module", [ruinopt.unconstrained, ruinopt.constrained])
-@pytest.mark.parametrize("bench", [1, 2])
+@pytest.mark.parametrize("bench", [1, 2, "weibull", "pareto50"])
 def test_march_history_is_bit_identical(monkeypatch, module, bench):
-    # the reversed-copy history must feed every node exactly the sum the
-    # sliced history did, so v and v' agree bit for bit
+    # a law with no exponential-sum tail keeps the whole-history dot, so it
+    # must feed every node exactly the sum the sliced history did.  With a
+    # fit, the far history runs through it: v must stay within 1e-14 of
+    # the plain march, and v' as close to the correctly rounded (fsum)
+    # march as the plain march is, within a factor 1.5
     seen = []
 
-    def spy(grid, H, lam, vprime0, solve_node):
-        v, vp, V = march_value_slope(grid, H, lam, vprime0, solve_node)
-        seen.append((v, vp, _march_sliced(grid, H, lam, vprime0, solve_node)))
+    def spy(grid, H, lam, vprime0, solve_node, tail_mixture):
+        v, vp, V = march_value_slope(grid, H, lam, vprime0, solve_node, tail_mixture)
+        plain = _march_sliced(grid, H, lam, vprime0, solve_node)
+        exact = _march_sliced(grid, H, lam, vprime0, solve_node, fsum=True) if tail_mixture else None
+        seen.append((v, vp, plain, exact))
         return v, vp, V
 
     monkeypatch.setattr(module, "march_value_slope", spy)
-    if bench == 1:
-        params, dist = ro.example1_params(), ro.make_exponential(1.0)
-    else:
-        params, dist = ro.example2_params(), ro.make_pareto(2.0, 2.0)
-    grid = ro.Grid.from_xmax(5e-3, 40.0)
-    if module is ruinopt.constrained:
-        ro.solve_v_constrained(replace(params, cap=1.0), dist, grid)
-    else:
-        ro.solve_v_unconstrained(params, dist, grid)
-    ((v, vp, (v_ref, vp_ref)),) = seen
-    assert np.array_equal(v, v_ref)
-    assert np.array_equal(vp, vp_ref)
+    params, dist = _bench_law(bench)
+    _solve(module, params, dist, ro.Grid.from_xmax(5e-3, 40.0))
+    ((v, vp, (v_ref, vp_ref), exact),) = seen
+    if dist.tail_mixture is None:
+        assert np.array_equal(v, v_ref)
+        assert np.array_equal(vp, vp_ref)
+        return
+    v_fsum, vp_fsum = exact
+    assert not np.array_equal(v, v_ref)   # the far field ran
+    assert _rel_gap(v, v_ref) <= 1e-14
+    assert _rel_gap(v, v_fsum) <= 1e-14
+    assert _rel_gap(vp, vp_fsum) <= 1.5 * _rel_gap(vp_ref, vp_fsum)
+
+
+@pytest.mark.parametrize("module", [ruinopt.unconstrained, ruinopt.constrained])
+@pytest.mark.parametrize("bench", [1, 2])
+def test_march_history_sums_match_fsum(monkeypatch, module, bench):
+    # every node's claims term q_j = lam h (sum_i H_i v_{j-i} + H_j / 2),
+    # with the far history taken from the tail's exponential sum, must be
+    # within 1e-14 relative of the same products summed by math.fsum
+    seen = []
+
+    def spy(grid, H, lam, vprime0, solve_node, tail_mixture):
+        qs = []
+
+        def recording(j, q, alpha):
+            qs.append(q)
+            return solve_node(j, q, alpha)
+
+        v, vp, V = march_value_slope(grid, H, lam, vprime0, recording, tail_mixture)
+        seen.append((grid, H, lam, tail_mixture, np.array(qs), v))
+        return v, vp, V
+
+    monkeypatch.setattr(module, "march_value_slope", spy)
+    params, dist = _bench_law(bench)
+    _solve(module, params, dist, ro.Grid.from_xmax(5e-3, 20.0))
+    ((grid, H, lam, tail_mixture, qs, v),) = seen
+    assert tail_mixture is dist.tail_mixture
+    assert grid.n >= 2000
+    h = grid.h
+    want = np.array([
+        lam * (h * (math.fsum((H[1:j] * v[j - 1:0:-1]).tolist()) + 0.5 * H[j]))
+        for j in range(1, grid.n)
+    ])
+    assert np.all(want > 0.0)
+    assert _rel_gap(qs, want) <= 1e-14
+
+
+@pytest.mark.parametrize("module", [ruinopt.unconstrained, ruinopt.constrained])
+def test_march_is_causal_with_pareto_claims(module):
+    # the far field's blocks start at node 0 and its fit does not depend on
+    # the grid, so a shorter grid's nodes are the longer grid's, bit for bit
+    params, dist = _bench_law(2)
+    short = _solve(module, params, dist, ro.Grid.from_xmax(5e-3, 10.0))
+    long_ = _solve(module, params, dist, ro.Grid.from_xmax(5e-3, 40.0))
+    m = short.grid.n
+    assert m > 2 * _BLOCK
+    for name in ("v", "vprime", "a_star"):
+        assert np.array_equal(getattr(short, name), getattr(long_, name)[:m]), name
 
 
 @pytest.mark.parametrize("n", [2, 3, 17, 1000, 32001])
