@@ -27,14 +27,34 @@ cohort's first block is _FIRST_BLOCK draws long and each next one twice
 the last, up to _NORM_BLOCK, so paths that leave early do not draw long
 blocks they never read; a stream's numbers do not depend on how it is cut
 into blocks.  The blocks are stored transposed, draw-major, so a step
-reads one contiguous row; that storage is allocated once per share and
-handed to every cohort in it.  Claims are
-drawn in chunks of _CLAIM_CHUNK per path, each path refilled only when its
-own chunk runs out; the claims due in a step are settled in rounds of one
-claim per path.  The live state (surplus, next claim time, normal column)
+reads one contiguous row, and already times sqrt(dt), formed in the copy
+that transposes them; that storage is allocated once per share and handed
+to every cohort in it.  Claims are drawn in chunks of _CLAIM_CHUNK per
+path, each path refilled only when its own chunk runs out.  A running
+lower bound of the next claim time lets a step with no claim due skip the
+search for one.  When at most _FEW_DUE paths have a claim due, each
+settles its claims one by one on Python floats; more settle in rounds of
+one claim per path, which cost a few array passes per round however many
+paths take part.  The live state (surplus, next claim time, normal column)
 is kept dense, in the order of the live paths, and is compacted only on a
 step where some path leaves.  Neither layout changes which numbers a path
 draws or the order it uses them in.
+
+An array pass over a few thousand live paths costs a few microseconds,
+more than its arithmetic, so the step is written to make few of them: it
+works in place in arrays allocated once per run, into which a
+SampledFn strategy (StrategyCurve included) also writes its lookup.  A
+constant strategy stays a Python float, so (mu - r) a and sqrt(Q(a)) are
+formed once per run.  Other callables are called on the live surplus and
+their result read before the surplus moves.  Every path still does the
+IEEE operations of x + ((c + r x) + (mu - r) a) dt + sqrt(Q(a)) (sqrt(dt) z)
+in that grouping, so its outcome does not depend on the strategy's form.
+Ruin and the safe level are tested by one x.min() and one x.max() a step,
+and a mask is built only when one of them fires.  Those two reductions
+also see a NaN or infinite surplus, which a strategy with non-finite
+values produces; the run refuses it with a ValueError naming the path, the
+time and the value, since NaN fails both x < 0 and x >= safe_level and
+would otherwise count as survival.
 
 estimate_survival splits the path indices into contiguous shares, one per
 usable CPU and each of at least _MIN_SHARE paths, and runs every share in
@@ -62,6 +82,7 @@ from numpy.random.bit_generator import ISeedSequence
 
 from .claims import ClaimDistribution
 from .model import ModelParams
+from .numerics import SampledFn
 
 __all__ = [
     "MIN_PATHS",
@@ -81,6 +102,7 @@ _REFILL_CHUNK = 128  # paths drawn together before the transpose into nbuf
 _CLAIM_CHUNK = 32   # claim arrivals / sizes drawn per refill, per path
 _COHORT = 8192      # paths simulated per vectorized batch
 _MIN_SHARE = 1024   # fewest paths worth a worker process of their own
+_FEW_DUE = 4        # due claims settled path by path, at most; more go in rounds
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _MASK32 = 0xFFFFFFFF
@@ -214,17 +236,24 @@ def _generators(master_seed: int, indices: np.ndarray, stream: int) -> list[Gene
     return [Generator(PCG64(_SeedState(w))) for w in _seed_states(master_seed, indices, stream)]
 
 
-def _as_strategy_fn(strategy):
-    if callable(strategy):
-        return strategy
-    amount = float(strategy)
-    return lambda xs: np.full_like(np.asarray(xs, dtype=float), amount)
+def _as_strategy(strategy):
+    """A callable strategy as given; anything else as its constant float."""
+    return strategy if callable(strategy) else float(strategy)
+
+
+def _nonfinite(x: np.ndarray, alive: np.ndarray, t: float) -> ValueError:
+    """The error for the first live path whose surplus x is NaN or infinite."""
+    k = int(np.flatnonzero(~np.isfinite(x))[0])
+    return ValueError(
+        f"path {int(alive[k])} reached the non-finite surplus {float(x[k])!r} at t={t:.9g}; "
+        "the strategy must keep (mu - r) a and Q(a) finite"
+    )
 
 
 def _run_paths(
     params: ModelParams,
     dist: ClaimDistribution,
-    strategy_fn,
+    strategy,
     x0: float,
     config: SimConfig,
     indices: np.ndarray,
@@ -232,21 +261,33 @@ def _run_paths(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Simulate the given path indices; returns (status, ruin_time) arrays.
 
-    nbuf, when given, is the storage for the normal block: _NORM_BLOCK
-    rows and at least len(indices) columns, overwritten here.
+    strategy is a constant float, a SampledFn (filled into this run's
+    buffers) or another callable (called on the live surplus).  nbuf, when
+    given, is the storage for the normal block: _NORM_BLOCK rows and at
+    least len(indices) columns, overwritten here.
     """
     p = params
     n = len(indices)
     dt = config.dt
     sq_dt = math.sqrt(dt)
     n_steps = round(config.horizon / dt)
+    safe_level = config.safe_level
+    # the Euler step's constants, grouped as ModelParams groups them:
+    # (c + r x) + (mu - r) a and ((sigma^2 a) a + (2 rho sigma sigma1) a) + sigma1^2
+    c, r, excess = p.c, p.r, p.excess
+    s2, cross, s1sq = p.sigma**2, 2.0 * p.rho * p.sigma * p.sigma1, p.sigma1**2
+    curve = isinstance(strategy, SampledFn)
+    const = not callable(strategy)
+    if const:
+        drift_a = excess * strategy
+        root_q = math.sqrt(p.quadratic_form(strategy))
 
     rng_d = _generators(config.master_seed, indices, 0)
     rng_c = _generators(config.master_seed, indices, 1)
 
     # every live path draws one normal a step, so all share the cursor
-    # step - block_start; row k holds draw k of the paths live at the last
-    # refill, and col[m] is the column of path alive[m]
+    # step - block_start; row k holds draw k, times sqrt(dt), of the paths
+    # live at the last refill, and col[m] is the column of path alive[m]
     nbuf = np.empty((_NORM_BLOCK, n)) if nbuf is None else nbuf[:, :n]
     rows = _FIRST_BLOCK     # length of the next normal block
     block_start = block_end = 0
@@ -258,76 +299,138 @@ def _run_paths(
     apos = np.ones(n, dtype=np.int64)
     sbuf = np.empty((n, _CLAIM_CHUNK))      # claim sizes
     spos = np.full(n, _CLAIM_CHUNK)
+    # the step's work arrays; the first live-count entries are in use
+    amt_buf, f1_buf, f2_buf = np.empty(n), np.empty(n), np.empty(n)
+    j_buf = np.empty(n, dtype=np.intp)
 
     # the live state is dense: entry m of col, x and next_claim belongs to
     # path alive[m], and all four shrink together only when a path leaves
     next_claim = abuf[:, 0].copy()
+    t_next = float(next_claim.min())    # never above the earliest next claim
     x = np.full(n, float(x0))
     status = np.full(n, _PENDING, dtype=np.int8)
     ruin_time = np.full(n, np.nan)
     alive = np.arange(n)
 
     for step in range(n_steps):
-        if alive.size == 0:
+        live = alive.size
+        if live == 0:
             break
         t_new = (step + 1) * dt
 
         if step == block_end:
-            for lo in range(0, alive.size, _REFILL_CHUNK):
+            for lo in range(0, live, _REFILL_CHUNK):
                 part = alive[lo:lo + _REFILL_CHUNK]
-                for c, i in enumerate(part):
-                    rng_d[i].standard_normal(out=chunk[c, :rows])
-                nbuf[:rows, lo:lo + part.size] = chunk[:part.size, :rows].T
-            col = np.arange(alive.size)
+                for k, i in enumerate(part):
+                    rng_d[i].standard_normal(out=chunk[k, :rows])
+                np.multiply(chunk[:part.size, :rows].T, sq_dt, out=nbuf[:rows, lo:lo + part.size])
+            col = np.arange(live)
             block_start, block_end = step, step + rows
             rows = min(2 * rows, _NORM_BLOCK)
-        z = nbuf[step - block_start].take(col)
 
-        # sigma a dB + sigma1 dB1 over a step is one normal of variance Q(a) dt
-        amt = np.asarray(strategy_fn(x), dtype=float)
-        x = x + (p.c + p.r * x + p.excess * amt) * dt + np.sqrt(p.quadratic_form(amt)) * (sq_dt * z)
+        # x + ((c + r x) + (mu - r) a) dt + sqrt(Q(a)) (sqrt(dt) z): sigma a dB
+        # + sigma1 dB1 over a step is one normal of variance Q(a) dt.  Every
+        # use of a comes before x moves, since a callable may return x itself
+        # g holds a curve's a, then (2 rho sigma sigma1) a
+        f1, f2, g = f1_buf[:live], f2_buf[:live], amt_buf[:live]
+        if curve:
+            amt = strategy(x, g, (f1, f2, j_buf[:live]))
+        elif not const:
+            amt = np.asarray(strategy(x), dtype=float)
+        np.multiply(x, r, out=f1)
+        f1 += c
+        if const:
+            f1 += drift_a
+        else:
+            np.multiply(amt, excess, out=f2)
+            f1 += f2
+            np.multiply(amt, s2, out=f2)
+            f2 *= amt
+            np.multiply(amt, cross, out=g)
+            f2 += g
+            f2 += s1sq
+            np.sqrt(f2, out=f2)
+        f1 *= dt
+        x += f1
+        nbuf[step - block_start].take(col, out=f1, mode="clip")
+        f1 *= root_q if const else f2
+        x += f1
 
-        ruined = x < 0.0
-        if ruined.any():
+        low = x.min()
+        if not low >= 0.0:
+            if not math.isfinite(low):
+                raise _nonfinite(x, alive, t_new)
+            ruined = x < 0.0
             hit = alive[ruined]
             status[hit] = _RUINED
             ruin_time[hit] = t_new
             keep = ~ruined
             alive, col, x, next_claim = alive[keep], col[keep], x[keep], next_claim[keep]
 
-        # claims due this step, one per path per round, each path in its own
-        # order: size refill, subtract, ruin check, arrival refill, advance;
-        # due holds live positions and ids the paths at them
-        due = np.flatnonzero(next_claim <= t_new)
-        any_broke = False
-        while due.size:
-            ids = alive[due]
-            for i in ids[spos[ids] == _CLAIM_CHUNK]:
-                sbuf[i] = dist.ppf(rng_c[i].random(_CLAIM_CHUNK))
-                spos[i] = 0
-            x[due] -= sbuf[ids, spos[ids]]
-            spos[ids] += 1
-            broke = x[due] < 0.0
-            if broke.any():
-                any_broke = True
-                status[ids[broke]] = _RUINED
-                ruin_time[ids[broke]] = next_claim[due[broke]]
-                due, ids = due[~broke], ids[~broke]
-            for i in ids[apos[ids] == _CLAIM_CHUNK]:
-                abuf[i] = rng_c[i].standard_exponential(_CLAIM_CHUNK) / p.lam
-                apos[i] = 0
-            next_claim[due] += abuf[ids, apos[ids]]
-            apos[ids] += 1
-            due = due[next_claim[due] <= t_new]
-        if any_broke:
-            keep = status[alive] == _PENDING
-            alive, col, x, next_claim = alive[keep], col[keep], x[keep], next_claim[keep]
+        # claims due this step, each path in its own order: size refill,
+        # subtract, ruin check, arrival refill, advance.  A few due paths
+        # settle one by one on Python floats, more in rounds of one claim
+        # per path; due holds live positions and ids the paths at them
+        if t_next <= t_new:
+            due = np.flatnonzero(next_claim <= t_new)
+            any_broke = False
+            if due.size <= _FEW_DUE:
+                for k in due.tolist():
+                    i = int(alive[k])
+                    xk, tk = x.item(k), next_claim.item(k)
+                    while True:
+                        if spos[i] == _CLAIM_CHUNK:
+                            sbuf[i] = dist.ppf(rng_c[i].random(_CLAIM_CHUNK))
+                            spos[i] = 0
+                        xk -= sbuf.item(i, spos[i])
+                        spos[i] += 1
+                        if xk < 0.0:
+                            any_broke = True
+                            status[i] = _RUINED
+                            ruin_time[i] = tk
+                            break
+                        if apos[i] == _CLAIM_CHUNK:
+                            abuf[i] = rng_c[i].standard_exponential(_CLAIM_CHUNK) / p.lam
+                            apos[i] = 0
+                        tk += abuf.item(i, apos[i])
+                        apos[i] += 1
+                        if not tk <= t_new:
+                            break
+                    x[k], next_claim[k] = xk, tk
+            else:
+                while due.size:
+                    ids = alive[due]
+                    for i in ids[spos[ids] == _CLAIM_CHUNK]:
+                        sbuf[i] = dist.ppf(rng_c[i].random(_CLAIM_CHUNK))
+                        spos[i] = 0
+                    x[due] -= sbuf[ids, spos[ids]]
+                    spos[ids] += 1
+                    broke = x[due] < 0.0
+                    if broke.any():
+                        any_broke = True
+                        status[ids[broke]] = _RUINED
+                        ruin_time[ids[broke]] = next_claim[due[broke]]
+                        due, ids = due[~broke], ids[~broke]
+                    for i in ids[apos[ids] == _CLAIM_CHUNK]:
+                        abuf[i] = rng_c[i].standard_exponential(_CLAIM_CHUNK) / p.lam
+                        apos[i] = 0
+                    next_claim[due] += abuf[ids, apos[ids]]
+                    apos[ids] += 1
+                    due = due[next_claim[due] <= t_new]
+            if any_broke:
+                keep = status[alive] == _PENDING
+                alive, col, x, next_claim = alive[keep], col[keep], x[keep], next_claim[keep]
+            t_next = float(next_claim.min()) if next_claim.size else math.inf
 
-        reached = x >= config.safe_level
-        if reached.any():
-            status[alive[reached]] = _SAFE
-            keep = ~reached
-            alive, col, x, next_claim = alive[keep], col[keep], x[keep], next_claim[keep]
+        if x.size:
+            high = x.max()
+            if not high < safe_level:
+                if not math.isfinite(high):
+                    raise _nonfinite(x, alive, t_new)
+                reached = x >= safe_level
+                status[alive[reached]] = _SAFE
+                keep = ~reached
+                alive, col, x, next_claim = alive[keep], col[keep], x[keep], next_claim[keep]
 
     status[alive] = _HORIZON
     return status, ruin_time
@@ -343,7 +446,7 @@ def simulate_path(
 ) -> PathResult:
     """One path, bit-identical to the same index inside any batched run."""
     status, ruin_time = _run_paths(
-        params, dist, _as_strategy_fn(strategy), x0, config, np.array([path_index])
+        params, dist, _as_strategy(strategy), x0, config, np.array([path_index])
     )
     s = int(status[0])
     return PathResult(_STATUS_NAMES[s], float(ruin_time[0]) if s == _RUINED else None)
@@ -457,7 +560,7 @@ def estimate_survival(
         raise ValueError(
             f"x0 must sit in [0, safe_level); got x0={x0!r}, safe_level={config.safe_level!r}"
         )
-    job = (params, dist, _as_strategy_fn(strategy), x0, config)
+    job = (params, dist, _as_strategy(strategy), x0, config)
     n = config.n_paths
     shares = _share_count(n)
     if shares < 2:

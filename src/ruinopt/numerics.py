@@ -93,6 +93,16 @@ class SampledFn:
     Evaluation equals np.interp(x, grid.points, values) bit for bit, ends
     held outside the grid, but finds each interval in O(1) on the uniform
     grid instead of by binary search.  The values are read at construction.
+
+    The interval of xc = clip(x, 0, x_max) is j = trunc(xc / h), whose
+    rounding may put xc one node off: numpy's search finds the j with
+    fl(j h) <= xc < fl((j+1) h).  One pass of d = fl(xc - fl(j h)) tells
+    whether any query is off.  xc < fl(j h) exactly when d < 0.  And if
+    xc >= fl((j+1) h), then d >= fl((j+1) h) - fl(j h) by monotone
+    rounding, a difference that is exact (Sterbenz for j >= 1, and
+    fl(0 h) = 0), so d >= _wmin, the least such gap on the grid.  Only when
+    d.min() < 0 or d.max() >= _wmin are the crossings found and repaired
+    one node either way.
     """
 
     grid: Grid
@@ -112,28 +122,55 @@ class SampledFn:
         # samples only np.interp itself reproduces np.interp
         odd = not np.all(np.isfinite(slope)) or np.any(np.signbit(fp) & (fp == 0.0))
         self._slope = None if odd else slope
+        # min over j < n of fl((j+1) h) - fl(j h): the filter's up-crossing bound
+        self._wmin = float(np.diff(self.grid.h * np.arange(self.grid.n + 1)).min())
 
-    def __call__(self, x):
-        out = self._interp(np.asarray(x, dtype=float))
+    def __call__(self, x, out=None, scratch=None):
+        x = np.asarray(x, dtype=float)
+        out = self._interp(x, _top(x), out, scratch)
         return out if out.ndim else float(out)
 
-    def _interp(self, x: np.ndarray) -> np.ndarray:
+    def _interp(self, x: np.ndarray, top: float, out=None, scratch=None) -> np.ndarray:
+        """The lookup at x, whose largest element (NaN if any, or empty) is top.
+
+        out, and scratch = (float, float, intp), are arrays of x's shape the
+        lookup writes; fresh ones are made when they are not given.  Returns
+        out.
+        """
         h, fp = self.grid.h, self.values
-        if self._slope is None or np.isnan(x).any():
-            return np.interp(x, self.grid.points, fp)
-        xc = np.clip(x, 0.0, self.grid.x_max)
-        j = (xc / h).astype(np.intp)
-        lo = j * h  # == grid.points[j], bit for bit
-        # x/h may round across a node; one step either way restores
-        # lo <= xc < (j+1)*h, the interval numpy's search finds
-        down = xc < lo
-        up = xc >= (j + 1) * h
-        if down.any() or up.any():
-            j += up
-            j -= down
+        if out is None:
+            out = np.empty(x.shape)
+        if self._slope is None or top != top:
+            out[...] = np.interp(x, self.grid.points, fp)
+            return out
+        xc, d, j = scratch or (np.empty(x.shape), np.empty(x.shape), np.empty(x.shape, np.intp))
+        np.clip(x, 0.0, self.grid.x_max, out=xc)
+        np.divide(xc, h, out=d)
+        np.copyto(j, d, casting="unsafe")   # truncation, as astype(np.intp)
+        np.multiply(j, h, out=d)            # fl(j h) == grid.points[j], bit for bit
+        np.subtract(xc, d, out=d)
+        if d.min() < 0.0 or d.max() >= self._wmin:
+            # x/h rounded across a node; one step either way restores
+            # fl(j h) <= xc < fl((j+1) h), the interval numpy's search finds
             lo = j * h
-        # at x_max, j = n-1 and the appended zero slope gives values[-1]
-        return self._slope[j] * (xc - lo) + fp[j]
+            up = xc >= (j + 1) * h
+            j -= xc < lo
+            j += up
+            np.multiply(j, h, out=d)
+            np.subtract(xc, d, out=d)
+        # j is in [0, n-1]; at x_max, j = n-1 and the appended zero slope
+        # gives values[-1].  mode="clip" writes out= unbuffered, which the
+        # default mode="raise" does not
+        self._slope.take(j, out=xc, mode="clip")
+        xc *= d
+        fp.take(j, out=out, mode="clip")
+        out += xc
+        return out
+
+
+def _top(x: np.ndarray) -> float:
+    """x.max(), NaN if x holds a NaN or nothing."""
+    return x.max() if x.size else np.nan
 
 
 def convolve_tail_all(w_values: np.ndarray, tail_values: np.ndarray, h: float) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .claims import ClaimDistribution
 from .model import ModelParams
-from .numerics import Grid, SampledFn, convolve_tail_all
+from .numerics import Grid, SampledFn, _top, convolve_tail_all
 
 __all__ = [
     "ValueGrid",
@@ -56,13 +56,17 @@ class StrategyCurve(SampledFn):
     hi: float | None = None
     tail: tuple[float, float] | None = None
 
-    def value(self, x):
+    def value(self, x, out=None, scratch=None):
+        """The curve at x; out and scratch as for SampledFn._interp, which
+        fills out (0-d for a scalar query) before the tail does."""
         x = np.asarray(x, dtype=float)
-        # a fresh array (0-d for a scalar query), so the tail can fill it in place
-        out = np.asarray(self._interp(x))
-        if self.tail is not None:
+        top = _top(x)
+        out = self._interp(x, top, out, scratch)
+        # NaN in top leaves the beyond-grid queries to the mask
+        x_max = self.grid.x_max
+        if self.tail is not None and not top <= x_max:
             limit, coeff = self.tail
-            beyond = np.flatnonzero(x > self.grid.x_max)
+            beyond = np.flatnonzero(x > x_max)
             if beyond.size:
                 ext = limit + coeff / x.take(beyond)
                 if self.lo is not None or self.hi is not None:

@@ -13,7 +13,7 @@ from scipy.special import ndtr
 import ruinopt as ro
 from ruinopt import mc
 from ruinopt.mc import (
-    _STATUS_NAMES, SimConfig, SimReport, _as_strategy_fn, _generators, _run_paths, _seed_states,
+    _STATUS_NAMES, SimConfig, SimReport, _as_strategy, _generators, _run_paths, _seed_states,
     compare_strategies, estimate_survival, simulate_path,
 )
 from conftest import assert_close
@@ -195,8 +195,10 @@ def test_batching_does_not_change_outcomes_under_many_claims():
     )
     assert rep.mean_ruin_time == float(np.nansum(times)) / rep.n_ruined
 
-    # path for path, in batches of any order and membership
-    fn = _as_strategy_fn(0.5)
+    # path for path, in batches of any order and membership: three paths
+    # settle their claims one by one, 300 in rounds until few are left
+    assert 3 <= mc._FEW_DUE < n
+    fn = _as_strategy(0.5)
     for idx in (np.arange(n), np.arange(n)[::-3], np.array([7, 250, 3])):
         got_status, got_time = _run_paths(HOT_PARAMS, HOT_DIST, fn, 0.5, HOT_CFG, idx)
         assert [_STATUS_NAMES[s] for s in got_status] == list(status[idx])
@@ -213,6 +215,17 @@ def test_strategy_argument_forms(ex1, exp1):
     as_fn = simulate_path(ex1, exp1, lambda xs: np.full_like(xs, A_OPT0), 1.0, cfg, 17)
     as_curve = simulate_path(ex1, exp1, curve, 1.0, cfg, 17)
     assert base == as_fn == as_curve
+
+
+def test_strategy_may_return_its_argument(ex1, exp1):
+    # a = x read from the live surplus itself must see the surplus before
+    # the step moves it; the identity curve is exact on its grid
+    cfg = SimConfig(dt=1e-2, horizon=10.0, n_paths=200, safe_level=10.0, master_seed=4)
+    grid = ro.Grid.from_xmax(0.01, cfg.safe_level)
+    identity = ro.StrategyCurve(grid=grid, values=grid.points)
+    assert estimate_survival(ex1, exp1, lambda xs: xs, 1.0, cfg) == estimate_survival(
+        ex1, exp1, identity, 1.0, cfg
+    )
 
 
 def test_compare_uses_common_random_numbers(ex1, exp1):
@@ -390,6 +403,31 @@ def test_error_in_a_worker_is_raised_in_the_parent(
     assert str(info.value) == message
     assert forks == [[(0, 1250), (1250, 2501)]]
     assert multiprocessing.active_children() == []
+
+
+def _nan_strategy(xs):
+    return np.full_like(xs, np.nan)
+
+
+def _inf_above_2(xs):
+    return np.where(xs > 2.0, np.inf, 0.8542)
+
+
+@pytest.mark.parametrize("n", [200, 2_000], ids=["in_process", "forked"])
+@pytest.mark.parametrize("strategy", [_nan_strategy, _inf_above_2], ids=["nan", "inf_above_2"])
+def test_nonfinite_surplus_is_refused(monkeypatch, forks, ex1, exp1, strategy, n):
+    # NaN fails both x < 0 and x >= safe_level, so such a path used to
+    # count as a survivor; a worker's error comes back to the parent
+    _cpus(monkeypatch, 2)
+    cfg = SimConfig(dt=0.04, horizon=20.0, n_paths=n, master_seed=3)
+    with np.errstate(invalid="ignore"), pytest.raises(ValueError, match=r"non-finite surplus nan at t=") as info:
+        estimate_survival(ex1, exp1, strategy, 1.0, cfg)
+    assert type(info.value) is ValueError
+    if n == 200:
+        assert forks == []
+    else:
+        assert forks == [[(0, 1000), (1000, 2000)]]
+        assert any("Monte Carlo worker for paths [0, 1000)" in note for note in info.value.__notes__)
 
 
 def test_no_fork_without_fork_or_inside_a_daemon(monkeypatch, forks, ex1, exp1):

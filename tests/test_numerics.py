@@ -98,6 +98,10 @@ def _same_bits(a, b) -> bool:
     return a.shape == b.shape and bool(np.all(a.view(np.int64) == b.view(np.int64)))
 
 
+# nodes fl(j h) whose x/h truncates to j - 1, per (h, n); none elsewhere
+_UP_CROSSINGS = {(5e-3, 8001): 574, (1.0 / 3.0, 100): 11}
+
+
 # the uniform-grid lookup must be np.interp bit for bit, on grids where
 # x/h rounds across nodes (h = 5e-3, 1/3, 1e-3) and on the shortest grid
 @pytest.mark.parametrize("h, n", [(5e-3, 8001), (1.0 / 3.0, 100), (1e-3, 2001), (0.7, 2)])
@@ -121,6 +125,19 @@ def test_lookup_is_np_interp(h, n):
     got = tailed.value(xs)
     assert _same_bits(got[inside], ref[inside])
     assert _same_bits(got[~inside], limit + coeff / xs[~inside])
+
+    # calls that each hold one kind of crossing, so that each half of the
+    # lookup's filter must catch it alone: up-crossings, the nodes fl(j h)
+    # where x/h truncates to j - 1, and down-crossings, points just below
+    # a node that x/h truncates onto it
+    xq = xs[(xs >= 0.0) & (xs <= grid.x_max)]
+    j = (xq / h).astype(np.intp)
+    up, down = xq[xq >= (j + 1) * h], xq[xq < j * h]
+    assert up.size == _UP_CROSSINGS.get((h, n), 0)
+    assert down.size > 0 or n == 2
+    for probe in (up, down):
+        for fp in (values, zigzag):
+            assert _same_bits(ro.SampledFn(grid, fp)(probe), np.interp(probe, grid.points, fp))
 
     for x in (0.0, 0.5 * grid.x_max, grid.x_max, 2.0 * grid.x_max, -1.0):
         for f in (ro.SampledFn(grid, values), curve):
