@@ -43,7 +43,7 @@ __all__ = [
     "prefix_trapezoid",
 ]
 
-# largest grid Grid.from_xmax builds: at 10^7 nodes the march's O(n^2)
+# largest grid Grid builds: at 10^7 nodes the march's O(n^2)
 # history for half-normal, log-normal, Weibull and shape > 10 Pareto
 # claims alone is 5e13 multiply-adds (exponential and other Pareto claims
 # carry it in O(n))
@@ -62,6 +62,8 @@ class Grid:
             raise ValueError(f"h (the grid step) must be positive and finite, got {self.h!r}")
         if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
             raise ValueError(f"n must be an integer of at least 2 grid points, got n={self.n!r}")
+        if self.n > MAX_NODES:
+            raise ValueError(f"a grid holds at most {MAX_NODES} nodes, got n={self.n!r}")
 
     @classmethod
     def from_xmax(cls, h: float, x_max: float) -> "Grid":

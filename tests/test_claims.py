@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import inspect
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,3 +197,54 @@ def test_benchmark_distribution_sets():
     assert set(d2) == {"exponential", "weibull", "pareto"}
     for dist in d2.values():
         assert_close(dist.mean, 2.0, 1e-12, "benchmark 2 mean")
+
+
+# the laws that load scipy.special, with a Pareto shape past the mixture fit
+COLD_LAWS = [("half_normal", 1.3, None), ("log_normal", -0.5, 1.0), ("pareto", 2.0, 2.0),
+             ("pareto", 2.0, 10.5)]
+
+
+def _law_bits(dist):
+    y = np.concatenate([np.linspace(0.0, 40.0, 401), [1e3, 1e6]])
+    u = np.linspace(0.0, 0.999, 400)
+    return [dist.cdf(y).tobytes().hex(), dist.tail(y).tobytes().hex(), dist.ppf(u).tobytes().hex(),
+            repr(dist.tail_mixture)]
+
+
+def _cold_run(code, *args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+
+
+def test_laws_built_before_scipy_loads_give_the_same_bits():
+    # scipy.special is imported by the factories that need it; built in a
+    # process where no scipy module has loaded yet, each law must give the
+    # same bits as here
+    code = (
+        "import json, sys\n"
+        "import numpy as np\n"
+        "import ruinopt as ro\n"
+        + inspect.getsource(_law_bits)
+        + "cold = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "bits = [_law_bits(ro.from_config(*law)) for law in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([cold, 'scipy.special' in sys.modules, bits]))\n"
+    )
+    out = _cold_run(code, json.dumps(COLD_LAWS))
+    assert out.returncode == 0, out.stderr
+    cold, loaded, bits = json.loads(out.stdout.splitlines()[-1])
+    assert cold == [] and loaded
+    assert bits == [_law_bits(ro.from_config(*law)) for law in COLD_LAWS]
+
+
+@pytest.mark.parametrize("family,params", [("half_normal", "claim.p1 = 1.0"),
+                                           ("log_normal", "claim.p1 = -0.5\nclaim.p2 = 1.0")],
+                         ids=["half_normal", "log_normal"])
+def test_constants_from_cold(tmp_path, family, params):
+    scenario = (Path(__file__).parent / "pinned" / "bench2_pareto.scn").read_text(encoding="utf-8")
+    path = tmp_path / "scenario.txt"
+    path.write_text(f"{scenario[: scenario.index('claim.family')]}claim.family = {family}\n{params}\n",
+                    encoding="utf-8")
+    out = _cold_run("import sys; from ruinopt.cli import main; sys.exit(main(sys.argv[1:]))",
+                    "constants", str(path))
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["scenario"]["claim.family"] == family

@@ -189,10 +189,37 @@ def test_solve_on_a_grid_too_short_for_the_tail_fit_names_key(capsys, tmp_path):
 
 
 def test_import_leaves_scipy_integrate_out():
-    code = "import sys, ruinopt.cli; print('scipy.integrate' in sys.modules)"
+    # no scipy module at all: scipy.special loads only with the laws that use it
+    code = "import sys, ruinopt.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+def test_exponential_subcommands_leave_scipy_out(tmp_path):
+    # every subcommand a small exponential scenario runs, in one fresh process
+    path = tmp_path / "capped.txt"
+    path.write_text(BASE + "cap_A = 1.0\n", encoding="utf-8")
+    runs = [
+        ["constants", path], ["asymptotes", path], ["exp-validate", path],
+        ["solve", path, "--mode", "unconstrained", "--out", tmp_path],
+        ["solve", path, "--mode", "constrained", "--out", tmp_path],
+        ["simulate", path, "--x0", "1.0", "--strategy", "optimal"],
+    ]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from ruinopt.cli import main\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(main(argv))\n"
+        "print(json.dumps([codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
+    )
+    argv = json.dumps([[str(a) for a in run] for run in runs])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code, argv], env=env, capture_output=True, text=True,
+                         check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == [[0] * len(runs), []]
 
 
 def test_import_leaves_scipy_linalg_signal_fft_out():

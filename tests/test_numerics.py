@@ -63,6 +63,15 @@ def test_grid_from_xmax_refuses_more_than_max_nodes():
         ro.Grid.from_xmax(1e-12, 40.0)   # n = 4e13 + 1
 
 
+def test_grid_refuses_more_than_max_nodes():
+    # the direct constructor holds the same bound, before `.points` could
+    # allocate 8 bytes a node
+    assert ro.Grid(h=0.1, n=MAX_NODES).n == MAX_NODES
+    for n in (MAX_NODES + 1, 10**8, np.int64(10**8)):
+        with pytest.raises(ValueError, match="at most 10000000 nodes"):
+            ro.Grid(h=0.1, n=n)
+
+
 @pytest.mark.parametrize("n", [2.5, 3.0, "3"])
 def test_grid_refuses_non_integer_n(n):
     # Grid(h=0.1, n=2.5) would lay out 3 points

@@ -4,7 +4,10 @@
         --set NAME WORKLOAD SEED PAIRS [--set ...]
 
 The parent side is `git archive REV`, unpacked into a temporary directory;
-the change side is the working tree of this checkout.  Each pair runs
+the change side is a copy of this checkout's working tree, its tracked
+files and its untracked files that are not ignored, made in another
+temporary directory.  Neither side starts with a bytecode cache that the
+other lacks.  Each pair runs
 `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0` once
 on each side, the parent first on odd pairs, T being the `run_seconds` of
 this checkout's BENCHMARK.json.  The script writes
@@ -25,6 +28,7 @@ import argparse
 import json
 import os
 import shlex
+import shutil
 import statistics
 import subprocess
 import sys
@@ -43,6 +47,16 @@ def unpack(rev: str, dest: Path) -> None:
         tar.seek(0)
         with tarfile.open(fileobj=tar) as archive:
             archive.extractall(dest, filter="data")
+
+
+def copy_working_tree(dest: Path) -> None:
+    """This checkout's tracked and untracked, not ignored files, as they stand, copied under `dest`."""
+    names = subprocess.run(["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+                           cwd=ROOT, stdout=subprocess.PIPE, check=True).stdout.decode().split("\0")
+    for name in filter(None, names):
+        if (ROOT / name).is_file():   # a tracked file deleted from the working tree is still listed
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
 
 
 def parse_log(stdout: str) -> dict:
@@ -138,9 +152,11 @@ def main(argv=None) -> int:
     seconds = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["run_seconds"]
 
     runs, summary = [], []
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        sides = {"parent": Path(tmp), "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as parent, \
+            tempfile.TemporaryDirectory(prefix="bench-change-") as change:
+        sides = {"parent": Path(parent), "change": Path(change)}
         unpack(args.parent, sides["parent"])
+        copy_working_tree(sides["change"])
         for name, workload, seed, pairs in args.set:
             seed, set_runs = int(seed), []
             for pair in range(1, int(pairs) + 1):
@@ -158,9 +174,9 @@ def main(argv=None) -> int:
 
     env = next((r["env"] for r in runs if r.get("env")), {})
     doc = {
-        "what": "perfbench result lines, the parent commit (git archive) against this checkout's "
-                "working tree, in alternating order per pair (odd pairs parent first), written by "
-                "tools/bench_pairs.py",
+        "what": "perfbench result lines, the parent commit (git archive) against a fresh copy of "
+                "this checkout's working tree (tracked and untracked, not ignored files), in "
+                "alternating order per pair (odd pairs parent first), written by tools/bench_pairs.py",
         "command": shlex.join(["python3", "tools/bench_pairs.py", *(sys.argv[1:] if argv is None else argv)]),
         "machine": f"{env.get('nproc')} CPUs, Python {env.get('python')}, numpy {env.get('numpy')}, "
                    f"scipy {env.get('scipy')}",
