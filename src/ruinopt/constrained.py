@@ -45,23 +45,27 @@ As in the unrestricted solver, node j sees only v_0 .. v_{j-1} and itself
 (the equation is causal), so the single forward pass of
 `numerics.march_value_slope` is the exact discrete solution.
 
-The march solves one node at a time with the scalar `_best_candidate`,
-since each node needs the one before it; each solve builds one
-`_node_solver`, which forms the node-independent scalars once and groups
-Q(a) and the curvature as `quadratic_form` and `curvature_candidate` do.
-The fixed-point certificate has every v_j at hand, so it evaluates T(v)
-at all nodes in one call of the array `curvature_best`, which picks the
-same candidate as the scalar scan bit for bit.
+The march solves one node at a time, since each node needs the one
+before it; each solve builds one `_node_solver`, which forms the
+node-independent scalars once.  A node takes its candidates from
+`model._candidates` (0, cap, then the roots in [0, cap]) and evaluates
+D/N at each inline, grouping Q(a) and the curvature as `quadratic_form`
+and `curvature_candidate` do.  It keeps a candidate whose ratio is
+strictly larger, or equal at a smaller amount, so it picks the amount
+`model._best_candidate` picks.  The fixed-point certificate has every v_j
+at hand, so it evaluates T(v) at all nodes in one call of the array
+`curvature_best`, which picks the same candidate bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .claims import ClaimDistribution
-from .model import ModelParams, _best_candidate, curvature_best
+from .model import ModelParams, _candidates, curvature_best
 from .numerics import Grid, convolve_tail_all, march_value_slope
 from .results import ValueGrid, generator_residual
 
@@ -81,24 +85,24 @@ def _node_solver(p: ModelParams, h: float):
     lam_half_h, lam_h_half_h = p.lam * half_h, p.lam * h * half_h
     s2, two_rss, s12 = p.sigma**2, 2.0 * p.rho * p.sigma * p.sigma1, p.sigma1**2
 
-    def Q(a: float) -> float:  # ModelParams.quadratic_form, grouped as it groups
-        return s2 * a * a + two_rss * a + s12
-
     def solve(x: float, q: float, alpha: float) -> tuple[float, float, float]:
         drift = c + r * x
         E = alpha * (drift - lam_half_h) - q
-
-        def neg_ratio(a: float) -> float:
-            Qa = Q(a)
-            return -(Qa + h * (drift + excess * a) - lam_h_half_h) / (alpha * Qa + h * q)
-
-        qc = two_rss * E - excess * (alpha * s12 + h * q)
-        best, a = _best_candidate(excess * s2 * alpha, 2.0 * s2 * E, qc, cap, neg_ratio)
-        if not best < 0.0:
+        hq = h * q
+        qc = two_rss * E - excess * (alpha * s12 + hq)
+        # the largest D/N, at the smallest amount among exact ties; a NaN
+        # ratio never wins.  Q(a) is grouped as ModelParams.quadratic_form
+        best, a, Qa = -math.inf, 0.0, s12
+        for b in _candidates(excess * s2 * alpha, 2.0 * s2 * E, qc, cap):
+            Qb = s2 * b * b + two_rss * b + s12
+            ratio = (Qb + h * (drift + excess * b) - lam_h_half_h) / (alpha * Qb + hq)
+            if ratio > best or (ratio == best and b < a):
+                best, a, Qa = ratio, b, Qb
+        if not best > 0.0:
             raise RuntimeError(f"capped node solve found no positive root at x={x:.6g}")
-        w = -1.0 / best
+        w = 1.0 / best
         # curvature_candidate(p, a, x, w, q + lam h/2 w), grouped as it groups
-        return w, 2.0 * (q + lam_half_h * w - (drift + excess * a) * w) / Q(a), a
+        return w, 2.0 * (q + lam_half_h * w - (drift + excess * a) * w) / Qa, a
 
     return solve
 

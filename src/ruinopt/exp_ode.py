@@ -117,6 +117,7 @@ def _rk4(p: ModelParams, m: float, x0: float, y0: float, x1: float, n: int) -> t
     bit.
     """
     q3, q0, s2, sigma_rho2, b = _feedback_terms(p, m)
+    nq3 = -q3   # -q3 * a**3 parses as (-q3) * a**3
     h = (x1 - x0) / n
     half_h, sixth_h = 0.5 * h, h / 6.0
     xs = x0 + h * np.arange(n + 1)
@@ -128,13 +129,13 @@ def _rk4(p: ModelParams, m: float, x0: float, y0: float, x1: float, n: int) -> t
         out = []
         for b2, b1, b2m, b1m, b2e, b1e in zip(*(t.tolist() for t in tables)):
             a = y
-            k1 = (-q3 * a**3 - b2 * a**2 + b1 * a - q0) / (s2 * a * a + sigma_rho2)
+            k1 = (nq3 * a**3 - b2 * a**2 + b1 * a - q0) / (s2 * a * a + sigma_rho2)
             a = y + half_h * k1
-            k2 = (-q3 * a**3 - b2m * a**2 + b1m * a - q0) / (s2 * a * a + sigma_rho2)
+            k2 = (nq3 * a**3 - b2m * a**2 + b1m * a - q0) / (s2 * a * a + sigma_rho2)
             a = y + half_h * k2
-            k3 = (-q3 * a**3 - b2m * a**2 + b1m * a - q0) / (s2 * a * a + sigma_rho2)
+            k3 = (nq3 * a**3 - b2m * a**2 + b1m * a - q0) / (s2 * a * a + sigma_rho2)
             a = y + h * k3
-            k4 = (-q3 * a**3 - b2e * a**2 + b1e * a - q0) / (s2 * a * a + sigma_rho2)
+            k4 = (nq3 * a**3 - b2e * a**2 + b1e * a - q0) / (s2 * a * a + sigma_rho2)
             y = y + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             out.append(y)
         ys[start + 1 : start + 1 + len(out)] = out
@@ -248,27 +249,37 @@ def solve_linear_const_strategy(params: ModelParams, A: float, m: float, grid: G
     node.
     """
     co = linear_ode_coeffs(params, A, m)
+    a1, a2, a3, a4 = co.a1, co.a2, co.a3, co.a4
     h = grid.h
     x = grid.points
     n = grid.n
     phi = np.empty(n)
     psi = np.empty(n)
-    phi[0] = 1.0
-    psi[0] = -2.0 * (params.c + params.excess * A) / co.A_rho2
+    phi[0] = f = 1.0
+    psi[0] = g = -2.0 * (params.c + params.excess * A) / co.A_rho2
 
+    # a block of nodes at a time on Python floats; the coefficients at
+    # x_j are carried to the next step, where they are the ones at x_{j-1}
     half_h = 0.5 * h
-    for j in range(1, n):
-        pj = co.a2 * x[j - 1] + co.a1
-        qj = co.a4 * x[j - 1] + co.a3
-        p1 = co.a2 * x[j] + co.a1
-        q1 = co.a4 * x[j] + co.a3
-        # rhs = (I + h/2 M_j) y_j with M = [[0, 1], [-q, -p]]
-        r0 = phi[j - 1] + half_h * psi[j - 1]
-        r1 = psi[j - 1] + half_h * (-qj * phi[j - 1] - pj * psi[j - 1])
-        # solve (I - h/2 M_{j+1}) y = r, closed-form 2x2
-        det = (1.0 + half_h * p1) + half_h * half_h * q1
-        phi[j] = ((1.0 + half_h * p1) * r0 + half_h * r1) / det
-        psi[j] = (-half_h * q1 * r0 + r1) / det
+    p1 = a2 * 0.0 + a1
+    q1 = a4 * 0.0 + a3
+    for start in range(1, n, _BLOCK):
+        fs, gs = [], []
+        for xj in x[start : start + _BLOCK].tolist():
+            pj, qj = p1, q1
+            p1 = a2 * xj + a1
+            q1 = a4 * xj + a3
+            # rhs = (I + h/2 M_j) y_j with M = [[0, 1], [-q, -p]]
+            r0 = f + half_h * g
+            r1 = g + half_h * (-qj * f - pj * g)
+            # solve (I - h/2 M_{j+1}) y = r, closed-form 2x2
+            det = (1.0 + half_h * p1) + half_h * half_h * q1
+            f = ((1.0 + half_h * p1) * r0 + half_h * r1) / det
+            g = (-half_h * q1 * r0 + r1) / det
+            fs.append(f)
+            gs.append(g)
+        phi[start : start + len(fs)] = fs
+        psi[start : start + len(gs)] = gs
 
     V = prefix_trapezoid(phi, h)
     return ValueGrid(grid=grid, v=phi, V=V, vprime=psi, a_star=np.full(n, A))

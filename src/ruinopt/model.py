@@ -149,29 +149,47 @@ def curvature_candidate(params: ModelParams, a: float, x: float, w_x: float, MW_
     return 2.0 * (MW_x - (p.c + p.r * x + p.excess * a) * w_x) / p.quadratic_form(a)
 
 
-def _best_candidate(qa: float, qb: float, qc: float, hi: float, objective) -> tuple[float, float]:
-    """Minimize a smooth objective over [0, hi] whose interior stationary
-    points solve qa a^2 + qb a + qc = 0.
+def _candidates(qa: float, qb: float, qc: float, hi: float) -> list[float]:
+    """The amounts in [0, hi], hi > 0, where a smooth objective whose
+    interior stationary points solve qa a^2 + qb a + qc = 0 can be least.
 
-    Candidates: both endpoints plus the roots inside.  Returns
-    (value, argmin); exact ties go to the smaller investment.
+    First 0 and hi, then the roots that lie in [0, hi] (a NaN root never
+    does), each formed without cancellation.
     """
     candidates = [0.0, hi]
     if qa == 0.0:
         if qb != 0.0:
-            candidates.append(-qc / qb)
+            a = -qc / qb
+            if 0.0 <= a <= hi:
+                candidates.append(a)
     else:
         disc = qb * qb - 4.0 * qa * qc
         if disc >= 0.0:
             root = math.sqrt(disc)
             qq = -0.5 * (qb + math.copysign(root, qb)) if qb != 0.0 else 0.5 * root
-            candidates.append(qq / qa)
+            a = qq / qa
+            if 0.0 <= a <= hi:
+                candidates.append(a)
             if qq != 0.0:
-                candidates.append(qc / qq)
+                a = qc / qq
+                if 0.0 <= a <= hi:
+                    candidates.append(a)
+    return candidates
+
+
+def _best_candidate(qa: float, qb: float, qc: float, hi: float, objective) -> tuple[float, float]:
+    """Minimize a smooth objective over [0, hi] whose interior stationary
+    points solve qa a^2 + qb a + qc = 0.
+
+    Scans `_candidates`.  Returns (value, argmin): the least value, at the
+    smallest investment among exact ties and at the first listed among
+    equal amounts (0.0 before a root of -0.0).  NaN values never win; with
+    no finite value left the result is (inf, 0.0).
+    """
     best_val, best_a = math.inf, 0.0
-    for a in sorted(c for c in candidates if 0.0 <= c <= hi):
+    for a in _candidates(qa, qb, qc, hi):
         val = objective(a)
-        if val < best_val:
+        if val < best_val or (val == best_val and a < best_a):
             best_val, best_a = val, a
     return best_val, best_a
 
@@ -186,10 +204,11 @@ def curvature_best(params: ModelParams, x, w_x, MW_x):
 
     with E = MW_x - (c + r x) w_x.  The inputs broadcast; returns
     (value, argmin) arrays, or floats when every input is a scalar.  The
-    roots and the choice follow `_best_candidate` operation for operation:
-    out-of-range roots and NaN values drop out, exact ties go to the
-    smaller investment, and with no candidate left the value is inf at
-    a = 0.  At x = 0, w = 1, MW = 0 the value is the capped v'(0+).
+    roots follow `_candidates` operation for operation, and the choice is
+    `_best_candidate`'s: out-of-range roots and NaN values drop out, exact
+    ties go to the smaller investment, and with no candidate left the
+    value is inf at a = 0.  At x = 0, w = 1, MW = 0 the value is the
+    capped v'(0+).
     """
     p = params
     if p.cap is None:

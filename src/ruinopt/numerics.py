@@ -273,7 +273,9 @@ def march_value_slope(grid: Grid, tail_values: np.ndarray, lam: float, vprime0: 
     its node in closed form and raises RuntimeError, naming x_j, when the
     node has no positive root.  q_j, alpha_j and the carried previous node
     are Python floats, so node arithmetic never runs on numpy scalars.
-    Returns (v, v', V) with V the prefix integral of v.
+    Each node writes v_j into the reversed copy the next node's dot reads;
+    v and v' are gathered in a block's short lists and stored one slice
+    per block.  Returns (v, v', V) with V the prefix integral of v.
     """
     h = grid.h
     half_h = 0.5 * h
@@ -283,7 +285,7 @@ def march_value_slope(grid: Grid, tail_values: np.ndarray, lam: float, vprime0: 
     v = np.empty(n)
     vp = np.empty(n)
     # vr[n-1-i] = v_i: the near history v_{j-1} .. v_{t+1} is the contiguous
-    # slice vr[n-j:n-1-t], which np.dot reads in place
+    # slice vr[n-j:n-1-t], which the dot reads in place
     vr = np.empty(n)
     v[0] = vr[n - 1] = w = 1.0
     vp[0] = y = float(vprime0)
@@ -302,15 +304,20 @@ def march_value_slope(grid: Grid, tail_values: np.ndarray, lam: float, vprime0: 
             t = s - L
             F = decay * F + E @ v[t - L + 1:t + 1]
             far = (P @ F).tolist()
-        for j in range(max(s, 1), min(s + L, n)):
-            q = lam * (h * (far[j - s] + float(np.dot(H[1:j - t], vr[n - j:n - 1 - t])) + 0.5 * H.item(j)))
+        lo, hi = max(s, 1), min(s + L, n)
+        ws, ys = [], []
+        for j, far_j, H_j in zip(range(lo, hi), far[lo - s:], H[lo:hi].tolist()):
+            q = lam * (h * (far_j + float(H[1:j - t].dot(vr[n - j:n - 1 - t])) + 0.5 * H_j))
             alpha = w + half_h * y
             if alpha <= 0.0:
                 raise RuntimeError(
                     f"trapezoid anchor went nonpositive at x={j * h:.6g}; grid step too coarse"
                 )
             w, y = solve_node(j, q, alpha)
-            v[j] = vr[n - 1 - j] = w
-            vp[j] = y
+            vr[n - 1 - j] = w
+            ws.append(w)
+            ys.append(y)
+        v[lo:hi] = ws
+        vp[lo:hi] = ys
     V = prefix_trapezoid(v, h)
     return v, vp, V

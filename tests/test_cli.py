@@ -348,14 +348,16 @@ def _solve_digests(capsys, tmp_path, name, mode):
 
 
 @pytest.mark.parametrize("mode", ["unconstrained", "constrained"])
-@pytest.mark.parametrize("name", ["bench1", "bench2_pareto"])
+@pytest.mark.parametrize("name", ["bench1", "bench2_pareto", "bench2_weibull", "bench1_log_normal"])
 def test_solve_output_pinned(capsys, tmp_path, name, mode):
     # the solves must keep their bytes through any speed-up that keeps the
     # arithmetic.  One change moved them on purpose: carrying the far
     # history of exponential and Pareto claims as an exponential sum moved
     # the Pareto CSVs' residual column in its ninth digit on 7 rows.  The
-    # sums run through numpy's dot and BLAS matmul, so the digests hold for
-    # one numpy build on one CPU family
+    # Weibull(1, 0.5) and log-normal(-0.5, 1) laws have no such sum, so
+    # their solves pin the march's whole-history path.  The sums run
+    # through numpy's dot and BLAS matmul, so the digests hold for one
+    # numpy build on one CPU family
     pinned = json.loads((PINNED / "solve.sha256.json").read_text(encoding="utf-8"))
     assert _solve_digests(capsys, tmp_path, name, mode) == pinned[f"{name}.{mode}"]
 

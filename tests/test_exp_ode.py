@@ -184,6 +184,50 @@ def test_linear_solve_shape_and_slope(ex1):
     assert np.all(np.diff(vg.v) < 0)
 
 
+def _plain_linear_const_strategy(params, A, m, grid):
+    """The constant-strategy trapezoid loop on numpy scalars, as first
+    written: the oracle for solve_linear_const_strategy's (phi, psi)."""
+    co = linear_ode_coeffs(params, A, m)
+    h = grid.h
+    x = grid.points
+    n = grid.n
+    phi = np.empty(n)
+    psi = np.empty(n)
+    phi[0] = 1.0
+    psi[0] = -2.0 * (params.c + params.excess * A) / co.A_rho2
+    half_h = 0.5 * h
+    for j in range(1, n):
+        pj = co.a2 * x[j - 1] + co.a1
+        qj = co.a4 * x[j - 1] + co.a3
+        p1 = co.a2 * x[j] + co.a1
+        q1 = co.a4 * x[j] + co.a3
+        r0 = phi[j - 1] + half_h * psi[j - 1]
+        r1 = psi[j - 1] + half_h * (-qj * phi[j - 1] - pj * psi[j - 1])
+        det = (1.0 + half_h * p1) + half_h * half_h * q1
+        phi[j] = ((1.0 + half_h * p1) * r0 + half_h * r1) / det
+        psi[j] = (-half_h * q1 * r0 + r1) / det
+    return phi, psi
+
+
+@pytest.mark.parametrize(
+    "which, A, m, h, x_max",
+    [
+        ("ex1", 1.0, 1.0, 5e-3, 40.0),                # criterion 9's reference grid
+        ("ex1", 0.8542114902640175, 1.0, 5e-3, 10.0),  # perfbench's mc reference strategy
+        ("ex1", 0.0, 1.0, 5e-3, 10.245),              # n = 2050: one node past a full block
+        ("ex2", 2.0, 0.5, 1e-2, 20.48),               # n = 2049: node 0 and one full block
+        ("ex2", 9.091604752856423, 2.0, 0.1, 0.1),    # n = 2: a single step
+    ],
+)
+def test_linear_solve_equals_plain_loop_bit_for_bit(which, A, m, h, x_max, ex1, ex2):
+    p = ex1 if which == "ex1" else ex2
+    grid = ro.Grid.from_xmax(h, x_max)
+    phi, psi = _plain_linear_const_strategy(p, A, m, grid)
+    vg = solve_linear_const_strategy(p, A, m, grid)
+    assert np.array_equal(vg.v.view(np.int64), phi.view(np.int64))
+    assert np.array_equal(vg.vprime.view(np.int64), psi.view(np.int64))
+
+
 def test_no_investment_ode_near_classical_reference(ex1):
     # a = 0 still carries the sigma1 perturbation, so this is a proximity
     # check, not an identity: diffusion adds risk on top of the classical

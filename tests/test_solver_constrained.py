@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 
 import ruinopt as ro
 from ruinopt import constrained
-from ruinopt.model import _best_candidate
+from ruinopt.model import _best_candidate, _candidates
 from ruinopt.numerics import convolve_tail_all
 from conftest import NONCONTRACTING, assert_close, node_draws, node_residual
 
@@ -186,6 +188,175 @@ def test_capped_node_matches_bisection(which):
         non_contracting += bool(np.any(D <= 0.0))
     if which == "noncontracting":
         assert non_contracting >= 10, non_contracting
+
+
+def _sorted_scan(qa, qb, qc, hi, objective):
+    """The candidate scan the capped node solve first used: both endpoints
+    and the roots inside, sorted, the first strictly smaller value kept."""
+    candidates = [0.0, hi]
+    if qa == 0.0:
+        if qb != 0.0:
+            candidates.append(-qc / qb)
+    else:
+        disc = qb * qb - 4.0 * qa * qc
+        if disc >= 0.0:
+            root = math.sqrt(disc)
+            qq = -0.5 * (qb + math.copysign(root, qb)) if qb != 0.0 else 0.5 * root
+            candidates.append(qq / qa)
+            if qq != 0.0:
+                candidates.append(qc / qq)
+    best_val, best_a = math.inf, 0.0
+    for a in sorted(c for c in candidates if 0.0 <= c <= hi):
+        val = objective(a)
+        if val < best_val:
+            best_val, best_a = val, a
+    return best_val, best_a
+
+
+def _sorted_scan_node_solver(p, h):
+    """The capped node solve as first written, minimising -D/N through
+    _sorted_scan: the oracle for constrained._node_solver."""
+    half_h = 0.5 * h
+    c, r, excess, cap = p.c, p.r, p.excess, p.cap
+    lam_half_h, lam_h_half_h = p.lam * half_h, p.lam * h * half_h
+    s2, two_rss, s12 = p.sigma**2, 2.0 * p.rho * p.sigma * p.sigma1, p.sigma1**2
+
+    def Q(a):
+        return s2 * a * a + two_rss * a + s12
+
+    def solve(x, q, alpha):
+        drift = c + r * x
+        E = alpha * (drift - lam_half_h) - q
+
+        def neg_ratio(a):
+            Qa = Q(a)
+            return -(Qa + h * (drift + excess * a) - lam_h_half_h) / (alpha * Qa + h * q)
+
+        qc = two_rss * E - excess * (alpha * s12 + h * q)
+        best, a = _sorted_scan(excess * s2 * alpha, 2.0 * s2 * E, qc, cap, neg_ratio)
+        if not best < 0.0:
+            raise RuntimeError(f"capped node solve found no positive root at x={x:.6g}")
+        w = -1.0 / best
+        return w, 2.0 * (q + lam_half_h * w - (drift + excess * a) * w) / Q(a), a
+
+    return solve
+
+
+def _node_bits(solve, x, q, alpha):
+    """The node's (v_j, v'_j, a*_j) as bytes, or None when it raises."""
+    try:
+        return struct.pack("<3d", *solve(x, q, alpha))
+    except RuntimeError:
+        return None
+
+
+def _node_quadratic(p, h, x, q, alpha):
+    """(qa, qb, qc) of the node's stationary quadratic, formed as the node forms them."""
+    E = alpha * (p.c + p.r * x - p.lam * 0.5 * h) - q
+    two_rss = 2.0 * p.rho * p.sigma * p.sigma1
+    qc = two_rss * E - p.excess * (alpha * p.sigma1**2 + h * q)
+    return p.excess * p.sigma**2 * alpha, 2.0 * p.sigma**2 * E, qc
+
+
+def _node_ratio(p, h, x, q, alpha, a):
+    """D(a) / N(a) at the node, grouped as the node groups it."""
+    Qa = p.quadratic_form(a)
+    return (Qa + h * (p.c + p.r * x + p.excess * a) - p.lam * h * (0.5 * h)) / (alpha * Qa + h * q)
+
+
+@pytest.mark.parametrize("which", ["bench1", "bench2"])
+def test_capped_node_equals_sorted_scan_on_solves(monkeypatch, which):
+    # the march is causal, so equal solves mean equal node solves, fed
+    # equal inputs, at every node; bench 2 has argmins that flip in their
+    # last ulp between candidates whose nodes agree
+    p, dist = {
+        "bench1": (ro.example1_params(cap=1.0), ro.make_exponential(1.0)),
+        "bench2": (ro.example2_params(cap=1.0), ro.make_pareto(2.0, 2.0)),
+    }[which]
+    grid = ro.Grid.from_xmax(5e-3, 40.0)
+    got = ro.solve_v_constrained(p, dist, grid)
+    monkeypatch.setattr(constrained, "_node_solver", _sorted_scan_node_solver)
+    want = ro.solve_v_constrained(p, dist, grid)
+    for name in ("v", "vprime", "a_star"):
+        assert np.array_equal(getattr(got, name).view(np.int64), getattr(want, name).view(np.int64)), name
+    interior = (got.a_star > 0.0) & (got.a_star < 1.0)
+    assert np.any(interior) and np.any(got.a_star == 1.0)
+
+
+def test_capped_node_equals_sorted_scan_on_hand_made_nodes(ex1, ex2):
+    def check(p, h, x, q, alpha):
+        want = _node_bits(_sorted_scan_node_solver(p, h), x, q, alpha)
+        assert _node_bits(constrained._node_solver(p, h), x, q, alpha) == want, (p, h, x, q, alpha)
+        return want
+
+    # tens of thousands of seeded nodes, claims sums of either sign
+    rng = np.random.default_rng(19)
+    linear = complex_roots = 0
+    for p in (replace(ex1, cap=1.0), replace(ex2, cap=1.0), replace(ex1, mu=ex1.r, cap=1.0),
+              replace(ex2, rho=0.0, cap=3.0), NONCONTRACTING):
+        for _ in range(4000):
+            h = float(rng.choice([5e-3, 2e-2, 0.1]))
+            alpha = float(rng.uniform(1e-3, 1.0))
+            if p.excess != 0.0 and rng.uniform() < 0.5:
+                # the discriminant over 4 sigma^2 is least, at
+                # ((mu-r) alpha sigma1)^2 (1 - rho^2) + (mu-r)^2 alpha h q,
+                # where sigma E = rho sigma1 (mu-r) alpha; a claims sum below
+                # -alpha sigma1^2 (1 - rho^2) / h takes it below 0 there
+                q = -float(rng.uniform(0.5, 3.0)) * alpha * p.sigma_rho2 / h
+                E = p.rho * p.sigma1 * p.excess * alpha / p.sigma
+                x = ((E + q) / alpha - p.c + p.lam * 0.5 * h) / p.r
+            else:
+                x, q = float(rng.uniform(0.0, 10.0)), float(rng.uniform(-1.0, 1.0)) * p.lam * alpha
+            check(p, h, x, q, alpha)
+            qa, qb, qc = _node_quadratic(p, h, x, q, alpha)
+            linear += qa == 0.0
+            complex_roots += qa != 0.0 and qb * qb - 4.0 * qa * qc < 0.0
+    assert linear >= 1000 and complex_roots >= 1000, (linear, complex_roots)
+
+    # mu = r and rho = +-0.0 put the linear root -qc/qb exactly at 0, as
+    # -0.0 with rho = 0.0 and, for E > 0, as +0.0 with rho = -0.0: the
+    # amount listed first, 0.0, must win
+    signs = set()
+    for rho in (0.0, -0.0):
+        flat = replace(ex1, mu=ex1.r, rho=rho, cap=1.0)
+        for q in (0.0, 0.01, 0.3, 0.6):
+            qa, qb, qc = _node_quadratic(flat, 5e-3, 1.0, q, 0.5)
+            roots = _candidates(qa, qb, qc, 1.0)[2:]
+            assert qa == 0.0 and roots == [0.0]
+            signs.add(math.copysign(1.0, roots[0]))
+            bits = check(flat, 5e-3, 1.0, q, 0.5)
+            assert math.copysign(1.0, struct.unpack("<3d", bits)[2]) == 1.0
+    assert signs == {1.0, -1.0}
+
+    # a root exactly at the cap, and a cap just above an interior root,
+    # where the flat maximum may tie the cap's value
+    p = replace(ex1, cap=50.0)
+    at_cap = 0
+    for q in np.linspace(0.0, 0.3, 31).tolist():
+        qa, qb, qc = _node_quadratic(p, 5e-3, 1.0, q, 0.5)
+        for root in _candidates(qa, qb, qc, 50.0)[2:]:
+            if 0.0 < root < 50.0:
+                at_cap += 1
+                for cap in (root, root * (1.0 + 1e-12), root * (1.0 + 1e-9)):
+                    check(replace(p, cap=cap), 5e-3, 1.0, q, 0.5)
+    assert at_cap >= 10
+
+    # Q(0) = Q(1) = 1 with mu = r, so a = 0 and a = cap tie exactly; with
+    # E < 0, D/N grows with Q and the tie is the maximum: a = 0 must win
+    tie = ro.ModelParams(c=0.5, r=0.1, mu=0.1, sigma=1.0, sigma1=1.0, rho=-0.5, lam=0.3, cap=1.0)
+    for q in (0.3, 0.4, 0.45):
+        ends = [_node_ratio(tie, 1e-2, 0.0, q, 0.5, a) for a in (0.0, 1.0)]
+        assert ends[0] == ends[1] > _node_ratio(tie, 1e-2, 0.0, q, 0.5, 0.5)
+        bits = check(tie, 1e-2, 0.0, q, 0.5)
+        assert struct.unpack("<3d", bits)[2] == 0.0
+
+    # a cap so large that Q(cap) overflows: the cap's D/N is inf/inf = NaN
+    # and must never be chosen
+    huge = replace(ex2, cap=1e200)
+    for q in (0.0, 0.05, 0.2):
+        assert math.isnan(_node_ratio(huge, 5e-3, 2.0, q, 0.5, 1e200))
+        bits = check(huge, 5e-3, 2.0, q, 0.5)
+        assert bits is not None and struct.unpack("<3d", bits)[2] < 1e200
 
 
 def test_curvature_best_scans_truthfully(ex1):
