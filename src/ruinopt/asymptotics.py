@@ -208,21 +208,14 @@ class AsymptoteReport:
     infinity_limit: float | None = None
     infinity_coeff: float | None = None
     tail_exponent: float | None = None
-    K1_ruin: float | None = None        # fitted, needs a solved grid
-    delta_slope_zero: float | None = None  # fitted 1/V(inf), needs a solved grid
-    fit: TailFit | None = None
 
 
-def asymptote_report(
-    params: ModelParams,
-    claim_mean: float | None = None,
-    vg: ValueGrid | None = None,
-) -> AsymptoteReport:
-    """Assemble the closed-form constants, plus fitted ones when a grid is given.
+def asymptote_report(params: ModelParams, claim_mean: float | None = None) -> AsymptoteReport:
+    """Assemble the closed-form constants.
 
-    claim_mean activates the exponential-claims large-surplus family; vg
-    (a solved unrestricted grid) activates the fitted tail constant K1 and
-    the survival slope at 0.
+    claim_mean activates the exponential-claims large-surplus family.  The
+    fitted tail constant and survival slope of a solved grid come from
+    `fit_tail_constant` and `results.normalize_delta`.
     """
     constants = derive_constants(params, claim_mean=claim_mean)
     report = AsymptoteReport(
@@ -238,11 +231,4 @@ def asymptote_report(
         report.infinity_limit = limit
         report.infinity_coeff = coeff
         report.tail_exponent = constants.tail_exponent
-    if vg is not None:
-        norm = normalize_delta(vg, claim_mean=claim_mean)
-        report.delta_slope_zero = 1.0 / norm.v_inf_hat if norm.v_inf_hat > 0 else None
-        if claim_mean is not None:
-            fit = fit_tail_constant(vg, params, claim_mean)
-            report.fit = fit
-            report.K1_ruin = fit.K1_ruin
     return report

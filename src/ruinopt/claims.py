@@ -69,6 +69,11 @@ class ClaimDistribution:
     ppf: Callable = field(repr=False)
     tail_mixture: tuple | None = field(default=None, repr=False)
 
+    @property
+    def exponential_mean(self) -> float | None:
+        """The mean when the family is exponential, else None."""
+        return self.mean if self.family == "exponential" else None
+
 
 def _positive(name: str, value: float) -> float:
     value = float(value)
@@ -209,7 +214,8 @@ _MIX_MAX_SHAPE = 10.0
 
 def _pareto_mixture(u: float, v: float) -> tuple | None:
     """(weights, rates, y_max) of the trapezoid fit of (1 + y/u)^{-v}, or
-    None for a shape above _MIX_MAX_SHAPE."""
+    None for a shape above _MIX_MAX_SHAPE or a scale so small (below
+    about 1e-307) that a rate overflows."""
     if v > _MIX_MAX_SHAPE:
         return None
     from scipy import special
@@ -227,7 +233,11 @@ def _pareto_mixture(u: float, v: float) -> tuple | None:
     # rounding of an exponent like v s - t, up to 100 in size, would cost
     # several times more
     weights = step * (t * np.exp(-(t + log_gamma) / v)) ** v
-    return tuple(weights.tolist()), tuple((t / u).tolist()), _MIX_SPAN * u
+    with np.errstate(over="ignore"):
+        rates = t / u
+    if not np.isfinite(rates[-1]):   # t grows along s
+        return None
+    return tuple(weights.tolist()), tuple(rates.tolist()), _MIX_SPAN * u
 
 
 def make_pareto(u: float, v: float) -> ClaimDistribution:

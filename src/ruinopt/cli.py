@@ -23,6 +23,7 @@ import json
 import math
 import sys
 import time
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
@@ -111,14 +112,13 @@ def _regime_doc(report) -> dict:
 
 
 def _constants_doc(sc: Scenario) -> dict:
-    cons = derive_constants(sc.params, claim_mean=sc.exponential_mean)
+    m = sc.dist.exponential_mean
+    cons = derive_constants(sc.params, claim_mean=m)
     doc = {"constants": asdict(cons), "scenario": dict(sc.raw), "regimes": {}}
     if sc.params.cap is not None and sc.params.mu > sc.params.r:
         doc["regimes"]["zero_surplus"] = _regime_doc(classify_zero_regime(sc.params))
-        if sc.dist.family == "exponential":
-            doc["regimes"]["large_surplus"] = _regime_doc(
-                classify_infinity_regime(sc.params, sc.dist.mean)
-            )
+        if m is not None:
+            doc["regimes"]["large_surplus"] = _regime_doc(classify_infinity_regime(sc.params, m))
     return doc
 
 
@@ -159,7 +159,8 @@ def _cmd_solve(args) -> int:
     res_doc = asdict(res)
     del res_doc["pointwise"]
 
-    norm = normalize_delta(vg, claim_mean=sc.exponential_mean)
+    m = sc.dist.exponential_mean
+    norm = normalize_delta(vg, claim_mean=m)
     doc = {
         "mode": args.mode,
         "runtime_s": elapsed,
@@ -175,9 +176,9 @@ def _cmd_solve(args) -> int:
             "delta_slope_zero": 1.0 / norm.v_inf_hat if norm.v_inf_hat > 0 else None,
         },
     }
-    if sc.dist.family == "exponential" and not capped:
+    if m is not None and not capped:
         try:
-            fit = fit_tail_constant(vg, sc.params, sc.dist.mean)
+            fit = fit_tail_constant(vg, sc.params, m)
         except ValueError as exc:
             # the window follows the grid end, so grid.xmax is the key to change
             window = tail_window(sc.grid.x_max)
@@ -198,16 +199,14 @@ def _cmd_solve(args) -> int:
 
 def _cmd_asymptotes(args) -> int:
     sc = load_scenario(args.scenario)
-    report = asymptote_report(sc.params, claim_mean=sc.exponential_mean)
-    doc = asdict(report)
-    doc.pop("fit", None)
-    _emit(doc)
+    _emit(asdict(asymptote_report(sc.params, claim_mean=sc.dist.exponential_mean)))
     return EXIT_OK
 
 
 def _cmd_exp_validate(args) -> int:
     sc = load_scenario(args.scenario)
-    if sc.dist.family != "exponential":
+    m = sc.dist.exponential_mean
+    if m is None:
         raise BadValueError("claim.family", "exp-validate needs exponential claims")
     if sc.params.excess == 0.0:
         raise BadValueError("mu", "exp-validate needs mu != r: the feedback ODE divides by mu - r")
@@ -219,7 +218,6 @@ def _cmd_exp_validate(args) -> int:
             "grid.xmax",
             f"exp-validate compares on [1, 10], but no grid node lies there (x_max={sc.grid.x_max!r})",
         )
-    m = sc.dist.mean
     cons = derive_constants(sc.params, claim_mean=m)
     slope = strategy_slope_zero(cons, sc.params)
 
@@ -250,7 +248,7 @@ def _cmd_exp_validate(args) -> int:
         "window": [lo, hi],
         "max_rel_deviation": float(rel[k]),
         "max_rel_deviation_at": float(x[mask][k]),
-        "seed": {"x_seed": x_seed, "value": curve.seed, "note": curve.seed_note},
+        "seed": {"x_seed": x_seed, "value": curve.seed},
         "series": {"limit": curve.series[0], "coeff": curve.series[1]},
         "reconstructed_tail_plateau_ratio": plateau,
         "reconstructed_tail_window": [pl_lo, pl_hi],
@@ -267,9 +265,16 @@ def _parses(cell: str) -> bool:
     return True
 
 
+def _read_rows(path: str, skiprows: int) -> np.ndarray:
+    with warnings.catch_warnings():
+        # a file without rows is refused by the caller, with its key
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        return np.loadtxt(path, delimiter=",", ndmin=2, comments="#", skiprows=skiprows)
+
+
 def _load_strategy_file(path: str) -> tuple[np.ndarray, np.ndarray]:
     try:
-        table = np.loadtxt(path, delimiter=",", ndmin=2, comments="#", skiprows=0)
+        table = _read_rows(path, 0)
     except ValueError as exc:
         # only a first line in which no cell parses is a header; any other
         # unreadable cell, there or further down, is an error
@@ -278,11 +283,13 @@ def _load_strategy_file(path: str) -> tuple[np.ndarray, np.ndarray]:
         if any(_parses(cell) for cell in first.split(",")):
             raise BadValueError("strategy", f"strategy file {path!r}: {exc}") from None
         try:
-            table = np.loadtxt(path, delimiter=",", ndmin=2, comments="#", skiprows=1)
+            table = _read_rows(path, 1)
         except ValueError as exc:
             raise BadValueError("strategy", f"strategy file {path!r}: {exc}") from None
     except OSError:
         raise FileNotFoundError(path) from None
+    if len(table) == 0:
+        raise BadValueError("strategy", f"strategy file {path!r} holds no rows")
     if table.shape[1] < 2:
         raise BadValueError("strategy", f"strategy file {path!r} needs two columns x,a")
     xs = table[:, 0]
@@ -315,12 +322,13 @@ def _optimal_strategy(sc: Scenario) -> StrategyCurve:
     p = sc.params
     capped = p.cap is not None
     vg = _solve(sc, capped)
+    m = sc.dist.exponential_mean
     tail = None
-    if sc.dist.family == "exponential":
+    if m is not None:
         if not capped:
-            tail = strategy_expansion_infinity_exp(p, sc.dist.mean)
+            tail = strategy_expansion_infinity_exp(p, m)
         elif p.mu > p.r:
-            tail = constrained_infinity_strategy(p, sc.dist.mean)
+            tail = constrained_infinity_strategy(p, m)
     return StrategyCurve(grid=vg.grid, values=vg.a_star, lo=0.0 if capped else None, hi=p.cap, tail=tail)
 
 
@@ -402,7 +410,6 @@ def _run_example(n: int, out_dir: str) -> int:
         "asymptotes": asdict(asymptote_report(params, claim_mean=m_exp)),
         "claims": {},
     }
-    doc["asymptotes"].pop("fit", None)
     if n == 2:
         doc["legacy_reference_values"] = dict(_EXAMPLE2_LEGACY)
 
@@ -414,7 +421,8 @@ def _run_example(n: int, out_dir: str) -> int:
     names = []
     for name, dist in dists.items():
         vg = solve_v_unconstrained(params, dist, grid)
-        norm = normalize_delta(vg, claim_mean=dist.mean if dist.family == "exponential" else None)
+        m = dist.exponential_mean
+        norm = normalize_delta(vg, claim_mean=m)
         names.append(name)
         low_cols.append(vg.a_star[low_mask])
         high_cols.append(vg.a_star[high_mask])
@@ -425,8 +433,8 @@ def _run_example(n: int, out_dir: str) -> int:
             "v_inf_hat": norm.v_inf_hat,
             "truncated": norm.truncated,
         }
-        if dist.family == "exponential":
-            fit = fit_tail_constant(vg, params, dist.mean)
+        if m is not None:
+            fit = fit_tail_constant(vg, params, m)
             entry["tail_fit"] = asdict(fit)
         doc["claims"][name] = entry
 

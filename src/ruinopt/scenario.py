@@ -1,15 +1,13 @@
 """Scenario files: flat key = value text describing one model setup.
 
-Keys (dots group related settings, '#' starts a comment):
-
-    mu r c lambda rho sigma sigma1 cap_A
-    claim.family claim.p1 claim.p2
-    grid.h grid.xmax
-    mc.dt mc.paths mc.horizon mc.seed mc.safe_level
-
-cap_A and claim.p2 are optional; grid.* and mc.* fall back to defaults.
-Unknown keys and malformed values are hard errors that name the key, so a
-typo never silently runs the defaults.
+'#' starts a comment, and a later duplicate of a key overrides an earlier
+one.  The table `_KEYS` names every key once, in the order `scenario_text`
+writes them: its value type, the `Scenario` field it goes to (the model
+parameters, the claim law, the grid or the simulation setup), the keyword
+it is passed there, and its default.  The seven model keys, claim.family
+and claim.p1 are required; cap_A and claim.p2 are optional; grid.* and
+mc.* fall back to defaults.  Unknown keys and malformed values are hard
+errors that name the key, so a typo never silently runs the defaults.
 """
 
 from __future__ import annotations
@@ -51,32 +49,34 @@ class BadValueError(ScenarioError):
     pass
 
 
-_MODEL_KEYS = ("mu", "r", "c", "lambda", "rho", "sigma", "sigma1")
-_FLOAT_KEYS = _MODEL_KEYS + (
-    "cap_A",
-    "claim.p1",
-    "claim.p2",
-    "grid.h",
-    "grid.xmax",
-    "mc.dt",
-    "mc.horizon",
-    "mc.safe_level",
-)
-_INT_KEYS = ("mc.paths", "mc.seed")
-_STR_KEYS = ("claim.family",)
-_KNOWN_KEYS = set(_FLOAT_KEYS) | set(_INT_KEYS) | set(_STR_KEYS)
+_REQUIRED = object()   # the default of a key that has none
 
-_DEFAULTS = {
-    "grid.h": 5e-3,
-    "grid.xmax": 40.0,
-    "mc.dt": 1e-3,
-    "mc.paths": 100_000,
-    "mc.horizon": 200.0,
-    "mc.seed": 0,
-    "mc.safe_level": 60.0,
+# key: (value type, Scenario field it sets, keyword it is passed as there,
+# default), in the echo's order; a default of None leaves the key optional
+_KEYS = {
+    "mu": (float, "params", "mu", _REQUIRED),
+    "r": (float, "params", "r", _REQUIRED),
+    "c": (float, "params", "c", _REQUIRED),
+    "lambda": (float, "params", "lam", _REQUIRED),
+    "rho": (float, "params", "rho", _REQUIRED),
+    "sigma": (float, "params", "sigma", _REQUIRED),
+    "sigma1": (float, "params", "sigma1", _REQUIRED),
+    "cap_A": (float, "params", "cap", None),
+    "claim.family": (str, "dist", "family", _REQUIRED),
+    "claim.p1": (float, "dist", "p1", _REQUIRED),
+    "claim.p2": (float, "dist", "p2", None),
+    "grid.h": (float, "grid", "h", 5e-3),
+    "grid.xmax": (float, "grid", "x_max", 40.0),
+    "mc.dt": (float, "sim", "dt", 1e-3),
+    "mc.paths": (int, "sim", "n_paths", 100_000),
+    "mc.horizon": (float, "sim", "horizon", 200.0),
+    "mc.seed": (int, "sim", "master_seed", 0),
+    "mc.safe_level": (float, "sim", "safe_level", 60.0),
 }
 
-_REQUIRED = set(_MODEL_KEYS) | {"claim.family", "claim.p1"}
+# the key a constructor's message is about, by the field it starts with;
+# Grid's n < 2 means x_max is shorter than half a step
+_FIELD_KEYS = {field: key for key, (_, _, field, _) in _KEYS.items()} | {"n": "grid.xmax"}
 
 
 @dataclass
@@ -87,13 +87,12 @@ class Scenario:
     sim: SimConfig
     raw: dict
 
-    @property
-    def exponential_mean(self) -> float | None:
-        """Claim mean when the family is exponential, else None."""
-        return self.dist.mean if self.dist.family == "exponential" else None
+
+def _field_key(message: str, kwargs: dict) -> str:
+    return _FIELD_KEYS[message.split(" ", 1)[0]]
 
 
-def _claim_key(message: str, two_params: bool) -> str:
+def _claim_key(message: str, kwargs: dict) -> str:
     """Scenario key a claim configuration error is about.
 
     The factories name their first parameter k or u and the second v; the
@@ -104,7 +103,17 @@ def _claim_key(message: str, two_params: bool) -> str:
     if "parameter" in message:  # claim.p2 given to a one-parameter family, or missing
         return "claim.p2"
     name = message.split(" must", 1)[0].split()[-1]
-    return "claim.p2" if two_params and name == "v" else "claim.p1"
+    return "claim.p2" if kwargs["p2"] is not None and name == "v" else "claim.p1"
+
+
+# each Scenario field: its constructor, what its errors are called, and
+# how an error message maps to a key; built in this order
+_BUILDERS = {
+    "params": (ModelParams, "model parameter", _field_key),
+    "dist": (from_config, "claim configuration", _claim_key),
+    "grid": (Grid.from_xmax, "grid", _field_key),
+    "sim": (SimConfig, "simulation setup", _field_key),
+}
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -121,11 +130,12 @@ def parse_scenario(text: str) -> Scenario:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise UnknownKeyError(key, f"unknown scenario key {key!r}")
-        if key in _STR_KEYS:
+        kind = _KEYS[key][0]
+        if kind is str:
             raw[key] = value
-        elif key in _INT_KEYS:
+        elif kind is int:
             try:
                 raw[key] = int(value)
             except ValueError:
@@ -139,58 +149,23 @@ def parse_scenario(text: str) -> Scenario:
                 raise BadValueError(key, f"key {key!r} must be finite, got {value!r}")
             raw[key] = parsed
 
-    missing = sorted(_REQUIRED - raw.keys())
+    missing = sorted(key for key, (*_, d) in _KEYS.items() if d is _REQUIRED and key not in raw)
     if missing:
         raise BadValueError(missing[0], f"missing required scenario key {missing[0]!r}")
 
-    merged = dict(_DEFAULTS)
+    merged = {key: d for key, (*_, d) in _KEYS.items() if d is not None and d is not _REQUIRED}
     merged.update(raw)
 
-    try:
-        params = ModelParams(
-            c=merged["c"],
-            r=merged["r"],
-            mu=merged["mu"],
-            sigma=merged["sigma"],
-            sigma1=merged["sigma1"],
-            rho=merged["rho"],
-            lam=merged["lambda"],
-            cap=merged.get("cap_A"),
-        )
-    except ValueError as exc:
-        # name the scenario key, not the attribute: lam is spelled lambda here
-        key = str(exc).split(" ", 1)[0]
-        key = {"lam": "lambda", "cap": "cap_A"}.get(key, key)
-        raise BadValueError(key, f"invalid model parameter: {exc}") from None
-
-    p2 = merged.get("claim.p2")
-    try:
-        dist = from_config(merged["claim.family"], merged["claim.p1"], p2)
-    except ValueError as exc:
-        key = _claim_key(str(exc), p2 is not None)
-        raise BadValueError(key, f"invalid claim configuration: {exc}") from None
-
-    try:
-        grid = Grid.from_xmax(merged["grid.h"], merged["grid.xmax"])
-    except ValueError as exc:
-        # n < 2 means x_max is shorter than half a step
-        key = {"h": "grid.h", "x_max": "grid.xmax", "n": "grid.xmax"}[str(exc).split(" ", 1)[0]]
-        raise BadValueError(key, f"invalid grid: {exc}") from None
-
-    try:
-        sim = SimConfig(
-            dt=merged["mc.dt"],
-            horizon=merged["mc.horizon"],
-            n_paths=merged["mc.paths"],
-            safe_level=merged["mc.safe_level"],
-            master_seed=merged["mc.seed"],
-        )
-    except ValueError as exc:
-        key = str(exc).split(" ", 1)[0]
-        key = {"n_paths": "mc.paths", "master_seed": "mc.seed"}.get(key, f"mc.{key}")
-        raise BadValueError(key, f"invalid simulation setup: {exc}") from None
-
-    return Scenario(params=params, dist=dist, grid=grid, sim=sim, raw=merged)
+    kwargs: dict = {field: {} for field in _BUILDERS}
+    for key, (_, field, keyword, _) in _KEYS.items():
+        kwargs[field][keyword] = merged.get(key)
+    built = {}
+    for field, (make, what, key_of) in _BUILDERS.items():
+        try:
+            built[field] = make(**kwargs[field])
+        except ValueError as exc:
+            raise BadValueError(key_of(str(exc), kwargs[field]), f"invalid {what}: {exc}") from None
+    return Scenario(**built, raw=merged)
 
 
 def load_scenario(path: str) -> Scenario:
@@ -204,29 +179,10 @@ def scenario_text(sc: Scenario) -> str:
     Parsing the result reproduces the same scenario (round-trip).
     """
     lines = []
-    order = list(_MODEL_KEYS) + [
-        "cap_A",
-        "claim.family",
-        "claim.p1",
-        "claim.p2",
-        "grid.h",
-        "grid.xmax",
-        "mc.dt",
-        "mc.paths",
-        "mc.horizon",
-        "mc.seed",
-        "mc.safe_level",
-    ]
-    for key in order:
-        if key not in sc.raw or sc.raw[key] is None:
-            continue
-        val = sc.raw[key]
-        if isinstance(val, str):
-            lines.append(f"{key} = {val}")
-        elif isinstance(val, int):
-            lines.append(f"{key} = {val}")
-        else:
-            lines.append(f"{key} = {val!r}")
+    for key in _KEYS:
+        val = sc.raw.get(key)
+        if val is not None:
+            lines.append(f"{key} = {val}" if isinstance(val, str) else f"{key} = {val!r}")
     return "\n".join(lines) + "\n"
 
 

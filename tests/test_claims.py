@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -150,6 +151,21 @@ def test_tail_mixture_of_each_family():
     for dist in (ro.make_half_normal(1.0), ro.make_log_normal(-0.5, 1.0), ro.make_weibull(1.0, 0.5),
                  ro.make_pareto(2.0, 10.5), ro.make_pareto(2.0, 50.0)):
         assert dist.tail_mixture is None
+
+
+def test_pareto_tail_mixture_at_tiny_scales():
+    # below a scale of about 1e-307 a rate t/u would overflow to inf: such a
+    # law has no fit, and neither it nor a scenario with it warns
+    text = ("mu = 0.2\nr = 0.12\nc = 0.5\nlambda = 0.3\nrho = 0.15\nsigma = 0.9\nsigma1 = 0.5\n"
+            "claim.family = pareto\nclaim.p1 = 1e-308\nclaim.p2 = 2\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ro.make_pareto(1e-308, 2.0).tail_mixture is None
+        assert ro.parse_scenario(text).dist.tail_mixture is None
+        weights, rates, y_max = ro.make_pareto(1e-306, 2.0).tail_mixture
+    assert len(weights) == len(rates) == 149
+    assert np.all(np.isfinite(rates)) and min(rates) > 0.0 and min(weights) > 0.0
+    assert y_max == 1e6 * 1e-306
 
 
 def test_tail_mixture_does_not_depend_on_the_grid(monkeypatch):

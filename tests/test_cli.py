@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +108,19 @@ def test_bad_value_exits_4_and_names_key(capsys, tmp_path):
         ("grid.xmax", "-1"),
         ("claim.p1", "-1"),
         ("claim.p2", "1"),
+        ("mu", "-1"),
+        ("r", "0"),
+        ("c", "inf"),
+        ("lambda", "-1"),        # the model field is lam
+        ("rho", "1"),
+        ("sigma", "0"),
+        ("sigma1", "-0.5"),
+        ("cap_A", "-1"),         # the model field is cap
+        ("mc.dt", "0"),
+        ("mc.dt", "300"),        # longer than mc.horizon = 5
+        ("mc.paths", "1.5"),
+        ("mc.seed", "18446744073709551616"),   # 2^64
+        ("grid.xmax", "0.001"),  # shorter than half a step: n = 1
     ],
 )
 def test_bad_setting_names_its_key(capsys, tmp_path, key, value):
@@ -145,6 +159,59 @@ def test_constants_json_and_echo_round_trip(capsys, tmp_path):
     code, _, _ = run(capsys, ["constants", path2, "--out", d2])
     assert code == 0
     assert (d1 / "constants.json").read_bytes() == (d2 / "constants.json").read_bytes()
+
+
+ALL_KEYS = """\
+mc.safe_level = 9     # every key, out of the echo's order
+mc.seed = 18446744073709551615
+mc.horizon = 6
+mc.paths = 100000
+mc.dt = 1e-3
+grid.xmax = 12.5
+grid.h = 0.0025
+claim.p2 = 0.5
+claim.p1 = 1
+claim.family = weibull
+cap_A = 1.5
+sigma1 = 0.2
+sigma = 0.1
+rho = -0.2
+lambda = 0.3
+c = 0.36
+r = 0.32
+mu = 0.40
+mu = 0.42             # a later duplicate wins
+"""
+
+ALL_KEYS_ECHO = """\
+mu = 0.42
+r = 0.32
+c = 0.36
+lambda = 0.3
+rho = -0.2
+sigma = 0.1
+sigma1 = 0.2
+cap_A = 1.5
+claim.family = weibull
+claim.p1 = 1.0
+claim.p2 = 0.5
+grid.h = 0.0025
+grid.xmax = 12.5
+mc.dt = 0.001
+mc.paths = 100000
+mc.horizon = 6.0
+mc.seed = 18446744073709551615
+mc.safe_level = 9.0
+"""
+
+
+def test_scenario_echo_pinned(capsys, tmp_path):
+    # all 18 keys: the echo writes them in one fixed order, floats by repr
+    path = tmp_path / "all.txt"
+    path.write_text(ALL_KEYS, encoding="utf-8")
+    code, _, err = run(capsys, ["constants", path, "--out", tmp_path / "o"])
+    assert code == 0, err
+    assert (tmp_path / "o" / "scenario_echo.txt").read_bytes() == ALL_KEYS_ECHO.encode("utf-8")
 
 
 def test_constants_without_cap_has_no_regimes(capsys, scenario_file):
@@ -318,7 +385,7 @@ def test_asymptotes_report(capsys, scenario_file):
     assert_close(doc["strategy_slope_zero"], 0.020394697973225462, 1e-8, "slope")
     assert_close(doc["infinity_limit"], 10.4, 1e-8, "limit")
     assert_close(doc["infinity_coeff"], -0.625, 1e-8, "coeff")
-    assert doc["K1_ruin"] is None  # no solved grid on this route
+    assert "K1_ruin" not in doc and "delta_slope_zero" not in doc
 
 
 @pytest.mark.parametrize("command", ["constants", "asymptotes"])
@@ -370,7 +437,7 @@ def test_exp_validate_agrees(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["window"] == [1.0, 10.0]
     assert doc["max_rel_deviation"] < 1e-3
-    assert doc["seed"]["note"] is None
+    assert set(doc["seed"]) == {"x_seed", "value"}
 
     path.write_text(
         BASE.replace("exponential", "half_normal").replace(
@@ -477,6 +544,9 @@ def test_simulate_too_few_paths_names_key(capsys, tmp_path):
     assert err.rstrip().endswith("(key: mc.paths)"), err
 
 
+NO_ROWS = ["", "# x,a\n\n", "x,a\n"]   # empty, comment-only, header-only
+
+
 @pytest.mark.parametrize(
     "table",
     [
@@ -486,15 +556,21 @@ def test_simulate_too_few_paths_names_key(capsys, tmp_path):
         "x,a\n0.0,0.8\ninf,0.9\n",             # non-finite x
         "x,a\n0.0,0.8\n1,oops\n",              # not a number
         "0.0,oops\n40.0,0.85\n",               # a data row, not a header
+        *NO_ROWS,
     ],
-    ids=["decreasing", "repeated", "nan", "inf", "non-numeric", "non-numeric-first-row"],
+    ids=["decreasing", "repeated", "nan", "inf", "non-numeric", "non-numeric-first-row",
+         "empty", "comment-only", "header-only"],
 )
 def test_simulate_rejects_bad_strategy_file(capsys, scenario_file, tmp_path, table):
     path = tmp_path / "strat.csv"
     path.write_text(table, encoding="utf-8")
-    code, _, err = run(capsys, ["simulate", scenario_file, "--x0", "1.0", "--strategy", f"file:{path}"])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # numpy's empty-input warning included
+        code, _, err = run(capsys, ["simulate", scenario_file, "--x0", "1.0", "--strategy", f"file:{path}"])
     assert code == 4
     assert err.rstrip().endswith("(key: strategy)"), err
+    if table in NO_ROWS:
+        assert "holds no rows" in err, err
 
 
 @pytest.mark.parametrize(
