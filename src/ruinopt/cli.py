@@ -145,6 +145,8 @@ def _solve(sc: Scenario, capped: bool):
         return solve(sc.params, sc.dist, sc.grid)
     except RuntimeError as exc:  # a node without a positive root: h is too coarse
         raise BadValueError("grid.h", str(exc)) from None
+    except FloatingPointError as exc:  # v underflowed: the grid reaches too far
+        raise BadValueError("grid.xmax", str(exc)) from None
 
 
 def _cmd_solve(args) -> int:

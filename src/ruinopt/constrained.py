@@ -40,14 +40,14 @@ maximiser is an endpoint or a root of the stationary quadratic of D/N,
         + 2 rho sigma sigma1 E - (mu-r) (alpha sigma1^2 + h q_j) = 0,
 
 with E = alpha (c + r x_j - lam h/2) - q_j, and it is also the argmin of
-the candidate curvature at w*: the solve returns it as the strategy a*.
+the candidate curvature at w*: the node returns it as the strategy a*_j.
 As in the unrestricted solver, node j sees only v_0 .. v_{j-1} and itself
 (the equation is causal), so the single forward pass of
 `numerics.march_value_slope` is the exact discrete solution.
 
 The march solves one node at a time, since each node needs the one
-before it; each solve builds one `_node_solver`, which forms the
-node-independent scalars once.  A node takes its candidates from
+before it; each solve hands it one node rule, `_node_solver`, which forms
+the node-independent scalars once.  A node takes its candidates from
 `model._candidates` (0, cap, then the roots in [0, cap]) and evaluates
 D/N at each inline, grouping Q(a) and the curvature as `quadratic_form`
 and `curvature_candidate` do.  It keeps a candidate whose ratio is
@@ -78,8 +78,8 @@ __all__ = [
 
 
 def _node_solver(p: ModelParams, h: float):
-    """The node solve of a march with step h: (x, q, alpha) -> (v_j, v'_j,
-    argmin), with w* = 1 / max D(a) / N(a) in closed form at surplus x."""
+    """The node rule of a march with step h: (x, q, alpha) -> (v_j, v'_j,
+    a*_j), with w* = 1 / max D(a) / N(a), maximised at a*_j, at surplus x."""
     half_h = 0.5 * h
     c, r, excess, cap = p.c, p.r, p.excess, p.cap
     lam_half_h, lam_h_half_h = p.lam * half_h, p.lam * h * half_h
@@ -125,20 +125,8 @@ def solve_v_constrained(params: ModelParams, dist: ClaimDistribution, grid: Grid
     p = params
     if p.cap is None:
         raise ValueError("capped solve needs an investment cap (params.cap)")
-    h = grid.h
-    H = np.asarray(dist.tail(grid.points), dtype=float)
-
-    a_star = np.empty(grid.n)
-    vp0, a_star[0] = curvature_best(p, 0.0, 1.0, 0.0)
-
-    solve = _node_solver(p, h)
-
-    def solve_node(j: int, q: float, alpha: float) -> tuple[float, float]:
-        w, vp, a_star[j] = solve(j * h, q, alpha)
-        return w, vp
-
-    v, vp, V = march_value_slope(grid, H, p.lam, vp0, solve_node, dist.tail_mixture)
-    return ValueGrid(grid=grid, v=v, V=V, vprime=vp, a_star=a_star)
+    start = curvature_best(p, 0.0, 1.0, 0.0)
+    return ValueGrid(grid, *march_value_slope(grid, dist, p.lam, start, _node_solver(p, grid.h)))
 
 
 def fixed_point_residual(vg: ValueGrid, params: ModelParams, dist: ClaimDistribution) -> tuple[float, float]:

@@ -130,6 +130,8 @@ class SimConfig:
         if self.dt > self.horizon:
             raise ValueError(f"dt must not exceed the horizon, got dt={self.dt!r}, horizon={self.horizon!r}")
         steps = self.horizon / self.dt
+        if not math.isfinite(steps):
+            raise ValueError(f"dt is too small for horizon={self.horizon!r}, got {self.dt!r}")
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ValueError(
                 f"horizon must be a whole number of steps, got horizon={self.horizon!r}, "

@@ -198,6 +198,7 @@ def convolve_tail_all(w_values: np.ndarray, tail_values: np.ndarray, h: float) -
 
 
 _BLOCK = 128
+_TINY = np.finfo(float).tiny   # the least positive normal double
 
 
 def _causal_convolve(H: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -238,8 +239,7 @@ def prefix_trapezoid(y: np.ndarray, d) -> np.ndarray:
     return np.concatenate(([0.0], np.cumsum(d * (y[1:] + y[:-1]) / 2.0)))
 
 
-def march_value_slope(grid: Grid, tail_values: np.ndarray, lam: float, vprime0: float, solve_node,
-                      tail_mixture: tuple | None = None):
+def march_value_slope(grid: Grid, dist, lam: float, start: tuple, node):
     """One implicit-trapezoid pass for the scaled value slope v, v(0) = 1.
 
     Node j solves v_j = alpha_j + h/2 * v'_j, with the anchor
@@ -247,9 +247,9 @@ def march_value_slope(grid: Grid, tail_values: np.ndarray, lam: float, vprime0: 
     minimisation of the dynamic programming equation.  The claims term at
     node j is q_j + lam * h/2 * v_j, where q_j is the trapezoid tail
     convolution over the history v_0 .. v_{j-1}: lam h (S_j + H_j / 2), with
-    the history sum S_j = sum_{i=1}^{j-1} H_i v_{j-i}.
+    the history sum S_j = sum_{i=1}^{j-1} H_i v_{j-i}, H = dist.tail.
 
-    `tail_mixture` is the claim law's (weights, rates, y_max), with
+    `dist.tail_mixture` is the claim law's (weights, rates, y_max), with
     H(y) = sum_k w_k e^{-r_k y} on [0, y_max], or None.  With it, the march
     keeps the far history in K decaying states (Lubich & Schadle 2002,
     SIAM J. Sci. Comput. 24).  The grid is cut into blocks of L = _BLOCK
@@ -269,30 +269,35 @@ def march_value_slope(grid: Grid, tail_values: np.ndarray, lam: float, vprime0: 
     Without a mixture, or on a grid longer than y_max, F stays empty, t
     stays 0, and S_j is the full dot product.
 
-    `solve_node(j, q_j, alpha_j)` returns (v_j, v'_j); each solver solves
-    its node in closed form and raises RuntimeError, naming x_j, when the
-    node has no positive root.  q_j, alpha_j and the carried previous node
-    are Python floats, so node arithmetic never runs on numpy scalars.
-    Each node writes v_j into the reversed copy the next node's dot reads;
-    v and v' are gathered in a block's short lists and stored one slice
-    per block.  Returns (v, v', V) with V the prefix integral of v.
+    `start` is (v'(0), a*(0)), and `node(x_j, q_j, alpha_j)` solves node j
+    in closed form to (v_j, v'_j, a*_j), raising RuntimeError, naming x_j,
+    when it has no positive root.  Node arguments and results are Python
+    floats, so node arithmetic never runs on numpy scalars.  Each node
+    writes v_j into the reversed copy the next node's dot reads; v, v' and
+    a* are gathered in a block's short lists and stored one slice per
+    block.  The first v_j below the normal range, which has lost digits,
+    raises FloatingPointError naming x_j (checked once per block).
+    Returns (v, V, v', a*), results.ValueGrid's order, V the integral of v.
     """
     h = grid.h
     half_h = 0.5 * h
     n = grid.n
-    H = tail_values
+    H = np.asarray(dist.tail(grid.points), dtype=float)
     L = _BLOCK
     v = np.empty(n)
     vp = np.empty(n)
+    a = np.empty(n)
     # vr[n-1-i] = v_i: the near history v_{j-1} .. v_{t+1} is the contiguous
     # slice vr[n-j:n-1-t], which the dot reads in place
     vr = np.empty(n)
     v[0] = vr[n - 1] = w = 1.0
-    vp[0] = y = float(vprime0)
+    vp[0] = y = float(start[0])
+    a[0] = start[1]
     far = [0.0] * L
     t = 0
-    if tail_mixture is not None and grid.x_max <= tail_mixture[2]:
-        weights, rates = np.asarray(tail_mixture[0]), np.asarray(tail_mixture[1])
+    mixture = dist.tail_mixture
+    if mixture is not None and grid.x_max <= mixture[2]:
+        weights, rates = np.asarray(mixture[0]), np.asarray(mixture[1])
         decay = np.exp(-rates * (L * h))
         E = np.exp(np.outer(rates, -h * np.arange(L - 1, -1, -1)))
         P = weights * np.exp(np.outer(-h * np.arange(L, 2 * L), rates))
@@ -305,7 +310,7 @@ def march_value_slope(grid: Grid, tail_values: np.ndarray, lam: float, vprime0: 
             F = decay * F + E @ v[t - L + 1:t + 1]
             far = (P @ F).tolist()
         lo, hi = max(s, 1), min(s + L, n)
-        ws, ys = [], []
+        ws, ys, avals = [], [], []
         for j, far_j, H_j in zip(range(lo, hi), far[lo - s:], H[lo:hi].tolist()):
             q = lam * (h * (far_j + float(H[1:j - t].dot(vr[n - j:n - 1 - t])) + 0.5 * H_j))
             alpha = w + half_h * y
@@ -313,11 +318,15 @@ def march_value_slope(grid: Grid, tail_values: np.ndarray, lam: float, vprime0: 
                 raise RuntimeError(
                     f"trapezoid anchor went nonpositive at x={j * h:.6g}; grid step too coarse"
                 )
-            w, y = solve_node(j, q, alpha)
+            w, y, a_j = node(j * h, q, alpha)
             vr[n - 1 - j] = w
             ws.append(w)
             ys.append(y)
+            avals.append(a_j)
+        if min(ws) < _TINY:
+            j = lo + next(k for k, w_k in enumerate(ws) if w_k < _TINY)
+            raise FloatingPointError(f"v left the normal range at x={j * h:.6g}; the grid reaches too far")
         v[lo:hi] = ws
         vp[lo:hi] = ys
-    V = prefix_trapezoid(v, h)
-    return v, vp, V
+        a[lo:hi] = avals
+    return v, prefix_trapezoid(v, h), vp, a

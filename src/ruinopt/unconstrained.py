@@ -41,10 +41,12 @@ It is <= 0 at y = 0 (w = alpha) and > 0 at y = -2 alpha/h (w = 0), so it
 has exactly one root in (-2 alpha/h, 0]: the node, solved in closed form
 with the cancellation-free pair of root formulas.  B >= 0 forces
 p_j >= kappa^2 h/2 and so A > 0, the case that divides by A.  Then
-v_j = alpha + h/2 y and v'_j = y.  Each solve builds one `_node_solver`,
-which forms the node-independent scalars once and keeps the grouping
-above.  An explicit sweep would have local amplification h/2 * |dL/dw|
-well above 1 at large x; the implicit closure has none.  The equation is
+v_j = alpha + h/2 y, v'_j = y and a*_j = -(mu-r) v_j / (sigma^2 y) - rho
+sigma1 / sigma (the hedge alone, undivided, when mu = r).  Each solve
+hands the march one node rule, `_node_solver`, which forms the
+node-independent scalars once and keeps the grouping above.  An explicit
+sweep would have local amplification h/2 * |dL/dw| well above 1 at large
+x; the implicit closure has none.  The equation is
 causal: node j sees only v_0 .. v_{j-1} and itself, so the single forward
 pass of `numerics.march_value_slope` is the exact discrete solution.
 """
@@ -69,14 +71,15 @@ __all__ = [
 
 
 def _node_solver(p: ModelParams, h: float):
-    """The node solve of a march with step h: (x, q, alpha) -> (v_j, v'_j),
-    the closed-form root of w = alpha + h/2 L(w) at surplus x."""
+    """The node rule of a march with step h: (x, q, alpha) -> (v_j, v'_j,
+    a*_j), from the closed-form root of w = alpha + h/2 L(w) at surplus x."""
     half_h = 0.5 * h
     kappa = p.excess / p.sigma
     c_rho, r, lam_half_h = p.c_rho, p.r, p.lam * half_h
     half_sr2, shrink = 0.5 * p.sigma_rho2, 0.5 * (kappa * half_h) ** 2
+    neg_excess, s2, hedge = -p.excess, p.sigma**2, p.hedge
 
-    def solve(x: float, q: float, alpha: float) -> tuple[float, float]:
+    def solve(x: float, q: float, alpha: float) -> tuple[float, float, float]:
         pj = c_rho + r * x - lam_half_h
         A = half_sr2 + half_h * pj - shrink
         B = pj * alpha - q - kappa * kappa * alpha * half_h
@@ -86,7 +89,8 @@ def _node_solver(p: ModelParams, h: float):
         w = alpha + half_h * y
         if not (math.isfinite(w) and w > 0.0):
             raise RuntimeError(f"unconstrained node solve found no positive root at x={x:.6g}")
-        return w, y
+        # without an excess return y may be -0.0: the hedge alone, undivided
+        return w, y, (neg_excess * w / (s2 * y) - hedge if neg_excess else -hedge)
 
     return solve
 
@@ -99,29 +103,21 @@ def solve_v_unconstrained(params: ModelParams, dist: ClaimDistribution, grid: Gr
 
         a*(x_j) = -(mu-r) v / (sigma^2 v') - rho sigma1 / sigma,
 
-    taken from the operator values, never a finite difference of v, so it
-    is exact at x = 0 where the closed form lives.  Investment is
-    unrestricted here: params.cap, if set, is ignored.
+    which each node takes from its own operator value, never a finite
+    difference of v.  Investment is unrestricted here: params.cap, if set,
+    is ignored.
 
-    The march starts from v'(0) = -B, the very `derive_constants(...).B`,
-    so v'(0) and a*(0) equal the closed forms bit for bit.  It stops with
-    RuntimeError ("trapezoid anchor went nonpositive") at the first node,
-    x = h, when h >= 2 / B, with B close to 2 c_rho / sigma_rho^2 when
-    c_rho > 0 and sigma_rho^2 is small.  The seeded sweep in
+    The march starts from v'(0) = -B and a*(0) of `derive_constants` (the
+    hedge alone when mu = r), so both equal the closed forms bit for bit.  It stops with RuntimeError
+    ("trapezoid anchor went nonpositive") at the first node, x = h, when
+    h >= 2 / B, with B close to 2 c_rho / sigma_rho^2 when c_rho > 0 and
+    sigma_rho^2 is small.  The seeded sweep in
     tests/test_solver_sweep.py finds it at no later node.
     """
     p = params
-    h = grid.h
-    H = np.asarray(dist.tail(grid.points), dtype=float)
-
-    solve = _node_solver(p, h)
-    v, vp, V = march_value_slope(grid, H, p.lam, -derive_constants(p).B,
-                                 lambda j, q, alpha: solve(j * h, q, alpha), dist.tail_mixture)
-    if p.excess == 0.0:
-        a = np.full(grid.n, -p.hedge)
-    else:
-        a = -p.excess * v / (p.sigma**2 * vp) - p.hedge
-    return ValueGrid(grid=grid, v=v, V=V, vprime=vp, a_star=a)
+    k = derive_constants(p)
+    start = (-k.B, k.a_star_zero if p.excess else -p.hedge)
+    return ValueGrid(grid, *march_value_slope(grid, dist, p.lam, start, _node_solver(p, grid.h)))
 
 
 @dataclass

@@ -175,9 +175,9 @@ def test_tail_mixture_does_not_depend_on_the_grid(monkeypatch):
     for module in (ruinopt.unconstrained, ruinopt.constrained):
         real = module.march_value_slope
 
-        def spy(grid, H, lam, vprime0, solve_node, tail_mixture, real=real):
-            seen.append(tail_mixture)
-            return real(grid, H, lam, vprime0, solve_node, tail_mixture)
+        def spy(grid, law, lam, start, node, real=real):
+            seen.append(law.tail_mixture)
+            return real(grid, law, lam, start, node)
 
         monkeypatch.setattr(module, "march_value_slope", spy)
     params, dist = replace(ro.example2_params(), cap=1.0), ro.make_pareto(2.0, 2.0)

@@ -118,6 +118,8 @@ def test_bad_value_exits_4_and_names_key(capsys, tmp_path):
         ("cap_A", "-1"),         # the model field is cap
         ("mc.dt", "0"),
         ("mc.dt", "300"),        # longer than mc.horizon = 5
+        ("mc.dt", "1e-310"),     # mc.horizon / dt overflows
+        ("mc.dt", "0.01\nmc.horizon = 1e308"),   # so does 1e308 / dt, which names dt
         ("mc.paths", "1.5"),
         ("mc.seed", "18446744073709551616"),   # 2^64
         ("grid.xmax", "0.001"),  # shorter than half a step: n = 1
@@ -415,18 +417,34 @@ def _solve_digests(capsys, tmp_path, name, mode):
 
 
 @pytest.mark.parametrize("mode", ["unconstrained", "constrained"])
-@pytest.mark.parametrize("name", ["bench1", "bench2_pareto", "bench2_weibull", "bench1_log_normal"])
+@pytest.mark.parametrize("name", ["bench1", "bench2_pareto", "bench2_weibull", "bench1_log_normal",
+                                  "bench2_exp_mu_r_rho0", "bench2_exp_mu_r_rho015"])
 def test_solve_output_pinned(capsys, tmp_path, name, mode):
     # the solves must keep their bytes through any speed-up that keeps the
     # arithmetic.  One change moved them on purpose: carrying the far
     # history of exponential and Pareto claims as an exponential sum moved
     # the Pareto CSVs' residual column in its ninth digit on 7 rows.  The
     # Weibull(1, 0.5) and log-normal(-0.5, 1) laws have no such sum, so
-    # their solves pin the march's whole-history path.  The sums run
+    # their solves pin the march's whole-history path.  The mu = r
+    # scenarios pin a* without an excess return: the hedge alone, a -0
+    # column at rho = 0 in the unrestricted CSV.  The sums run
     # through numpy's dot and BLAS matmul, so the digests hold for one
     # numpy build on one CPU family
     pinned = json.loads((PINNED / "solve.sha256.json").read_text(encoding="utf-8"))
     assert _solve_digests(capsys, tmp_path, name, mode) == pinned[f"{name}.{mode}"]
+
+
+@pytest.mark.parametrize("mode, x", [("unconstrained", "251.83"), ("constrained", "251.535")])
+def test_underflowing_v_names_grid_xmax(capsys, tmp_path, mode, x):
+    # benchmark 2 with half-normal(1) claims: v leaves the normal range near
+    # x = 252, so a grid to 300 is refused at the first such node
+    path = tmp_path / "far.scn"
+    text = (PINNED / "bench2_exp.scn").read_text(encoding="utf-8")
+    text = text.replace("claim.family = exponential\nclaim.p1 = 0.5", "claim.family = half_normal\nclaim.p1 = 1.0")
+    path.write_text(text + "grid.h = 0.005\ngrid.xmax = 300\n", encoding="utf-8")
+    code, _, err = run(capsys, ["solve", path, "--mode", mode, "--out", tmp_path])
+    assert code == 4
+    assert f"at x={x};" in err and err.rstrip().endswith("(key: grid.xmax)"), err
 
 
 def test_exp_validate_agrees(capsys, tmp_path):

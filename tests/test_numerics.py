@@ -286,19 +286,21 @@ def test_convolve_tail_all_refuses_short_tail():
         ro.convolve_tail_all(np.ones(10), np.ones(6), 0.1)
 
 
-def _march_sliced(grid, H, lam, vprime0, solve_node, fsum=False):
+def _march_sliced(grid, dist, lam, start, node, fsum=False):
     # the march as first written, one dot over the whole history read
-    # through v[j-1:0:-1]; with fsum, each history sum correctly rounded
+    # through v[j-1:0:-1]; with fsum, each history sum correctly rounded.
+    # Returns (v, v')
     h, n = grid.h, grid.n
+    H = dist.tail(grid.points)
     v, vp = np.empty(n), np.empty(n)
-    v[0], vp[0] = 1.0, vprime0
+    v[0], vp[0] = 1.0, start[0]
     for j in range(1, n):
         if fsum:
             S = math.fsum((H[1:j] * v[j - 1:0:-1]).tolist())
         else:
             S = float(np.dot(H[1:j], v[j - 1:0:-1]))
         q = lam * (h * (S + 0.5 * H[j]))
-        v[j], vp[j] = solve_node(j, q, v[j - 1] + 0.5 * h * vp[j - 1])
+        v[j], vp[j], _ = node(j * h, q, v[j - 1] + 0.5 * h * vp[j - 1])
     return v, vp
 
 
@@ -335,12 +337,12 @@ def test_march_history_is_bit_identical(monkeypatch, module, bench):
     # march as the plain march is, within a factor 1.5
     seen = []
 
-    def spy(grid, H, lam, vprime0, solve_node, tail_mixture):
-        v, vp, V = march_value_slope(grid, H, lam, vprime0, solve_node, tail_mixture)
-        plain = _march_sliced(grid, H, lam, vprime0, solve_node)
-        exact = _march_sliced(grid, H, lam, vprime0, solve_node, fsum=True) if tail_mixture else None
-        seen.append((v, vp, plain, exact))
-        return v, vp, V
+    def spy(grid, law, lam, start, node):
+        out = march_value_slope(grid, law, lam, start, node)
+        plain = _march_sliced(grid, law, lam, start, node)
+        exact = _march_sliced(grid, law, lam, start, node, fsum=True) if law.tail_mixture else None
+        seen.append((out[0], out[2], plain, exact))
+        return out
 
     monkeypatch.setattr(module, "march_value_slope", spy)
     params, dist = _bench_law(bench)
@@ -365,16 +367,16 @@ def test_march_history_sums_match_fsum(monkeypatch, module, bench):
     # within 1e-14 relative of the same products summed by math.fsum
     seen = []
 
-    def spy(grid, H, lam, vprime0, solve_node, tail_mixture):
+    def spy(grid, law, lam, start, node):
         qs = []
 
-        def recording(j, q, alpha):
+        def recording(x, q, alpha):
             qs.append(q)
-            return solve_node(j, q, alpha)
+            return node(x, q, alpha)
 
-        v, vp, V = march_value_slope(grid, H, lam, vprime0, recording, tail_mixture)
-        seen.append((grid, H, lam, tail_mixture, np.array(qs), v))
-        return v, vp, V
+        out = march_value_slope(grid, law, lam, start, recording)
+        seen.append((grid, law.tail(grid.points), lam, law.tail_mixture, np.array(qs), out[0]))
+        return out
 
     monkeypatch.setattr(module, "march_value_slope", spy)
     params, dist = _bench_law(bench)
@@ -389,6 +391,38 @@ def test_march_history_sums_match_fsum(monkeypatch, module, bench):
     ])
     assert np.all(want > 0.0)
     assert _rel_gap(qs, want) <= 1e-14
+
+
+@pytest.mark.parametrize("module", [ruinopt.unconstrained, ruinopt.constrained])
+def test_march_stores_what_each_node_returns(monkeypatch, module):
+    # the node contract: the march calls node(x_j, q_j, alpha_j) once for
+    # each j >= 1, in order, with x_j = grid.points[j] bit for bit and
+    # Python floats in and out, and stores the (v_j, v'_j, a*_j) it returns
+    seen = []
+
+    def spy(grid, law, lam, start, node):
+        calls = []
+
+        def recording(x, q, alpha):
+            out = node(x, q, alpha)
+            calls.append((x, q, alpha, *out))
+            return out
+
+        out = march_value_slope(grid, law, lam, start, recording)
+        seen.append((start, calls, out))
+        return out
+
+    monkeypatch.setattr(module, "march_value_slope", spy)
+    params, dist = _bench_law(2)
+    vg = _solve(module, params, dist, ro.Grid.from_xmax(5e-3, 4.0))
+    ((start, calls, (v, V, vp, a)),) = seen
+    assert vg.grid.n > 2 * _BLOCK   # the far field ran
+    assert all(type(value) is float for call in calls for value in call)
+    x, _, _, v_node, vp_node, a_node = (np.array(column) for column in zip(*calls))
+    assert x.tobytes() == vg.grid.points[1:].tobytes()
+    assert a.tobytes() == np.array([start[1], *a_node]).tobytes()
+    assert v[1:].tobytes() == v_node.tobytes() and vp[1:].tobytes() == vp_node.tobytes()
+    assert vg.a_star is a and vg.v is v and vg.V is V and vg.vprime is vp
 
 
 @pytest.mark.parametrize("module", [ruinopt.unconstrained, ruinopt.constrained])

@@ -79,7 +79,7 @@ def test_node_is_root_of_its_equation(which):
          "noncontracting": dataclasses.replace(NONCONTRACTING, cap=None)}[which]
     for h, x, alpha, q in node_draws(3, 300, p.lam, x_max=40.0):
         pj = p.c_rho + p.r * x - p.lam * 0.5 * h
-        w, y = unconstrained._node_solver(p, h)(x, q, alpha)
+        w, y, _ = unconstrained._node_solver(p, h)(x, q, alpha)
 
         def F(u):
             L = _negative_root(pj * u - q, p.excess / p.sigma * u, p.sigma_rho2)
