@@ -29,18 +29,16 @@ from .model import (
 )
 from .numerics import Grid, SampledFn, convolve_tail_all
 from .results import (
+    HjbResidual,
     NormalizedSurvival,
     StrategyCurve,
     ValueGrid,
+    fixed_point_residual,
     generator_residual,
     normalize_delta,
 )
-from .constrained import fixed_point_residual, solve_v_constrained
-from .unconstrained import (
-    HjbResidual,
-    hjb_residual,
-    solve_v_unconstrained,
-)
+from .constrained import solve_v_constrained
+from .unconstrained import hjb_residual, solve_v_unconstrained
 from .asymptotics import (
     AsymptoteReport,
     TailFit,
@@ -99,14 +97,14 @@ __all__ = [
     "Grid",
     "SampledFn",
     "convolve_tail_all",
+    "HjbResidual",
     "NormalizedSurvival",
     "StrategyCurve",
     "ValueGrid",
+    "fixed_point_residual",
     "generator_residual",
     "normalize_delta",
-    "fixed_point_residual",
     "solve_v_constrained",
-    "HjbResidual",
     "hjb_residual",
     "solve_v_unconstrained",
     "AsymptoteReport",

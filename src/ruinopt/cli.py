@@ -175,7 +175,7 @@ def _cmd_solve(args) -> int:
             "tail_remainder": norm.tail_remainder,
             "tail_slope": norm.tail_slope,
             "truncated": norm.truncated,
-            "delta_slope_zero": 1.0 / norm.v_inf_hat if norm.v_inf_hat > 0 else None,
+            "delta_slope_zero": 1.0 / norm.v_inf_hat if 0.0 < norm.v_inf_hat < math.inf else None,
         },
     }
     if m is not None and not capped:

@@ -52,27 +52,23 @@ the node-independent scalars once.  A node takes its candidates from
 D/N at each inline, grouping Q(a) and the curvature as `quadratic_form`
 and `curvature_candidate` do.  It keeps a candidate whose ratio is
 strictly larger, or equal at a smaller amount, so it picks the amount
-`model._best_candidate` picks.  The fixed-point certificate has every v_j
-at hand, so it evaluates T(v) at all nodes in one call of the array
+`model._best_candidate` picks.  The certificate, `hjb_residual`, is the
+one both solvers share (`results.HjbResidual`): it has every v_j at hand,
+so it evaluates T(v) at all nodes in one call of the array
 `curvature_best`, which picks the same candidate bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
 
 from .claims import ClaimDistribution
 from .model import ModelParams, _candidates, curvature_best
-from .numerics import Grid, convolve_tail_all, march_value_slope
-from .results import ValueGrid, generator_residual
+from .numerics import Grid, march_value_slope
+from .results import HjbResidual, ValueGrid
 
 __all__ = [
     "solve_v_constrained",
-    "fixed_point_residual",
-    "CappedHjbResidual",
     "hjb_residual",
 ]
 
@@ -129,52 +125,6 @@ def solve_v_constrained(params: ModelParams, dist: ClaimDistribution, grid: Grid
     return ValueGrid(grid, *march_value_slope(grid, dist, p.lam, start, _node_solver(p, grid.h)))
 
 
-def fixed_point_residual(vg: ValueGrid, params: ModelParams, dist: ClaimDistribution) -> tuple[float, float]:
-    """sup_j |v'_j - T(v)(x_j)| recomputed from the converged slope.
-
-    The recomputation runs the full tail convolution and the candidate
-    minimization over [0, params.cap] from scratch, so it verifies that the
-    stored operator values are the fixed point of T, not of some drifted
-    variant.  Returns (sup, x at the sup); a NaN deviation is reported as
-    nan at the first node that has one.
-    """
-    if params.cap is None:
-        raise ValueError("fixed-point residual needs an investment cap (params.cap)")
-    x = vg.grid.points
-    MW = params.lam * convolve_tail_all(vg.v, dist.tail(x), vg.grid.h)
-    val, _ = curvature_best(params, x, vg.v, MW)
-    dev = np.abs(val - vg.vprime)
-    k = int(np.argmax(dev))
-    return float(dev[k]), float(x[k])
-
-
-@dataclass
-class CappedHjbResidual:
-    """Residual channels for a capped solve.
-
-    fixed_point recomputes T(v) from scratch and compares it with the
-    stored v'; it measures solver convergence, not discretization.  Its
-    convolution is exact, so it also carries the march's far-history fit
-    error for a claim law with a tail_mixture.
-    independent rebuilds the controlled generator with a centered finite
-    difference for the curvature and the recorded argmin strategy a*, so it
-    carries the O(h^2) discretization error.
-    """
-
-    fixed_point: float
-    fixed_point_at: float
-    independent: float
-    independent_at: float
-    pointwise: np.ndarray
-
-
-def hjb_residual(vg: ValueGrid, params: ModelParams, dist: ClaimDistribution) -> CappedHjbResidual:
-    fp, fp_at = fixed_point_residual(vg, params, dist)
-    pw, sup2, at2 = generator_residual(vg, params, dist)
-    return CappedHjbResidual(
-        fixed_point=fp,
-        fixed_point_at=fp_at,
-        independent=sup2,
-        independent_at=at2,
-        pointwise=pw,
-    )
+def hjb_residual(vg: ValueGrid, params: ModelParams, dist: ClaimDistribution) -> HjbResidual:
+    """The residual certificate of a capped solve: T minimises over [0, params.cap]."""
+    return HjbResidual.of(vg, params, dist)

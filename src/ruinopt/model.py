@@ -10,9 +10,11 @@ Everything in this module is exact arithmetic on the parameters: the
 behaviour of the optimal strategy at zero and at infinity, and the
 correlation thresholds separating the qualitative regimes, all have closed
 forms that the grid solvers are later checked against.  Each is written
-here once: the capped solver takes its pointwise minimiser from here, the
-unrestricted solver its start value v'(0) = -B, and both capped regime
-classifiers share one threshold rule.
+here once: the pointwise minimiser of the HJB, `curvature_best`, over
+[0, cap] or over every real a when there is no cap, from which the capped
+solver starts and which both solves' certificate calls; the unrestricted
+solver's start value v'(0) = -B; and the one threshold rule both capped
+regime classifiers share.
 """
 
 from __future__ import annotations
@@ -194,50 +196,64 @@ def _best_candidate(qa: float, qb: float, qc: float, hi: float, objective) -> tu
     return best_val, best_a
 
 
-def curvature_best(params: ModelParams, x, w_x, MW_x):
-    """Minimize the candidate curvature over a in [0, params.cap], elementwise.
-
-    Candidates: both endpoints plus interior stationary points, which solve
-
-        (mu-r) sigma^2 w a^2 - 2 sigma^2 E a
-            - [ (mu-r) sigma1^2 w + 2 rho sigma sigma1 E ] = 0,
-
-    with E = MW_x - (c + r x) w_x.  The inputs broadcast; returns
-    (value, argmin) arrays, or floats when every input is a scalar.  The
-    roots follow `_candidates` operation for operation, and the choice is
-    `_best_candidate`'s: out-of-range roots and NaN values drop out, exact
-    ties go to the smaller investment, and with no candidate left the
-    value is inf at a = 0.  At x = 0, w = 1, MW = 0 the value is the
-    capped v'(0+).
-    """
-    p = params
-    if p.cap is None:
-        raise ValueError("capped curvature minimum needs an investment cap (params.cap)")
-    x, w_x, MW_x = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, w_x, MW_x)))
+def _stationary_roots(p: ModelParams, x, w_x, MW_x) -> list:
+    """The two roots in a of curvature_best's stationary quadratic, formed
+    as `_candidates` forms them, NaN where a root does not exist."""
     E = MW_x - (p.c + p.r * x) * w_x
     qa = p.excess * p.sigma**2 * w_x
     qb = -2.0 * p.sigma**2 * E
     qc = -(p.excess * p.sigma1**2 * w_x + 2.0 * p.rho * p.sigma * p.sigma1 * E)
+    linear = qa == 0.0
+    disc = qb * qb - 4.0 * qa * qc
+    qq = np.where(qb != 0.0, -0.5 * (qb + np.copysign(np.sqrt(disc), qb)), 0.5 * np.sqrt(disc))
+    real = ~linear & (disc >= 0.0)
+    return [
+        np.where(linear, np.where(qb != 0.0, -qc / qb, np.nan), np.where(real, qq / qa, np.nan)),
+        np.where(real & (qq != 0.0), qc / qq, np.nan),
+    ]
+
+
+def curvature_best(params: ModelParams, x, w_x, MW_x):
+    """Minimize the candidate curvature over the amounts params.cap allows,
+    elementwise: a in [0, cap], or every real a when cap is None.
+
+    Candidates: the interior stationary points, which solve
+
+        (mu-r) sigma^2 w a^2 - 2 sigma^2 E a
+            - [ (mu-r) sigma1^2 w + 2 rho sigma sigma1 E ] = 0,
+
+    with E = MW_x - (c + r x) w_x, and with a cap both endpoints.  The
+    inputs broadcast; returns (value, argmin) arrays, or floats when every
+    input is a scalar.  The roots follow `_candidates` operation for
+    operation, and the capped choice is `_best_candidate`'s: out-of-range
+    roots and NaN values drop out, exact ties go to the smaller
+    investment, and with no candidate left the value is inf at a = 0.  At
+    x = 0, w = 1, MW = 0 the value is v'(0+): the capped one, or -B.
+
+    Without a cap the value, the unrestricted solver's L(w), is held at
+    most 0, the limit of the candidate curvature as |a| -> inf.  No amount
+    attains that limit, so where it wins (mu = r and E >= 0, for positive
+    w) the argmin is NaN.
+    """
+    p = params
+    x, w_x, MW_x = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (x, w_x, MW_x)))
+    lo, hi = (-np.inf, np.inf) if p.cap is None else (0.0, p.cap)
     with np.errstate(all="ignore"):
-        linear = qa == 0.0
-        disc = qb * qb - 4.0 * qa * qc
-        qq = np.where(qb != 0.0, -0.5 * (qb + np.copysign(np.sqrt(disc), qb)), 0.5 * np.sqrt(disc))
-        real = ~linear & (disc >= 0.0)
-        cand = np.stack([
-            np.zeros_like(x),
-            np.full_like(x, p.cap),
-            np.where(linear, np.where(qb != 0.0, -qc / qb, np.nan), np.where(real, qq / qa, np.nan)),
-            np.where(real & (qq != 0.0), qc / qq, np.nan),
-        ])
+        ends = [] if p.cap is None else [np.zeros_like(x), np.full_like(x, p.cap)]
+        cand = np.stack(ends + _stationary_roots(p, x, w_x, MW_x))
         vals = curvature_candidate(p, cand, x, w_x, MW_x)
     # a NaN candidate or value fails every comparison, as in the scalar scan
-    ok = (cand >= 0.0) & (cand <= p.cap) & (vals < np.inf)
-    vals = np.where(ok, vals, np.inf)
+    ok = (cand >= lo) & (cand <= hi) & (vals < np.inf)
+    vals[~ok] = np.inf
     best = vals.min(axis=0)
-    # first smallest investment among the exact ties; row 0 (a = 0) when none is left
+    # first smallest investment among the exact ties; row 0 when none is left
     k = np.where(ok & (vals == best), cand, np.inf).argmin(axis=0)
     val = np.take_along_axis(vals, k[None], axis=0)[0]
     arg = np.take_along_axis(cand, k[None], axis=0)[0]
+    if p.cap is None:
+        held = val > 0.0
+        val = np.where(held, 0.0, val)
+        arg = np.where(held, np.nan, arg)
     if val.ndim == 0:
         return float(val), float(arg)
     return val, arg

@@ -6,6 +6,11 @@ attains the minimum at each node; every solve returns them together in a
 ValueGrid.  The ruin probability needs V(inf), which the grid never
 reaches; normalize_delta estimates the missing tail mass and flags the
 cases where truncation actually matters.
+
+Both solves are certified the same way, by HjbResidual: the fixed-point
+channel recomputes T(v), the HJB's minimum over the amounts params.cap
+allows (`model.curvature_best`), and the independent channel applies the
+controlled generator with the solve's a*.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .claims import ClaimDistribution
-from .model import ModelParams
+from .model import ModelParams, curvature_best
 from .numerics import Grid, SampledFn, _top, convolve_tail_all
 
 __all__ = [
@@ -25,6 +30,8 @@ __all__ = [
     "NormalizedSurvival",
     "normalize_delta",
     "generator_residual",
+    "fixed_point_residual",
+    "HjbResidual",
 ]
 
 
@@ -82,19 +89,22 @@ class NormalizedSurvival:
     """Ruin-scale normalization of a solved value grid.
 
     delta(x) approximates V(x) / V(inf): the survival advantage of starting
-    at x, with delta(0) = 0 and delta -> 1.  tail_remainder is the estimated
-    integral of v beyond the grid; truncated flags remainders over 1% of
-    V(x_max), meaning the grid should have been longer.
+    at x, with delta(0) = 0 and delta -> 1.  psi is the ruin probability
+    1 - delta, formed as the integral of v from x on over V(inf) so that it
+    keeps its digits where delta rounds to 1.  tail_remainder is the
+    estimated integral of v beyond the grid; truncated flags remainders
+    over 1% of V(x_max), meaning the grid should have been longer.
     """
 
     delta: SampledFn
+    psi: SampledFn
     v_inf_hat: float
     tail_remainder: float
     tail_slope: float | None
     truncated: bool
 
     def ruin_probability(self, x):
-        return 1.0 - self.delta(x)
+        return self.psi(x)
 
 
 def normalize_delta(vg: ValueGrid, claim_mean: float | None = None) -> NormalizedSurvival:
@@ -127,10 +137,16 @@ def normalize_delta(vg: ValueGrid, claim_mean: float | None = None) -> Normalize
     v_inf = V_end + remainder
     if math.isfinite(v_inf) and v_inf > 0.0:
         delta_vals = vg.V / v_inf
+        # V's trapezoids summed from the far end onto the remainder: 1 - delta
+        # would cancel to 0 where psi falls below eps
+        steps = grid.h * (vg.v[1:] + vg.v[:-1]) / 2.0
+        psi_vals = np.cumsum(np.append(remainder, steps[::-1]))[::-1] / v_inf
     else:
         delta_vals = np.zeros_like(vg.V)
+        psi_vals = np.ones_like(vg.V)
     return NormalizedSurvival(
         delta=SampledFn(grid, delta_vals),
+        psi=SampledFn(grid, psi_vals),
         v_inf_hat=v_inf,
         tail_remainder=remainder,
         tail_slope=slope,
@@ -176,3 +192,48 @@ def generator_residual(
     interior = res[1:-1]
     k = int(np.argmax(np.abs(interior)))
     return res, float(abs(interior[k])), float(x[k + 1])
+
+
+def fixed_point_residual(vg: ValueGrid, params: ModelParams, dist: ClaimDistribution) -> tuple[float, float]:
+    """sup_j |v'_j - T(v)(x_j)| recomputed from the solved slope.
+
+    T(v) is the HJB's own minimum, `curvature_best` over the amounts
+    params.cap allows, fed by the full tail convolution, both run from
+    scratch, so it verifies that the stored operator values are the fixed
+    point of T, not of some drifted variant.  Returns (sup, x at the sup);
+    a NaN deviation is reported as nan at the first node that has one.
+    """
+    x = vg.grid.points
+    MW = params.lam * convolve_tail_all(vg.v, dist.tail(x), vg.grid.h)
+    val, _ = curvature_best(params, x, vg.v, MW)
+    dev = np.abs(val - vg.vprime)
+    k = int(np.argmax(dev))
+    return float(dev[k]), float(x[k])
+
+
+@dataclass
+class HjbResidual:
+    """The residual certificate of a solve: two channels.
+
+    fixed_point recomputes T(v) from scratch and compares it with the
+    stored v'; it measures round-off and solver convergence, not
+    discretization.  Its convolution is exact, so for a claim law with a
+    tail_mixture it also carries the fit's error in the march's far
+    history, up to 1e-14 relative of each history sum.
+    independent rebuilds the controlled generator with a centered finite
+    difference for the curvature and the solve's a*, so it carries the
+    full O(h^2) discretization error and halves like h^2.
+    """
+
+    fixed_point: float
+    fixed_point_at: float
+    independent: float
+    independent_at: float
+    pointwise: np.ndarray
+
+    @classmethod
+    def of(cls, vg: ValueGrid, params: ModelParams, dist: ClaimDistribution) -> HjbResidual:
+        """Both channels, T minimising over the amounts params.cap allows."""
+        fp, fp_at = fixed_point_residual(vg, params, dist)
+        pw, sup, at = generator_residual(vg, params, dist)
+        return cls(fp, fp_at, sup, at, pw)

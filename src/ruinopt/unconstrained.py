@@ -49,23 +49,25 @@ sweep would have local amplification h/2 * |dL/dw| well above 1 at large
 x; the implicit closure has none.  The equation is
 causal: node j sees only v_0 .. v_{j-1} and itself, so the single forward
 pass of `numerics.march_value_slope` is the exact discrete solution.
+
+The certificate, `hjb_residual`, shares none of this root algebra: it is
+the capped solver's (`results.HjbResidual`), with T(v) the HJB's own
+minimum of the candidate curvature, `model.curvature_best`, over every
+real a.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-import numpy as np
+from dataclasses import replace
 
 from .claims import ClaimDistribution
 from .model import ModelParams, derive_constants
-from .numerics import Grid, convolve_tail_all, march_value_slope
-from .results import ValueGrid, generator_residual
+from .numerics import Grid, march_value_slope
+from .results import HjbResidual, ValueGrid
 
 __all__ = [
     "solve_v_unconstrained",
-    "HjbResidual",
     "hjb_residual",
 ]
 
@@ -120,42 +122,7 @@ def solve_v_unconstrained(params: ModelParams, dist: ClaimDistribution, grid: Gr
     return ValueGrid(grid, *march_value_slope(grid, dist, p.lam, start, _node_solver(p, grid.h)))
 
 
-@dataclass
-class HjbResidual:
-    """Two residual channels for a solved grid.
-
-    self_consistency plugs the solver's own v' back into the curvature
-    quadratic; it vanishes identically in exact arithmetic, so it measures
-    round-off and root-solve tolerance, not discretization error.  Its
-    claims term is the exact convolve_tail_all, so for a claim law with a
-    tail_mixture it also carries the fit's error in the march's far
-    history, up to 1e-14 relative of each history sum.
-    independent rebuilds the controlled generator with a centered finite
-    difference for the curvature and the solve's a*, so it carries
-    the full O(h^2) discretization error and halves like h^2.
-    """
-
-    self_consistency: float
-    self_consistency_at: float
-    independent: float
-    independent_at: float
-    pointwise: np.ndarray
-
-
 def hjb_residual(vg: ValueGrid, params: ModelParams, dist: ClaimDistribution) -> HjbResidual:
-    p = params
-    x = vg.grid.points
-    h = vg.grid.h
-    conv = convolve_tail_all(vg.v, dist.tail(x), h)
-    L1 = (p.c_rho + p.r * x) * vg.v - p.lam * conv
-    res1 = 0.5 * p.sigma_rho2 * vg.vprime**2 + L1 * vg.vprime - p.gamma * vg.v**2
-    k1 = int(np.argmax(np.abs(res1)))
-
-    pw, sup2, at2 = generator_residual(vg, params, dist)
-    return HjbResidual(
-        self_consistency=float(abs(res1[k1])),
-        self_consistency_at=float(x[k1]),
-        independent=sup2,
-        independent_at=at2,
-        pointwise=pw,
-    )
+    """The residual certificate of an unrestricted solve: T minimises over
+    every real a, since the solve ignores params.cap."""
+    return HjbResidual.of(vg, replace(params, cap=None), dist)

@@ -251,7 +251,7 @@ def test_criterion_10_property_suites(acceptance, ex1, ex2, exp1, timed_solve):
         vg = ro.solve_v_unconstrained(p, d, grid10)
         res = ro.hjb_residual(vg, p, d)
         checks[f"residual {name}"] = (
-            res.self_consistency <= 1e-6 and res.independent <= 5e-3 * p.lam
+            res.fixed_point <= 1e-6 and res.independent <= 5e-3 * p.lam
         )
 
     # independent residual shrinks at least 0.6x per halving

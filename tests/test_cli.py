@@ -235,7 +235,7 @@ def test_solve_unconstrained_csv_deterministic(capsys, scenario_file, tmp_path):
     doc = outs[0]
     assert_close(doc["a_star_zero"], 0.8542114902640175, 1e-8, "a*(0)")
     assert_close(doc["v_prime_zero"], -22.016175755895873, 1e-8, "v'(0)")
-    assert doc["residuals"]["self_consistency"] <= 1e-6
+    assert doc["residuals"]["fixed_point"] <= 1e-6
     assert doc["residuals"]["independent"] <= 5e-3 * 0.3
     assert "node_evals" not in doc
     assert not doc["normalization"]["truncated"]
@@ -300,6 +300,48 @@ def test_import_leaves_scipy_linalg_signal_fft_out():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("mode", ["unconstrained", "constrained"])
+def test_solve_reports_one_residual_certificate(capsys, tmp_path, mode):
+    # both modes print the same four residual keys, and the v'(0) the
+    # certificate recomputes is the closed form's
+    path = tmp_path / "capped.txt"
+    path.write_text(BASE + "cap_A = 1.0\n", encoding="utf-8")
+    code, out, err = run(capsys, ["solve", path, "--mode", mode, "--out", tmp_path])
+    assert code == 0, err
+    res = json.loads(out)["residuals"]
+    assert sorted(res) == ["fixed_point", "fixed_point_at", "independent", "independent_at"]
+    assert res["fixed_point"] <= 1e-13
+
+
+def test_delta_slope_zero_is_null_when_v_inf_is_unknown(capsys, tmp_path):
+    # v still rises over the last tenth of this capped grid, so V(inf) is
+    # not estimated and delta'(0) = 1 / V(inf) is unknown, not 0
+    path = tmp_path / "rising.txt"
+    path.write_text(
+        "c = 0.3148\nr = 0.1221\nmu = 0.1221\nsigma = 0.2587\nsigma1 = 0.3125\nrho = 0\n"
+        "lambda = 0.7316\ncap_A = 2.573\nclaim.family = weibull\nclaim.p1 = 1.794\nclaim.p2 = 1.0\n"
+        "grid.xmax = 2\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, ["solve", path, "--mode", "constrained", "--out", tmp_path])
+    assert code == 0, err
+    norm = json.loads(out)["normalization"]
+    assert norm["v_inf_hat"] == np.inf and norm["truncated"]
+    assert norm["delta_slope_zero"] is None
+
+
+def test_every_exported_name_resolves():
+    # a name left in __all__ after its object moved breaks `import *`
+    import importlib
+    import pkgutil
+
+    modules = [ro] + [importlib.import_module(f"ruinopt.{m.name}") for m in pkgutil.iter_modules(ro.__path__)]
+    assert len(modules) >= 12
+    for module in modules:
+        missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
+        assert not missing, f"{module.__name__}.__all__ names {missing}"
 
 
 def test_solve_constrained_needs_cap(capsys, scenario_file, tmp_path):
@@ -423,7 +465,9 @@ def test_solve_output_pinned(capsys, tmp_path, name, mode):
     # the solves must keep their bytes through any speed-up that keeps the
     # arithmetic.  One change moved them on purpose: carrying the far
     # history of exponential and Pareto claims as an exponential sum moved
-    # the Pareto CSVs' residual column in its ninth digit on 7 rows.  The
+    # the Pareto CSVs' residual column in its ninth digit on 7 rows, and
+    # certifying the unrestricted solve by the HJB's own minimum renamed its
+    # JSON residual self_consistency to fixed_point, CSVs unchanged.  The
     # Weibull(1, 0.5) and log-normal(-0.5, 1) laws have no such sum, so
     # their solves pin the march's whole-history path.  The mu = r
     # scenarios pin a* without an excess return: the hedge alone, a -0

@@ -11,7 +11,7 @@ import pytest
 
 import ruinopt as ro
 from ruinopt import constrained
-from ruinopt.model import _best_candidate, _candidates
+from ruinopt.model import _best_candidate, _candidates, _negative_root
 from ruinopt.numerics import convolve_tail_all
 from conftest import NONCONTRACTING, assert_close, node_draws, node_residual
 
@@ -70,13 +70,44 @@ def test_solution_refines_at_order_h2(ex1, exp1):
     assert 2.5 <= d1 / d2 <= 6.0, f"refinement ratio {d1 / d2:.2f}"
 
 
-def test_missing_cap_rejected(ex1, exp1, vgc1):
+def test_missing_cap_rejected(ex1, exp1):
     with pytest.raises(ValueError, match="cap"):
         ro.solve_v_constrained(ex1, exp1, ro.Grid.from_xmax(5e-3, 1.0))
-    with pytest.raises(ValueError, match="cap"):
-        ro.fixed_point_residual(vgc1, ex1, exp1)
-    with pytest.raises(ValueError, match="needs an investment cap"):
-        ro.curvature_best(ex1, 0.0, 1.0, 0.0)
+
+
+def test_curvature_best_without_cap_is_the_unrestricted_minimum():
+    # cap=None minimises over every real a: the unrestricted solve's
+    # negative root, no larger than any amount on a dense scan, and
+    # (-B, a*(0+)) at zero surplus.  mu > r, mu < r and mu = r in turn
+    rng = np.random.default_rng(29)
+    a_scan = np.concatenate([-np.geomspace(1e4, 1e-4, 1201), [0.0], np.geomspace(1e-4, 1e4, 1201),
+                             np.linspace(-20.0, 20.0, 4001)])
+    held = 0
+    for i in range(2000):
+        r = float(rng.uniform(0.02, 0.4))
+        mu = (r + float(rng.uniform(0.01, 0.3)), r * float(rng.uniform(0.1, 0.95)), r)[i % 3]
+        p = ro.ModelParams(c=float(rng.uniform(0.1, 1.0)), r=r, mu=mu, sigma=float(rng.uniform(0.05, 0.5)),
+                           sigma1=float(rng.uniform(0.05, 0.5)), rho=float(rng.uniform(-0.95, 0.95)),
+                           lam=float(rng.uniform(0.1, 1.0)))
+        x, w = float(rng.uniform(0.0, 10.0)), float(rng.uniform(1e-4, 1.0))
+        MW = float(rng.uniform(0.0, 2.0)) * (p.c + p.r * x) * w
+        val, arg = ro.curvature_best(p, x, w, MW)
+        ref = _negative_root((p.c_rho + p.r * x) * w - MW, p.excess / p.sigma * w, p.sigma_rho2)
+        assert abs(val - ref) <= 1e-12 * abs(ref), (i, val, ref)
+        scan = ro.curvature_candidate(p, a_scan, x, w, MW)
+        assert val <= scan.min() + 1e-13 * abs(val), (i, val, scan.min())
+        # the limit 0 of |a| -> inf wins only without an excess return and
+        # with E = MW - (c + r x) w >= 0; no amount attains it
+        if math.isnan(arg):
+            assert p.excess == 0.0 and MW >= (p.c + p.r * x) * w and val == 0.0, i
+            held += 1
+        else:
+            assert_close(ro.curvature_candidate(p, arg, x, w, MW), val, 1e-12, f"value at argmin {i}")
+        k = ro.derive_constants(p)
+        val0, arg0 = ro.curvature_best(p, 0.0, 1.0, 0.0)
+        assert_close(val0, -k.B, 1e-12, f"v'(0) {i}")
+        assert abs(arg0 - k.a_star_zero) <= 1e-12 * max(abs(k.a_star_zero), p.sigma1 / p.sigma), i
+    assert held > 100
 
 
 def test_matches_unconstrained_when_cap_is_slack(ex1, exp1):

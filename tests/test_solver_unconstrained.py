@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ def test_shape(vg40):
 
 def test_quadratic_identity_residual(vg40, ex1, exp1):
     res = ro.hjb_residual(vg40, ex1, exp1)
-    assert res.self_consistency <= 1e-6     # observed ~1e-15
+    assert res.fixed_point <= 1e-6     # observed ~1e-15
     assert res.independent <= 5e-3 * ex1.lam
     assert res.pointwise.shape == vg40.v.shape
 
@@ -54,6 +55,27 @@ def test_quadratic_identity_pointwise(vg40, ex1, exp1):
     t3 = gamma * vg40.v**2
     scale = np.maximum(np.abs(t1), np.maximum(np.abs(t2), np.abs(t3)))
     assert np.all(np.abs(t1 + t2 - t3) <= 1e-10 * scale)
+
+
+def test_ruin_probability_keeps_its_digits(ex1, exp1):
+    # psi(x) = (int_x^x_max v + tail remainder) / V(inf), summed from the
+    # far end: 1 - delta reads 0 from x = 30 on, where psi is about 2e-14
+    grid = ro.Grid.from_xmax(5e-3, 60.0)
+    vg = ro.solve_v_unconstrained(ex1, exp1, grid)
+    norm = ro.normalize_delta(vg, claim_mean=1.0)
+    v = vg.v.tolist()
+    for x in (30.0, 50.0):
+        j = round(x / grid.h)
+        trapezoids = [0.5 * grid.h * (v[i] + v[i + 1]) for i in range(j, grid.n - 1)]
+        ref = math.fsum(trapezoids + [norm.tail_remainder]) / norm.v_inf_hat
+        assert 0.0 < ref < 1e-13
+        assert_close(norm.ruin_probability(x), ref, 1e-13, f"psi({x})")
+    # where V(inf) is not estimated (v still rises at the grid end), psi stays 1
+    p = ro.ModelParams(c=0.3148, r=0.1221, mu=0.1221, sigma=0.2587, sigma1=0.3125, rho=0.0,
+                       lam=0.7316, cap=2.573)
+    rising = ro.normalize_delta(ro.solve_v_constrained(p, ro.make_weibull(1.794, 1.0), ro.Grid.from_xmax(5e-3, 2.0)))
+    assert rising.v_inf_hat == math.inf
+    assert np.all(rising.ruin_probability(grid.points[:401]) == 1.0)
 
 
 def test_residual_halves_under_refinement(ex1, exp1):
@@ -175,13 +197,42 @@ def test_benchmark2_solve(ex2):
     assert np.all(vg.v > 0)
     assert np.all(np.diff(vg.v) < 0)
     res = ro.hjb_residual(vg, ex2, dist)
-    assert res.self_consistency <= 1e-6
+    assert res.fixed_point <= 1e-6
     assert res.independent <= 5e-3 * ex2.lam
     # weak edge and heavy volatility: the optimal exposure starts negative
     # (short position) and climbs toward the small positive limit
     assert vg.a_star[0] < 0
     limit, _ = ro.strategy_expansion_infinity_exp(ex2, 2.0)
     assert abs(vg.a_star[-1] - limit) < 0.1
+
+
+@pytest.mark.parametrize("law", ["pareto", "weibull"])
+@pytest.mark.parametrize("mode", ["unconstrained", "constrained"])
+def test_certificate_sees_a_perturbed_solve(ex2, mode, law):
+    # the one fixed-point certificate of both solves, on bench 2 with
+    # Pareto claims (the march's far-history sum) and Weibull(1, 0.5)
+    # claims (its full history)
+    p = dataclasses.replace(ex2, cap=1.0)
+    solve, certify = {"unconstrained": (ro.solve_v_unconstrained, unconstrained.hjb_residual),
+                      "constrained": (ro.solve_v_constrained, constrained.hjb_residual)}[mode]
+    dist = ro.example2_distributions()[law]
+    assert (dist.tail_mixture is None) == (law == "weibull")
+    grid = ro.Grid.from_xmax(5e-3, 10.0)
+    vg = solve(p, dist, grid)
+    clean = certify(vg, p, dist).fixed_point
+    assert clean <= 1e-13
+    # one node's v' off by 1e-9 relative
+    j = grid.n // 3
+    vp = vg.vprime.copy()
+    vp[j] *= 1.0 + 1e-9
+    res = certify(dataclasses.replace(vg, vprime=vp), p, dist)
+    assert res.fixed_point >= 0.9e-9 * abs(vg.vprime[j]) > 1e3 * clean
+    assert res.fixed_point_at == grid.points[j]
+    # a march on a claim tail 1e-8 too heavy, certified against the true law
+    scale = 1.0 + 1e-8
+    mixture = dist.tail_mixture and (tuple(scale * w for w in dist.tail_mixture[0]), *dist.tail_mixture[1:])
+    heavy = dataclasses.replace(dist, tail=lambda y: scale * dist.tail(y), tail_mixture=mixture)
+    assert certify(solve(p, heavy, grid), p, dist).fixed_point > 1e3 * clean
 
 
 def test_all_benchmark_distributions_solve(ex1, ex2):
