@@ -202,9 +202,8 @@ class AsymptoteReport:
     a_star_zero: float
     strategy_slope_zero: float
     v_prime_zero: float
-    B: float
+    B: float                            # coefficient of -x^2/2 in V/V'(0)
     eta: float
-    value_curvature: float              # coefficient of -x^2/2 in V/V'(0)
     infinity_limit: float | None = None
     infinity_coeff: float | None = None
     tail_exponent: float | None = None
@@ -224,7 +223,6 @@ def asymptote_report(params: ModelParams, claim_mean: float | None = None) -> As
         v_prime_zero=constants.v_prime_zero,
         B=constants.B,
         eta=constants.eta,
-        value_curvature=constants.B,
     )
     if claim_mean is not None:
         limit, coeff = strategy_expansion_infinity_exp(params, claim_mean)

@@ -31,9 +31,7 @@ import numpy as np
 
 from .asymptotics import (
     asymptote_report,
-    constrained_infinity_strategy,
     fit_tail_constant,
-    strategy_expansion_infinity_exp,
     strategy_slope_zero,
     tail_log_compensated,
     tail_window,
@@ -136,17 +134,18 @@ def _cmd_constants(args) -> int:
     return EXIT_OK
 
 
-def _solve(sc: Scenario, capped: bool):
-    """Value grid, a* included, of the capped or the unrestricted problem."""
+def _solve(sc: Scenario, capped: bool, grid: Grid | None = None, reach: str = "grid.xmax"):
+    """Value grid, a* included, of the capped or the unrestricted problem,
+    on sc.grid or on grid, whose length the setting `reach` chose."""
     if capped and sc.params.cap is None:
         raise BadValueError("cap_A", "constrained solve needs cap_A in the scenario")
     solve = solve_v_constrained if capped else solve_v_unconstrained
     try:
-        return solve(sc.params, sc.dist, sc.grid)
+        return solve(sc.params, sc.dist, grid or sc.grid)
     except RuntimeError as exc:  # a node without a positive root: h is too coarse
         raise BadValueError("grid.h", str(exc)) from None
     except FloatingPointError as exc:  # v underflowed: the grid reaches too far
-        raise BadValueError("grid.xmax", str(exc)) from None
+        raise BadValueError(reach, str(exc)) from None
 
 
 def _cmd_solve(args) -> int:
@@ -318,20 +317,20 @@ def _refuse_overflow(params, amounts, what: str) -> None:
 
 
 def _optimal_strategy(sc: Scenario) -> StrategyCurve:
-    """The solved a* as a curve: held to [0, cap] when the scenario has a
-    cap, and continued past the grid by its large-surplus expansion under
-    exponential claims."""
-    p = sc.params
-    capped = p.cap is not None
-    vg = _solve(sc, capped)
-    m = sc.dist.exponential_mean
-    tail = None
-    if m is not None:
-        if not capped:
-            tail = strategy_expansion_infinity_exp(p, m)
-        elif p.mu > p.r:
-            tail = constrained_infinity_strategy(p, m)
-    return StrategyCurve(grid=vg.grid, values=vg.a_star, lo=0.0 if capped else None, hi=p.cap, tail=tail)
+    """The solved a*, capped when the scenario has a cap, on a grid of step
+    grid.h that reaches mc.safe_level: every surplus a live path can hold
+    lies on the solved grid."""
+    grid, reach = sc.grid, "grid.xmax"
+    if grid.x_max < sc.sim.safe_level:
+        reach = "mc.safe_level"
+        try:
+            grid = Grid.from_xmax(grid.h, sc.sim.safe_level)
+            if grid.x_max < sc.sim.safe_level:   # from_xmax rounds the step count
+                grid = Grid(grid.h, grid.n + 1)
+        except ValueError as exc:
+            raise BadValueError(reach, str(exc)) from None
+    vg = _solve(sc, sc.params.cap is not None, grid, reach)
+    return StrategyCurve(grid=vg.grid, values=vg.a_star)
 
 
 def _cmd_simulate(args) -> int:

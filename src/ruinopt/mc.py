@@ -43,7 +43,9 @@ draws or the order it uses them in.
 An array pass over a few thousand live paths costs a few microseconds,
 more than its arithmetic, so the step is written to make few of them: it
 works in place in arrays allocated once per run, into which a
-SampledFn strategy (StrategyCurve included) also writes its lookup.  A
+SampledFn strategy also writes its lookup.  A live surplus lies in
+[0, safe_level), so a SampledFn whose grid reaches the safe level, as
+`simulate --strategy optimal` solves it, is read only on its grid.  A
 constant strategy stays a Python float, so (mu - r) a and sqrt(Q(a)) are
 formed once per run.  Other callables are called on the live surplus and
 their result read before the surplus moves.  Every path still does the

@@ -95,6 +95,9 @@ class SampledFn:
     Evaluation equals np.interp(x, grid.points, values) bit for bit, ends
     held outside the grid, but finds each interval in O(1) on the uniform
     grid instead of by binary search.  The values are read at construction.
+    It is the one sampled-curve type: delta, psi, and the solved a* that
+    the Monte Carlo simulates, which is solved out to the safe level, so
+    no path reads past its end.
 
     The interval of xc = clip(x, 0, x_max) is j = trunc(xc / h), whose
     rounding may put xc one node off: numpy's search finds the j with
@@ -128,23 +131,19 @@ class SampledFn:
         self._wmin = float(np.diff(self.grid.h * np.arange(self.grid.n + 1)).min())
 
     def __call__(self, x, out=None, scratch=None):
-        x = np.asarray(x, dtype=float)
-        out = self._interp(x, _top(x), out, scratch)
-        return out if out.ndim else float(out)
-
-    def _interp(self, x: np.ndarray, top: float, out=None, scratch=None) -> np.ndarray:
-        """The lookup at x, whose largest element (NaN if any, or empty) is top.
+        """The lookup at x: a float for a scalar x, else out.
 
         out, and scratch = (float, float, intp), are arrays of x's shape the
-        lookup writes; fresh ones are made when they are not given.  Returns
-        out.
+        lookup writes; fresh ones are made when they are not given.
         """
+        x = np.asarray(x, dtype=float)
         h, fp = self.grid.h, self.values
         if out is None:
             out = np.empty(x.shape)
+        top = x.max() if x.size else np.nan   # NaN if x holds a NaN or nothing
         if self._slope is None or top != top:
             out[...] = np.interp(x, self.grid.points, fp)
-            return out
+            return out if out.ndim else float(out)
         xc, d, j = scratch or (np.empty(x.shape), np.empty(x.shape), np.empty(x.shape, np.intp))
         np.clip(x, 0.0, self.grid.x_max, out=xc)
         np.divide(xc, h, out=d)
@@ -167,12 +166,7 @@ class SampledFn:
         xc *= d
         fp.take(j, out=out, mode="clip")
         out += xc
-        return out
-
-
-def _top(x: np.ndarray) -> float:
-    """x.max(), NaN if x holds a NaN or nothing."""
-    return x.max() if x.size else np.nan
+        return out if out.ndim else float(out)
 
 
 def convolve_tail_all(w_values: np.ndarray, tail_values: np.ndarray, h: float) -> np.ndarray:

@@ -5,7 +5,12 @@ v(0) = 1 on a uniform grid, plus its integral V and the strategy a* that
 attains the minimum at each node; every solve returns them together in a
 ValueGrid.  The ruin probability needs V(inf), which the grid never
 reaches; normalize_delta estimates the missing tail mass and flags the
-cases where truncation actually matters.
+cases where truncation actually matters.  Where it cannot (v not
+decaying on the grid), delta is NaN and psi keeps the value 1.
+
+The optimal strategy the Monte Carlo simulates is the solved a* alone, on
+a grid that reaches the safe level; the large-surplus laws in
+asymptotics.py are checks on the solve, not inputs to the simulation.
 
 Both solves are certified the same way, by HjbResidual: the fixed-point
 channel recomputes T(v), the HJB's minimum over the amounts params.cap
@@ -22,7 +27,7 @@ import numpy as np
 
 from .claims import ClaimDistribution
 from .model import ModelParams, curvature_best
-from .numerics import Grid, SampledFn, _top, convolve_tail_all
+from .numerics import Grid, SampledFn, convolve_tail_all
 
 __all__ = [
     "ValueGrid",
@@ -50,38 +55,12 @@ class ValueGrid:
         return self.grid.points
 
 
-@dataclass
 class StrategyCurve(SampledFn):
-    """Optimal investment sampled on a grid, with optional range and tail.
+    """The solved a*: a SampledFn under the name and the value method that
+    perfbench's tracer (bench_trace._counting_strategy) reads.  It goes
+    once perfbench reads the program's own stats."""
 
-    Outside the grid the curve holds its end value, unless `tail` supplies
-    a large-surplus expansion (limit, coeff), in which case queries beyond
-    the grid evaluate limit + coeff / x.
-    """
-
-    lo: float | None = None
-    hi: float | None = None
-    tail: tuple[float, float] | None = None
-
-    def value(self, x, out=None, scratch=None):
-        """The curve at x; out and scratch as for SampledFn._interp, which
-        fills out (0-d for a scalar query) before the tail does."""
-        x = np.asarray(x, dtype=float)
-        top = _top(x)
-        out = self._interp(x, top, out, scratch)
-        # NaN in top leaves the beyond-grid queries to the mask
-        x_max = self.grid.x_max
-        if self.tail is not None and not top <= x_max:
-            limit, coeff = self.tail
-            beyond = np.flatnonzero(x > x_max)
-            if beyond.size:
-                ext = limit + coeff / x.take(beyond)
-                if self.lo is not None or self.hi is not None:
-                    ext = np.clip(ext, self.lo, self.hi)
-                out.put(beyond, ext)
-        return out if out.ndim else float(out)
-
-    __call__ = value
+    value = SampledFn.__call__
 
 
 @dataclass
@@ -93,7 +72,8 @@ class NormalizedSurvival:
     1 - delta, formed as the integral of v from x on over V(inf) so that it
     keeps its digits where delta rounds to 1.  tail_remainder is the
     estimated integral of v beyond the grid; truncated flags remainders
-    over 1% of V(x_max), meaning the grid should have been longer.
+    over 1% of V(x_max), meaning the grid should have been longer.  When
+    V(inf) is not finite, delta is NaN at every node and psi is 1.
     """
 
     delta: SampledFn
@@ -142,7 +122,8 @@ def normalize_delta(vg: ValueGrid, claim_mean: float | None = None) -> Normalize
         steps = grid.h * (vg.v[1:] + vg.v[:-1]) / 2.0
         psi_vals = np.cumsum(np.append(remainder, steps[::-1]))[::-1] / v_inf
     else:
-        delta_vals = np.zeros_like(vg.V)
+        # V(inf) unknown: delta is unknown, not 0 (certain ruin)
+        delta_vals = np.full_like(vg.V, np.nan)
         psi_vals = np.ones_like(vg.V)
     return NormalizedSurvival(
         delta=SampledFn(grid, delta_vals),

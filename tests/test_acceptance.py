@@ -169,10 +169,10 @@ def test_criterion_7_node_certificate(acceptance, timed_solve, vgc1):
 def test_criterion_8_monte_carlo(acceptance, timed_solve, ex1, exp1):
     norm = ro.normalize_delta(timed_solve.vg, claim_mean=1.0)
     delta1 = float(norm.delta(1.0))
-    curve = ro.StrategyCurve(
-        grid=timed_solve.vg.grid, values=timed_solve.vg.a_star, tail=(10.4, -0.625)
-    )
     cfg = SimConfig(dt=1e-3, horizon=200.0, n_paths=100_000, safe_level=60.0, master_seed=2026)
+    # the strategy is solved out to the safe level, as `simulate` does
+    to_safe = ro.solve_v_unconstrained(ex1, exp1, ro.Grid.from_xmax(timed_solve.vg.grid.h, cfg.safe_level))
+    curve = ro.StrategyCurve(grid=to_safe.grid, values=to_safe.a_star)
     t0 = time.perf_counter()
     rep_opt = estimate_survival(ex1, exp1, curve, 1.0, cfg)
     rep_zero = estimate_survival(ex1, exp1, 0.0, 1.0, cfg)

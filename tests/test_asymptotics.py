@@ -124,6 +124,25 @@ def test_constrained_infinity_cases(ex1, ex2):
     assert ro.constrained_infinity_strategy(p, 2.0) == (0.0, 0.0)
 
 
+def test_capped_large_surplus_law_matches_the_solve(ex1, ex2, exp1):
+    # bench 1, cap 1, FULL_CAP: a* sits on the cap from x = 1 to 40
+    p = replace(ex1, cap=1.0)
+    assert ro.constrained_infinity_strategy(p, 1.0) == (1.0, 0.0)
+    vg = ro.solve_v_constrained(p, exp1, ro.Grid.from_xmax(5e-3, 40.0))
+    assert np.all(vg.a_star[vg.x >= 1.0] == 1.0)
+
+    # bench 2, exponential claims of mean 2, cap 1, INTERIOR: a* meets
+    # limit + coeff / x up to O(1/x^2), x^2 |gap| about 0.39 to 0.40
+    p = replace(ex2, cap=1.0)
+    assert ro.classify_infinity_regime(p, 2.0).regime is ro.Regime.INTERIOR
+    limit, coeff = ro.constrained_infinity_strategy(p, 2.0)
+    vg = ro.solve_v_constrained(p, ro.make_exponential(0.5), ro.Grid.from_xmax(5e-3, 80.0))
+    for x in (20.0, 40.0, 80.0):
+        a = float(vg.a_star[round(x / 5e-3)])
+        gap = x * x * abs(a - (limit + coeff / x))
+        assert 0.3 <= gap <= 0.5, (x, gap)
+
+
 def test_no_investment_reference_against_direct_quadrature(ex1):
     # same two integrals, rebuilt with a dense Simpson rule instead of quad
     c, r, lam, m = ex1.c, ex1.r, ex1.lam, 1.0
@@ -155,7 +174,7 @@ def test_no_investment_reference_shape(ex1):
 def test_asymptote_report(ex1, k1):
     rep = ro.asymptote_report(ex1, claim_mean=1.0)
     assert rep.a_star_zero == k1.a_star_zero
-    assert rep.B == k1.B == rep.value_curvature
+    assert rep.B == k1.B
     assert_close(rep.strategy_slope_zero, 0.020394697973225462, 1e-12, "report slope")
     assert_close(rep.infinity_limit, 10.4, 1e-12, "report limit")
     assert_close(rep.infinity_coeff, -0.625, 1e-12, "report coeff")

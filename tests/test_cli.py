@@ -317,7 +317,8 @@ def test_solve_reports_one_residual_certificate(capsys, tmp_path, mode):
 
 def test_delta_slope_zero_is_null_when_v_inf_is_unknown(capsys, tmp_path):
     # v still rises over the last tenth of this capped grid, so V(inf) is
-    # not estimated and delta'(0) = 1 / V(inf) is unknown, not 0
+    # not estimated: delta'(0) = 1 / V(inf) is unknown, not 0, and so is
+    # the CSV's delta, not 0 (certain ruin) at every node
     path = tmp_path / "rising.txt"
     path.write_text(
         "c = 0.3148\nr = 0.1221\nmu = 0.1221\nsigma = 0.2587\nsigma1 = 0.3125\nrho = 0\n"
@@ -330,6 +331,8 @@ def test_delta_slope_zero_is_null_when_v_inf_is_unknown(capsys, tmp_path):
     norm = json.loads(out)["normalization"]
     assert norm["v_inf_hat"] == np.inf and norm["truncated"]
     assert norm["delta_slope_zero"] is None
+    table = np.loadtxt(tmp_path / "solve_constrained.csv", delimiter=",", skiprows=1)
+    assert table.shape == (401, 6) and np.all(np.isnan(table[:, 3]))
 
 
 def test_every_exported_name_resolves():
@@ -402,24 +405,49 @@ def test_write_csv_matches_per_row_format(tmp_path):
         assert path.read_text(encoding="utf-8") == want
 
 
-def test_optimal_strategy_capped_range_and_tail():
-    # mu > r with a cap: the curve is held to [0, cap] and continued by
-    # where the capped strategy settles (the cap binds on benchmark 1)
-    sc = parse_scenario(BASE + "cap_A = 1.0\n")
+@pytest.mark.parametrize("capped, safe", [(True, "8.0"), (False, "8.0"), (False, "4.0")])
+def test_optimal_strategy_is_the_solve_out_to_the_safe_level(capped, safe):
+    # grid.xmax = 5: against a safe level of 8 the curve is the solve on a
+    # grid of the same step out to 8, whose first nodes are the scenario
+    # grid's own solve, bit for bit (the march is causal); against 4 it is
+    # the scenario grid's solve
+    extra = "cap_A = 1.0\n" if capped else ""
+    sc = parse_scenario(BASE.replace("mc.safe_level = 8.0", f"mc.safe_level = {safe}") + extra)
     strat = _optimal_strategy(sc)
-    assert strat.lo == 0.0 and strat.hi == sc.params.cap == 1.0
-    assert ro.classify_infinity_regime(sc.params, sc.dist.mean).regime is ro.Regime.FULL_CAP
-    assert strat.tail == ro.constrained_infinity_strategy(sc.params, sc.dist.mean) == (1.0, 0.0)
-    assert np.array_equal(strat.values, ro.solve_v_constrained(sc.params, sc.dist, sc.grid).a_star)
-    assert strat(sc.grid.x_max + 1.0) == 1.0
+    solve = ro.solve_v_constrained if capped else ro.solve_v_unconstrained
+    assert strat.grid.h == sc.grid.h and strat.grid.x_max >= sc.sim.safe_level
+    if safe == "4.0":
+        assert strat.grid == sc.grid
+    else:   # its last node is the first at or past the safe level
+        assert strat.grid.x_max < sc.sim.safe_level + sc.grid.h
+    assert np.array_equal(strat.values[:sc.grid.n], solve(sc.params, sc.dist, sc.grid).a_star)
+    if capped:
+        assert np.all((strat.values >= 0.0) & (strat.values <= sc.params.cap))
 
 
-def test_optimal_strategy_uncapped_tail_no_bounds():
-    sc = parse_scenario(BASE)
-    strat = _optimal_strategy(sc)
-    assert strat.lo is None and strat.hi is None
-    assert strat.tail == ro.strategy_expansion_infinity_exp(sc.params, sc.dist.mean)
-    assert np.array_equal(strat.values, ro.solve_v_unconstrained(sc.params, sc.dist, sc.grid).a_star)
+@pytest.mark.parametrize(
+    "capped, expected",
+    [
+        (False, ro.SimReport(
+            survival=0.90576171875, stderr=0.004564998983782475,
+            ci95=(0.8968143207417864, 0.9147091167582136), n_paths=4096, n_ruined=386,
+            n_safe=3710, n_horizon=0, mean_ruin_time=0.9056541611720698)),
+        (True, ro.SimReport(
+            survival=0.851318359375, stderr=0.005558974707299986,
+            ci95=(0.8404227689486921, 0.8622139498013079), n_paths=4096, n_ruined=609,
+            n_safe=3487, n_horizon=0, mean_ruin_time=1.4097270552741097)),
+    ],
+)
+def test_optimal_strategy_reports_pinned(capped, expected):
+    # grid.xmax = 5 against a safe level of 60: the paths climb through
+    # (5, 60), which the strategy must cover.  Reports recorded when a* was
+    # continued past the grid by its large-surplus expansion, held to
+    # [0, cap]; 4096 paths run in forked shares
+    text = BASE.replace("mc.paths = 100", "mc.paths = 4096").replace("mc.horizon = 5.0", "mc.horizon = 30.0")
+    text = text.replace("mc.safe_level = 8.0", "mc.safe_level = 60.0")
+    sc = parse_scenario(text + ("cap_A = 1.0\n" if capped else ""))
+    assert sc.grid.x_max == 5.0
+    assert ro.estimate_survival(sc.params, sc.dist, _optimal_strategy(sc), 1.0, sc.sim) == expected
 
 
 def test_asymptotes_report(capsys, scenario_file):
@@ -489,6 +517,22 @@ def test_underflowing_v_names_grid_xmax(capsys, tmp_path, mode, x):
     code, _, err = run(capsys, ["solve", path, "--mode", mode, "--out", tmp_path])
     assert code == 4
     assert f"at x={x};" in err and err.rstrip().endswith("(key: grid.xmax)"), err
+
+
+@pytest.mark.parametrize("capped, x", [(False, "251.83"), (True, "251.535")])
+def test_underflowing_strategy_names_mc_safe_level(capsys, tmp_path, capped, x):
+    # the same law on a grid to 40: the optimal strategy is solved out to
+    # the safe level, 300, so that setting made the grid too long
+    path = tmp_path / "far.scn"
+    text = (PINNED / "bench2_exp.scn").read_text(encoding="utf-8")
+    text = text.replace("claim.family = exponential\nclaim.p1 = 0.5", "claim.family = half_normal\nclaim.p1 = 1.0")
+    if not capped:
+        text = text.replace("cap_A = 1.0\n", "")
+    sim = "mc.paths = 100\nmc.dt = 0.01\nmc.horizon = 1.0\nmc.safe_level = 300\n"
+    path.write_text(text + "grid.h = 0.005\ngrid.xmax = 40\n" + sim, encoding="utf-8")
+    code, _, err = run(capsys, ["simulate", path, "--x0", "1.0", "--strategy", "optimal"])
+    assert code == 4
+    assert f"at x={x};" in err and err.rstrip().endswith("(key: mc.safe_level)"), err
 
 
 def test_exp_validate_agrees(capsys, tmp_path):

@@ -22,14 +22,19 @@ A_OPT0 = 0.8542114902640175
 
 
 def _golden_curve():
-    # a rising strategy on [0, 4] with a large-surplus tail beyond it
-    grid = ro.Grid(h=0.01, n=401)
+    # a rising strategy on [0, 4], then the large-surplus expansion
+    # 10.4 - 0.625 / x sampled out to the safe level
+    grid = ro.Grid.from_xmax(0.01, 40.0)
     x = grid.points
-    return ro.StrategyCurve(grid=grid, values=0.8542 + 0.5 * x / (1.0 + x), tail=(10.4, -0.625))
+    rising = x <= 4.0
+    values = np.empty(grid.n)
+    values[rising] = 0.8542 + 0.5 * x[rising] / (1.0 + x[rising])
+    values[~rising] = 10.4 - 0.625 / x[~rising]
+    return ro.StrategyCurve(grid=grid, values=values)
 
 
 # 1200 steps cross two refills of the 512-step normal blocks; the paths end
-# ruined, safe (above the curve's grid, on its tail) and at the horizon
+# ruined, safe (past the rising part of the curve) and at the horizon
 GOLDEN_CFG = SimConfig(dt=1e-2, horizon=12.0, n_paths=300, safe_level=40.0, master_seed=20261018)
 # about four claims a step: several claims settle in one step, and the
 # 32-claim arrival and size chunks refill every few steps

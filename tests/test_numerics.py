@@ -120,7 +120,6 @@ def test_lookup_is_np_interp(h, n):
     values = np.cumsum(rng.standard_normal(n))
     xs = _lookup_probes(grid, rng)
     ref = np.interp(xs, grid.points, values)
-    inside = xs <= grid.x_max
 
     assert _same_bits(ro.SampledFn(grid, values)(xs), ref)
     # zeros at every other node expose a query assigned to the wrong side
@@ -129,11 +128,6 @@ def test_lookup_is_np_interp(h, n):
     assert _same_bits(ro.SampledFn(grid, zigzag)(xs), np.interp(xs, grid.points, zigzag))
     curve = ro.StrategyCurve(grid=grid, values=values)
     assert _same_bits(curve.value(xs), ref)
-    limit, coeff = 10.4, -0.625
-    tailed = ro.StrategyCurve(grid=grid, values=values, tail=(limit, coeff))
-    got = tailed.value(xs)
-    assert _same_bits(got[inside], ref[inside])
-    assert _same_bits(got[~inside], limit + coeff / xs[~inside])
 
     # calls that each hold one kind of crossing, so that each half of the
     # lookup's filter must catch it alone: up-crossings, the nodes fl(j h)
@@ -168,17 +162,6 @@ def test_lookup_defers_to_np_interp_on_odd_values():
     values = np.array([0.0, 1.0, 4.0, 9.0, 16.0])
     xs = np.array([np.nan, 0.75, np.nan])
     assert _same_bits(ro.SampledFn(grid, values)(xs), np.interp(xs, grid.points, values))
-
-
-def test_strategy_curve_clips_its_tail():
-    # past the grid the tail expansion is held to the curve's [lo, hi]
-    grid = ro.Grid(h=0.5, n=5)
-    capped = ro.StrategyCurve(grid=grid, values=np.full(5, 0.9), hi=1.0, tail=(0.9, 5.0))
-    assert capped(grid.x_max + 1.0) == 1.0
-    # inside the range, and inside the grid, nothing is clipped
-    assert np.array_equal(capped(np.array([1.0, 100.0])), [0.9, 0.9 + 5.0 / 100.0])
-    floored = ro.StrategyCurve(grid=grid, values=np.full(5, 0.1), lo=0.0, tail=(0.1, -5.0))
-    assert floored(grid.x_max + 1.0) == 0.0
 
 
 def _tail_conv_oracle(w_values, tail_values, h, j):

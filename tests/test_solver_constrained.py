@@ -132,9 +132,9 @@ def test_interior_argmin_matches_closed_form(vgc1, ex1):
 
 
 def test_strategy_curve_bounds(vgc1):
-    st = ro.StrategyCurve(grid=vgc1.grid, values=vgc1.a_star, lo=0.0, hi=1.0)
+    st = ro.StrategyCurve(grid=vgc1.grid, values=vgc1.a_star)
     assert np.all((st.values >= 0.0) & (st.values <= 1.0))
-    # past the grid the curve holds its final value (no tail attached)
+    # past the grid the curve holds its final value
     assert st(vgc1.grid.x_max + 5.0) == st.values[-1]
 
 
