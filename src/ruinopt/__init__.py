@@ -37,7 +37,7 @@ from .results import (
     generator_residual,
     normalize_delta,
 )
-from .constrained import solve_v_constrained
+from .constrained import evaluate_policy, solve_v_constrained
 from .unconstrained import hjb_residual, solve_v_unconstrained
 from .asymptotics import (
     AsymptoteReport,
@@ -105,6 +105,7 @@ __all__ = [
     "generator_residual",
     "normalize_delta",
     "solve_v_constrained",
+    "evaluate_policy",
     "hjb_residual",
     "solve_v_unconstrained",
     "AsymptoteReport",

@@ -24,7 +24,7 @@ import math
 import sys
 import time
 import warnings
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +37,7 @@ from .asymptotics import (
     tail_window,
 )
 from .constrained import hjb_residual as hjb_residual_capped
-from .constrained import solve_v_constrained
+from .constrained import evaluate_policy, solve_v_constrained
 from .exp_ode import reconstruct_vprime, solve_a_tilde
 from .mc import MIN_PATHS, estimate_survival
 from .model import classify_infinity_regime, classify_zero_regime, derive_constants
@@ -316,21 +316,44 @@ def _refuse_overflow(params, amounts, what: str) -> None:
             )
 
 
-def _optimal_strategy(sc: Scenario) -> StrategyCurve:
-    """The solved a*, capped when the scenario has a cap, on a grid of step
-    grid.h that reaches mc.safe_level: every surplus a live path can hold
-    lies on the solved grid."""
-    grid, reach = sc.grid, "grid.xmax"
-    if grid.x_max < sc.sim.safe_level:
-        reach = "mc.safe_level"
+def _absorb_level(sc: Scenario, x0: float, vg) -> tuple[float, float | None]:
+    """(L, psi(L)) that the value grid vg certifies for sc.sim's paths from
+    x0, or (mc.safe_level, None) where it certifies none."""
+    if not np.all(np.isfinite(vg.v)):
+        return sc.sim.safe_level, None
+    norm = normalize_delta(vg, claim_mean=sc.dist.exponential_mean)
+    return norm.absorb_level(x0, sc.sim.n_paths, sc.sim.safe_level)
+
+
+def _optimal_strategy(sc: Scenario, x0: float) -> tuple[StrategyCurve, float, float | None]:
+    """The solved a*, capped when the scenario has a cap, with the
+    absorption level (L, psi(L)) its solve on sc.grid certifies.  Every
+    surplus a live path can hold lies on the curve's grid: sc.grid reaches
+    L, and where no level is certified, L is mc.safe_level and a* is solved
+    on a grid of step grid.h that reaches it."""
+    capped = sc.params.cap is not None
+    vg = _solve(sc, capped)
+    level, psi = _absorb_level(sc, x0, vg)
+    if sc.grid.x_max < level:   # a certified level is a node of sc.grid
         try:
-            grid = Grid.from_xmax(grid.h, sc.sim.safe_level)
-            if grid.x_max < sc.sim.safe_level:   # from_xmax rounds the step count
+            grid = Grid.from_xmax(sc.grid.h, level)
+            if grid.x_max < level:   # from_xmax rounds the step count
                 grid = Grid(grid.h, grid.n + 1)
         except ValueError as exc:
-            raise BadValueError(reach, str(exc)) from None
-    vg = _solve(sc, sc.params.cap is not None, grid, reach)
-    return StrategyCurve(grid=vg.grid, values=vg.a_star)
+            raise BadValueError("mc.safe_level", str(exc)) from None
+        vg = _solve(sc, capped, grid, "mc.safe_level")
+    return StrategyCurve(grid=vg.grid, values=vg.a_star), level, psi
+
+
+def _policy_level(sc: Scenario, x0: float, amounts: np.ndarray) -> tuple[float, float | None]:
+    """The absorption level of the strategy that invests amounts at the
+    nodes of sc.grid, priced by one policy march; (mc.safe_level, None)
+    when the march cannot price it."""
+    try:
+        vg = evaluate_policy(sc.params, sc.dist, sc.grid, amounts)
+    except (RuntimeError, FloatingPointError):   # no positive root, or v underflowed
+        return sc.sim.safe_level, None
+    return _absorb_level(sc, x0, vg)
 
 
 def _cmd_simulate(args) -> int:
@@ -344,10 +367,12 @@ def _cmd_simulate(args) -> int:
             "x0", f"x0 must sit in [0, mc.safe_level = {sc.sim.safe_level!r}), got {args.x0!r}"
         )
     spec = args.strategy
+    x = sc.grid.points
     if spec == "optimal":
-        strategy = _optimal_strategy(sc)
+        strategy, level, psi = _optimal_strategy(sc, args.x0)
     elif spec == "zero":
         strategy = 0.0
+        level, psi = _policy_level(sc, args.x0, np.zeros_like(x))
     elif spec.startswith("const:"):
         try:
             strategy = float(spec.split(":", 1)[1])
@@ -356,6 +381,7 @@ def _cmd_simulate(args) -> int:
         if not math.isfinite(strategy):
             raise BadValueError("strategy", f"constant strategy must be finite, got {spec!r}")
         _refuse_overflow(sc.params, [strategy], f"constant strategy {spec!r}")
+        level, psi = _policy_level(sc, args.x0, np.full_like(x, strategy))
     elif spec.startswith("file:"):
         path = spec.split(":", 1)[1]
         xs, vals = _load_strategy_file(path)
@@ -363,12 +389,14 @@ def _cmd_simulate(args) -> int:
 
         def strategy(q):
             return np.interp(q, xs, vals)
+
+        level, psi = _policy_level(sc, args.x0, strategy(x))
     else:
         raise BadValueError(
             "strategy", f"unknown strategy {spec!r}; use optimal, zero, const:<a>, file:<path>"
         )
     t0 = time.perf_counter()
-    report = estimate_survival(sc.params, sc.dist, strategy, args.x0, sc.sim)
+    report = estimate_survival(sc.params, sc.dist, strategy, args.x0, replace(sc.sim, safe_level=level))
     elapsed = time.perf_counter() - t0
     doc = asdict(report)
     doc.update(
@@ -379,6 +407,8 @@ def _cmd_simulate(args) -> int:
             "dt": sc.sim.dt,
             "horizon": sc.sim.horizon,
             "safe_level": sc.sim.safe_level,
+            "absorb_level": level,
+            "absorb_psi": psi,
             "master_seed": sc.sim.master_seed,
         }
     )

@@ -56,11 +56,20 @@ strictly larger, or equal at a smaller amount, so it picks the amount
 one both solvers share (`results.HjbResidual`): it has every v_j at hand,
 so it evaluates T(v) at all nodes in one call of the array
 `curvature_best`, which picks the same candidate bit for bit.
+
+With the amount given instead of chosen, the same node prices any
+feedback strategy a: `evaluate_policy` solves each node at a_j as
+w = N(a_j) / D(a_j), which has a positive root exactly when D(a_j) > 0,
+and starts from v'(0) = -2 (c + (mu-r) a_0) / Q(a_0).  Its psi, through
+`results.normalize_delta`, is the ruin probability under a, from which
+`simulate` takes the level where its paths stop.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .claims import ClaimDistribution
 from .model import ModelParams, _candidates, curvature_best
@@ -69,6 +78,7 @@ from .results import HjbResidual, ValueGrid
 
 __all__ = [
     "solve_v_constrained",
+    "evaluate_policy",
     "hjb_residual",
 ]
 
@@ -101,6 +111,47 @@ def _node_solver(p: ModelParams, h: float):
         return w, 2.0 * (q + lam_half_h * w - (drift + excess * a) * w) / Qa, a
 
     return solve
+
+
+def evaluate_policy(params: ModelParams, dist: ClaimDistribution, grid: Grid, a) -> ValueGrid:
+    """March the scaled value slope of the fixed feedback strategy a; v(0) = 1.
+
+    a holds the amount invested at each grid node.  With a_j fixed the
+    node equation is affine in w, so node j is w = N(a_j) / D(a_j), with N
+    and D grouped as `_node_solver` groups them, and v'_j the candidate
+    curvature at a_j.  The start is v'(0) = -2 (c + (mu-r) a_0) / Q(a_0).
+    The returned ValueGrid's a* is a itself, so `normalize_delta` prices
+    the strategy: its psi is the ruin probability under a.  Fed a solve's
+    own a*, the march gives that solve's v back to round-off.
+
+    Raises RuntimeError naming x_j at the first node with D(a_j) <= 0 (or
+    NaN), where the node has no positive root; the march raises as the
+    solvers do on a nonpositive anchor or an underflowing v.
+    """
+    p = params
+    h = grid.h
+    half_h = 0.5 * h
+    c, r, excess = p.c, p.r, p.excess
+    lam_half_h, lam_h_half_h = p.lam * half_h, p.lam * h * half_h
+    s2, two_rss, s12 = p.sigma**2, 2.0 * p.rho * p.sigma * p.sigma1, p.sigma1**2
+    amounts = np.asarray(a, dtype=float).tolist()
+    if len(amounts) != grid.n:
+        raise ValueError(f"need one amount per grid node, got {len(amounts)} for n={grid.n}")
+    later = iter(amounts[1:])   # the march solves each node once, in order
+
+    def solve(x: float, q: float, alpha: float) -> tuple[float, float, float]:
+        b = next(later)
+        drift = c + r * x
+        Qb = s2 * b * b + two_rss * b + s12
+        D = Qb + h * (drift + excess * b) - lam_h_half_h
+        if not D > 0.0:
+            raise RuntimeError(f"policy node solve found no positive root at x={x:.6g}")
+        w = (alpha * Qb + h * q) / D
+        return w, 2.0 * (q + lam_half_h * w - (drift + excess * b) * w) / Qb, b
+
+    a0 = amounts[0]
+    start = (-2.0 * (c + excess * a0) / p.quadratic_form(a0), a0)
+    return ValueGrid(grid, *march_value_slope(grid, dist, p.lam, start, solve))
 
 
 def solve_v_constrained(params: ModelParams, dist: ClaimDistribution, grid: Grid) -> ValueGrid:

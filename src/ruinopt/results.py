@@ -9,8 +9,11 @@ cases where truncation actually matters.  Where it cannot (v not
 decaying on the grid), delta is NaN and psi keeps the value 1.
 
 The optimal strategy the Monte Carlo simulates is the solved a* alone, on
-a grid that reaches the safe level; the large-surplus laws in
-asymptotics.py are checks on the solve, not inputs to the simulation.
+a grid that reaches the level where the paths stop; the large-surplus
+laws in asymptotics.py are checks on the solve, not inputs to the
+simulation.  That level comes from psi: NormalizedSurvival.absorb_level
+is the first node where psi falls to a hundredth of the estimate's
+standard error.
 
 Both solves are certified the same way, by HjbResidual: the fixed-point
 channel recomputes T(v), the HJB's minimum over the amounts params.cap
@@ -85,6 +88,29 @@ class NormalizedSurvival:
 
     def ruin_probability(self, x):
         return self.psi(x)
+
+    def absorb_level(self, x0: float, n_paths: int, ceiling: float) -> tuple[float, float | None]:
+        """(L, psi(L)): where n_paths Monte Carlo paths from x0 may stop as safe.
+
+        L is the first grid node above x0 and below ceiling with
+        psi(L) <= SE / 100, SE = sqrt(delta(x0) (1 - delta(x0)) / n_paths)
+        the estimate's standard error.  A path absorbed at L survives with
+        probability 1 - psi(L), so the estimate then targets
+        delta(x0) / delta(L), at most about psi(L) off delta(x0).  psi falls
+        monotonically (v > 0), so no later node fails the bound.  Returns
+        (ceiling, None) when no node qualifies, or when the normalisation
+        is truncated or V(inf) is not finite.
+        """
+        if self.truncated or not math.isfinite(self.v_inf_hat):
+            return ceiling, None
+        d = float(self.delta(x0))
+        bound = math.sqrt(d * (1.0 - d) / n_paths) / 100.0
+        x = self.psi.grid.points
+        ok = (self.psi.values <= bound) & (x > x0) & (x < ceiling)
+        k = int(np.argmax(ok))
+        if not ok[k]:
+            return ceiling, None
+        return float(x[k]), float(self.psi.values[k])
 
 
 def normalize_delta(vg: ValueGrid, claim_mean: float | None = None) -> NormalizedSurvival:

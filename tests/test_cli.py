@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -405,24 +407,49 @@ def test_write_csv_matches_per_row_format(tmp_path):
         assert path.read_text(encoding="utf-8") == want
 
 
+def _certificate(sc, capped):
+    """The scenario grid's solve, its normalisation, and SE/100 for sc.sim's paths from x0 = 1."""
+    vg = (ro.solve_v_constrained if capped else ro.solve_v_unconstrained)(sc.params, sc.dist, sc.grid)
+    norm = ro.normalize_delta(vg, claim_mean=1.0)
+    d = norm.delta(1.0)
+    return vg, norm, math.sqrt(d * (1.0 - d) / sc.sim.n_paths) / 100.0
+
+
 @pytest.mark.parametrize("capped, safe", [(True, "8.0"), (False, "8.0"), (False, "4.0")])
 def test_optimal_strategy_is_the_solve_out_to_the_safe_level(capped, safe):
-    # grid.xmax = 5: against a safe level of 8 the curve is the solve on a
-    # grid of the same step out to 8, whose first nodes are the scenario
-    # grid's own solve, bit for bit (the march is causal); against 4 it is
-    # the scenario grid's solve
+    # 100 paths from x0 = 1: SE/100 is about 3e-4, and on grid.xmax = 5 psi
+    # stays above it (psi(5) is about 2e-3), so no level is certified and
+    # the paths run to the safe level.  Against a safe level of 8 the curve
+    # is the solve on a grid of the same step out to 8, whose first nodes
+    # are the scenario grid's own solve, bit for bit (the march is causal);
+    # against 4 it is the scenario grid's solve
     extra = "cap_A = 1.0\n" if capped else ""
     sc = parse_scenario(BASE.replace("mc.safe_level = 8.0", f"mc.safe_level = {safe}") + extra)
-    strat = _optimal_strategy(sc)
-    solve = ro.solve_v_constrained if capped else ro.solve_v_unconstrained
+    strat, level, psi = _optimal_strategy(sc, 1.0)
+    vg, norm, bound = _certificate(sc, capped)
+    assert level == sc.sim.safe_level and psi is None
+    assert np.all(norm.psi.values[sc.grid.points > 1.0] > bound)
     assert strat.grid.h == sc.grid.h and strat.grid.x_max >= sc.sim.safe_level
     if safe == "4.0":
         assert strat.grid == sc.grid
     else:   # its last node is the first at or past the safe level
         assert strat.grid.x_max < sc.sim.safe_level + sc.grid.h
-    assert np.array_equal(strat.values[:sc.grid.n], solve(sc.params, sc.dist, sc.grid).a_star)
+    assert np.array_equal(strat.values[:sc.grid.n], vg.a_star)
     if capped:
         assert np.all((strat.values >= 0.0) & (strat.values <= sc.params.cap))
+
+
+@pytest.mark.parametrize("capped", [True, False])
+def test_optimal_strategy_stops_at_the_certified_level(capped):
+    # grid.xmax = 10 certifies a level below 7 for 100 paths from x0 = 1:
+    # the curve is the scenario grid's solve, however far the safe level
+    text = BASE.replace("mc.safe_level = 8.0", "mc.safe_level = 60.0").replace("grid.xmax = 5.0", "grid.xmax = 10.0")
+    sc = parse_scenario(text + ("cap_A = 1.0\n" if capped else ""))
+    strat, level, psi = _optimal_strategy(sc, 1.0)
+    vg, norm, bound = _certificate(sc, capped)
+    assert strat.grid == sc.grid and np.array_equal(strat.values, vg.a_star)
+    assert 1.0 < level < 7.0
+    assert psi == norm.psi(level) <= bound < norm.psi(level - sc.grid.h)
 
 
 @pytest.mark.parametrize(
@@ -447,7 +474,9 @@ def test_optimal_strategy_reports_pinned(capped, expected):
     text = text.replace("mc.safe_level = 8.0", "mc.safe_level = 60.0")
     sc = parse_scenario(text + ("cap_A = 1.0\n" if capped else ""))
     assert sc.grid.x_max == 5.0
-    assert ro.estimate_survival(sc.params, sc.dist, _optimal_strategy(sc), 1.0, sc.sim) == expected
+    strategy, level, psi = _optimal_strategy(sc, 1.0)
+    assert level == 60.0 and psi is None   # psi(5) is far above SE/100
+    assert ro.estimate_survival(sc.params, sc.dist, strategy, 1.0, sc.sim) == expected
 
 
 def test_asymptotes_report(capsys, scenario_file):
@@ -521,15 +550,16 @@ def test_underflowing_v_names_grid_xmax(capsys, tmp_path, mode, x):
 
 @pytest.mark.parametrize("capped, x", [(False, "251.83"), (True, "251.535")])
 def test_underflowing_strategy_names_mc_safe_level(capsys, tmp_path, capped, x):
-    # the same law on a grid to 40: the optimal strategy is solved out to
-    # the safe level, 300, so that setting made the grid too long
+    # the same law on a grid to 2, too short to certify an absorption
+    # level: the optimal strategy is solved out to the safe level, 300, so
+    # that setting made the grid too long
     path = tmp_path / "far.scn"
     text = (PINNED / "bench2_exp.scn").read_text(encoding="utf-8")
     text = text.replace("claim.family = exponential\nclaim.p1 = 0.5", "claim.family = half_normal\nclaim.p1 = 1.0")
     if not capped:
         text = text.replace("cap_A = 1.0\n", "")
     sim = "mc.paths = 100\nmc.dt = 0.01\nmc.horizon = 1.0\nmc.safe_level = 300\n"
-    path.write_text(text + "grid.h = 0.005\ngrid.xmax = 40\n" + sim, encoding="utf-8")
+    path.write_text(text + "grid.h = 0.005\ngrid.xmax = 2\n" + sim, encoding="utf-8")
     code, _, err = run(capsys, ["simulate", path, "--x0", "1.0", "--strategy", "optimal"])
     assert code == 4
     assert f"at x={x};" in err and err.rstrip().endswith("(key: mc.safe_level)"), err
@@ -637,6 +667,46 @@ def test_horizon_off_the_step_grid_names_key(capsys, tmp_path, horizon, dt):
     assert code == 4
     assert "whole number of steps" in err
     assert err.rstrip().endswith("(key: mc.horizon)"), err
+
+
+@pytest.mark.parametrize("strategy", ["optimal", "zero", "const:1", "file"])
+@pytest.mark.parametrize("xmax", ["5.0", "10.0"])
+def test_simulate_reports_its_absorption_level(capsys, tmp_path, strategy, xmax):
+    # 100 paths from x0 = 1: SE/100 is about 3e-4.  On BASE's grid, to 5,
+    # psi stays above it, so the paths run to mc.safe_level and the bound is
+    # null; on a grid to 10 each strategy's solve certifies a level below 8
+    path = tmp_path / "scn.txt"
+    path.write_text(BASE.replace("grid.xmax = 5.0", f"grid.xmax = {xmax}"), encoding="utf-8")
+    if strategy == "file":
+        table = tmp_path / "strat.csv"
+        table.write_text("x,a\n0.0,0.5\n4.0,1.5\n", encoding="utf-8")
+        strategy = f"file:{table}"
+    code, out, err = run(capsys, ["simulate", path, "--x0", "1.0", "--strategy", strategy])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["safe_level"] == 8.0
+    if xmax == "5.0":
+        assert doc["absorb_level"] == 8.0 and doc["absorb_psi"] is None
+    else:
+        sc = parse_scenario(path.read_text(encoding="utf-8"))
+        if strategy == "optimal":
+            vg = ro.solve_v_unconstrained(sc.params, sc.dist, sc.grid)
+            sim = ro.StrategyCurve(grid=sc.grid, values=vg.a_star)
+        else:
+            sim = {"zero": 0.0, "const:1": 1.0}.get(strategy, lambda q: np.interp(q, [0.0, 4.0], [0.5, 1.5]))
+            amounts = sim(sc.grid.points) if callable(sim) else np.full(sc.grid.n, sim)
+            vg = ro.evaluate_policy(sc.params, sc.dist, sc.grid, amounts)
+        norm = ro.normalize_delta(vg, 1.0)
+        d = norm.delta(1.0)
+        bound = math.sqrt(d * (1.0 - d) / 100) / 100.0
+        level = doc["absorb_level"]
+        assert 1.0 < level < 8.0 and level == round(level / 0.005) * 0.005
+        assert_close(doc["absorb_psi"], norm.psi(level), 1e-8, "absorb_psi")
+        assert norm.psi(level) <= bound < norm.psi(level - 0.005)
+        # the paths stopped as safe at L, not at mc.safe_level
+        report = ro.estimate_survival(sc.params, sc.dist, sim, 1.0, replace(sc.sim, safe_level=level))
+        assert [doc["n_ruined"], doc["n_safe"], doc["n_horizon"]] == [report.n_ruined, report.n_safe, report.n_horizon]
+        assert report.n_safe > 0
 
 
 def test_simulate_too_few_paths_names_key(capsys, tmp_path):

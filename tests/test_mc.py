@@ -455,3 +455,36 @@ def test_no_fork_without_fork_or_inside_a_daemon(monkeypatch, forks, ex1, exp1):
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     assert estimate_survival(ex1, exp1, 0.8542, 1.0, cfg) == expected
     assert len(forks) == 1
+
+
+@pytest.mark.parametrize("strategy", ["optimal", "a=0"])
+def test_absorbing_at_the_certified_level_loses_only_late_ruins(ex1, exp1, strategy):
+    # a claim only moves the surplus down, so a path first reaches the
+    # level L by diffusion, as it runs the same path until then: on the same
+    # indices every path not absorbed at L is the path run to the ceiling,
+    # ruin time and all, and absorbing at L only saves paths that would have
+    # been ruined after passing L.  This holds for every seed and strategy
+    grid = ro.Grid.from_xmax(0.01, 60.0)
+    if strategy == "optimal":
+        vg = ro.solve_v_unconstrained(ex1, exp1, grid)
+        sim = ro.StrategyCurve(grid=grid, values=vg.a_star)
+    else:
+        vg = ro.evaluate_policy(ex1, exp1, grid, np.zeros(grid.n))
+        sim = 0.0
+    ceiling = SimConfig(dt=0.01, horizon=20.0, n_paths=1024, safe_level=60.0, master_seed=2026)
+    norm = ro.normalize_delta(vg, claim_mean=1.0)
+    level, psi = norm.absorb_level(1.0, ceiling.n_paths, ceiling.safe_level)
+    d = norm.delta(1.0)
+    bound = math.sqrt(d * (1.0 - d) / ceiling.n_paths) / 100.0
+    assert 1.0 < level < 60.0 and psi == norm.psi(level) <= bound < norm.psi(level - grid.h)
+
+    idx = np.arange(ceiling.n_paths)
+    at_level = _run_paths(ex1, exp1, sim, 1.0, replace(ceiling, safe_level=level), idx)
+    at_ceiling = _run_paths(ex1, exp1, sim, 1.0, ceiling, idx)
+    kept = at_level[0] != mc._SAFE
+    assert np.array_equal(at_level[0][kept], at_ceiling[0][kept])
+    assert np.array_equal(at_level[1][kept], at_ceiling[1][kept], equal_nan=True)
+    ruined = at_level[0] == mc._RUINED
+    assert np.all(at_ceiling[0][ruined] == mc._RUINED)
+    assert np.count_nonzero(ruined) <= np.count_nonzero(at_ceiling[0] == mc._RUINED)
+    assert np.count_nonzero(~kept) > 0.8 * ceiling.n_paths

@@ -481,3 +481,48 @@ def test_curvature_best_equals_scalar_scan_on_edge_cases(ex1, ex2):
     qa, qb, qc = _quadratic(p, x, w, MW)
     assert np.sum(qb * qb - 4.0 * qa * qc < 0.0) > 0
     _assert_same_as_scalar(p, x, w, MW)
+
+
+@pytest.mark.parametrize("which", ["bench1 unrestricted", "bench1 capped", "bench2 pareto capped"])
+def test_policy_march_gives_the_solve_back(which, ex1, ex2, exp1):
+    # fed a solve's own a*, the policy march solves each node's affine
+    # equation at the amount the solve chose: the same v to round-off
+    if which == "bench2 pareto capped":
+        p, dist, solve = replace(ex2, cap=1.0), ro.make_pareto(2.0, 2.0), ro.solve_v_constrained
+    else:
+        capped = which == "bench1 capped"
+        p = replace(ex1, cap=1.0) if capped else ex1
+        dist, solve = exp1, ro.solve_v_constrained if capped else ro.solve_v_unconstrained
+    grid = ro.Grid.from_xmax(5e-3, 40.0)
+    vg = solve(p, dist, grid)
+    ev = ro.evaluate_policy(p, dist, grid, vg.a_star)
+    assert np.array_equal(ev.a_star, vg.a_star) and ev.grid == grid
+    assert np.max(np.abs(ev.v - vg.v) / vg.v) <= 1e-13
+    assert node_residual(ev) <= 1e-14
+
+
+@pytest.mark.parametrize("A", [0.0, 0.8542114902640175, 1.0])
+def test_policy_march_converges_with_the_constant_strategy_ode(A, ex1, exp1):
+    # under a constant A both the policy march and the linear ODE are O(h^2)
+    # with the same limit, so their gap in psi shrinks 4x per halving of h
+    gaps = []
+    for h in (1e-2, 5e-3, 2.5e-3):
+        grid = ro.Grid.from_xmax(h, 40.0)
+        march = ro.normalize_delta(ro.evaluate_policy(ex1, exp1, grid, np.full(grid.n, A)), 1.0)
+        ode = ro.normalize_delta(ro.solve_linear_const_strategy(ex1, A, 1.0, grid), 1.0)
+        gaps.append(max(abs(march.psi(x) - ode.psi(x)) / ode.psi(x) for x in (0.5, 1.0, 2.0, 5.0)))
+    assert gaps[0] <= 2e-2
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 3.5 <= coarse / fine <= 4.5, gaps
+
+
+def test_policy_march_refuses_a_node_without_a_root():
+    # NONCONTRACTING at h = 0.1: D(a) is least, -0.019, near a = 2.25 at the
+    # first node, and positive at a = 0
+    p, dist = NONCONTRACTING, ro.make_exponential(1.0)
+    grid = ro.Grid.from_xmax(0.1, 1.0)
+    with pytest.raises(RuntimeError, match=r"no positive root at x=0\.1$"):
+        ro.evaluate_policy(p, dist, grid, np.full(grid.n, 2.25))
+    assert np.all(ro.evaluate_policy(p, dist, grid, np.zeros(grid.n)).v > 0.0)
+    with pytest.raises(ValueError, match="one amount per grid node"):
+        ro.evaluate_policy(p, dist, grid, np.zeros(grid.n - 1))
