@@ -42,7 +42,7 @@ from .exp_ode import reconstruct_vprime, solve_a_tilde
 from .mc import MIN_PATHS, estimate_survival
 from .model import classify_infinity_regime, classify_zero_regime, derive_constants
 from .numerics import Grid
-from .results import StrategyCurve, normalize_delta
+from .results import StrategyCurve, ValueGrid, normalize_delta
 from .scenario import (
     BadValueError,
     Scenario,
@@ -134,9 +134,10 @@ def _cmd_constants(args) -> int:
     return EXIT_OK
 
 
-def _solve(sc: Scenario, capped: bool, grid: Grid | None = None, reach: str = "grid.xmax"):
+def _solve(sc: Scenario, capped: bool, grid: Grid | None = None):
     """Value grid, a* included, of the capped or the unrestricted problem,
-    on sc.grid or on grid, whose length the setting `reach` chose."""
+    on sc.grid or on grid, which extends it.  An underflow refusal names
+    grid.xmax where its node lies on sc.grid, and mc.safe_level past it."""
     if capped and sc.params.cap is None:
         raise BadValueError("cap_A", "constrained solve needs cap_A in the scenario")
     solve = solve_v_constrained if capped else solve_v_unconstrained
@@ -145,7 +146,7 @@ def _solve(sc: Scenario, capped: bool, grid: Grid | None = None, reach: str = "g
     except RuntimeError as exc:  # a node without a positive root: h is too coarse
         raise BadValueError("grid.h", str(exc)) from None
     except FloatingPointError as exc:  # v underflowed: the grid reaches too far
-        raise BadValueError(reach, str(exc)) from None
+        raise BadValueError("grid.xmax" if exc.x <= sc.grid.x_max else "mc.safe_level", str(exc)) from None
 
 
 def _cmd_solve(args) -> int:
@@ -316,44 +317,40 @@ def _refuse_overflow(params, amounts, what: str) -> None:
             )
 
 
-def _absorb_level(sc: Scenario, x0: float, vg) -> tuple[float, float | None]:
-    """(L, psi(L)) that the value grid vg certifies for sc.sim's paths from
-    x0, or (mc.safe_level, None) where it certifies none."""
-    if not np.all(np.isfinite(vg.v)):
-        return sc.sim.safe_level, None
-    norm = normalize_delta(vg, claim_mean=sc.dist.exponential_mean)
-    return norm.absorb_level(x0, sc.sim.n_paths, sc.sim.safe_level)
+def _price(sc: Scenario, x0: float, amounts: np.ndarray | None = None):
+    """One march prices a strategy for sc.sim's paths from x0.
 
-
-def _optimal_strategy(sc: Scenario, x0: float) -> tuple[StrategyCurve, float, float | None]:
-    """The solved a*, capped when the scenario has a cap, with the
-    absorption level (L, psi(L)) its solve on sc.grid certifies.  Every
-    surplus a live path can hold lies on the curve's grid: sc.grid reaches
-    L, and where no level is certified, L is mc.safe_level and a* is solved
-    on a grid of step grid.h that reaches it."""
-    capped = sc.params.cap is not None
-    vg = _solve(sc, capped)
-    level, psi = _absorb_level(sc, x0, vg)
-    if sc.grid.x_max < level:   # a certified level is a node of sc.grid
+    Returns the value grid, the normalisation of its first sc.grid.n
+    nodes, and the absorption level (L, psi(L)) that normalisation
+    certifies, or (mc.safe_level, None).  amounts None is the optimal
+    strategy, capped when the scenario has a cap, solved on a grid of step
+    grid.h that reaches grid.xmax and mc.safe_level, so every surplus a
+    live path holds lies on it; its first sc.grid.n nodes are the solve on
+    sc.grid bit for bit (the march is causal).  Otherwise evaluate_policy
+    prices amounts, one per node, on sc.grid; where it cannot, the result
+    is (None, None, (mc.safe_level, None)).
+    """
+    ceiling, n = sc.sim.safe_level, sc.grid.n
+    if amounts is None:
+        grid = sc.grid
+        if grid.x_max < ceiling:
+            try:
+                grid = Grid.from_xmax(grid.h, ceiling)
+                if grid.x_max < ceiling:   # from_xmax rounds the step count
+                    grid = Grid(grid.h, grid.n + 1)
+            except ValueError as exc:
+                raise BadValueError("mc.safe_level", str(exc)) from None
+        vg = _solve(sc, sc.params.cap is not None, grid)
+    else:
         try:
-            grid = Grid.from_xmax(sc.grid.h, level)
-            if grid.x_max < level:   # from_xmax rounds the step count
-                grid = Grid(grid.h, grid.n + 1)
-        except ValueError as exc:
-            raise BadValueError("mc.safe_level", str(exc)) from None
-        vg = _solve(sc, capped, grid, "mc.safe_level")
-    return StrategyCurve(grid=vg.grid, values=vg.a_star), level, psi
-
-
-def _policy_level(sc: Scenario, x0: float, amounts: np.ndarray) -> tuple[float, float | None]:
-    """The absorption level of the strategy that invests amounts at the
-    nodes of sc.grid, priced by one policy march; (mc.safe_level, None)
-    when the march cannot price it."""
-    try:
-        vg = evaluate_policy(sc.params, sc.dist, sc.grid, amounts)
-    except (RuntimeError, FloatingPointError):   # no positive root, or v underflowed
-        return sc.sim.safe_level, None
-    return _absorb_level(sc, x0, vg)
+            vg = evaluate_policy(sc.params, sc.dist, sc.grid, amounts)
+        except (RuntimeError, FloatingPointError):   # no positive root, or v underflowed
+            return None, None, (ceiling, None)
+    cut = ValueGrid(sc.grid, vg.v[:n], vg.V[:n], vg.vprime[:n], vg.a_star[:n])
+    if not np.all(np.isfinite(cut.v)):
+        return vg, None, (ceiling, None)
+    norm = normalize_delta(cut, claim_mean=sc.dist.exponential_mean)
+    return vg, norm, norm.absorb_level(x0, sc.sim.n_paths, ceiling)
 
 
 def _cmd_simulate(args) -> int:
@@ -369,10 +366,9 @@ def _cmd_simulate(args) -> int:
     spec = args.strategy
     x = sc.grid.points
     if spec == "optimal":
-        strategy, level, psi = _optimal_strategy(sc, args.x0)
+        strategy = amounts = None
     elif spec == "zero":
-        strategy = 0.0
-        level, psi = _policy_level(sc, args.x0, np.zeros_like(x))
+        strategy, amounts = 0.0, np.zeros_like(x)
     elif spec.startswith("const:"):
         try:
             strategy = float(spec.split(":", 1)[1])
@@ -381,7 +377,7 @@ def _cmd_simulate(args) -> int:
         if not math.isfinite(strategy):
             raise BadValueError("strategy", f"constant strategy must be finite, got {spec!r}")
         _refuse_overflow(sc.params, [strategy], f"constant strategy {spec!r}")
-        level, psi = _policy_level(sc, args.x0, np.full_like(x, strategy))
+        amounts = np.full_like(x, strategy)
     elif spec.startswith("file:"):
         path = spec.split(":", 1)[1]
         xs, vals = _load_strategy_file(path)
@@ -390,11 +386,14 @@ def _cmd_simulate(args) -> int:
         def strategy(q):
             return np.interp(q, xs, vals)
 
-        level, psi = _policy_level(sc, args.x0, strategy(x))
+        amounts = strategy(x)
     else:
         raise BadValueError(
             "strategy", f"unknown strategy {spec!r}; use optimal, zero, const:<a>, file:<path>"
         )
+    vg, _, (level, psi) = _price(sc, args.x0, amounts)
+    if strategy is None:
+        strategy = StrategyCurve(vg.grid, vg.a_star)
     t0 = time.perf_counter()
     report = estimate_survival(sc.params, sc.dist, strategy, args.x0, replace(sc.sim, safe_level=level))
     elapsed = time.perf_counter() - t0

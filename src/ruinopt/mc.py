@@ -47,7 +47,8 @@ SampledFn strategy also writes its lookup.  A live surplus lies in
 [0, safe_level), so a SampledFn whose grid reaches the safe level is read
 only on its grid.  `simulate` sets the safe level to the absorption
 level a solve certifies, or leaves mc.safe_level where none is certified,
-and `--strategy optimal` solves a* on a grid that reaches it.  A
+and `--strategy optimal` takes a* from the march that certifies it, on
+a grid that reaches mc.safe_level.  A
 constant strategy stays a Python float, so (mu - r) a and sqrt(Q(a)) are
 formed once per run.  Other callables are called on the live surplus and
 their result read before the surplus moves.  Every path still does the

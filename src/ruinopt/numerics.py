@@ -195,6 +195,14 @@ _BLOCK = 128
 _TINY = np.finfo(float).tiny   # the least positive normal double
 
 
+def _out_of_range(what: str, x: float) -> FloatingPointError:
+    """The refusal of the march at surplus x, where `what` left the normal
+    range; it carries x, so a caller can tell which setting reached it."""
+    exc = FloatingPointError(f"{what} left the normal range at x={x:.6g}; the grid reaches too far")
+    exc.x = x
+    return exc
+
+
 def _causal_convolve(H: np.ndarray, w: np.ndarray) -> np.ndarray:
     """sum_{k<=j} H[k] w[j-k] for j < n = len(w), as blocked matrix products.
 
@@ -270,7 +278,8 @@ def march_value_slope(grid: Grid, dist, lam: float, start: tuple, node):
     writes v_j into the reversed copy the next node's dot reads; v, v' and
     a* are gathered in a block's short lists and stored one slice per
     block.  The first v_j below the normal range, which has lost digits,
-    raises FloatingPointError naming x_j (checked once per block).
+    raises FloatingPointError naming x_j (checked once per block), which it
+    also carries as its attribute x, as a node's own refusal does.
     Returns (v, V, v', a*), results.ValueGrid's order, V the integral of v.
     """
     h = grid.h
@@ -319,7 +328,7 @@ def march_value_slope(grid: Grid, dist, lam: float, start: tuple, node):
             avals.append(a_j)
         if min(ws) < _TINY:
             j = lo + next(k for k, w_k in enumerate(ws) if w_k < _TINY)
-            raise FloatingPointError(f"v left the normal range at x={j * h:.6g}; the grid reaches too far")
+            raise _out_of_range("v", j * h)
         v[lo:hi] = ws
         vp[lo:hi] = ys
         a[lo:hi] = avals

@@ -8,12 +8,13 @@ reaches; normalize_delta estimates the missing tail mass and flags the
 cases where truncation actually matters.  Where it cannot (v not
 decaying on the grid), delta is NaN and psi keeps the value 1.
 
-The optimal strategy the Monte Carlo simulates is the solved a* alone, on
-a grid that reaches the level where the paths stop; the large-surplus
-laws in asymptotics.py are checks on the solve, not inputs to the
-simulation.  That level comes from psi: NormalizedSurvival.absorb_level
-is the first node where psi falls to a hundredth of the estimate's
-standard error.
+The optimal strategy the Monte Carlo simulates is the solved a* alone,
+from one march on a grid that reaches mc.safe_level, so it covers every
+level where the paths may stop; the large-surplus laws in asymptotics.py
+are checks on the solve, not inputs to the simulation.  That level comes
+from psi on the scenario's own grid, the march's first nodes:
+NormalizedSurvival.absorb_level is the first node where psi falls to a
+hundredth of the estimate's standard error.
 
 Both solves are certified the same way, by HjbResidual: the fixed-point
 channel recomputes T(v), the HJB's minimum over the amounts params.cap

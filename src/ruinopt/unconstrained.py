@@ -42,9 +42,13 @@ has exactly one root in (-2 alpha/h, 0]: the node, solved in closed form
 with the cancellation-free pair of root formulas.  B >= 0 forces
 p_j >= kappa^2 h/2 and so A > 0, the case that divides by A.  Then
 v_j = alpha + h/2 y, v'_j = y and a*_j = -(mu-r) v_j / (sigma^2 y) - rho
-sigma1 / sigma (the hedge alone, undivided, when mu = r).  Each solve
-hands the march one node rule, `_node_solver`, which forms the
-node-independent scalars once and keeps the grouping above.  An explicit
+sigma1 / sigma (the hedge alone, undivided, when mu = r).  C and B^2
+scale like v^2, so they leave the normal range long before v does (below
+v of about 1.5e-154 / kappa) and the root loses its digits: the node
+refuses, with FloatingPointError naming x, where either is nonzero and
+below the least normal double.  Each solve hands the march one node
+rule, `_node_solver`, which forms the node-independent scalars once and
+keeps the grouping above.  An explicit
 sweep would have local amplification h/2 * |dL/dw| well above 1 at large
 x; the implicit closure has none.  The equation is
 causal: node j sees only v_0 .. v_{j-1} and itself, so the single forward
@@ -63,7 +67,7 @@ from dataclasses import replace
 
 from .claims import ClaimDistribution
 from .model import ModelParams, derive_constants
-from .numerics import Grid, march_value_slope
+from .numerics import _TINY, Grid, _out_of_range, march_value_slope
 from .results import HjbResidual, ValueGrid
 
 __all__ = [
@@ -86,7 +90,10 @@ def _node_solver(p: ModelParams, h: float):
         A = half_sr2 + half_h * pj - shrink
         B = pj * alpha - q - kappa * kappa * alpha * half_h
         C = -0.5 * (kappa * alpha) ** 2
-        R = math.sqrt(B * B - 4.0 * A * C)
+        BB = B * B
+        if 0.0 < -C < _TINY or 0.0 < BB < _TINY:   # a square that has lost digits
+            raise _out_of_range("the node's quadratic", x)
+        R = math.sqrt(BB - 4.0 * A * C)
         y = -(B + R) / (2.0 * A) if B >= 0.0 else 2.0 * C / (R - B)
         w = alpha + half_h * y
         if not (math.isfinite(w) and w > 0.0):
@@ -114,7 +121,10 @@ def solve_v_unconstrained(params: ModelParams, dist: ClaimDistribution, grid: Gr
     ("trapezoid anchor went nonpositive") at the first node, x = h, when
     h >= 2 / B, with B close to 2 c_rho / sigma_rho^2 when c_rho > 0 and
     sigma_rho^2 is small.  The seeded sweep in
-    tests/test_solver_sweep.py finds it at no later node.
+    tests/test_solver_sweep.py finds it at no later node.  It stops with
+    FloatingPointError, naming x and carrying it as the attribute x, at
+    the first node whose C or B^2 leaves the normal range (on benchmark 2
+    with half-normal(1) claims, x = 136.185).
     """
     p = params
     k = derive_constants(p)

@@ -16,8 +16,8 @@ import numpy as np
 import pytest
 
 import ruinopt as ro
-from ruinopt import cli
-from ruinopt.cli import _optimal_strategy, main
+from ruinopt import cli, constrained, unconstrained
+from ruinopt.cli import _price, main
 from ruinopt.scenario import parse_scenario
 from conftest import assert_close
 
@@ -425,31 +425,36 @@ def test_optimal_strategy_is_the_solve_out_to_the_safe_level(capped, safe):
     # against 4 it is the scenario grid's solve
     extra = "cap_A = 1.0\n" if capped else ""
     sc = parse_scenario(BASE.replace("mc.safe_level = 8.0", f"mc.safe_level = {safe}") + extra)
-    strat, level, psi = _optimal_strategy(sc, 1.0)
-    vg, norm, bound = _certificate(sc, capped)
+    strat, norm, (level, psi) = _price(sc, 1.0)
+    vg, ref, bound = _certificate(sc, capped)
     assert level == sc.sim.safe_level and psi is None
-    assert np.all(norm.psi.values[sc.grid.points > 1.0] > bound)
+    assert np.all(ref.psi.values[sc.grid.points > 1.0] > bound)
+    assert np.array_equal(norm.psi.values, ref.psi.values)
     assert strat.grid.h == sc.grid.h and strat.grid.x_max >= sc.sim.safe_level
     if safe == "4.0":
         assert strat.grid == sc.grid
     else:   # its last node is the first at or past the safe level
         assert strat.grid.x_max < sc.sim.safe_level + sc.grid.h
-    assert np.array_equal(strat.values[:sc.grid.n], vg.a_star)
+    assert np.array_equal(strat.a_star[:sc.grid.n], vg.a_star)
     if capped:
-        assert np.all((strat.values >= 0.0) & (strat.values <= sc.params.cap))
+        assert np.all((strat.a_star >= 0.0) & (strat.a_star <= sc.params.cap))
 
 
 @pytest.mark.parametrize("capped", [True, False])
 def test_optimal_strategy_stops_at_the_certified_level(capped):
     # grid.xmax = 10 certifies a level below 7 for 100 paths from x0 = 1:
-    # the curve is the scenario grid's solve, however far the safe level
+    # the level is the scenario grid's, and the curve, solved out to the
+    # safe level, is that grid's solve on its first nodes, bit for bit
     text = BASE.replace("mc.safe_level = 8.0", "mc.safe_level = 60.0").replace("grid.xmax = 5.0", "grid.xmax = 10.0")
     sc = parse_scenario(text + ("cap_A = 1.0\n" if capped else ""))
-    strat, level, psi = _optimal_strategy(sc, 1.0)
-    vg, norm, bound = _certificate(sc, capped)
-    assert strat.grid == sc.grid and np.array_equal(strat.values, vg.a_star)
+    strat, norm, (level, psi) = _price(sc, 1.0)
+    vg, ref, bound = _certificate(sc, capped)
+    assert strat.grid.x_max >= sc.sim.safe_level
+    for got, want in [(strat.v, vg.v), (strat.V, vg.V), (strat.vprime, vg.vprime), (strat.a_star, vg.a_star)]:
+        assert np.array_equal(got[:sc.grid.n], want)
+    assert np.array_equal(norm.psi.values, ref.psi.values)
     assert 1.0 < level < 7.0
-    assert psi == norm.psi(level) <= bound < norm.psi(level - sc.grid.h)
+    assert psi == ref.psi(level) <= bound < ref.psi(level - sc.grid.h)
 
 
 @pytest.mark.parametrize(
@@ -474,8 +479,9 @@ def test_optimal_strategy_reports_pinned(capped, expected):
     text = text.replace("mc.safe_level = 8.0", "mc.safe_level = 60.0")
     sc = parse_scenario(text + ("cap_A = 1.0\n" if capped else ""))
     assert sc.grid.x_max == 5.0
-    strategy, level, psi = _optimal_strategy(sc, 1.0)
+    vg, _, (level, psi) = _price(sc, 1.0)
     assert level == 60.0 and psi is None   # psi(5) is far above SE/100
+    strategy = ro.StrategyCurve(grid=vg.grid, values=vg.a_star)
     assert ro.estimate_survival(sc.params, sc.dist, strategy, 1.0, sc.sim) == expected
 
 
@@ -535,34 +541,69 @@ def test_solve_output_pinned(capsys, tmp_path, name, mode):
     assert _solve_digests(capsys, tmp_path, name, mode) == pinned[f"{name}.{mode}"]
 
 
-@pytest.mark.parametrize("mode, x", [("unconstrained", "251.83"), ("constrained", "251.535")])
-def test_underflowing_v_names_grid_xmax(capsys, tmp_path, mode, x):
-    # benchmark 2 with half-normal(1) claims: v leaves the normal range near
-    # x = 252, so a grid to 300 is refused at the first such node
-    path = tmp_path / "far.scn"
+def _half_normal_bench2(capped=True):
+    """Benchmark 2 with half-normal(1) claims, capped unless capped is False."""
     text = (PINNED / "bench2_exp.scn").read_text(encoding="utf-8")
     text = text.replace("claim.family = exponential\nclaim.p1 = 0.5", "claim.family = half_normal\nclaim.p1 = 1.0")
-    path.write_text(text + "grid.h = 0.005\ngrid.xmax = 300\n", encoding="utf-8")
+    return text if capped else text.replace("cap_A = 1.0\n", "")
+
+
+@pytest.mark.parametrize("mode, x", [("unconstrained", "136.185"), ("constrained", "251.535")])
+def test_underflowing_v_names_grid_xmax(capsys, tmp_path, mode, x):
+    # benchmark 2 with half-normal(1) claims: v leaves the normal range near
+    # x = 252, so a grid to 300 is refused at the first such node.  The
+    # unrestricted node squares v first: its C = -(kappa alpha)^2 / 2 leaves
+    # the normal range at x = 136.185, where the node is refused
+    path = tmp_path / "far.scn"
+    path.write_text(_half_normal_bench2() + "grid.h = 0.005\ngrid.xmax = 300\n", encoding="utf-8")
     code, _, err = run(capsys, ["solve", path, "--mode", mode, "--out", tmp_path])
     assert code == 4
     assert f"at x={x};" in err and err.rstrip().endswith("(key: grid.xmax)"), err
 
 
-@pytest.mark.parametrize("capped, x", [(False, "251.83"), (True, "251.535")])
+def test_underflowing_node_names_grid_xmax(capsys, tmp_path):
+    # benchmark 1 with exponential claims on a grid to 400: the unrestricted
+    # node's squares leave the normal range at x = 348.23, where the node
+    # used to divide by a y that had underflowed to 0
+    path = tmp_path / "far.scn"
+    path.write_text((PINNED / "bench1.scn").read_text(encoding="utf-8") + "grid.h = 0.005\ngrid.xmax = 400\n",
+                    encoding="utf-8")
+    code, _, err = run(capsys, ["solve", path, "--mode", "unconstrained", "--out", tmp_path])
+    assert code == 4
+    assert "at x=348.23;" in err and err.rstrip().endswith("(key: grid.xmax)"), err
+
+
+@pytest.mark.parametrize("capped, x", [(False, "136.185"), (True, "251.535")])
 def test_underflowing_strategy_names_mc_safe_level(capsys, tmp_path, capped, x):
     # the same law on a grid to 2, too short to certify an absorption
     # level: the optimal strategy is solved out to the safe level, 300, so
     # that setting made the grid too long
     path = tmp_path / "far.scn"
-    text = (PINNED / "bench2_exp.scn").read_text(encoding="utf-8")
-    text = text.replace("claim.family = exponential\nclaim.p1 = 0.5", "claim.family = half_normal\nclaim.p1 = 1.0")
-    if not capped:
-        text = text.replace("cap_A = 1.0\n", "")
     sim = "mc.paths = 100\nmc.dt = 0.01\nmc.horizon = 1.0\nmc.safe_level = 300\n"
-    path.write_text(text + "grid.h = 0.005\ngrid.xmax = 2\n" + sim, encoding="utf-8")
+    path.write_text(_half_normal_bench2(capped) + "grid.h = 0.005\ngrid.xmax = 2\n" + sim, encoding="utf-8")
     code, _, err = run(capsys, ["simulate", path, "--x0", "1.0", "--strategy", "optimal"])
     assert code == 4
     assert f"at x={x};" in err and err.rstrip().endswith("(key: mc.safe_level)"), err
+
+
+@pytest.mark.parametrize("xmax, key", [("10", "mc.safe_level"), ("150", "grid.xmax")])
+def test_certified_strategy_is_still_solved_to_the_safe_level(capsys, tmp_path, xmax, key):
+    # a grid to 10 certifies an absorption level, yet the optimal strategy
+    # is solved out to the safe level, 200, past the node the unrestricted
+    # march refuses (x = 136.185): mc.safe_level made the grid too long.
+    # A grid to 150 reaches that node itself, so grid.xmax is the setting
+    # to change, whatever the safe level
+    path = tmp_path / "far.scn"
+    text = _half_normal_bench2(False) + f"grid.h = 0.005\ngrid.xmax = {xmax}\n"
+    text += "mc.paths = 100\nmc.dt = 0.01\nmc.horizon = 1.0\nmc.safe_level = 200\n"
+    if xmax == "10":   # short of the refused node, the same grid certifies a level
+        path.write_text(text.replace("mc.safe_level = 200", "mc.safe_level = 100"), encoding="utf-8")
+        code, out, err = run(capsys, ["simulate", path, "--x0", "1.0", "--strategy", "optimal"])
+        assert code == 0 and json.loads(out)["absorb_psi"] is not None, err
+    path.write_text(text, encoding="utf-8")
+    code, _, err = run(capsys, ["simulate", path, "--x0", "1.0", "--strategy", "optimal"])
+    assert code == 4
+    assert "at x=136.185;" in err and err.rstrip().endswith(f"(key: {key})"), err
 
 
 def test_exp_validate_agrees(capsys, tmp_path):
@@ -707,6 +748,29 @@ def test_simulate_reports_its_absorption_level(capsys, tmp_path, strategy, xmax)
         report = ro.estimate_survival(sc.params, sc.dist, sim, 1.0, replace(sc.sim, safe_level=level))
         assert [doc["n_ruined"], doc["n_safe"], doc["n_horizon"]] == [report.n_ruined, report.n_safe, report.n_horizon]
         assert report.n_safe > 0
+
+
+@pytest.mark.parametrize("capped", [False, True])
+@pytest.mark.parametrize("strategy", ["optimal", "zero", "const:1", "file"])
+@pytest.mark.parametrize("xmax", ["5.0", "10.0"])
+def test_simulate_marches_once(capsys, tmp_path, monkeypatch, capped, strategy, xmax):
+    # one march prices the strategy and, for optimal, gives the a* the
+    # paths run: on grid.xmax = 5 no level is certified, on 10 one is
+    calls = []
+    for module in (constrained, unconstrained):
+        march = module.march_value_slope
+        monkeypatch.setattr(module, "march_value_slope", lambda *a, march=march: calls.append(1) or march(*a))
+    path = tmp_path / "scn.txt"
+    path.write_text(BASE.replace("grid.xmax = 5.0", f"grid.xmax = {xmax}") + ("cap_A = 1.0\n" if capped else ""),
+                    encoding="utf-8")
+    if strategy == "file":
+        table = tmp_path / "strat.csv"
+        table.write_text("x,a\n0.0,0.5\n4.0,1.5\n", encoding="utf-8")
+        strategy = f"file:{table}"
+    code, out, err = run(capsys, ["simulate", path, "--x0", "1.0", "--strategy", strategy])
+    assert code == 0, err
+    assert (json.loads(out)["absorb_psi"] is None) == (xmax == "5.0")
+    assert len(calls) == 1
 
 
 def test_simulate_too_few_paths_names_key(capsys, tmp_path):
