@@ -47,22 +47,24 @@ As in the unrestricted solver, node j sees only v_0 .. v_{j-1} and itself
 
 The march solves one node at a time, since each node needs the one
 before it; each solve hands it one node rule, `_node_solver`, which forms
-the node-independent scalars once.  A node takes its candidates from
-`model._candidates` (0, cap, then the roots in [0, cap]) and evaluates
-D/N at each inline, grouping Q(a) and the curvature as `quadratic_form`
-and `curvature_candidate` do.  It keeps a candidate whose ratio is
-strictly larger, or equal at a smaller amount, so it picks the amount
-`model._best_candidate` picks.  The certificate, `hjb_residual`, is the
-one both solvers share (`results.HjbResidual`): it has every v_j at hand,
-so it evaluates T(v) at all nodes in one call of the array
-`curvature_best`, which picks the same candidate bit for bit.
+the node-independent scalars once.  The node is told which amounts it may
+take; for the capped solve these are `model._candidates` (0, cap, then the
+roots in [0, cap]).  It evaluates D/N at each inline, grouping Q(a) and
+the curvature as `quadratic_form` and `curvature_candidate` do, and keeps
+a candidate whose ratio is strictly larger, or equal at a smaller amount,
+so it picks the amount `model._best_candidate` picks.  The certificate,
+`hjb_residual`, is the one both solvers share (`results.HjbResidual`): it
+has every v_j at hand, so it evaluates T(v) at all nodes in one call of
+the array `curvature_best`, which picks the same candidate bit for bit.
 
 With the amount given instead of chosen, the same node prices any
-feedback strategy a: `evaluate_policy` solves each node at a_j as
-w = N(a_j) / D(a_j), which has a positive root exactly when D(a_j) > 0,
-and starts from v'(0) = -2 (c + (mu-r) a_0) / Q(a_0).  Its psi, through
-`results.normalize_delta`, is the ruin probability under a, from which
-`simulate` takes the level where its paths stop.
+feedback strategy a: `evaluate_policy` hands `_node_solver` the one amount
+a_j at node j, so node j is w = 1 / (D(a_j) / N(a_j)), which has a
+positive root exactly when that ratio is positive, and it starts from
+v'(0) = -2 (c + (mu-r) a_0) / Q(a_0).  Fed a capped solve's own a*, it
+returns that solve bit for bit.  Its psi, through `results.normalize_delta`,
+is the ruin probability under a, from which `simulate` takes the level
+where its paths stop.
 """
 
 from __future__ import annotations
@@ -83,29 +85,36 @@ __all__ = [
 ]
 
 
-def _node_solver(p: ModelParams, h: float):
+def _node_solver(p: ModelParams, h: float, choices=None):
     """The node rule of a march with step h: (x, q, alpha) -> (v_j, v'_j,
-    a*_j), with w* = 1 / max D(a) / N(a), maximised at a*_j, at surplus x."""
+    a_j), with w = 1 / max D(a) / N(a) at surplus x, maximised at a_j over
+    the amounts choices(drift, q, alpha) gives (drift = c + r x).  By
+    default these are the capped candidates in [0, params.cap]."""
     half_h = 0.5 * h
-    c, r, excess, cap = p.c, p.r, p.excess, p.cap
+    c, r, excess = p.c, p.r, p.excess
     lam_half_h, lam_h_half_h = p.lam * half_h, p.lam * h * half_h
     s2, two_rss, s12 = p.sigma**2, 2.0 * p.rho * p.sigma * p.sigma1, p.sigma1**2
+    if choices is None:
+        cap = p.cap
+
+        def choices(drift: float, q: float, alpha: float) -> list[float]:
+            E = alpha * (drift - lam_half_h) - q
+            qc = two_rss * E - excess * (alpha * s12 + h * q)
+            return _candidates(excess * s2 * alpha, 2.0 * s2 * E, qc, cap)
 
     def solve(x: float, q: float, alpha: float) -> tuple[float, float, float]:
         drift = c + r * x
-        E = alpha * (drift - lam_half_h) - q
         hq = h * q
-        qc = two_rss * E - excess * (alpha * s12 + hq)
         # the largest D/N, at the smallest amount among exact ties; a NaN
         # ratio never wins.  Q(a) is grouped as ModelParams.quadratic_form
         best, a, Qa = -math.inf, 0.0, s12
-        for b in _candidates(excess * s2 * alpha, 2.0 * s2 * E, qc, cap):
+        for b in choices(drift, q, alpha):
             Qb = s2 * b * b + two_rss * b + s12
             ratio = (Qb + h * (drift + excess * b) - lam_h_half_h) / (alpha * Qb + hq)
             if ratio > best or (ratio == best and b < a):
                 best, a, Qa = ratio, b, Qb
         if not best > 0.0:
-            raise RuntimeError(f"capped node solve found no positive root at x={x:.6g}")
+            raise RuntimeError(f"node solve found no positive root at x={x:.6g}")
         w = 1.0 / best
         # curvature_candidate(p, a, x, w, q + lam h/2 w), grouped as it groups
         return w, 2.0 * (q + lam_half_h * w - (drift + excess * a) * w) / Qa, a
@@ -116,41 +125,26 @@ def _node_solver(p: ModelParams, h: float):
 def evaluate_policy(params: ModelParams, dist: ClaimDistribution, grid: Grid, a) -> ValueGrid:
     """March the scaled value slope of the fixed feedback strategy a; v(0) = 1.
 
-    a holds the amount invested at each grid node.  With a_j fixed the
-    node equation is affine in w, so node j is w = N(a_j) / D(a_j), with N
-    and D grouped as `_node_solver` groups them, and v'_j the candidate
-    curvature at a_j.  The start is v'(0) = -2 (c + (mu-r) a_0) / Q(a_0).
-    The returned ValueGrid's a* is a itself, so `normalize_delta` prices
-    the strategy: its psi is the ruin probability under a.  Fed a solve's
-    own a*, the march gives that solve's v back to round-off.
+    a holds the amount invested at each grid node, and params.cap is not
+    read.  Node j is `_node_solver`'s node with a_j its only choice, so
+    fed a capped solve's own a* the march gives that solve back bit for
+    bit.  The start is v'(0) = -2 (c + (mu-r) a_0) / Q(a_0).  The returned
+    ValueGrid's a* is a itself, so `normalize_delta` prices the strategy:
+    its psi is the ruin probability under a.
 
-    Raises RuntimeError naming x_j at the first node with D(a_j) <= 0 (or
-    NaN), where the node has no positive root; the march raises as the
+    Raises RuntimeError naming x_j at the first node whose D(a_j) / N(a_j)
+    is not positive: D(a_j) <= 0, where the node has no positive root, or
+    NaN, as when a_j is NaN or Q(a_j) overflows.  The march raises as the
     solvers do on a nonpositive anchor or an underflowing v.
     """
     p = params
-    h = grid.h
-    half_h = 0.5 * h
-    c, r, excess = p.c, p.r, p.excess
-    lam_half_h, lam_h_half_h = p.lam * half_h, p.lam * h * half_h
-    s2, two_rss, s12 = p.sigma**2, 2.0 * p.rho * p.sigma * p.sigma1, p.sigma1**2
     amounts = np.asarray(a, dtype=float).tolist()
     if len(amounts) != grid.n:
         raise ValueError(f"need one amount per grid node, got {len(amounts)} for n={grid.n}")
     later = iter(amounts[1:])   # the march solves each node once, in order
-
-    def solve(x: float, q: float, alpha: float) -> tuple[float, float, float]:
-        b = next(later)
-        drift = c + r * x
-        Qb = s2 * b * b + two_rss * b + s12
-        D = Qb + h * (drift + excess * b) - lam_h_half_h
-        if not D > 0.0:
-            raise RuntimeError(f"policy node solve found no positive root at x={x:.6g}")
-        w = (alpha * Qb + h * q) / D
-        return w, 2.0 * (q + lam_half_h * w - (drift + excess * b) * w) / Qb, b
-
+    solve = _node_solver(p, grid.h, lambda drift, q, alpha: (next(later),))
     a0 = amounts[0]
-    start = (-2.0 * (c + excess * a0) / p.quadratic_form(a0), a0)
+    start = (-2.0 * (p.c + p.excess * a0) / p.quadratic_form(a0), a0)
     return ValueGrid(grid, *march_value_slope(grid, dist, p.lam, start, solve))
 
 

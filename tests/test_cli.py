@@ -19,7 +19,7 @@ import ruinopt as ro
 from ruinopt import cli, constrained, unconstrained
 from ruinopt.cli import _price, main
 from ruinopt.scenario import parse_scenario
-from conftest import assert_close
+from conftest import NONCONTRACTING, assert_close
 
 # scenarios and the exact stdout their closed-form commands printed when pinned
 PINNED = Path(__file__).parent / "pinned"
@@ -842,6 +842,28 @@ def test_simulate_refuses_overflowing_strategy(capsys, scenario_file, tmp_path, 
     assert (code, out) == (4, "")
     assert "overflows" in err
     assert err.rstrip().endswith("(key: strategy)"), err
+
+
+def test_simulate_runs_a_strategy_it_cannot_price(capsys, tmp_path):
+    # NONCONTRACTING at h = 0.1: the node at x = 0.1 has no positive root
+    # for a = 2.25, so no level is certified and the paths run to
+    # mc.safe_level
+    p = NONCONTRACTING
+    path = tmp_path / "noncontracting.txt"
+    path.write_text(
+        BASE.replace("grid.h = 0.005", "grid.h = 0.1")
+        + "".join(f"{key} = {value!r}\n" for key, value in (
+            ("mu", p.mu), ("r", p.r), ("c", p.c), ("lambda", p.lam), ("rho", p.rho),
+            ("sigma", p.sigma), ("sigma1", p.sigma1), ("cap_A", p.cap))),
+        encoding="utf-8",
+    )
+    sc = parse_scenario(path.read_text(encoding="utf-8"))
+    assert sc.params == p
+    assert _price(sc, 1.0, np.full(sc.grid.n, 2.25)) == (None, None, (8.0, None))
+    code, out, err = run(capsys, ["simulate", path, "--x0", "1.0", "--strategy", "const:2.25"])
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["absorb_level"] == doc["safe_level"] == 8.0 and doc["absorb_psi"] is None
 
 
 def test_simulate_accepts_large_finite_strategy(capsys, scenario_file):

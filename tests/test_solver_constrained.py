@@ -486,7 +486,8 @@ def test_curvature_best_equals_scalar_scan_on_edge_cases(ex1, ex2):
 @pytest.mark.parametrize("which", ["bench1 unrestricted", "bench1 capped", "bench2 pareto capped"])
 def test_policy_march_gives_the_solve_back(which, ex1, ex2, exp1):
     # fed a solve's own a*, the policy march solves each node's affine
-    # equation at the amount the solve chose: the same v to round-off
+    # equation at the amount the solve chose: the capped solve bit for bit,
+    # the unrestricted one, whose node is another rule, to round-off
     if which == "bench2 pareto capped":
         p, dist, solve = replace(ex2, cap=1.0), ro.make_pareto(2.0, 2.0), ro.solve_v_constrained
     else:
@@ -497,7 +498,12 @@ def test_policy_march_gives_the_solve_back(which, ex1, ex2, exp1):
     vg = solve(p, dist, grid)
     ev = ro.evaluate_policy(p, dist, grid, vg.a_star)
     assert np.array_equal(ev.a_star, vg.a_star) and ev.grid == grid
-    assert np.max(np.abs(ev.v - vg.v) / vg.v) <= 1e-13
+    if p.cap is None:
+        assert np.max(np.abs(ev.v - vg.v) / vg.v) <= 1e-13
+    else:
+        # the capped solve's own node, with a*_j its only choice
+        for name in ("v", "V", "vprime"):
+            assert np.array_equal(getattr(ev, name), getattr(vg, name)), name
     assert node_residual(ev) <= 1e-14
 
 
@@ -526,3 +532,72 @@ def test_policy_march_refuses_a_node_without_a_root():
     assert np.all(ro.evaluate_policy(p, dist, grid, np.zeros(grid.n)).v > 0.0)
     with pytest.raises(ValueError, match="one amount per grid node"):
         ro.evaluate_policy(p, dist, grid, np.zeros(grid.n - 1))
+
+
+@pytest.mark.parametrize("bad", [1e200, math.nan])
+def test_policy_march_refuses_a_nan_ratio(bad, ex1, exp1):
+    # Q(1e200) overflows, so D/N is inf/inf; a NaN amount gives NaN too.
+    # Neither ratio is positive, so the node has no root to take
+    grid = ro.Grid.from_xmax(5e-3, 5.0)
+    a = np.where(grid.points < 1.5 - 1e-9, 0.5, bad)
+    with pytest.raises(RuntimeError, match=r"no positive root at x=1\.5$"):
+        ro.evaluate_policy(ex1, exp1, grid, a)
+
+
+def test_policy_march_ignores_the_cap(ex1, exp1):
+    # given amounts are never checked against the cap, nor scanned with it
+    grid = ro.Grid.from_xmax(5e-3, 5.0)
+    a = np.linspace(0.0, 2.0, grid.n)
+    want = ro.evaluate_policy(ex1, exp1, grid, a)
+    for cap in (1.0, 0.5):
+        got = ro.evaluate_policy(replace(ex1, cap=cap), exp1, grid, a)
+        for name in ("v", "V", "vprime", "a_star"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), (cap, name)
+
+
+def _bump_rises(p, dist, a):
+    """Relative rise of psi(1) when a is bumped by eps exp(-(x-1)^2 / 0.1),
+    clipped to [0, cap], for eps = 0.2, 0.1, 0.05, -0.2, -0.1, -0.05."""
+    grid = ro.Grid.from_xmax(5e-3, 40.0)
+    bump = np.exp(-((grid.points - 1.0) ** 2) / 0.1)
+
+    def psi(amounts):
+        if p.cap is not None:
+            amounts = np.clip(amounts, 0.0, p.cap)
+        vg = ro.evaluate_policy(p, dist, grid, amounts)
+        return ro.normalize_delta(vg, dist.exponential_mean).psi(1.0)
+
+    base = psi(a)
+    return [(psi(a + eps * bump) - base) / base for eps in (0.2, 0.1, 0.05, -0.2, -0.1, -0.05)]
+
+
+def _optimal_amounts(p, dist):
+    solve = ro.solve_v_unconstrained if p.cap is None else ro.solve_v_constrained
+    return solve(p, dist, ro.Grid.from_xmax(5e-3, 40.0)).a_star
+
+
+@pytest.mark.parametrize("cap", [None, 1.0])
+@pytest.mark.parametrize("bench", ["bench1 exponential", "bench2 pareto"])
+def test_bumping_the_optimal_strategy_raises_psi(bench, cap):
+    # the solve's a* minimises psi, so any bump raises it: quadratically in
+    # eps without a cap (4x less per halving); with cap 1 the bump is
+    # clipped, and where the cap binds a downward bump raises psi linearly
+    p, dist = {
+        "bench1 exponential": (ro.example1_params(cap=cap), ro.make_exponential(1.0)),
+        "bench2 pareto": (ro.example2_params(cap=cap), ro.make_pareto(2.0, 2.0)),
+    }[bench]
+    rises = _bump_rises(p, dist, _optimal_amounts(p, dist))
+    if cap is None:
+        assert min(rises) > 0.0, rises
+        for up in (rises[:3], rises[3:]):
+            for big, small in zip(up, up[1:]):
+                assert 3.5 <= big / small <= 4.5, rises
+    else:
+        assert min(rises) >= 0.0, rises
+
+
+def test_bumping_a_wrong_strategy_can_lower_psi(ex1, exp1):
+    # the strategy solved with lam 5% too high is not optimal for ex1: a
+    # downward bump lowers psi(1), so the bump check can fail
+    rises = _bump_rises(ex1, exp1, _optimal_amounts(replace(ex1, lam=1.05 * ex1.lam), exp1))
+    assert max(rises[3:]) < 0.0, rises
