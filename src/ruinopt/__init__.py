@@ -17,10 +17,8 @@ from .claims import (
     make_weibull,
 )
 from .model import (
-    DerivedConstants,
     ModelParams,
     Regime,
-    RegimeReport,
     classify_infinity_regime,
     classify_zero_regime,
     curvature_best,
@@ -31,7 +29,6 @@ from .numerics import Grid, SampledFn, convolve_tail_all
 from .results import (
     HjbResidual,
     NormalizedSurvival,
-    StrategyCurve,
     ValueGrid,
     fixed_point_residual,
     generator_residual,
@@ -40,8 +37,6 @@ from .results import (
 from .constrained import evaluate_policy, solve_v_constrained
 from .unconstrained import hjb_residual, solve_v_unconstrained
 from .asymptotics import (
-    AsymptoteReport,
-    TailFit,
     asymptote_report,
     constrained_infinity_strategy,
     fit_tail_constant,
@@ -52,7 +47,6 @@ from .asymptotics import (
     value_expansion_zero,
 )
 from .exp_ode import (
-    LinearOdeCoeffs,
     TildeACurve,
     a_tilde_rhs,
     linear_ode_coeffs,
@@ -60,11 +54,10 @@ from .exp_ode import (
     solve_a_tilde,
     solve_linear_const_strategy,
 )
-from .mc import PathResult, SimConfig, SimReport, compare_strategies, estimate_survival, simulate_path
+from .mc import SimConfig, SimReport, estimate_survival, simulate_path
 from .scenario import (
     BadValueError,
     Scenario,
-    ScenarioError,
     UnknownKeyError,
     example1_distributions,
     example1_params,
@@ -85,10 +78,8 @@ __all__ = [
     "make_log_normal",
     "make_pareto",
     "make_weibull",
-    "DerivedConstants",
     "ModelParams",
     "Regime",
-    "RegimeReport",
     "classify_infinity_regime",
     "classify_zero_regime",
     "curvature_best",
@@ -99,7 +90,6 @@ __all__ = [
     "convolve_tail_all",
     "HjbResidual",
     "NormalizedSurvival",
-    "StrategyCurve",
     "ValueGrid",
     "fixed_point_residual",
     "generator_residual",
@@ -108,8 +98,6 @@ __all__ = [
     "evaluate_policy",
     "hjb_residual",
     "solve_v_unconstrained",
-    "AsymptoteReport",
-    "TailFit",
     "asymptote_report",
     "constrained_infinity_strategy",
     "fit_tail_constant",
@@ -118,22 +106,18 @@ __all__ = [
     "strategy_expansion_infinity_exp",
     "strategy_slope_zero",
     "value_expansion_zero",
-    "LinearOdeCoeffs",
     "TildeACurve",
     "a_tilde_rhs",
     "linear_ode_coeffs",
     "reconstruct_vprime",
     "solve_a_tilde",
     "solve_linear_const_strategy",
-    "PathResult",
     "SimConfig",
     "SimReport",
-    "compare_strategies",
     "estimate_survival",
     "simulate_path",
     "BadValueError",
     "Scenario",
-    "ScenarioError",
     "UnknownKeyError",
     "example1_distributions",
     "example1_params",

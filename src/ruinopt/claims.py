@@ -82,6 +82,18 @@ def _positive(name: str, value: float) -> float:
     return value
 
 
+def _finite_mean(name: str, value: float, mean) -> float:
+    """mean(), refused as a ValueError about the parameter `name` when it
+    overflows: a law without a finite mean has no ruin problem to solve."""
+    try:
+        m = mean()
+    except OverflowError:
+        m = math.inf
+    if not math.isfinite(m):
+        raise ValueError(f"{name} must give a finite mean, got {value!r}")
+    return m
+
+
 def make_exponential(k: float) -> ClaimDistribution:
     """Exponential claims with rate k: tail e^{-k y}, mean 1/k."""
     k = _positive("rate k", k)
@@ -102,7 +114,8 @@ def make_exponential(k: float) -> ClaimDistribution:
         u = np.asarray(u, dtype=float)
         return -np.log1p(-u) / k
 
-    return ClaimDistribution("exponential", (k,), 1.0 / k, pdf, cdf, tail, ppf, ((1.0,), (k,), math.inf))
+    mean = _finite_mean("rate k", k, lambda: 1.0 / k)
+    return ClaimDistribution("exponential", (k,), mean, pdf, cdf, tail, ppf, ((1.0,), (k,), math.inf))
 
 
 def make_half_normal(v: float) -> ClaimDistribution:
@@ -164,7 +177,9 @@ def make_log_normal(u: float, v: float) -> ClaimDistribution:
         q = np.asarray(q, dtype=float)
         return np.exp(u + v * special.ndtri(q))
 
-    mean = math.exp(u + 0.5 * v * v)
+    # the larger term of the exponent is the one at fault
+    at_fault = ("log-location u", u) if u > 0.5 * v * v else ("log-scale v", v)
+    mean = _finite_mean(*at_fault, lambda: math.exp(u + 0.5 * v * v))
     return ClaimDistribution("log_normal", (u, v), mean, pdf, cdf, tail, ppf)
 
 
@@ -194,7 +209,8 @@ def make_weibull(u: float, v: float) -> ClaimDistribution:
         q = np.asarray(q, dtype=float)
         return u * (-np.log1p(-q)) ** (1.0 / v)
 
-    mean = u * math.gamma(1.0 + 1.0 / v)
+    g = _finite_mean("shape v", v, lambda: math.gamma(1.0 + 1.0 / v))
+    mean = _finite_mean("scale u", u, lambda: u * g)
     return ClaimDistribution("weibull", (u, v), mean, pdf, cdf, tail, ppf)
 
 
@@ -263,7 +279,9 @@ def make_pareto(u: float, v: float) -> ClaimDistribution:
         q = np.asarray(q, dtype=float)
         return u * np.expm1(-np.log1p(-q) / v)
 
-    return ClaimDistribution("pareto", (u, v), u / (v - 1.0), pdf, cdf, tail, ppf, _pareto_mixture(u, v))
+    # v - 1 >= 2^-52, so only a scale near the float limit overflows
+    mean = _finite_mean("scale u", u, lambda: u / (v - 1.0))
+    return ClaimDistribution("pareto", (u, v), mean, pdf, cdf, tail, ppf, _pareto_mixture(u, v))
 
 
 _FAMILIES = {

@@ -41,8 +41,8 @@ from .constrained import evaluate_policy, solve_v_constrained
 from .exp_ode import reconstruct_vprime, solve_a_tilde
 from .mc import MIN_PATHS, estimate_survival
 from .model import classify_infinity_regime, classify_zero_regime, derive_constants
-from .numerics import Grid
-from .results import StrategyCurve, ValueGrid, normalize_delta
+from .numerics import Grid, SampledFn
+from .results import ValueGrid, normalize_delta
 from .scenario import (
     BadValueError,
     Scenario,
@@ -351,6 +351,15 @@ def _price(sc: Scenario, x0: float, amounts: np.ndarray | None = None):
         return vg, None, (ceiling, None)
     norm = normalize_delta(cut, claim_mean=sc.dist.exponential_mean)
     return vg, norm, norm.absorb_level(x0, sc.sim.n_paths, ceiling)
+
+
+class StrategyCurve(SampledFn):
+    """The solved a* that `simulate --strategy optimal` runs: a SampledFn
+    under the name and the value method that perfbench's tracer
+    (bench_trace._counting_strategy) reads.  It goes once perfbench reads
+    the program's own stats (ROADMAP item 6)."""
+
+    value = SampledFn.__call__
 
 
 def _cmd_simulate(args) -> int:

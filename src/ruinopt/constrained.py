@@ -125,12 +125,12 @@ def _node_solver(p: ModelParams, h: float, choices=None):
 def evaluate_policy(params: ModelParams, dist: ClaimDistribution, grid: Grid, a) -> ValueGrid:
     """March the scaled value slope of the fixed feedback strategy a; v(0) = 1.
 
-    a holds the amount invested at each grid node, and params.cap is not
-    read.  Node j is `_node_solver`'s node with a_j its only choice, so
-    fed a capped solve's own a* the march gives that solve back bit for
-    bit.  The start is v'(0) = -2 (c + (mu-r) a_0) / Q(a_0).  The returned
-    ValueGrid's a* is a itself, so `normalize_delta` prices the strategy:
-    its psi is the ruin probability under a.
+    a holds the amount invested at each grid node, shape (grid.n,), and
+    params.cap is not read.  Node j is `_node_solver`'s node with a_j its
+    only choice, so fed a capped solve's own a* the march gives that solve
+    back bit for bit.  The start is v'(0) = -2 (c + (mu-r) a_0) / Q(a_0).
+    The returned ValueGrid's a* is a itself, so `normalize_delta` prices
+    the strategy: its psi is the ruin probability under a.
 
     Raises RuntimeError naming x_j at the first node whose D(a_j) / N(a_j)
     is not positive: D(a_j) <= 0, where the node has no positive root, or
@@ -138,9 +138,10 @@ def evaluate_policy(params: ModelParams, dist: ClaimDistribution, grid: Grid, a)
     solvers do on a nonpositive anchor or an underflowing v.
     """
     p = params
-    amounts = np.asarray(a, dtype=float).tolist()
-    if len(amounts) != grid.n:
-        raise ValueError(f"need one amount per grid node, got {len(amounts)} for n={grid.n}")
+    amounts = np.asarray(a, dtype=float)
+    if amounts.shape != (grid.n,):
+        raise ValueError(f"need one amount per grid node, shape ({grid.n},), got shape {amounts.shape}")
+    amounts = amounts.tolist()
     later = iter(amounts[1:])   # the march solves each node once, in order
     solve = _node_solver(p, grid.h, lambda drift, q, alpha: (next(later),))
     a0 = amounts[0]

@@ -96,7 +96,6 @@ __all__ = [
     "SimReport",
     "simulate_path",
     "estimate_survival",
-    "compare_strategies",
 ]
 
 MIN_PATHS = 100     # fewest paths estimate_survival accepts
@@ -595,26 +594,3 @@ def estimate_survival(
         n_horizon=n_horizon,
         mean_ruin_time=(ruin_time_sum / n_ruined) if n_ruined else None,
     )
-
-
-def compare_strategies(
-    params: ModelParams,
-    dist: ClaimDistribution,
-    strategies: list[tuple[str, object]],
-    x0: float,
-    config: SimConfig,
-) -> list[tuple[str, SimReport]]:
-    """Estimate survival under each named strategy with common random numbers.
-
-    Every strategy sees the same master seed, hence the same claim arrivals
-    and driving noise, so ranking differences are driven by the strategies
-    alone.  Returns (name, report) pairs sorted by survival, best first;
-    ties keep the input order.
-    """
-    if len(strategies) < 2:
-        raise ValueError("comparison needs at least two strategies")
-    reports = [
-        (name, estimate_survival(params, dist, strat, x0, config))
-        for name, strat in strategies
-    ]
-    return sorted(reports, key=lambda item: -item[1].survival)

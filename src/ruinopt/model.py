@@ -61,14 +61,21 @@ class ModelParams:
     cap: float | None = None
 
     def __post_init__(self):
-        for name in ("c", "r", "mu", "sigma", "sigma1", "lam"):
+        # the closed forms and node rules square these (Q(a), the cap's
+        # rho2, the node's ((mu-r)/sigma)^2), so no square may overflow; they
+        # divide by sigma^2 and sigma_rho^2, so those two may not underflow
+        tiny = np.finfo(float).tiny
+        for name in ("c", "r", "mu", "sigma", "sigma1", "lam", "cap"):
             val = getattr(self, name)
+            if val is None and name == "cap":
+                continue
             if not (math.isfinite(val) and val > 0):
                 raise ValueError(f"{name} must be positive and finite, got {val!r}")
+            least = tiny if name in ("sigma", "sigma1") else 0.0
+            if not least <= val * val < math.inf:
+                raise ValueError(f"{name} must have a square in the normal float range, got {val!r}")
         if not (math.isfinite(self.rho) and abs(self.rho) < 1.0):
             raise ValueError(f"rho must satisfy |rho| < 1, got {self.rho!r}")
-        if self.cap is not None and not (math.isfinite(self.cap) and self.cap > 0):
-            raise ValueError(f"cap must be positive when given, got {self.cap!r}")
 
     @property
     def excess(self) -> float:

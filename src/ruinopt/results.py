@@ -35,7 +35,6 @@ from .numerics import Grid, SampledFn, convolve_tail_all
 
 __all__ = [
     "ValueGrid",
-    "StrategyCurve",
     "NormalizedSurvival",
     "normalize_delta",
     "generator_residual",
@@ -59,14 +58,6 @@ class ValueGrid:
         return self.grid.points
 
 
-class StrategyCurve(SampledFn):
-    """The solved a*: a SampledFn under the name and the value method that
-    perfbench's tracer (bench_trace._counting_strategy) reads.  It goes
-    once perfbench reads the program's own stats."""
-
-    value = SampledFn.__call__
-
-
 @dataclass
 class NormalizedSurvival:
     """Ruin-scale normalization of a solved value grid.
@@ -86,9 +77,6 @@ class NormalizedSurvival:
     tail_remainder: float
     tail_slope: float | None
     truncated: bool
-
-    def ruin_probability(self, x):
-        return self.psi(x)
 
     def absorb_level(self, x0: float, n_paths: int, ceiling: float) -> tuple[float, float | None]:
         """(L, psi(L)): where n_paths Monte Carlo paths from x0 may stop as safe.

@@ -186,7 +186,7 @@ def test_criterion_8_monte_carlo(acceptance, timed_solve, ex1, exp1):
     cfg = replace(cfg, safe_level=level)
     norm = norms["optimal"]
     target = float(norm.delta(1.0)) / float(norm.delta(level))
-    curve = ro.StrategyCurve(grid=grid, values=vg.a_star)
+    curve = ro.SampledFn(grid=grid, values=vg.a_star)
     t0 = time.perf_counter()
     rep_opt = estimate_survival(ex1, exp1, curve, 1.0, cfg)
     rep_zero = estimate_survival(ex1, exp1, 0.0, 1.0, cfg)

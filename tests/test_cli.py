@@ -125,6 +125,22 @@ def test_bad_value_exits_4_and_names_key(capsys, tmp_path):
         ("mc.paths", "1.5"),
         ("mc.seed", "18446744073709551616"),   # 2^64
         ("grid.xmax", "0.001"),  # shorter than half a step: n = 1
+        # a square out of the normal range: sigma^2 and sigma_rho^2 are
+        # divisors and underflow to 0; cap^2 and the node's squares of mu
+        # and lambda overflow
+        ("sigma", "1e-200"),
+        ("sigma1", "1e-200"),
+        ("cap_A", "1e300"),
+        ("mu", "1e300"),
+        ("lambda", "1e300"),
+        # a claim law with no finite mean: 1/k, Gamma(1001), u Gamma(11),
+        # e^(v^2/2), e^u and u / (v - 1) overflow
+        ("claim.p1", "1e-320"),
+        ("claim.p2", "0.001\nclaim.family = weibull"),
+        ("claim.p1", "1e308\nclaim.p2 = 0.1\nclaim.family = weibull"),
+        ("claim.p2", "1000\nclaim.p1 = -0.5\nclaim.family = log_normal"),
+        ("claim.p1", "1000\nclaim.p2 = 1\nclaim.family = log_normal"),
+        ("claim.p1", "1e300\nclaim.p2 = 1.0000000000000002\nclaim.family = pareto"),
     ],
 )
 def test_bad_setting_names_its_key(capsys, tmp_path, key, value):
@@ -481,7 +497,7 @@ def test_optimal_strategy_reports_pinned(capped, expected):
     assert sc.grid.x_max == 5.0
     vg, _, (level, psi) = _price(sc, 1.0)
     assert level == 60.0 and psi is None   # psi(5) is far above SE/100
-    strategy = ro.StrategyCurve(grid=vg.grid, values=vg.a_star)
+    strategy = ro.SampledFn(grid=vg.grid, values=vg.a_star)
     assert ro.estimate_survival(sc.params, sc.dist, strategy, 1.0, sc.sim) == expected
 
 
@@ -732,7 +748,7 @@ def test_simulate_reports_its_absorption_level(capsys, tmp_path, strategy, xmax)
         sc = parse_scenario(path.read_text(encoding="utf-8"))
         if strategy == "optimal":
             vg = ro.solve_v_unconstrained(sc.params, sc.dist, sc.grid)
-            sim = ro.StrategyCurve(grid=sc.grid, values=vg.a_star)
+            sim = ro.SampledFn(grid=sc.grid, values=vg.a_star)
         else:
             sim = {"zero": 0.0, "const:1": 1.0}.get(strategy, lambda q: np.interp(q, [0.0, 4.0], [0.5, 1.5]))
             amounts = sim(sc.grid.points) if callable(sim) else np.full(sc.grid.n, sim)
@@ -771,6 +787,20 @@ def test_simulate_marches_once(capsys, tmp_path, monkeypatch, capped, strategy, 
     assert code == 0, err
     assert (json.loads(out)["absorb_psi"] is None) == (xmax == "5.0")
     assert len(calls) == 1
+
+
+def test_simulate_optimal_hands_over_the_tracer_hook(capsys, scenario_file, monkeypatch):
+    # perfbench's tracer knows the solved a* by its type, cli.StrategyCurve,
+    # and reads it through .value, which must be the SampledFn lookup
+    seen = []
+    survival = cli.estimate_survival
+    monkeypatch.setattr(cli, "estimate_survival", lambda *a: seen.append(a[2]) or survival(*a))
+    code, _, err = run(capsys, ["simulate", scenario_file, "--x0", "1.0", "--strategy", "optimal"])
+    assert code == 0, err
+    (curve,) = seen
+    assert type(curve) is cli.StrategyCurve
+    xs = np.concatenate([curve.grid.points, np.linspace(-1.0, 10.0, 2001)])
+    assert curve.value(xs).tobytes() == ro.SampledFn.__call__(curve, xs).tobytes()
 
 
 def test_simulate_too_few_paths_names_key(capsys, tmp_path):

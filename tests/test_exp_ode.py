@@ -237,7 +237,7 @@ def test_no_investment_ode_near_classical_reference(ex1):
     norm = ro.normalize_delta(vg, claim_mean=1.0)
     assert not norm.truncated
     for x in (0.5, 1.0, 2.0):
-        psi_ode = norm.ruin_probability(x)
+        psi_ode = norm.psi(x)
         psi_ref = ro.no_investment_ruin_reference(ex1.c, ex1.r, ex1.lam, 1.0, x)
         assert psi_ode > psi_ref
         assert abs(psi_ode - psi_ref) <= 0.03, f"x={x}: {psi_ode} vs {psi_ref}"

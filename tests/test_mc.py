@@ -14,7 +14,7 @@ import ruinopt as ro
 from ruinopt import mc
 from ruinopt.mc import (
     _STATUS_NAMES, SimConfig, SimReport, _as_strategy, _generators, _run_paths, _seed_states,
-    compare_strategies, estimate_survival, simulate_path,
+    estimate_survival, simulate_path,
 )
 from conftest import assert_close
 
@@ -30,7 +30,7 @@ def _golden_curve():
     values = np.empty(grid.n)
     values[rising] = 0.8542 + 0.5 * x[rising] / (1.0 + x[rising])
     values[~rising] = 10.4 - 0.625 / x[~rising]
-    return ro.StrategyCurve(grid=grid, values=values)
+    return ro.SampledFn(grid=grid, values=values)
 
 
 # 1200 steps cross two refills of the 512-step normal blocks; the paths end
@@ -211,11 +211,11 @@ def test_batching_does_not_change_outcomes_under_many_claims():
 
 
 def test_strategy_argument_forms(ex1, exp1):
-    # scalar, callable, and StrategyCurve forms of the same constant
+    # scalar, callable, and SampledFn forms of the same constant
     # strategy must be literally the same run
     cfg = SimConfig(dt=1e-2, horizon=10.0, n_paths=1, safe_level=10.0, master_seed=9)
     grid = ro.Grid.from_xmax(0.5, 20.0)
-    curve = ro.StrategyCurve(grid=grid, values=np.full(grid.n, A_OPT0))
+    curve = ro.SampledFn(grid=grid, values=np.full(grid.n, A_OPT0))
     base = simulate_path(ex1, exp1, A_OPT0, 1.0, cfg, 17)
     as_fn = simulate_path(ex1, exp1, lambda xs: np.full_like(xs, A_OPT0), 1.0, cfg, 17)
     as_curve = simulate_path(ex1, exp1, curve, 1.0, cfg, 17)
@@ -227,30 +227,21 @@ def test_strategy_may_return_its_argument(ex1, exp1):
     # the step moves it; the identity curve is exact on its grid
     cfg = SimConfig(dt=1e-2, horizon=10.0, n_paths=200, safe_level=10.0, master_seed=4)
     grid = ro.Grid.from_xmax(0.01, cfg.safe_level)
-    identity = ro.StrategyCurve(grid=grid, values=grid.points)
+    identity = ro.SampledFn(grid=grid, values=grid.points)
     assert estimate_survival(ex1, exp1, lambda xs: xs, 1.0, cfg) == estimate_survival(
         ex1, exp1, identity, 1.0, cfg
     )
 
 
-def test_compare_uses_common_random_numbers(ex1, exp1):
+def test_same_seed_gives_common_random_numbers(ex1, exp1):
+    # runs with one master seed share every draw, so identical strategies
+    # give identical reports and a weaker strategy is compared on the same
+    # claims and noise
     cfg = SimConfig(dt=1e-2, horizon=50.0, n_paths=2000, safe_level=20.0, master_seed=11)
-    rows = compare_strategies(
-        ex1, exp1,
-        [("opt0", A_OPT0), ("zero", 0.0), ("same", A_OPT0)],
-        1.0, cfg,
-    )
-    by_name = dict(rows)
-    # identical strategies share every draw, so the reports coincide exactly
-    assert by_name["opt0"] == by_name["same"]
-    # and ties keep input order while the weaker strategy sorts last
-    assert [name for name, _ in rows] == ["opt0", "same", "zero"]
-    assert by_name["zero"].survival < by_name["opt0"].survival
-
-
-def test_compare_needs_two(ex1, exp1):
-    with pytest.raises(ValueError, match="two strategies"):
-        compare_strategies(ex1, exp1, [("only", 0.0)], 1.0, SimConfig(n_paths=100))
+    opt0 = estimate_survival(ex1, exp1, A_OPT0, 1.0, cfg)
+    assert estimate_survival(ex1, exp1, A_OPT0, 1.0, cfg) == opt0
+    zero = estimate_survival(ex1, exp1, 0.0, 1.0, cfg)
+    assert zero.survival < opt0.survival
 
 
 def test_time_step_refinement_is_stable(ex1, exp1):
@@ -467,7 +458,7 @@ def test_absorbing_at_the_certified_level_loses_only_late_ruins(ex1, exp1, strat
     grid = ro.Grid.from_xmax(0.01, 60.0)
     if strategy == "optimal":
         vg = ro.solve_v_unconstrained(ex1, exp1, grid)
-        sim = ro.StrategyCurve(grid=grid, values=vg.a_star)
+        sim = ro.SampledFn(grid=grid, values=vg.a_star)
     else:
         vg = ro.evaluate_policy(ex1, exp1, grid, np.zeros(grid.n))
         sim = 0.0

@@ -41,6 +41,19 @@ def test_cap_positive_when_given(bad):
         _params(cap=bad)
 
 
+@pytest.mark.parametrize("field", ["c", "r", "mu", "sigma", "sigma1", "lam", "cap"])
+def test_squares_stay_in_range(field):
+    # no square may overflow, past about 1.3e154; the divisors sigma and
+    # sigma1 may not square below the least normal float either, below
+    # about 1.5e-154, but a tiny lam (claims switched off) stays allowed
+    divisor = field in ("sigma", "sigma1")
+    for bad in (1.4e154, 1e300) + ((1e-200, 1.4e-154) if divisor else ()):
+        with pytest.raises(ValueError, match=f"^{field} must have a square in the normal float range"):
+            _params(**{field: bad})
+    for good in (1.5e-154, 1.3e154) + (() if divisor else (1e-300,)):
+        assert getattr(_params(**{field: good}), field) == good
+
+
 def test_cap_has_one_home():
     # the investment cap enters only through ModelParams; apart from it,
     # only the benchmark parameter builders name a cap

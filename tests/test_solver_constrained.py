@@ -132,7 +132,7 @@ def test_interior_argmin_matches_closed_form(vgc1, ex1):
 
 
 def test_strategy_curve_bounds(vgc1):
-    st = ro.StrategyCurve(grid=vgc1.grid, values=vgc1.a_star)
+    st = ro.SampledFn(grid=vgc1.grid, values=vgc1.a_star)
     assert np.all((st.values >= 0.0) & (st.values <= 1.0))
     # past the grid the curve holds its final value
     assert st(vgc1.grid.x_max + 5.0) == st.values[-1]
@@ -381,13 +381,13 @@ def test_capped_node_equals_sorted_scan_on_hand_made_nodes(ex1, ex2):
         bits = check(tie, 1e-2, 0.0, q, 0.5)
         assert struct.unpack("<3d", bits)[2] == 0.0
 
-    # a cap so large that Q(cap) overflows: the cap's D/N is inf/inf = NaN
-    # and must never be chosen
-    huge = replace(ex2, cap=1e200)
+    # a cap so large that Q(cap) overflows, though sigma^2 and cap^2 do
+    # not: the cap's D/N is inf/inf = NaN and must never be chosen
+    huge = replace(ex2, sigma=1e10, cap=1e150)
     for q in (0.0, 0.05, 0.2):
-        assert math.isnan(_node_ratio(huge, 5e-3, 2.0, q, 0.5, 1e200))
+        assert math.isnan(_node_ratio(huge, 5e-3, 2.0, q, 0.5, 1e150))
         bits = check(huge, 5e-3, 2.0, q, 0.5)
-        assert bits is not None and struct.unpack("<3d", bits)[2] < 1e200
+        assert bits is not None and struct.unpack("<3d", bits)[2] < 1e150
 
 
 def test_curvature_best_scans_truthfully(ex1):
@@ -532,6 +532,16 @@ def test_policy_march_refuses_a_node_without_a_root():
     assert np.all(ro.evaluate_policy(p, dist, grid, np.zeros(grid.n)).v > 0.0)
     with pytest.raises(ValueError, match="one amount per grid node"):
         ro.evaluate_policy(p, dist, grid, np.zeros(grid.n - 1))
+
+
+@pytest.mark.parametrize("shape", [(11, 1), (1, 11), (), (10,)])
+def test_policy_march_refuses_amounts_of_another_shape(shape, ex1, exp1):
+    # a column, a row, a scalar and a short array are refused by shape,
+    # before any node reads them
+    grid = ro.Grid.from_xmax(0.1, 1.0)
+    with pytest.raises(ValueError) as exc:
+        ro.evaluate_policy(ex1, exp1, grid, np.full(shape, 0.5))
+    assert str(exc.value).endswith(f"shape (11,), got shape {shape}")
 
 
 @pytest.mark.parametrize("bad", [1e200, math.nan])

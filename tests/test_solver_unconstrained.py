@@ -69,13 +69,13 @@ def test_ruin_probability_keeps_its_digits(ex1, exp1):
         trapezoids = [0.5 * grid.h * (v[i] + v[i + 1]) for i in range(j, grid.n - 1)]
         ref = math.fsum(trapezoids + [norm.tail_remainder]) / norm.v_inf_hat
         assert 0.0 < ref < 1e-13
-        assert_close(norm.ruin_probability(x), ref, 1e-13, f"psi({x})")
+        assert_close(norm.psi(x), ref, 1e-13, f"psi({x})")
     # where V(inf) is not estimated (v still rises at the grid end), psi stays 1
     p = ro.ModelParams(c=0.3148, r=0.1221, mu=0.1221, sigma=0.2587, sigma1=0.3125, rho=0.0,
                        lam=0.7316, cap=2.573)
     rising = ro.normalize_delta(ro.solve_v_constrained(p, ro.make_weibull(1.794, 1.0), ro.Grid.from_xmax(5e-3, 2.0)))
     assert rising.v_inf_hat == math.inf
-    assert np.all(rising.ruin_probability(grid.points[:401]) == 1.0)
+    assert np.all(rising.psi(grid.points[:401]) == 1.0)
 
 
 def test_residual_halves_under_refinement(ex1, exp1):
