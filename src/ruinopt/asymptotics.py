@@ -104,10 +104,10 @@ def tail_log_compensated(params: ModelParams, m: float, x: np.ndarray, v: np.nda
 class TailFit:
     """Tail-constant fit of a solved grid against the exponential-claims shape."""
 
-    K_vprime: float       # plateau of v(x) e^{x/m} x^{1 - lam/r}
-    K1_ruin: float        # matching ruin-tail constant m K_vprime / V(inf)
-    plateau_ratio: float  # max/min of the compensated product over the window
-    ok: bool              # plateau_ratio <= 1.05
+    K_vprime: float | None       # plateau of v(x) e^{x/m} x^{1 - lam/r}
+    K1_ruin: float | None        # matching ruin-tail constant m K_vprime / V(inf)
+    plateau_ratio: float | None  # max/min of the compensated product over the window
+    ok: bool                     # plateau_ratio <= 1.05, judged on the logs
     window: tuple[float, float]
 
 
@@ -124,7 +124,8 @@ def fit_tail_constant(vg: ValueGrid, params: ModelParams, m: float) -> TailFit:
     `tail_window(vg.grid.x_max)`; on a grid that reached the asymptotic
     regime the product is flat, and its median is the constant.
     plateau_ratio quantifies the flatness and ok flags whether the window
-    was asymptotic at all.
+    was asymptotic at all.  A constant or ratio outside the normal double
+    range (a huge lam/r puts x^{1 - lam/r} there) is None.
     """
     lo, hi = tail_window(vg.grid.x_max)
     x = vg.grid.points
@@ -136,11 +137,19 @@ def fit_tail_constant(vg: ValueGrid, params: ModelParams, m: float) -> TailFit:
     if np.any(vs <= 0.0):
         raise ValueError("slope is not positive over the fit window")
     logc = tail_log_compensated(params, m, xs, vs)
-    K_v = float(np.exp(np.median(logc)))
-    ratio = float(np.exp(logc.max() - logc.min()))
+    spread = float(logc.max() - logc.min())
+    with np.errstate(over="ignore", under="ignore"):
+        K_v = float(np.exp(np.median(logc)))
+        ratio = float(np.exp(spread))
     norm = normalize_delta(vg, claim_mean=m)
     K1 = m * K_v / norm.v_inf_hat
-    return TailFit(K_vprime=K_v, K1_ruin=K1, plateau_ratio=ratio, ok=ratio <= 1.05, window=(lo, hi))
+    return TailFit(K_vprime=_in_float_range(K_v), K1_ruin=_in_float_range(K1),
+                   plateau_ratio=_in_float_range(ratio), ok=spread <= math.log(1.05), window=(lo, hi))
+
+
+def _in_float_range(value: float) -> float | None:
+    """value, or None where it is not a finite normal double."""
+    return value if np.finfo(float).tiny <= value < math.inf else None
 
 
 def constrained_infinity_strategy(params: ModelParams, m: float) -> tuple[float, float]:

@@ -20,12 +20,12 @@ Harmon. Anal. 19).  The fit depends on the law alone, never on a grid.
 It is kept only up to shape 10, where it still holds to 1e-14 relative;
 a Pareto law of larger shape has no tail_mixture.
 
-Only the half-normal and log-normal laws (erf, erfc, erfinv, ndtri) and
-the Pareto fit up to shape 10 (gammaln, loggamma, gammainccinv) use
-scipy.special, and each imports it when the law is built.  Importing this
-module, or building an exponential or Weibull law, loads no scipy module:
-the import takes about 0.3 s on a 2-CPU host, half of a cold start of
-the CLI.
+Only the half-normal and log-normal laws (erf, erfc, erfinv, ndtri) use
+scipy.special, and each imports it when the law is built; the Pareto fit
+needs log Gamma and the inverse of the upper incomplete gamma function,
+which math and a few lines here give.  Importing this module, or building
+an exponential, Weibull or Pareto law, loads no scipy module: the import
+takes about 0.3 s on a 2-CPU host, half of a cold start of the CLI.
 """
 
 from __future__ import annotations
@@ -227,6 +227,43 @@ _MIX_CUT = 1e-17
 _MIX_ALIAS = 5e-15
 _MIX_MAX_SHAPE = 10.0
 
+# Stirling's series of log Gamma(z) to its z^-7 term, B_2k / (2k (2k - 1)):
+# the aliasing test only asks it at |z| >= 2 pi / 0.25 > 25, where the next
+# term is below 3e-16 and |Re log Gamma| above 7
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680)
+
+
+def _re_log_gamma(z: complex) -> float:
+    """Re log Gamma(z) for Re z > 0 and |z| >= 25."""
+    log_z = complex(math.log(abs(z)), math.atan2(z.imag, z.real))
+    series = sum(b * z ** (1 - 2 * k) for k, b in enumerate(_STIRLING, 1))
+    return ((z - 0.5) * log_z - z + series).real + 0.5 * math.log(2.0 * math.pi)
+
+
+def _log_upper_gamma_inverse(v: float, q: float) -> float:
+    """log x where Q(v, x) = q, Q the regularised upper incomplete gamma
+    function, for 1 < v <= 10 and q = _MIX_CUT (x is 39 to 60 there).
+    Q(v, x) is x^v e^{-x} f / Gamma(v), f the continued fraction
+    1/(x + 1 - v - 1 (1 - v)/(x + 3 - v - ...)) evaluated by Lentz's
+    method, and d log Q / dx = -1/(x f).  Five Newton steps on log Q from
+    x = v - log q reach round-off at every such shape (the error squares
+    each step: 1.8, 9e-4, 2e-10 at v = 2)."""
+    x = v - math.log(q)
+    for _ in range(5):
+        b = x + 1.0 - v
+        c, d = math.inf, 1.0 / b
+        f = d
+        for i in range(1, 100):   # 10 terms at most at x >= 39
+            a = -i * (i - v)
+            b += 2.0
+            d = 1.0 / (a * d + b)
+            c = b + a / c
+            f *= c * d
+            if c * d == 1.0:
+                break
+        x += (v * math.log(x) - x - math.lgamma(v) + math.log(f) - math.log(q)) * x * f
+    return math.log(x)
+
 
 def _pareto_mixture(u: float, v: float) -> tuple | None:
     """(weights, rates, y_max) of the trapezoid fit of (1 + y/u)^{-v}, or
@@ -234,15 +271,14 @@ def _pareto_mixture(u: float, v: float) -> tuple | None:
     about 1e-307) that a rate overflows."""
     if v > _MIX_MAX_SHAPE:
         return None
-    from scipy import special
-    log_gamma = special.gammaln(v)
+    log_gamma = math.lgamma(v)
     step = 0.25
-    while 2.0 * abs(np.exp(special.loggamma(v + 2j * math.pi / step) - log_gamma)) > _MIX_ALIAS:
+    while 2.0 * math.exp(_re_log_gamma(complex(v, 2.0 * math.pi / step)) - log_gamma) > _MIX_ALIAS:
         step *= 0.98
     # above s_hi the integrand holds Q(v, e^{s_hi}) of the tail at y = 0;
     # below s_lo, about (e^{s_lo} (1 + y/u))^v / Gamma(v + 1) of it at y
-    s_hi = math.log(special.gammainccinv(v, _MIX_CUT))
-    s_lo = (math.log(_MIX_CUT) + special.gammaln(v + 1.0)) / v - math.log1p(_MIX_SPAN)
+    s_hi = _log_upper_gamma_inverse(v, _MIX_CUT)
+    s_lo = (math.log(_MIX_CUT) + math.lgamma(v + 1.0)) / v - math.log1p(_MIX_SPAN)
     s = s_hi - step * np.arange(math.ceil((s_hi - s_lo) / step) + 1)[::-1]
     t = np.exp(s)
     # t^v e^{-t} / Gamma(v), raised as one power so it cannot overflow; the

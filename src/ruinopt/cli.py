@@ -243,7 +243,8 @@ def _cmd_exp_validate(args) -> int:
     keep = (rx >= pl_lo) & (rx <= pl_hi)
     rx, rv = rx[keep], rv[keep]
     logc = tail_log_compensated(sc.params, m, rx, rv)
-    plateau = float(np.exp(logc.max() - logc.min()))
+    with np.errstate(over="ignore"):
+        plateau = float(np.exp(logc.max() - logc.min()))
 
     doc = {
         "runtime_s": elapsed,
@@ -252,7 +253,7 @@ def _cmd_exp_validate(args) -> int:
         "max_rel_deviation_at": float(x[mask][k]),
         "seed": {"x_seed": x_seed, "value": curve.seed},
         "series": {"limit": curve.series[0], "coeff": curve.series[1]},
-        "reconstructed_tail_plateau_ratio": plateau,
+        "reconstructed_tail_plateau_ratio": plateau if plateau < math.inf else None,
         "reconstructed_tail_window": [pl_lo, pl_hi],
     }
     _emit(doc)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import inspect
 import json
 import math
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import ruinopt as ro
+import ruinopt.claims
 import ruinopt.constrained
 import ruinopt.unconstrained
 from conftest import assert_close
@@ -142,6 +144,54 @@ def test_pareto_tail_mixture(scale, shape):
     assert ro.make_pareto(scale, shape).tail_mixture == dist.tail_mixture
 
 
+# shapes at which the fit's s_hi is scipy's to the bit, and 200 seeded ones
+# in (1, 10] where it may round the other way
+NAMED_SHAPES = [1.0001, 1.5, 2.0, 2.2, 3.0, 5.0, 7.5, 10.0]
+SEEDED_SHAPES = (10.0 - 9.0 * np.random.default_rng(2005).random(200)).tolist()
+
+
+def _scipy_fit(v):
+    """(step, K, s_hi, ys) of the Pareto fit built with scipy.special: ys are
+    the imaginary parts the aliasing test visits."""
+    from scipy import special
+    log_gamma = special.gammaln(v)
+    step, ys = 0.25, [2.0 * math.pi / 0.25]
+    while 2.0 * abs(np.exp(special.loggamma(v + 1j * ys[-1]) - log_gamma)) > 5e-15:
+        step *= 0.98
+        ys.append(2.0 * math.pi / step)
+    s_hi = math.log(special.gammainccinv(v, 1e-17))
+    s_lo = (math.log(1e-17) + special.gammaln(v + 1.0)) / v - math.log1p(1e6)
+    return step, math.ceil((s_hi - s_lo) / step) + 1, s_hi, ys
+
+
+def test_pareto_fit_nodes_are_scipys():
+    # the same step and term count K as the scipy-built fit, and an s_hi
+    # within one ulp of scipy's (its own rounding differs at about one shape
+    # in ten), equal at the named shapes
+    for v in NAMED_SHAPES + SEEDED_SHAPES:
+        step, K, s_hi, _ = _scipy_fit(v)
+        mine = ruinopt.claims._log_upper_gamma_inverse(v, 1e-17)
+        assert abs(mine - s_hi) <= math.ulp(s_hi) and (mine == s_hi or v not in NAMED_SHAPES), v
+        rates = ro.make_pareto(1.0, v).tail_mixture[1]
+        assert rates == tuple(np.exp(mine - step * np.arange(K)[::-1]).tolist()), v
+
+
+def test_re_log_gamma_is_scipys():
+    # at every point the aliasing test visits, to 1e-15 relative (the series
+    # without its last term is 4e-15 off)
+    from scipy import special
+    for v in NAMED_SHAPES + SEEDED_SHAPES:
+        for y in _scipy_fit(v)[3]:
+            want = special.loggamma(complex(v, y)).real
+            assert abs(ruinopt.claims._re_log_gamma(complex(v, y)) - want) <= 1e-15 * abs(want), (v, y)
+
+
+def test_pareto_2_2_fit_is_pinned():
+    # benchmark 2's law: the fit scipy.special once built, to the bit
+    digest = hashlib.sha256(repr(ro.make_pareto(2.0, 2.0).tail_mixture).encode()).hexdigest()
+    assert digest == "8c359a47815894b5a2fde4f7085c506ab6572271abc2e436e66538ced246230a"
+
+
 def test_tail_mixture_of_each_family():
     # the exponential tail is its own one-term sum; tails that are not
     # completely monotone, or whose mixing law is not elementary, have none;
@@ -215,7 +265,8 @@ def test_benchmark_distribution_sets():
         assert_close(dist.mean, 2.0, 1e-12, "benchmark 2 mean")
 
 
-# the laws that load scipy.special, with a Pareto shape past the mixture fit
+# the half-normal and log-normal laws, which load scipy.special, and Pareto
+# laws on both sides of the mixture fit's shape limit, which load no scipy
 COLD_LAWS = [("half_normal", 1.3, None), ("log_normal", -0.5, 1.0), ("pareto", 2.0, 2.0),
              ("pareto", 2.0, 10.5)]
 

@@ -275,6 +275,32 @@ def test_solve_on_a_grid_too_short_for_the_tail_fit_names_key(capsys, tmp_path):
     assert not (tmp_path / "o" / "solve_unconstrained.csv").exists()
 
 
+def _strict_json(text):
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("setting", ["lambda = 1e20", "r = 1e-200"], ids=["lambda", "r"])
+def test_tail_numbers_out_of_float_range_print_null(capsys, tmp_path, setting):
+    # a huge lam/r puts the compensated product x^{1 - lam/r} past the float
+    # range: the ratio and constants print null, the flatness is judged on
+    # the logs, and nothing warns
+    path = tmp_path / "huge.txt"
+    key = setting.split()[0]
+    path.write_text("".join(setting + "\n" if line.startswith(key + " ") else line + "\n"
+                            for line in BASE.splitlines()), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["solve", path, "--mode", "unconstrained", "--out", tmp_path])
+        assert code == 0 and err == ""
+        fit = _strict_json(out)["tail_fit"]
+        assert fit["plateau_ratio"] is fit["K_vprime"] is fit["K1_ruin"] is None and fit["ok"] is False
+        code, out, err = run(capsys, ["exp-validate", path])
+        assert code == 0 and err == ""
+        assert _strict_json(out)["reconstructed_tail_plateau_ratio"] is None
+
+
 def test_import_leaves_scipy_integrate_out():
     # no scipy module at all: scipy.special loads only with the laws that use it
     code = "import sys, ruinopt.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -283,16 +309,17 @@ def test_import_leaves_scipy_integrate_out():
     assert out.stdout.strip() == "[]"
 
 
-def test_exponential_subcommands_leave_scipy_out(tmp_path):
-    # every subcommand a small exponential scenario runs, in one fresh process
-    path = tmp_path / "capped.txt"
-    path.write_text(BASE + "cap_A = 1.0\n", encoding="utf-8")
-    runs = [
-        ["constants", path], ["asymptotes", path], ["exp-validate", path],
-        ["solve", path, "--mode", "unconstrained", "--out", tmp_path],
-        ["solve", path, "--mode", "constrained", "--out", tmp_path],
-        ["simulate", path, "--x0", "1.0", "--strategy", "optimal"],
-    ]
+# claim laws whose every subcommand runs without scipy
+SCIPY_FREE_LAWS = {
+    "exponential": "claim.family = exponential\nclaim.p1 = 1.0\n",
+    "weibull": "claim.family = weibull\nclaim.p1 = 1.0\nclaim.p2 = 0.5\n",
+    "pareto": "claim.family = pareto\nclaim.p1 = 2.0\nclaim.p2 = 2.0\n",
+}
+
+
+def _scipy_modules_after(runs):
+    """Exit codes of `main` on each argv of `runs`, all in one fresh process,
+    and the scipy modules loaded when they are done."""
     code = (
         "import contextlib, io, json, sys\n"
         "from ruinopt.cli import main\n"
@@ -306,7 +333,29 @@ def test_exponential_subcommands_leave_scipy_out(tmp_path):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code, argv], env=env, capture_output=True, text=True,
                          check=True)
-    assert json.loads(out.stdout.splitlines()[-1]) == [[0] * len(runs), []]
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("family", sorted(SCIPY_FREE_LAWS))
+def test_subcommands_leave_scipy_out(tmp_path, family):
+    # every subcommand a small scenario with this law runs, in one fresh process
+    path = tmp_path / "capped.txt"
+    law = SCIPY_FREE_LAWS[family]
+    path.write_text(BASE.replace(SCIPY_FREE_LAWS["exponential"], law) + "cap_A = 1.0\n", encoding="utf-8")
+    runs = [
+        ["constants", path], ["asymptotes", path],
+        ["solve", path, "--mode", "unconstrained", "--out", tmp_path],
+        ["solve", path, "--mode", "constrained", "--out", tmp_path],
+        ["simulate", path, "--x0", "1.0", "--strategy", "optimal"],
+    ]
+    if family == "exponential":
+        runs.append(["exp-validate", path])
+    assert _scipy_modules_after(runs) == [[0] * len(runs), []]
+
+
+def test_example2_leaves_scipy_out(tmp_path):
+    # benchmark 2 runs exponential, Weibull and Pareto claims
+    assert _scipy_modules_after([["example2", "--out", tmp_path]]) == [[0], []]
 
 
 def test_import_leaves_scipy_linalg_signal_fft_out():
