@@ -1,7 +1,7 @@
 """Ruin-minimizing investment for an insurance surplus with market risk.
 
 The package solves for the investment strategy that minimizes the ruin
-probability of a jump-diffusion surplus: dynamic programming solvers for
+probability of a jump-diffusion surplus: one dynamic programming solver for
 capped and unrestricted investment, closed-form small- and large-surplus
 behaviour, an independent ODE route for exponential claims, and a Monte
 Carlo simulator for end-to-end validation.
@@ -32,10 +32,10 @@ from .results import (
     ValueGrid,
     fixed_point_residual,
     generator_residual,
+    hjb_residual,
     normalize_delta,
 )
-from .constrained import evaluate_policy, solve_v_constrained
-from .unconstrained import hjb_residual, solve_v_unconstrained
+from .solve import evaluate_policy, solve_v
 from .asymptotics import (
     asymptote_report,
     constrained_infinity_strategy,
@@ -93,11 +93,10 @@ __all__ = [
     "ValueGrid",
     "fixed_point_residual",
     "generator_residual",
-    "normalize_delta",
-    "solve_v_constrained",
-    "evaluate_policy",
     "hjb_residual",
-    "solve_v_unconstrained",
+    "normalize_delta",
+    "solve_v",
+    "evaluate_policy",
     "asymptote_report",
     "constrained_infinity_strategy",
     "fit_tail_constant",

@@ -36,13 +36,11 @@ from .asymptotics import (
     tail_log_compensated,
     tail_window,
 )
-from .constrained import hjb_residual as hjb_residual_capped
-from .constrained import evaluate_policy, solve_v_constrained
 from .exp_ode import reconstruct_vprime, solve_a_tilde
 from .mc import MIN_PATHS, estimate_survival
 from .model import classify_infinity_regime, classify_zero_regime, derive_constants
 from .numerics import Grid, SampledFn
-from .results import ValueGrid, normalize_delta
+from .results import ValueGrid, hjb_residual, normalize_delta
 from .scenario import (
     BadValueError,
     Scenario,
@@ -54,7 +52,7 @@ from .scenario import (
     load_scenario,
     scenario_text,
 )
-from .unconstrained import hjb_residual, solve_v_unconstrained
+from .solve import evaluate_policy, solve_v
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -120,13 +118,21 @@ def _constants_doc(sc: Scenario) -> dict:
     return doc
 
 
+def _out_dir(path: str) -> Path:
+    """The directory --out names, made with its parents where missing."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:   # it, or a parent, is a file
+        raise argparse.ArgumentError(None, f"--out {path!r} is not a directory: {exc}") from None
+    return Path(path)
+
+
 def _cmd_constants(args) -> int:
     sc = load_scenario(args.scenario)
     doc = _constants_doc(sc)
+    out = _out_dir(args.out) if args.out else None
     _emit(doc)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         (out / "constants.json").write_text(
             json.dumps(_round9(doc), indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
@@ -134,15 +140,12 @@ def _cmd_constants(args) -> int:
     return EXIT_OK
 
 
-def _solve(sc: Scenario, capped: bool, grid: Grid | None = None):
-    """Value grid, a* included, of the capped or the unrestricted problem,
-    on sc.grid or on grid, which extends it.  An underflow refusal names
+def _solve(sc: Scenario, params, grid: Grid | None = None):
+    """Value grid, a* included, of params' problem with sc's claims, on
+    sc.grid or on grid, which extends it.  An underflow refusal names
     grid.xmax where its node lies on sc.grid, and mc.safe_level past it."""
-    if capped and sc.params.cap is None:
-        raise BadValueError("cap_A", "constrained solve needs cap_A in the scenario")
-    solve = solve_v_constrained if capped else solve_v_unconstrained
     try:
-        return solve(sc.params, sc.dist, grid or sc.grid)
+        return solve_v(params, sc.dist, grid or sc.grid)
     except RuntimeError as exc:  # a node without a positive root: h is too coarse
         raise BadValueError("grid.h", str(exc)) from None
     except FloatingPointError as exc:  # v underflowed: the grid reaches too far
@@ -151,12 +154,14 @@ def _solve(sc: Scenario, capped: bool, grid: Grid | None = None):
 
 def _cmd_solve(args) -> int:
     sc = load_scenario(args.scenario)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     capped = args.mode == "constrained"
+    if capped and sc.params.cap is None:
+        raise BadValueError("cap_A", "constrained solve needs cap_A in the scenario")
+    params = sc.params if capped else replace(sc.params, cap=None)
     t0 = time.perf_counter()
-    vg = _solve(sc, capped)
-    res = (hjb_residual_capped if capped else hjb_residual)(vg, sc.params, sc.dist)
+    vg = _solve(sc, params)
+    res = hjb_residual(vg, params, sc.dist)
     elapsed = time.perf_counter() - t0
     res_doc = asdict(res)
     del res_doc["pointwise"]
@@ -224,14 +229,17 @@ def _cmd_exp_validate(args) -> int:
     slope = strategy_slope_zero(cons, sc.params)
 
     t0 = time.perf_counter()
-    vg = _solve(sc, False)
+    vg = _solve(sc, replace(sc.params, cap=None))
     shift = sc.params.hedge
     a_tilde_solver = vg.a_star + shift
 
     x_seed = 1e-4
     seed_value = (cons.a_star_zero - slope * x_seed) + shift
     x_end = sc.grid.x_max
-    curve = solve_a_tilde(sc.params, m, x_seed, x_end, step=1e-3, seed_value=seed_value)
+    try:
+        curve = solve_a_tilde(sc.params, m, x_seed, x_end, step=1e-3, seed_value=seed_value)
+    except ValueError as exc:   # the ODE runs to the grid end
+        raise BadValueError("grid.xmax", str(exc)) from None
     elapsed = time.perf_counter() - t0
 
     ode_vals = curve(x[mask])
@@ -341,7 +349,7 @@ def _price(sc: Scenario, x0: float, amounts: np.ndarray | None = None):
                     grid = Grid(grid.h, grid.n + 1)
             except ValueError as exc:
                 raise BadValueError("mc.safe_level", str(exc)) from None
-        vg = _solve(sc, sc.params.cap is not None, grid)
+        vg = _solve(sc, sc.params, grid)
     else:
         try:
             vg = evaluate_policy(sc.params, sc.dist, sc.grid, amounts)
@@ -441,8 +449,7 @@ def _run_example(n: int, out_dir: str) -> int:
     params = example1_params() if n == 1 else example2_params()
     dists = example1_distributions() if n == 1 else example2_distributions()
     grid = Grid.from_xmax(5e-3, 40.0)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(out_dir)
 
     m_exp = dists["exponential"].mean
     doc = {
@@ -460,7 +467,7 @@ def _run_example(n: int, out_dir: str) -> int:
     high_cols = [x[high_mask]]
     names = []
     for name, dist in dists.items():
-        vg = solve_v_unconstrained(params, dist, grid)
+        vg = solve_v(params, dist, grid)
         m = dist.exponential_mean
         norm = normalize_delta(vg, claim_mean=m)
         names.append(name)
@@ -542,7 +549,10 @@ def main(argv=None) -> int:
     except BadValueError as exc:
         print(f"error: {exc} (key: {exc.key})", file=sys.stderr)
         return EXIT_BAD_VALUE
-    except FileNotFoundError as exc:
+    except argparse.ArgumentError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: missing file: {exc}", file=sys.stderr)
         return EXIT_MISSING_FILE
     except ValueError as exc:

@@ -1,7 +1,7 @@
 """Solver output containers, survival normalization, and residual checks.
 
-Both solvers produce the scaled value slope v = V'/V'(0-ish scale) with
-v(0) = 1 on a uniform grid, plus its integral V and the strategy a* that
+Every solve produces the scaled value slope v = V'/V'(0), so that
+v(0) = 1, on a uniform grid, plus its integral V and the strategy a* that
 attains the minimum at each node; every solve returns them together in a
 ValueGrid.  The ruin probability needs V(inf), which the grid never
 reaches; normalize_delta estimates the missing tail mass and flags the
@@ -16,9 +16,10 @@ from psi on the scenario's own grid, the march's first nodes:
 NormalizedSurvival.absorb_level is the first node where psi falls to a
 hundredth of the estimate's standard error.
 
-Both solves are certified the same way, by HjbResidual: the fixed-point
-channel recomputes T(v), the HJB's minimum over the amounts params.cap
-allows (`model.curvature_best`), and the independent channel applies the
+Every solve is certified the same way, by hjb_residual with the params
+it was solved with: the fixed-point channel of its HjbResidual
+recomputes T(v), the HJB's minimum over the amounts params.cap allows
+(`model.curvature_best`), and the independent channel applies the
 controlled generator with the solve's a*.
 """
 
@@ -40,6 +41,7 @@ __all__ = [
     "generator_residual",
     "fixed_point_residual",
     "HjbResidual",
+    "hjb_residual",
 ]
 
 
@@ -227,9 +229,11 @@ class HjbResidual:
     independent_at: float
     pointwise: np.ndarray
 
-    @classmethod
-    def of(cls, vg: ValueGrid, params: ModelParams, dist: ClaimDistribution) -> HjbResidual:
-        """Both channels, T minimising over the amounts params.cap allows."""
-        fp, fp_at = fixed_point_residual(vg, params, dist)
-        pw, sup, at = generator_residual(vg, params, dist)
-        return cls(fp, fp_at, sup, at, pw)
+
+def hjb_residual(vg: ValueGrid, params: ModelParams, dist: ClaimDistribution) -> HjbResidual:
+    """Both channels of the certificate of a solve of params' problem, T
+    minimising over the amounts params.cap allows.  Given other params
+    than the solve's, fixed_point reads the gap between the two problems."""
+    fp, fp_at = fixed_point_residual(vg, params, dist)
+    pw, sup, at = generator_residual(vg, params, dist)
+    return HjbResidual(fp, fp_at, sup, at, pw)

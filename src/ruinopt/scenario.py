@@ -169,8 +169,14 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path: str) -> Scenario:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:   # the bytes before the first bad one decode
+        line = f"line {len((data[: exc.start].decode('utf-8') + '.').splitlines())}"
+        raise BadValueError(line, f"{line} is not UTF-8: {exc}") from None
+    return parse_scenario(text)
 
 
 def scenario_text(sc: Scenario) -> str:

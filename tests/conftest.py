@@ -15,7 +15,7 @@ import pytest
 import ruinopt as ro
 
 # mu << r and a large cap: at h = 0.1 and small x, some invested amounts give
-# a capped node map that does not contract (D(a) <= 0 in constrained.py)
+# a capped node map that does not contract (D(a) <= 0 in solve.py)
 NONCONTRACTING = ro.ModelParams(
     c=0.0286, r=0.3387, mu=0.1038, sigma=0.0877, sigma1=0.1351, rho=-0.469, lam=0.882, cap=9.89
 )
@@ -54,7 +54,7 @@ def grid40():
 @pytest.fixture(scope="session")
 def vg40(ex1, exp1, grid40):
     """Benchmark 1 unconstrained solve on the reporting grid."""
-    return ro.solve_v_unconstrained(ex1, exp1, grid40)
+    return ro.solve_v(ex1, exp1, grid40)
 
 
 @pytest.fixture(scope="session")
@@ -64,14 +64,14 @@ def vg_front(ex1, exp1):
     The march is causal, so these nodes are what a grid of the same step
     but any length gives at the front; the near-zero checks read its a*.
     """
-    return ro.solve_v_unconstrained(ex1, exp1, ro.Grid.from_xmax(1e-5, 1e-3))
+    return ro.solve_v(ex1, exp1, ro.Grid.from_xmax(1e-5, 1e-3))
 
 
 @pytest.fixture(scope="session")
 def vgc1(ex1, exp1):
     """Benchmark 1 constrained solve, cap 1, shorter grid."""
     grid = ro.Grid.from_xmax(5e-3, 10.0)
-    return ro.solve_v_constrained(replace(ex1, cap=1.0), exp1, grid)
+    return ro.solve_v(replace(ex1, cap=1.0), exp1, grid)
 
 
 def _acceptance_lines(config) -> list[str]:

@@ -31,7 +31,7 @@ SHIFT1 = -0.2 * 0.2 / 0.1     # rho sigma1 / sigma
 def timed_solve(ex1, exp1):
     grid = ro.Grid.from_xmax(5e-3, 40.0)
     t0 = time.perf_counter()
-    vg = ro.solve_v_unconstrained(ex1, exp1, grid)
+    vg = ro.solve_v(ex1, exp1, grid)
     runtime = time.perf_counter() - t0
     return SimpleNamespace(vg=vg, runtime=runtime)
 
@@ -140,7 +140,7 @@ def test_criterion_6_regime_matrix(acceptance, ex1, exp1):
     for rho in (-0.5, -0.2, 0.5):
         p = replace(ex1, rho=rho, cap=1.0)
         rep = ro.classify_zero_regime(p)
-        vg = ro.solve_v_constrained(p, exp1, grid)
+        vg = ro.solve_v(p, exp1, grid)
         a0 = float(vg.a_star[0])
         if rho == -0.5:
             good = a0 == 1.0 and rep.regime is ro.Regime.FULL_CAP
@@ -275,7 +275,7 @@ def test_criterion_10_property_suites(acceptance, ex1, ex2, exp1, timed_solve):
     grid10 = ro.Grid.from_xmax(5e-3, 10.0)
     exp2 = ro.from_config("exponential", 0.5)
     for name, p, d in (("bench1", ex1, exp1), ("bench2", ex2, exp2)):
-        vg = ro.solve_v_unconstrained(p, d, grid10)
+        vg = ro.solve_v(p, d, grid10)
         res = ro.hjb_residual(vg, p, d)
         checks[f"residual {name}"] = (
             res.fixed_point <= 1e-6 and res.independent <= 5e-3 * p.lam
@@ -285,7 +285,7 @@ def test_criterion_10_property_suites(acceptance, ex1, ex2, exp1, timed_solve):
     sups = []
     for h in (1e-2, 5e-3):
         g = ro.Grid.from_xmax(h, 10.0)
-        vg = ro.solve_v_unconstrained(ex1, exp1, g)
+        vg = ro.solve_v(ex1, exp1, g)
         sups.append(ro.hjb_residual(vg, ex1, exp1).independent)
     checks["h-refinement"] = sups[1] <= 0.6 * sups[0]
 

@@ -94,7 +94,7 @@ def test_fit_window_not_asymptotic(ex1, exp1):
     # a grid ending at 0.5 puts the window on [0.375, 0.5], hugging the
     # origin, where v decays at rate B ~ 22 rather than 1/m, so the
     # compensated product is nowhere near flat
-    vg = ro.solve_v_unconstrained(ex1, exp1, ro.Grid.from_xmax(5e-3, 0.5))
+    vg = ro.solve_v(ex1, exp1, ro.Grid.from_xmax(5e-3, 0.5))
     fit = ro.fit_tail_constant(vg, ex1, 1.0)
     assert fit.window == (0.375, 0.5)
     assert not fit.ok
@@ -103,7 +103,7 @@ def test_fit_window_not_asymptotic(ex1, exp1):
 
 def test_fit_window_validation(ex1, exp1):
     # a grid ending at 0.01 leaves one node in the window [0.0075, 0.01]
-    vg = ro.solve_v_unconstrained(ex1, exp1, ro.Grid.from_xmax(5e-3, 0.01))
+    vg = ro.solve_v(ex1, exp1, ro.Grid.from_xmax(5e-3, 0.01))
     with pytest.raises(ValueError, match="fewer than 4"):
         ro.fit_tail_constant(vg, ex1, 1.0)
 
@@ -128,7 +128,7 @@ def test_capped_large_surplus_law_matches_the_solve(ex1, ex2, exp1):
     # bench 1, cap 1, FULL_CAP: a* sits on the cap from x = 1 to 40
     p = replace(ex1, cap=1.0)
     assert ro.constrained_infinity_strategy(p, 1.0) == (1.0, 0.0)
-    vg = ro.solve_v_constrained(p, exp1, ro.Grid.from_xmax(5e-3, 40.0))
+    vg = ro.solve_v(p, exp1, ro.Grid.from_xmax(5e-3, 40.0))
     assert np.all(vg.a_star[vg.x >= 1.0] == 1.0)
 
     # bench 2, exponential claims of mean 2, cap 1, INTERIOR: a* meets
@@ -136,7 +136,7 @@ def test_capped_large_surplus_law_matches_the_solve(ex1, ex2, exp1):
     p = replace(ex2, cap=1.0)
     assert ro.classify_infinity_regime(p, 2.0).regime is ro.Regime.INTERIOR
     limit, coeff = ro.constrained_infinity_strategy(p, 2.0)
-    vg = ro.solve_v_constrained(p, ro.make_exponential(0.5), ro.Grid.from_xmax(5e-3, 80.0))
+    vg = ro.solve_v(p, ro.make_exponential(0.5), ro.Grid.from_xmax(5e-3, 80.0))
     for x in (20.0, 40.0, 80.0):
         a = float(vg.a_star[round(x / 5e-3)])
         gap = x * x * abs(a - (limit + coeff / x))

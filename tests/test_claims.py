@@ -10,7 +10,6 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +20,7 @@ from scipy.integrate import quad
 
 import ruinopt as ro
 import ruinopt.claims
-import ruinopt.constrained
-import ruinopt.unconstrained
+import ruinopt.solve
 from conftest import assert_close
 
 # the six laws the benchmarks use, plus shape variants that stress the
@@ -219,21 +217,20 @@ def test_pareto_tail_mixture_at_tiny_scales():
 
 
 def test_tail_mixture_does_not_depend_on_the_grid(monkeypatch):
-    # both solvers hand the march the law's own fit, on every grid, so a
+    # both solves hand the march the law's own fit, on every grid, so a
     # longer grid repeats a shorter one's nodes
     seen = []
-    for module in (ruinopt.unconstrained, ruinopt.constrained):
-        real = module.march_value_slope
+    real = ruinopt.solve.march_value_slope
 
-        def spy(grid, law, lam, start, node, real=real):
-            seen.append(law.tail_mixture)
-            return real(grid, law, lam, start, node)
+    def spy(grid, law, lam, start, node):
+        seen.append(law.tail_mixture)
+        return real(grid, law, lam, start, node)
 
-        monkeypatch.setattr(module, "march_value_slope", spy)
-    params, dist = replace(ro.example2_params(), cap=1.0), ro.make_pareto(2.0, 2.0)
+    monkeypatch.setattr(ruinopt.solve, "march_value_slope", spy)
+    dist = ro.make_pareto(2.0, 2.0)
     for h, x_max in ((5e-3, 2.0), (1e-2, 4.0)):
-        ro.solve_v_unconstrained(params, dist, ro.Grid.from_xmax(h, x_max))
-        ro.solve_v_constrained(params, dist, ro.Grid.from_xmax(h, x_max))
+        for cap in (None, 1.0):
+            ro.solve_v(ro.example2_params(cap=cap), dist, ro.Grid.from_xmax(h, x_max))
     assert len(seen) == 4 and all(fit is dist.tail_mixture for fit in seen)
 
 

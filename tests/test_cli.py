@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import ruinopt as ro
-from ruinopt import cli, constrained, unconstrained
+from ruinopt import cli, solve
 from ruinopt.cli import _price, main
 from ruinopt.scenario import parse_scenario
 from conftest import NONCONTRACTING, assert_close
@@ -68,6 +68,33 @@ def test_missing_scenario_exits_3(capsys, tmp_path):
     code, _, err = run(capsys, ["constants", tmp_path / "absent.txt"])
     assert code == 3
     assert "missing file" in err
+
+
+@pytest.mark.parametrize("argv", [["solve", "--mode", "unconstrained"], ["simulate", "--x0", "1.0"]])
+def test_scenario_path_that_is_a_directory_exits_3(capsys, tmp_path, argv):
+    argv = [argv[0], tmp_path, *argv[1:]] + (["--out", tmp_path] if argv[0] == "solve" else [])
+    code, out, err = run(capsys, argv)
+    assert code == 3 and out == ""
+    assert "missing file" in err and "Is a directory" in err
+
+
+@pytest.mark.parametrize("argv", [["solve", "{scn}", "--mode", "unconstrained"], ["constants", "{scn}"],
+                                  ["example1"], ["example2"]])
+@pytest.mark.parametrize("out_dir", ["file", "file/sub"])
+def test_out_that_is_a_file_exits_2_and_names_out(capsys, scenario_file, tmp_path, argv, out_dir):
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    code, out, err = run(capsys, [a.format(scn=scenario_file) for a in argv] + ["--out", tmp_path / out_dir])
+    assert code == 2 and out == ""
+    assert err.startswith("error: --out ") and "is not a directory" in err, err
+
+
+def test_scenario_that_is_not_utf8_names_its_line(capsys, tmp_path):
+    path = tmp_path / "latin1.txt"
+    for text, line in ((b"mu = 0.42\xff\n", 1), (b"r = 0.32\r\n# comment\r\nmu = 0.42\xff\n", 3)):
+        path.write_bytes(text + BASE.replace("mu = 0.42\n", "").encode("utf-8"))
+        code, _, err = run(capsys, ["constants", path])
+        assert code == 4
+        assert err.rstrip().endswith(f"(key: line {line})"), err
 
 
 def test_bad_value_exits_4_and_names_key(capsys, tmp_path):
@@ -408,7 +435,7 @@ def test_every_exported_name_resolves():
     import pkgutil
 
     modules = [ro] + [importlib.import_module(f"ruinopt.{m.name}") for m in pkgutil.iter_modules(ro.__path__)]
-    assert len(modules) >= 12
+    assert len(modules) >= 11
     for module in modules:
         missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
         assert not missing, f"{module.__name__}.__all__ names {missing}"
@@ -472,9 +499,9 @@ def test_write_csv_matches_per_row_format(tmp_path):
         assert path.read_text(encoding="utf-8") == want
 
 
-def _certificate(sc, capped):
+def _certificate(sc):
     """The scenario grid's solve, its normalisation, and SE/100 for sc.sim's paths from x0 = 1."""
-    vg = (ro.solve_v_constrained if capped else ro.solve_v_unconstrained)(sc.params, sc.dist, sc.grid)
+    vg = ro.solve_v(sc.params, sc.dist, sc.grid)
     norm = ro.normalize_delta(vg, claim_mean=1.0)
     d = norm.delta(1.0)
     return vg, norm, math.sqrt(d * (1.0 - d) / sc.sim.n_paths) / 100.0
@@ -491,7 +518,7 @@ def test_optimal_strategy_is_the_solve_out_to_the_safe_level(capped, safe):
     extra = "cap_A = 1.0\n" if capped else ""
     sc = parse_scenario(BASE.replace("mc.safe_level = 8.0", f"mc.safe_level = {safe}") + extra)
     strat, norm, (level, psi) = _price(sc, 1.0)
-    vg, ref, bound = _certificate(sc, capped)
+    vg, ref, bound = _certificate(sc)
     assert level == sc.sim.safe_level and psi is None
     assert np.all(ref.psi.values[sc.grid.points > 1.0] > bound)
     assert np.array_equal(norm.psi.values, ref.psi.values)
@@ -513,7 +540,7 @@ def test_optimal_strategy_stops_at_the_certified_level(capped):
     text = BASE.replace("mc.safe_level = 8.0", "mc.safe_level = 60.0").replace("grid.xmax = 5.0", "grid.xmax = 10.0")
     sc = parse_scenario(text + ("cap_A = 1.0\n" if capped else ""))
     strat, norm, (level, psi) = _price(sc, 1.0)
-    vg, ref, bound = _certificate(sc, capped)
+    vg, ref, bound = _certificate(sc)
     assert strat.grid.x_max >= sc.sim.safe_level
     for got, want in [(strat.v, vg.v), (strat.V, vg.V), (strat.vprime, vg.vprime), (strat.a_star, vg.a_star)]:
         assert np.array_equal(got[:sc.grid.n], want)
@@ -723,6 +750,18 @@ def test_exp_validate_needs_a_node_in_its_window(capsys, tmp_path, xmax):
     assert err.rstrip().endswith("(key: grid.xmax)"), err
 
 
+def test_exp_validate_names_grid_xmax_when_the_ode_span_is_too_long(capsys, tmp_path):
+    # the feedback ODE runs from 1e-4 to grid.xmax in steps of 1e-3: a grid
+    # to 10001 asks for more than numerics.MAX_NODES of them.  Claims of
+    # mean 1e4 keep v in the normal range out there, so the solve passes
+    path = tmp_path / "long.txt"
+    text = BASE.replace("claim.p1 = 1.0", "claim.p1 = 1e-4").replace("grid.h = 0.005", "grid.h = 0.05")
+    path.write_text(text.replace("grid.xmax = 5.0", "grid.xmax = 10001"), encoding="utf-8")
+    code, _, err = run(capsys, ["exp-validate", path])
+    assert code == 4
+    assert "at most 10000000 steps" in err and err.rstrip().endswith("(key: grid.xmax)"), err
+
+
 def test_simulate_deterministic(capsys, scenario_file):
     docs = []
     for _ in range(2):
@@ -796,7 +835,7 @@ def test_simulate_reports_its_absorption_level(capsys, tmp_path, strategy, xmax)
     else:
         sc = parse_scenario(path.read_text(encoding="utf-8"))
         if strategy == "optimal":
-            vg = ro.solve_v_unconstrained(sc.params, sc.dist, sc.grid)
+            vg = ro.solve_v(sc.params, sc.dist, sc.grid)
             sim = ro.SampledFn(grid=sc.grid, values=vg.a_star)
         else:
             sim = {"zero": 0.0, "const:1": 1.0}.get(strategy, lambda q: np.interp(q, [0.0, 4.0], [0.5, 1.5]))
@@ -822,9 +861,8 @@ def test_simulate_marches_once(capsys, tmp_path, monkeypatch, capped, strategy, 
     # one march prices the strategy and, for optimal, gives the a* the
     # paths run: on grid.xmax = 5 no level is certified, on 10 one is
     calls = []
-    for module in (constrained, unconstrained):
-        march = module.march_value_slope
-        monkeypatch.setattr(module, "march_value_slope", lambda *a, march=march: calls.append(1) or march(*a))
+    march = solve.march_value_slope
+    monkeypatch.setattr(solve, "march_value_slope", lambda *a: calls.append(1) or march(*a))
     path = tmp_path / "scn.txt"
     path.write_text(BASE.replace("grid.xmax = 5.0", f"grid.xmax = {xmax}") + ("cap_A = 1.0\n" if capped else ""),
                     encoding="utf-8")

@@ -457,7 +457,7 @@ def test_absorbing_at_the_certified_level_loses_only_late_ruins(ex1, exp1, strat
     # been ruined after passing L.  This holds for every seed and strategy
     grid = ro.Grid.from_xmax(0.01, 60.0)
     if strategy == "optimal":
-        vg = ro.solve_v_unconstrained(ex1, exp1, grid)
+        vg = ro.solve_v(ex1, exp1, grid)
         sim = ro.SampledFn(grid=grid, values=vg.a_star)
     else:
         vg = ro.evaluate_policy(ex1, exp1, grid, np.zeros(grid.n))

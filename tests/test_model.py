@@ -192,7 +192,7 @@ def test_solve_starts_from_the_closed_forms():
     exp1 = ro.make_exponential(1.0)
     for p in zero_surplus_sweep():
         k = ro.derive_constants(p)
-        vg = ro.solve_v_unconstrained(p, exp1, grid)
+        vg = ro.solve_v(p, exp1, grid)
         assert vg.vprime[0] == -k.B, p
         assert vg.a_star[0] == k.a_star_zero, p
 

@@ -13,8 +13,7 @@ from scipy.integrate import cumulative_trapezoid
 
 import ruinopt as ro
 import ruinopt.cli
-import ruinopt.constrained
-import ruinopt.unconstrained
+import ruinopt.solve
 from ruinopt.numerics import _BLOCK, MAX_NODES, march_value_slope, prefix_trapezoid
 from conftest import assert_close
 
@@ -258,7 +257,7 @@ def test_convolve_tail_all_relative_accuracy_block_edges(n):
 def test_convolve_tail_all_relative_accuracy_bench2_long():
     # benchmark 2, Pareto claims, n = 32001: both certificate convolutions
     params, dist = ro.example2_params(), ro.make_pareto(2.0, 2.0)
-    vg = ro.solve_v_unconstrained(params, dist, ro.Grid.from_xmax(5e-3, 160.0))
+    vg = ro.solve_v(params, dist, ro.Grid.from_xmax(5e-3, 160.0))
     x, h = vg.grid.points, vg.grid.h
     assert vg.grid.n == 32001
     for w_values, tail_values in ((vg.v, dist.tail(x)), (vg.V, dist.pdf(x))):
@@ -302,19 +301,22 @@ def _bench_law(bench):
     return ro.example2_params(), ro.make_weibull(2.0, 0.5)
 
 
-def _solve(module, params, dist, grid):
-    if module is ruinopt.constrained:
-        return ro.solve_v_constrained(replace(params, cap=1.0), dist, grid)
-    return ro.solve_v_unconstrained(params, dist, grid)
+def _solve(cap, params, dist, grid):
+    return ro.solve_v(replace(params, cap=cap), dist, grid)
+
+
+# each case runs unrestricted and with cap 1; the ids are the names of the
+# two solver modules these cases ran over before the solve was one module
+CAPS = pytest.mark.parametrize("cap", [None, 1.0], ids=["ruinopt.unconstrained", "ruinopt.constrained"])
 
 
 def _rel_gap(a, b) -> float:
     return float(np.max(np.abs(a / b - 1.0)))
 
 
-@pytest.mark.parametrize("module", [ruinopt.unconstrained, ruinopt.constrained])
+@CAPS
 @pytest.mark.parametrize("bench", [1, 2, "weibull", "pareto50"])
-def test_march_history_is_bit_identical(monkeypatch, module, bench):
+def test_march_history_is_bit_identical(monkeypatch, cap, bench):
     # a law with no exponential-sum tail keeps the whole-history dot, so it
     # must feed every node exactly the sum the sliced history did.  With a
     # fit, the far history runs through it: v must stay within 1e-14 of
@@ -329,9 +331,9 @@ def test_march_history_is_bit_identical(monkeypatch, module, bench):
         seen.append((out[0], out[2], plain, exact))
         return out
 
-    monkeypatch.setattr(module, "march_value_slope", spy)
+    monkeypatch.setattr(ruinopt.solve, "march_value_slope", spy)
     params, dist = _bench_law(bench)
-    _solve(module, params, dist, ro.Grid.from_xmax(5e-3, 40.0))
+    _solve(cap, params, dist, ro.Grid.from_xmax(5e-3, 40.0))
     ((v, vp, (v_ref, vp_ref), exact),) = seen
     if dist.tail_mixture is None:
         assert np.array_equal(v, v_ref)
@@ -344,9 +346,9 @@ def test_march_history_is_bit_identical(monkeypatch, module, bench):
     assert _rel_gap(vp, vp_fsum) <= 1.5 * _rel_gap(vp_ref, vp_fsum)
 
 
-@pytest.mark.parametrize("module", [ruinopt.unconstrained, ruinopt.constrained])
+@CAPS
 @pytest.mark.parametrize("bench", [1, 2])
-def test_march_history_sums_match_fsum(monkeypatch, module, bench):
+def test_march_history_sums_match_fsum(monkeypatch, cap, bench):
     # every node's claims term q_j = lam h (sum_i H_i v_{j-i} + H_j / 2),
     # with the far history taken from the tail's exponential sum, must be
     # within 1e-14 relative of the same products summed by math.fsum
@@ -363,9 +365,9 @@ def test_march_history_sums_match_fsum(monkeypatch, module, bench):
         seen.append((grid, law.tail(grid.points), lam, law.tail_mixture, np.array(qs), out[0]))
         return out
 
-    monkeypatch.setattr(module, "march_value_slope", spy)
+    monkeypatch.setattr(ruinopt.solve, "march_value_slope", spy)
     params, dist = _bench_law(bench)
-    _solve(module, params, dist, ro.Grid.from_xmax(5e-3, 20.0))
+    _solve(cap, params, dist, ro.Grid.from_xmax(5e-3, 20.0))
     ((grid, H, lam, tail_mixture, qs, v),) = seen
     assert tail_mixture is dist.tail_mixture
     assert grid.n >= 2000
@@ -378,8 +380,8 @@ def test_march_history_sums_match_fsum(monkeypatch, module, bench):
     assert _rel_gap(qs, want) <= 1e-14
 
 
-@pytest.mark.parametrize("module", [ruinopt.unconstrained, ruinopt.constrained])
-def test_march_stores_what_each_node_returns(monkeypatch, module):
+@CAPS
+def test_march_stores_what_each_node_returns(monkeypatch, cap):
     # the node contract: the march calls node(x_j, q_j, alpha_j) once for
     # each j >= 1, in order, with x_j = grid.points[j] bit for bit and
     # Python floats in and out, and stores the (v_j, v'_j, a*_j) it returns
@@ -397,9 +399,9 @@ def test_march_stores_what_each_node_returns(monkeypatch, module):
         seen.append((start, calls, out))
         return out
 
-    monkeypatch.setattr(module, "march_value_slope", spy)
+    monkeypatch.setattr(ruinopt.solve, "march_value_slope", spy)
     params, dist = _bench_law(2)
-    vg = _solve(module, params, dist, ro.Grid.from_xmax(5e-3, 4.0))
+    vg = _solve(cap, params, dist, ro.Grid.from_xmax(5e-3, 4.0))
     ((start, calls, (v, V, vp, a)),) = seen
     assert vg.grid.n > 2 * _BLOCK   # the far field ran
     assert all(type(value) is float for call in calls for value in call)
@@ -410,13 +412,13 @@ def test_march_stores_what_each_node_returns(monkeypatch, module):
     assert vg.a_star is a and vg.v is v and vg.V is V and vg.vprime is vp
 
 
-@pytest.mark.parametrize("module", [ruinopt.unconstrained, ruinopt.constrained])
-def test_march_is_causal_with_pareto_claims(module):
+@CAPS
+def test_march_is_causal_with_pareto_claims(cap):
     # the far field's blocks start at node 0 and its fit does not depend on
     # the grid, so a shorter grid's nodes are the longer grid's, bit for bit
     params, dist = _bench_law(2)
-    short = _solve(module, params, dist, ro.Grid.from_xmax(5e-3, 10.0))
-    long_ = _solve(module, params, dist, ro.Grid.from_xmax(5e-3, 40.0))
+    short = _solve(cap, params, dist, ro.Grid.from_xmax(5e-3, 10.0))
+    long_ = _solve(cap, params, dist, ro.Grid.from_xmax(5e-3, 40.0))
     m = short.grid.n
     assert m > 2 * _BLOCK
     for name in ("v", "vprime", "a_star"):

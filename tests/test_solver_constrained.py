@@ -1,4 +1,4 @@
-"""Capped-investment solver: fixed point, regimes, cross-validation."""
+"""Capped-investment solve: fixed point, regimes, cross-validation."""
 
 from __future__ import annotations
 
@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import ruinopt as ro
-from ruinopt import constrained
 from ruinopt.model import _best_candidate, _candidates, _negative_root
 from ruinopt.numerics import convolve_tail_all
+from ruinopt.solve import _capped_node
 from conftest import NONCONTRACTING, assert_close, node_draws, node_residual
 
 
@@ -52,8 +52,8 @@ def test_independent_residual_and_refinement(ex1, exp1):
     sups = []
     for h in (1e-2, 5e-3):
         grid = ro.Grid.from_xmax(h, 5.0)
-        vg = ro.solve_v_constrained(p, exp1, grid)
-        res = constrained.hjb_residual(vg, p, exp1)
+        vg = ro.solve_v(p, exp1, grid)
+        res = ro.hjb_residual(vg, p, exp1)
         if h == 5e-3:
             assert res.independent <= 5e-3 * p.lam
         sups.append(res.independent)
@@ -64,15 +64,10 @@ def test_solution_refines_at_order_h2(ex1, exp1):
     p = replace(ex1, cap=1.0)
     sols = {}
     for h in (2e-2, 1e-2, 5e-3):
-        sols[h] = ro.solve_v_constrained(p, exp1, ro.Grid.from_xmax(h, 5.0))
+        sols[h] = ro.solve_v(p, exp1, ro.Grid.from_xmax(h, 5.0))
     d1 = np.max(np.abs(sols[2e-2].v - sols[1e-2].v[::2]))
     d2 = np.max(np.abs(sols[1e-2].v - sols[5e-3].v[::2]))
     assert 2.5 <= d1 / d2 <= 6.0, f"refinement ratio {d1 / d2:.2f}"
-
-
-def test_missing_cap_rejected(ex1, exp1):
-    with pytest.raises(ValueError, match="cap"):
-        ro.solve_v_constrained(ex1, exp1, ro.Grid.from_xmax(5e-3, 1.0))
 
 
 def test_curvature_best_without_cap_is_the_unrestricted_minimum():
@@ -111,11 +106,11 @@ def test_curvature_best_without_cap_is_the_unrestricted_minimum():
 
 
 def test_matches_unconstrained_when_cap_is_slack(ex1, exp1):
-    # with the cap far above the open optimum the two solvers, which share
-    # no code path, must produce the same solution
+    # with the cap far above the open optimum the two node rules, which
+    # share no algebra, must produce the same solution
     grid = ro.Grid.from_xmax(5e-3, 10.0)
-    vg_u = ro.solve_v_unconstrained(ex1, exp1, grid)
-    vg_c = ro.solve_v_constrained(replace(ex1, cap=50.0), exp1, grid)
+    vg_u = ro.solve_v(ex1, exp1, grid)
+    vg_c = ro.solve_v(replace(ex1, cap=50.0), exp1, grid)
     assert np.max(np.abs(vg_u.v - vg_c.v) / vg_u.v) <= 1e-12
     assert np.max(np.abs(vg_u.a_star - vg_c.a_star)) <= 1e-9
 
@@ -157,7 +152,7 @@ def test_initial_regime_sweep(ex1, exp1):
             p = replace(ex1, rho=rho, cap=cap)
             k = ro.derive_constants(p)
             rep = ro.classify_zero_regime(p)
-            vg = ro.solve_v_constrained(p, exp1, grid)
+            vg = ro.solve_v(p, exp1, grid)
             a0 = vg.a_star[0]
             if rep.regime is ro.Regime.FULL_CAP:
                 expected = cap
@@ -181,8 +176,8 @@ def test_node_solves_stop_at_convergence(ex2):
     pareto = ro.make_pareto(2.0, 2.0)
     grid = ro.Grid.from_xmax(5e-3, 5.0)
     for mode, vg in (
-        ("constrained", ro.solve_v_constrained(replace(ex2, cap=1.0), pareto, grid)),
-        ("unconstrained", ro.solve_v_unconstrained(ex2, pareto, grid)),
+        ("constrained", ro.solve_v(replace(ex2, cap=1.0), pareto, grid)),
+        ("unconstrained", ro.solve_v(ex2, pareto, grid)),
     ):
         assert node_residual(vg) <= 1e-14, mode
 
@@ -209,7 +204,7 @@ def test_capped_node_matches_bisection(which):
     a_scan = np.linspace(0.0, p.cap, 401)
     non_contracting = 0
     for h, x, alpha, q in node_draws(5, 200, p.lam, x_max=2.0 if which == "noncontracting" else 10.0):
-        w, vp, a = constrained._node_solver(p, h)(x, q, alpha)
+        w, vp, a = _capped_node(p, h)(x, q, alpha)
         assert_close(w, _bisect_node(p, h, x, q, alpha), 1e-14, f"node at {(h, x, alpha, q)}")
         best, _ = ro.curvature_best(p, x, w, q + p.lam * 0.5 * h * w)
         assert_close(vp, best, 1e-12, "v'_j")
@@ -246,7 +241,7 @@ def _sorted_scan(qa, qb, qc, hi, objective):
 
 def _sorted_scan_node_solver(p, h):
     """The capped node solve as first written, minimising -D/N through
-    _sorted_scan: the oracle for constrained._node_solver."""
+    _sorted_scan: the oracle for solve._capped_node."""
     half_h = 0.5 * h
     c, r, excess, cap = p.c, p.r, p.excess, p.cap
     lam_half_h, lam_h_half_h = p.lam * half_h, p.lam * h * half_h
@@ -305,9 +300,9 @@ def test_capped_node_equals_sorted_scan_on_solves(monkeypatch, which):
         "bench2": (ro.example2_params(cap=1.0), ro.make_pareto(2.0, 2.0)),
     }[which]
     grid = ro.Grid.from_xmax(5e-3, 40.0)
-    got = ro.solve_v_constrained(p, dist, grid)
-    monkeypatch.setattr(constrained, "_node_solver", _sorted_scan_node_solver)
-    want = ro.solve_v_constrained(p, dist, grid)
+    got = ro.solve_v(p, dist, grid)
+    monkeypatch.setattr("ruinopt.solve._capped_node", _sorted_scan_node_solver)
+    want = ro.solve_v(p, dist, grid)
     for name in ("v", "vprime", "a_star"):
         assert np.array_equal(getattr(got, name).view(np.int64), getattr(want, name).view(np.int64)), name
     interior = (got.a_star > 0.0) & (got.a_star < 1.0)
@@ -317,7 +312,7 @@ def test_capped_node_equals_sorted_scan_on_solves(monkeypatch, which):
 def test_capped_node_equals_sorted_scan_on_hand_made_nodes(ex1, ex2):
     def check(p, h, x, q, alpha):
         want = _node_bits(_sorted_scan_node_solver(p, h), x, q, alpha)
-        assert _node_bits(constrained._node_solver(p, h), x, q, alpha) == want, (p, h, x, q, alpha)
+        assert _node_bits(_capped_node(p, h), x, q, alpha) == want, (p, h, x, q, alpha)
         return want
 
     # tens of thousands of seeded nodes, claims sums of either sign
@@ -436,7 +431,7 @@ def test_curvature_best_equals_scalar_scan_on_solves(which):
         "bench2": (ro.example2_params(cap=1.0), ro.make_pareto(2.0, 2.0)),
     }[which]
     grid = ro.Grid.from_xmax(5e-3, 10.0)
-    vg = ro.solve_v_constrained(p, dist, grid)
+    vg = ro.solve_v(p, dist, grid)
     MW = p.lam * convolve_tail_all(vg.v, dist.tail(grid.points), grid.h)
     _assert_same_as_scalar(p, grid.points, vg.v, MW)
 
@@ -489,13 +484,11 @@ def test_policy_march_gives_the_solve_back(which, ex1, ex2, exp1):
     # equation at the amount the solve chose: the capped solve bit for bit,
     # the unrestricted one, whose node is another rule, to round-off
     if which == "bench2 pareto capped":
-        p, dist, solve = replace(ex2, cap=1.0), ro.make_pareto(2.0, 2.0), ro.solve_v_constrained
+        p, dist = replace(ex2, cap=1.0), ro.make_pareto(2.0, 2.0)
     else:
-        capped = which == "bench1 capped"
-        p = replace(ex1, cap=1.0) if capped else ex1
-        dist, solve = exp1, ro.solve_v_constrained if capped else ro.solve_v_unconstrained
+        p, dist = (replace(ex1, cap=1.0) if which == "bench1 capped" else ex1), exp1
     grid = ro.Grid.from_xmax(5e-3, 40.0)
-    vg = solve(p, dist, grid)
+    vg = ro.solve_v(p, dist, grid)
     ev = ro.evaluate_policy(p, dist, grid, vg.a_star)
     assert np.array_equal(ev.a_star, vg.a_star) and ev.grid == grid
     if p.cap is None:
@@ -582,8 +575,7 @@ def _bump_rises(p, dist, a):
 
 
 def _optimal_amounts(p, dist):
-    solve = ro.solve_v_unconstrained if p.cap is None else ro.solve_v_constrained
-    return solve(p, dist, ro.Grid.from_xmax(5e-3, 40.0)).a_star
+    return ro.solve_v(p, dist, ro.Grid.from_xmax(5e-3, 40.0)).a_star
 
 
 @pytest.mark.parametrize("cap", [None, 1.0])

@@ -68,9 +68,8 @@ def test_solver_sweep(capped, case):
         params = replace(params, cap=None)
     h = grid.h
     first_anchor = 1.0 + 0.5 * h * ro.derive_constants(params).v_prime_zero
-    solve = ro.solve_v_constrained if capped else ro.solve_v_unconstrained
     try:
-        vg = solve(params, dist, grid)
+        vg = ro.solve_v(params, dist, grid)
     except RuntimeError as exc:
         assert f"trapezoid anchor went nonpositive at x={h:.6g};" in str(exc)
         assert first_anchor <= 1e-12, first_anchor

@@ -1,4 +1,4 @@
-"""Unrestricted-investment solver: boundary identity, shape, residuals."""
+"""Unrestricted-investment solve: boundary identity, shape, residuals."""
 
 from __future__ import annotations
 
@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import ruinopt as ro
-from ruinopt import constrained, unconstrained
 from ruinopt.model import _negative_root
+from ruinopt.solve import _capped_node, _unrestricted_node
 from conftest import NONCONTRACTING, assert_close, front_line_fit, node_draws, node_residual
 
 
@@ -61,7 +61,7 @@ def test_ruin_probability_keeps_its_digits(ex1, exp1):
     # psi(x) = (int_x^x_max v + tail remainder) / V(inf), summed from the
     # far end: 1 - delta reads 0 from x = 30 on, where psi is about 2e-14
     grid = ro.Grid.from_xmax(5e-3, 60.0)
-    vg = ro.solve_v_unconstrained(ex1, exp1, grid)
+    vg = ro.solve_v(ex1, exp1, grid)
     norm = ro.normalize_delta(vg, claim_mean=1.0)
     v = vg.v.tolist()
     for x in (30.0, 50.0):
@@ -73,7 +73,7 @@ def test_ruin_probability_keeps_its_digits(ex1, exp1):
     # where V(inf) is not estimated (v still rises at the grid end), psi stays 1
     p = ro.ModelParams(c=0.3148, r=0.1221, mu=0.1221, sigma=0.2587, sigma1=0.3125, rho=0.0,
                        lam=0.7316, cap=2.573)
-    rising = ro.normalize_delta(ro.solve_v_constrained(p, ro.make_weibull(1.794, 1.0), ro.Grid.from_xmax(5e-3, 2.0)))
+    rising = ro.normalize_delta(ro.solve_v(p, ro.make_weibull(1.794, 1.0), ro.Grid.from_xmax(5e-3, 2.0)))
     assert rising.v_inf_hat == math.inf
     assert np.all(rising.psi(grid.points[:401]) == 1.0)
 
@@ -82,7 +82,7 @@ def test_residual_halves_under_refinement(ex1, exp1):
     sups = []
     for h in (1e-2, 5e-3):
         grid = ro.Grid.from_xmax(h, 10.0)
-        vg = ro.solve_v_unconstrained(ex1, exp1, grid)
+        vg = ro.solve_v(ex1, exp1, grid)
         sups.append(ro.hjb_residual(vg, ex1, exp1).independent)
     assert sups[1] <= 0.5 * sups[0], f"refinement ratio {sups[1] / sups[0]:.3f}"
 
@@ -101,7 +101,7 @@ def test_node_is_root_of_its_equation(which):
          "noncontracting": dataclasses.replace(NONCONTRACTING, cap=None)}[which]
     for h, x, alpha, q in node_draws(3, 300, p.lam, x_max=40.0):
         pj = p.c_rho + p.r * x - p.lam * 0.5 * h
-        w, y, _ = unconstrained._node_solver(p, h)(x, q, alpha)
+        w, y, _ = _unrestricted_node(p, h)(x, q, alpha)
 
         def F(u):
             L = _negative_root(pj * u - q, p.excess / p.sigma * u, p.sigma_rho2)
@@ -122,14 +122,14 @@ def test_failed_node_solve_names_x(ex1, exp1):
     grid = ro.Grid.from_xmax(5e-3, 1.0)
     capped = dataclasses.replace(ex1, cap=1.0)
     with pytest.raises(RuntimeError, match=r"x=0\.505"):
-        ro.solve_v_unconstrained(ex1, broken, grid)
+        ro.solve_v(ex1, broken, grid)
     with pytest.raises(RuntimeError, match=r"x=0\.505"):
-        ro.solve_v_constrained(capped, broken, grid)
-    # the node solvers the marches call, fed that node's NaN claims sum
+        ro.solve_v(capped, broken, grid)
+    # the node rules the marches call, fed that node's NaN claims sum
     with pytest.raises(RuntimeError, match=r"x=0\.505"):
-        unconstrained._node_solver(ex1, 5e-3)(0.505, np.nan, 0.5)
+        _unrestricted_node(ex1, 5e-3)(0.505, np.nan, 0.5)
     with pytest.raises(RuntimeError, match=r"x=0\.505"):
-        constrained._node_solver(capped, 5e-3)(0.505, np.nan, 0.5)
+        _capped_node(capped, 5e-3)(0.505, np.nan, 0.5)
 
 
 def test_strategy_zero_limit(vg40, k1):
@@ -156,7 +156,7 @@ def test_strategy_near_zero_line(vg_front, vg40, k1, ex1, exp1):
     # the march is causal, so a short grid's front is the long grid's,
     # bit for bit; that is what lets a short fine grid stand in for the
     # reporting solve near zero
-    short = ro.solve_v_unconstrained(ex1, exp1, ro.Grid.from_xmax(vg40.grid.h, 1.0))
+    short = ro.solve_v(ex1, exp1, ro.Grid.from_xmax(vg40.grid.h, 1.0))
     assert np.array_equal(short.a_star, vg40.a_star[: short.grid.n])
 
 
@@ -185,13 +185,13 @@ def test_coarse_grid_rejected(ex1, exp1):
     # step too large for the boundary curvature: the half-step predictor
     # goes non-positive and the solve must refuse rather than continue
     with pytest.raises(RuntimeError, match="coarse"):
-        ro.solve_v_unconstrained(ex1, exp1, ro.Grid.from_xmax(0.2, 2.0))
+        ro.solve_v(ex1, exp1, ro.Grid.from_xmax(0.2, 2.0))
 
 
 def test_benchmark2_solve(ex2):
     dist = ro.make_exponential(0.5)
     grid = ro.Grid.from_xmax(5e-3, 10.0)
-    vg = ro.solve_v_unconstrained(ex2, dist, grid)
+    vg = ro.solve_v(ex2, dist, grid)
     k = ro.derive_constants(ex2, claim_mean=2.0)
     assert_close(vg.vprime[0], -k.B, 1e-14, "v'(0)")
     assert np.all(vg.v > 0)
@@ -212,27 +212,29 @@ def test_certificate_sees_a_perturbed_solve(ex2, mode, law):
     # the one fixed-point certificate of both solves, on bench 2 with
     # Pareto claims (the march's far-history sum) and Weibull(1, 0.5)
     # claims (its full history)
-    p = dataclasses.replace(ex2, cap=1.0)
-    solve, certify = {"unconstrained": (ro.solve_v_unconstrained, unconstrained.hjb_residual),
-                      "constrained": (ro.solve_v_constrained, constrained.hjb_residual)}[mode]
+    capped = dataclasses.replace(ex2, cap=1.0)
+    p, other = (ex2, capped) if mode == "unconstrained" else (capped, ex2)
     dist = ro.example2_distributions()[law]
     assert (dist.tail_mixture is None) == (law == "weibull")
     grid = ro.Grid.from_xmax(5e-3, 10.0)
-    vg = solve(p, dist, grid)
-    clean = certify(vg, p, dist).fixed_point
+    vg = ro.solve_v(p, dist, grid)
+    clean = ro.hjb_residual(vg, p, dist).fixed_point
     assert clean <= 1e-13
     # one node's v' off by 1e-9 relative
     j = grid.n // 3
     vp = vg.vprime.copy()
     vp[j] *= 1.0 + 1e-9
-    res = certify(dataclasses.replace(vg, vprime=vp), p, dist)
+    res = ro.hjb_residual(dataclasses.replace(vg, vprime=vp), p, dist)
     assert res.fixed_point >= 0.9e-9 * abs(vg.vprime[j]) > 1e3 * clean
     assert res.fixed_point_at == grid.points[j]
     # a march on a claim tail 1e-8 too heavy, certified against the true law
     scale = 1.0 + 1e-8
     mixture = dist.tail_mixture and (tuple(scale * w for w in dist.tail_mixture[0]), *dist.tail_mixture[1:])
     heavy = dataclasses.replace(dist, tail=lambda y: scale * dist.tail(y), tail_mixture=mixture)
-    assert certify(solve(p, heavy, grid), p, dist).fixed_point > 1e3 * clean
+    assert ro.hjb_residual(ro.solve_v(p, heavy, grid), p, dist).fixed_point > 1e3 * clean
+    # the solve certified as the other mode's: T minimises over the other
+    # set of amounts, so the gap between the two problems shows
+    assert ro.hjb_residual(vg, other, dist).fixed_point > 1e-3
 
 
 def test_all_benchmark_distributions_solve(ex1, ex2):
@@ -240,7 +242,7 @@ def test_all_benchmark_distributions_solve(ex1, ex2):
     for params, dists in ((ex1, ro.example1_distributions()),
                           (ex2, ro.example2_distributions())):
         for family, dist in dists.items():
-            vg = ro.solve_v_unconstrained(params, dist, grid)
+            vg = ro.solve_v(params, dist, grid)
             assert np.all(vg.v > 0), family
             assert np.all(np.diff(vg.v) < 0), family
             res = ro.hjb_residual(vg, params, dist)
@@ -251,6 +253,6 @@ def test_light_tail_invests_less(ex1):
     # a lighter claim tail means less hedging demand at large surplus
     grid = ro.Grid.from_xmax(5e-3, 10.0)
     d = ro.example1_distributions()
-    a_exp = ro.solve_v_unconstrained(ex1, d["exponential"], grid).a_star[-1]
-    a_hn = ro.solve_v_unconstrained(ex1, d["half_normal"], grid).a_star[-1]
+    a_exp = ro.solve_v(ex1, d["exponential"], grid).a_star[-1]
+    a_hn = ro.solve_v(ex1, d["half_normal"], grid).a_star[-1]
     assert a_hn < a_exp
