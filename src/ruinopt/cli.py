@@ -142,8 +142,9 @@ def _cmd_constants(args) -> int:
 
 def _solve(sc: Scenario, params, grid: Grid | None = None):
     """Value grid, a* included, of params' problem with sc's claims, on
-    sc.grid or on grid, which extends it.  An underflow refusal names
-    grid.xmax where its node lies on sc.grid, and mc.safe_level past it."""
+    sc.grid or on grid, which shares its step and ends before or after it.
+    An underflow refusal names grid.xmax where its node lies on sc.grid,
+    and mc.safe_level past it."""
     try:
         return solve_v(params, sc.dist, grid or sc.grid)
     except RuntimeError as exc:  # a node without a positive root: h is too coarse
@@ -229,21 +230,25 @@ def _cmd_exp_validate(args) -> int:
     slope = strategy_slope_zero(cons, sc.params)
 
     t0 = time.perf_counter()
-    vg = _solve(sc, replace(sc.params, cap=None))
+    # the march is causal: a grid that ends at the window's last node gives
+    # a* on the window bit for bit, and no node past it can refuse the run;
+    # x[last] >= 1 > 0, so the grid has at least two nodes
+    last = int(np.flatnonzero(mask)[-1])
+    vg = _solve(sc, replace(sc.params, cap=None), Grid(sc.grid.h, last + 1))
     shift = sc.params.hedge
-    a_tilde_solver = vg.a_star + shift
+    a_tilde_solver = vg.a_star[mask[: last + 1]] + shift
 
     x_seed = 1e-4
     seed_value = (cons.a_star_zero - slope * x_seed) + shift
     x_end = sc.grid.x_max
     try:
-        curve = solve_a_tilde(sc.params, m, x_seed, x_end, step=1e-3, seed_value=seed_value)
+        curve = solve_a_tilde(sc.params, m, x_seed, x_end, seed_value=seed_value)
     except ValueError as exc:   # the ODE runs to the grid end
         raise BadValueError("grid.xmax", str(exc)) from None
     elapsed = time.perf_counter() - t0
 
     ode_vals = curve(x[mask])
-    rel = np.abs(a_tilde_solver[mask] - ode_vals) / np.abs(ode_vals)
+    rel = np.abs(a_tilde_solver - ode_vals) / np.abs(ode_vals)
     k = int(np.argmax(rel))
 
     rx, rv = reconstruct_vprime(curve, sc.params, anchor=(x_seed, 1.0))

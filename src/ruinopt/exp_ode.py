@@ -19,11 +19,17 @@ so integrating backward amplifies seed error instead.
 
 The feedback ODE's right-hand side depends on x only through two
 coefficients linear in x, b2(x) and b1(x) (`_feedback_terms`, which
-a_tilde_rhs also uses).  The RK4 tables them at the three stage abscissae
-for a block of 2,048 steps with array expressions, and runs the stages
-themselves on Python floats in the operations and order of a_tilde_rhs,
-so its output equals a plain step-by-step loop over a_tilde_rhs bit for
-bit.
+a_tilde_rhs also uses), and its cubic numerator is evaluated in Horner
+form.  The RK4 tables b2 and b1 at the three stage abscissae for a block
+of 2,048 steps with array expressions, and runs the stages themselves on
+Python floats in the operations and order of a_tilde_rhs, so its output
+equals a plain step-by-step loop over a_tilde_rhs bit for bit.
+
+The curve keeps each step's first stage, a~' at its node, and is read
+between nodes by the cubic Hermite interpolant on those slopes, RK4's own
+dense output (Shampine 1985, SIAM J. Numer. Anal. 22): O(h^4), as the nodes
+are.  reconstruct_vprime stays O(h^4) too: its trapezoid of 1/a~ takes the
+Euler-Maclaurin end correction, and its anchor is read by the Hermite rule.
 """
 
 from __future__ import annotations
@@ -67,7 +73,7 @@ def a_tilde_rhs(x: float, a: float, params: ModelParams, m: float) -> float:
     """
     q3, q0, s2, sigma_rho2, b = _feedback_terms(params, m)
     b2, b1 = b(x)
-    return (-q3 * a**3 - b2 * a**2 + b1 * a - q0) / (s2 * a * a + sigma_rho2)
+    return (((-q3 * a - b2) * a + b1) * a - q0) / (s2 * a * a + sigma_rho2)
 
 
 def _feedback_terms(p: ModelParams, m: float):
@@ -97,49 +103,65 @@ class TildeACurve:
 
     x: np.ndarray
     a: np.ndarray
+    da: np.ndarray                       # a~' at the nodes, for the Hermite interpolant
     x_seed: float
     seed: float
     series: tuple[float, float]          # (limit, 1/x coefficient) used for seeding
     seed_note: str | None = None
 
     def __call__(self, xq):
-        out = np.interp(xq, self.x, self.a)
-        return out if np.ndim(out) else float(out)
+        return _hermite(self.x, self.a, self.da, xq)
 
 
-def _rk4(p: ModelParams, m: float, x0: float, y0: float, x1: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray, xq):
+    """Cubic Hermite interpolant of values y and slopes dy on the uniform
+    nodes x, at xq; outside [x[0], x[-1]] it holds the end values."""
+    n = len(x) - 1
+    h = (x[-1] - x[0]) / n
+    t = np.clip((np.asarray(xq, dtype=float) - x[0]) / h, 0.0, n)
+    i = np.minimum(t.astype(np.intp), n - 1)
+    t = t - i
+    s = 1.0 - t
+    out = (s * s * ((1.0 + 2.0 * t) * y[i] + t * h * dy[i])
+           + t * t * ((3.0 - 2.0 * t) * y[i + 1] - s * h * dy[i + 1]))
+    return out if np.ndim(out) else float(out)
+
+
+def _rk4(p: ModelParams, m: float, x0: float, y0: float, x1: float, n: int):
     """Classic Runge-Kutta of the feedback ODE in n equal steps from x0 to x1.
 
     b2 and b1 are tabled at the stage abscissae x_i, x_i + h/2 and x_i + h
     with one array expression each, a block of steps at a time; the four
     stages then run on Python floats in the operations and order of
     a_tilde_rhs, so the result equals a step-by-step loop over it bit for
-    bit.
+    bit.  Returns x, a~ and a~' (each step's first stage; at x1, one more).
     """
     q3, q0, s2, sigma_rho2, b = _feedback_terms(p, m)
-    nq3 = -q3   # -q3 * a**3 parses as (-q3) * a**3
+    nq3 = -q3   # -q3 * a parses as (-q3) * a
     h = (x1 - x0) / n
     half_h, sixth_h = 0.5 * h, h / 6.0
     xs = x0 + h * np.arange(n + 1)
-    ys = np.empty(n + 1)
+    ys, ks = np.empty(n + 1), np.empty(n + 1)
     ys[0] = y = y0
     for start in range(0, n, _BLOCK):
         xb = xs[start : min(start + _BLOCK, n)]
         tables = (*b(xb), *b(xb + half_h), *b(xb + h))
-        out = []
+        out = []     # k1 and the new a~ of each step
         for b2, b1, b2m, b1m, b2e, b1e in zip(*(t.tolist() for t in tables)):
             a = y
-            k1 = (nq3 * a**3 - b2 * a**2 + b1 * a - q0) / (s2 * a * a + sigma_rho2)
+            k1 = (((nq3 * a - b2) * a + b1) * a - q0) / (s2 * a * a + sigma_rho2)
             a = y + half_h * k1
-            k2 = (nq3 * a**3 - b2m * a**2 + b1m * a - q0) / (s2 * a * a + sigma_rho2)
+            k2 = (((nq3 * a - b2m) * a + b1m) * a - q0) / (s2 * a * a + sigma_rho2)
             a = y + half_h * k2
-            k3 = (nq3 * a**3 - b2m * a**2 + b1m * a - q0) / (s2 * a * a + sigma_rho2)
+            k3 = (((nq3 * a - b2m) * a + b1m) * a - q0) / (s2 * a * a + sigma_rho2)
             a = y + h * k3
-            k4 = (nq3 * a**3 - b2e * a**2 + b1e * a - q0) / (s2 * a * a + sigma_rho2)
+            k4 = (((nq3 * a - b2e) * a + b1e) * a - q0) / (s2 * a * a + sigma_rho2)
             y = y + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            out.append(y)
-        ys[start + 1 : start + 1 + len(out)] = out
-    return xs, ys
+            out += k1, y
+        ks[start : start + len(out) // 2] = out[0::2]
+        ys[start + 1 : start + 1 + len(out) // 2] = out[1::2]
+    ks[n] = a_tilde_rhs(float(xs[n]), y, p, m)
+    return xs, ys, ks
 
 
 def solve_a_tilde(
@@ -147,7 +169,7 @@ def solve_a_tilde(
     m: float,
     x_seed: float,
     x_end: float,
-    step: float = 1e-3,
+    step: float = 2.5e-3,
     seed_value: float | None = None,
 ) -> TildeACurve:
     """Integrate the feedback ODE from a seed at x_seed forward to x_end.
@@ -184,8 +206,8 @@ def solve_a_tilde(
     else:
         seed = float(seed_value)
 
-    xs, ys = _rk4(p, m, x_seed, seed, x_end, n)
-    return TildeACurve(x=xs, a=ys, x_seed=x_seed, seed=seed, series=(a0, a1), seed_note=note)
+    xs, ys, ks = _rk4(p, m, x_seed, seed, x_end, n)
+    return TildeACurve(x=xs, a=ys, da=ks, x_seed=x_seed, seed=seed, series=(a0, a1), seed_note=note)
 
 
 def reconstruct_vprime(
@@ -195,6 +217,7 @@ def reconstruct_vprime(
 
     V'(x) = V'(x0) * exp( -(mu-r)/sigma^2 * int_{x0}^x dy / a~(y) ),
     anchored at anchor = (x0, V'(x0)); x0 must lie inside the curve.
+    The quadrature is the end-corrected trapezoid, O(h^4) as the curve is.
     Returns (x, V'(x)) on the curve's nodes.
     """
     p = params
@@ -204,9 +227,11 @@ def reconstruct_vprime(
         raise ValueError(f"anchor x0={x0!r} outside the curve range [{xs[0]}, {xs[-1]}]")
     if np.any(curve.a == 0.0):
         raise ValueError("feedback curve crosses zero; slope reconstruction undefined")
-    integrand = 1.0 / curve.a
-    I = prefix_trapezoid(integrand, np.diff(xs))
-    I0 = float(np.interp(x0, xs, I))
+    g = 1.0 / curve.a
+    dg = -curve.da * g * g
+    h = (xs[-1] - xs[0]) / (len(xs) - 1)
+    I = prefix_trapezoid(g, h) - h * h / 12.0 * (dg - dg[0])
+    I0 = _hermite(xs, I, g, x0)
     vals = val0 * np.exp(-p.excess / p.sigma**2 * (I - I0))
     return xs.copy(), vals
 

@@ -118,7 +118,7 @@ def test_criterion_5_oracle_equivalence(acceptance, timed_solve, ex1, k1):
     slope = ro.strategy_slope_zero(k1, ex1)
     x_seed = 1e-4
     seed = (k1.a_star_zero - slope * x_seed) + SHIFT1
-    curve = solve_a_tilde(ex1, 1.0, x_seed, 40.0, step=1e-3, seed_value=seed)
+    curve = solve_a_tilde(ex1, 1.0, x_seed, 40.0, seed_value=seed)
     ode_runtime = time.perf_counter() - t0
     x = timed_solve.vg.x
     mask = (x >= 1.0) & (x <= 10.0)

@@ -657,9 +657,7 @@ def test_underflowing_node_names_grid_xmax(capsys, tmp_path):
     # benchmark 1 with exponential claims on a grid to 400: the unrestricted
     # node's squares leave the normal range at x = 348.23, where the node
     # used to divide by a y that had underflowed to 0
-    path = tmp_path / "far.scn"
-    path.write_text((PINNED / "bench1.scn").read_text(encoding="utf-8") + "grid.h = 0.005\ngrid.xmax = 400\n",
-                    encoding="utf-8")
+    path = _bench1_exp(tmp_path, 400)
     code, _, err = run(capsys, ["solve", path, "--mode", "unconstrained", "--out", tmp_path])
     assert code == 4
     assert "at x=348.23;" in err and err.rstrip().endswith("(key: grid.xmax)"), err
@@ -751,15 +749,57 @@ def test_exp_validate_needs_a_node_in_its_window(capsys, tmp_path, xmax):
 
 
 def test_exp_validate_names_grid_xmax_when_the_ode_span_is_too_long(capsys, tmp_path):
-    # the feedback ODE runs from 1e-4 to grid.xmax in steps of 1e-3: a grid
-    # to 10001 asks for more than numerics.MAX_NODES of them.  Claims of
-    # mean 1e4 keep v in the normal range out there, so the solve passes
+    # the feedback ODE runs from 1e-4 to grid.xmax in steps of 2.5e-3: a
+    # grid to 25001 asks for more than numerics.MAX_NODES of them
     path = tmp_path / "long.txt"
-    text = BASE.replace("claim.p1 = 1.0", "claim.p1 = 1e-4").replace("grid.h = 0.005", "grid.h = 0.05")
-    path.write_text(text.replace("grid.xmax = 5.0", "grid.xmax = 10001"), encoding="utf-8")
+    text = BASE.replace("grid.h = 0.005", "grid.h = 0.05")
+    path.write_text(text.replace("grid.xmax = 5.0", "grid.xmax = 25001"), encoding="utf-8")
     code, _, err = run(capsys, ["exp-validate", path])
     assert code == 4
     assert "at most 10000000 steps" in err and err.rstrip().endswith("(key: grid.xmax)"), err
+
+
+def _bench1_exp(tmp_path, xmax):
+    path = tmp_path / "bench1.scn"
+    path.write_text((PINNED / "bench1.scn").read_text(encoding="utf-8") + f"grid.h = 0.005\ngrid.xmax = {xmax}\n",
+                    encoding="utf-8")
+    return path
+
+
+def test_exp_validate_marches_only_to_its_window(capsys, tmp_path, monkeypatch):
+    # a* is read on [1, 10]: one march of the 2,001 nodes to x = 10, whose
+    # deviation from the feedback ODE is the one of the solve to 40
+    grids = []
+    march = solve.march_value_slope
+    monkeypatch.setattr(solve, "march_value_slope", lambda *a: grids.append(a[0]) or march(*a))
+    path = _bench1_exp(tmp_path, 40)
+    code, out, err = run(capsys, ["exp-validate", path])
+    assert code == 0, err
+    assert [g.n for g in grids] == [2001] and grids[0].h == 0.005
+
+    sc = ro.load_scenario(path)
+    params = replace(sc.params, cap=None)
+    vg = ro.solve_v(params, sc.dist, sc.grid)
+    cons = ro.derive_constants(params, claim_mean=1.0)
+    seed = cons.a_star_zero - ro.strategy_slope_zero(cons, params) * 1e-4 + params.hedge
+    curve = ro.solve_a_tilde(params, 1.0, 1e-4, 40.0, seed_value=seed)
+    window = (vg.x >= 1.0) & (vg.x <= 10.0)
+    ode = curve(vg.x[window])
+    dev = float(np.max(np.abs(vg.a_star[window] + params.hedge - ode) / np.abs(ode)))
+    assert json.loads(out)["max_rel_deviation"] == cli._round9(dev)
+
+
+def test_exp_validate_runs_where_the_solve_underflows(capsys, tmp_path):
+    # the grid to 400 that solve refuses at x = 348.23: exp-validate marches
+    # only to x = 10, and its ODE and reconstruction still reach 400
+    path = _bench1_exp(tmp_path, 400)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["exp-validate", path])
+    assert code == 0 and err == "", err
+    doc = _strict_json(out)
+    assert doc["reconstructed_tail_window"] == [30.0, 400.0]
+    assert_close(doc["reconstructed_tail_plateau_ratio"], 1.0050204, 1e-6, "plateau ratio on [30, 400]")
 
 
 def test_simulate_deterministic(capsys, scenario_file):

@@ -96,6 +96,49 @@ def test_rk4_equals_plain_loop_bit_for_bit(which, m, x_seed, seed, x_end, ex1, e
     assert np.array_equal(curve.a.view(np.int64), ys.view(np.int64))
 
 
+def _exp_validate_curve(p, k, m, step=2.5e-3):
+    """The feedback curve exp-validate integrates on a grid to 40."""
+    seed = k.a_star_zero - ro.strategy_slope_zero(k, p) * 1e-4 + p.hedge
+    return solve_a_tilde(p, m, 1e-4, 40.0, step=step, seed_value=seed)
+
+
+@pytest.mark.parametrize("which", ["ex1", "ex2"])
+def test_default_step_reads_the_window_to_1e_8(which, ex1, ex2, k1, k2):
+    # the default step read through the Hermite interpolant against a run at
+    # step/8, on exp-validate's window nodes (h = 5e-3, [1, 10]): observed
+    # 2.8e-9 on benchmark 1 and 2.3e-10 on benchmark 2 (mean-2 claims).
+    # Linear interpolation between the same nodes reads 9.4e-8 and 3.6e-7
+    # against this reference
+    p, k, m = (ex1, k1, 1.0) if which == "ex1" else (ex2, k2, 2.0)
+    x = ro.Grid.from_xmax(5e-3, 10.0).points[200:]
+    ref = _exp_validate_curve(p, k, m, step=2.5e-3 / 8)(x)
+    dev = max_rel_dev(_exp_validate_curve(p, k, m)(x), ref)
+    assert dev <= 1e-8, f"default step deviates {dev:.3e} from step/8"
+
+
+@pytest.mark.parametrize("which", ["ex1", "ex2"])
+def test_reconstruction_at_the_default_step_is_fourth_order(which, ex1, ex2, k1, k2):
+    # anchored at 10, away from the seed, the slope on [10, 40] at the
+    # default step against step/8, on the default step's nodes: observed
+    # 3.2e-13 and 1.2e-12.  The trapezoid without its end correction reads
+    # 1.9e-10 and 3.7e-9
+    p, k, m = (ex1, k1, 1.0) if which == "ex1" else (ex2, k2, 2.0)
+    rx, rv = reconstruct_vprime(_exp_validate_curve(p, k, m), p, (10.0, 1.0))
+    fx, fv = reconstruct_vprime(_exp_validate_curve(p, k, m, step=2.5e-3 / 8), p, (10.0, 1.0))
+    assert np.allclose(fx[::8], rx, rtol=0.0, atol=1e-12)
+    keep = rx >= 10.0
+    dev = max_rel_dev(rv[keep], fv[::8][keep])
+    assert dev <= 1e-11, f"reconstruction deviates {dev:.3e} from step/8"
+
+
+def test_curve_holds_its_end_values_outside_its_span(ex1):
+    curve = solve_a_tilde(ex1, 1.0, 8.0, 12.3)
+    out = curve(np.array([-1.0, 7.999, 12.3001, 1e300, -np.inf, np.inf]))
+    assert out.tolist() == [curve.a[0]] * 2 + [curve.a[-1]] * 2 + [curve.a[0], curve.a[-1]]
+    assert curve(8.0) == curve.a[0] and curve(12.3) == curve.a[-1]
+    assert curve(float(curve.x[7])) == curve.a[7]
+
+
 def test_series_seed_advisory(ex1):
     # dropped next order ~ |a1|/(x^2 a0): 2.5e-3 at x=5 (warn), 9.8e-4 at 8
     with pytest.warns(UserWarning, match="series seed"):
@@ -150,7 +193,7 @@ def test_reconstruct_anchor_validation(ex1):
     with pytest.raises(ValueError, match="anchor"):
         reconstruct_vprime(curve, ex1, (5.0, 1.0))
     bad = TildeACurve(
-        x=np.array([1.0, 2.0, 3.0]), a=np.array([1.0, 0.0, -1.0]),
+        x=np.array([1.0, 2.0, 3.0]), a=np.array([1.0, 0.0, -1.0]), da=np.array([-1.0, -1.0, -1.0]),
         x_seed=1.0, seed=1.0, series=(1.0, 0.0),
     )
     with pytest.raises(ValueError, match="crosses zero"):
