@@ -9,7 +9,15 @@ at node j for a general tail.  For a tail that is a positive sum of K
 exponentials (exponential claims, and Pareto claims of shape up to 10),
 the history older than a block or so is carried as K decaying states,
 and node j costs at most 2 _BLOCK multiply-adds plus its share of two
-block products.
+block products.  A one-term sum w e^{-k y} (exponential claims) needs no
+near part: its whole history G obeys G' = w v - k G, and the march
+carries it as one decaying state in two Python floats, at a few float
+operations a node.  Its factors e^{-k o h} and e^{k o h} come from tables
+of one entry per lag o in the block, each formed directly: powers of one
+rounded per-node factor e^{-k h} would compound its rounding over every
+lag the history spans, about j/2 of them where the history weights are
+nearly flat, as on benchmark 1.  The block of L nodes is held to
+k h L <= 30, so that e^{k o h} stays far from overflow.
 
 The slope equation is causal (Volterra): the value at node j depends only
 on the nodes before it and on itself.  So one forward pass, solving each
@@ -271,15 +279,32 @@ def march_value_slope(grid: Grid, dist, lam: float, start: tuple, node):
     Without a mixture, or on a grid longer than y_max, F stays empty, t
     stays 0, and S_j is the full dot product.
 
+    A mixture of one term (w, k) that covers the grid carries the whole
+    history as two floats: A, the nodes before the block start s decayed
+    to s, and U, the block's nodes solved so far, each grown to s:
+
+        S_j = w e^{-k o h} (A + U),  then U += e^{k o h} v_j,
+
+    and at the block's end A <- e^{-k L h} (A + U), U <- 0.  The tables
+    w e^{-k o h} and e^{k o h}, o < L, are formed directly for each lag,
+    as the matrices are: on benchmark 1 the products H_i v_{j-i} are nearly
+    flat in i, so powers of a per-node factor would carry its rounding
+    over about j/2 lags (1.2e-13 relative in q_j at h = 1e-2, n = 4001).
+    L shrinks to floor(30 / (k h)) where k h L > 30, so e^{k o h} < e^30
+    stays far from overflow, and exp magnifies the rounding of its
+    argument k o h at most 30-fold (unshrunk, claims of rate 200 at
+    h = 5e-3 put q_j 2.8e-14 off).
+
     `start` is (v'(0), a*(0)), and `node(x_j, q_j, alpha_j)` solves node j
     in closed form to (v_j, v'_j, a*_j), raising RuntimeError, naming x_j,
     when it has no positive root.  Node arguments and results are Python
     floats, so node arithmetic never runs on numpy scalars.  Each node
-    writes v_j into the reversed copy the next node's dot reads; v, v' and
-    a* are gathered in a block's short lists and stored one slice per
-    block.  The first v_j below the normal range, which has lost digits,
-    raises FloatingPointError naming x_j (checked once per block), which it
-    also carries as its attribute x, as a node's own refusal does.
+    writes v_j into the reversed copy the next node's dot reads, or into U
+    when the history is one state; v, v' and a* are gathered in a block's
+    short lists and stored one slice per block.  The first v_j below the
+    normal range, which has lost digits, raises FloatingPointError naming
+    x_j (checked once per block), which it also carries as its attribute x,
+    as a node's own refusal does.
     Returns (v, V, v', a*), results.ValueGrid's order, V the integral of v.
     """
     h = grid.h
@@ -290,23 +315,35 @@ def march_value_slope(grid: Grid, dist, lam: float, start: tuple, node):
     v = np.empty(n)
     vp = np.empty(n)
     a = np.empty(n)
-    # vr[n-1-i] = v_i: the near history v_{j-1} .. v_{t+1} is the contiguous
-    # slice vr[n-j:n-1-t], which the dot reads in place
-    vr = np.empty(n)
-    v[0] = vr[n - 1] = w = 1.0
+    v[0] = w = 1.0
     vp[0] = y = float(start[0])
     a[0] = start[1]
-    far = [0.0] * L
     t = 0
+    F = None
     mixture = dist.tail_mixture
-    if mixture is not None and grid.x_max <= mixture[2]:
-        weights, rates = np.asarray(mixture[0]), np.asarray(mixture[1])
-        decay = np.exp(-rates * (L * h))
-        E = np.exp(np.outer(rates, -h * np.arange(L - 1, -1, -1)))
-        P = weights * np.exp(np.outer(-h * np.arange(L, 2 * L), rates))
-        F = np.zeros(rates.shape[0])
+    if mixture is not None and grid.x_max > mixture[2]:
+        mixture = None
+    one = mixture is not None and len(mixture[1]) == 1
+    if one:
+        (weight,), (k,), _ = mixture
+        L = min(L, max(1, int(30.0 / (k * h))))
+        lags = h * np.arange(L)
+        far = (weight * np.exp(-k * lags)).tolist()
+        grow = np.exp(k * lags).tolist()
+        decay = float(np.exp(-k * (L * h)))
+        A = U = 0.0
     else:
-        F = None
+        far = grow = [0.0] * L
+        # vr[n-1-i] = v_i: the near history v_{j-1} .. v_{t+1} is the
+        # contiguous slice vr[n-j:n-1-t], which the dot reads in place
+        vr = np.empty(n)
+        vr[n - 1] = w
+        if mixture is not None:
+            weights, rates = np.asarray(mixture[0]), np.asarray(mixture[1])
+            decay = np.exp(-rates * (L * h))
+            E = np.exp(np.outer(rates, -h * np.arange(L - 1, -1, -1)))
+            P = weights * np.exp(np.outer(-h * np.arange(L, 2 * L), rates))
+            F = np.zeros(rates.shape[0])
     for s in range(0, n, L):
         if F is not None and s >= 2 * L:
             t = s - L
@@ -314,21 +351,31 @@ def march_value_slope(grid: Grid, dist, lam: float, start: tuple, node):
             far = (P @ F).tolist()
         lo, hi = max(s, 1), min(s + L, n)
         ws, ys, avals = [], [], []
-        for j, far_j, H_j in zip(range(lo, hi), far[lo - s:], H[lo:hi].tolist()):
-            q = lam * (h * (far_j + float(H[1:j - t].dot(vr[n - j:n - 1 - t])) + 0.5 * H_j))
+        for j, far_j, grow_j, H_j in zip(range(lo, hi), far[lo - s:], grow[lo - s:], H[lo:hi].tolist()):
+            if one:
+                S = far_j * (A + U)
+            else:
+                S = far_j + float(H[1:j - t].dot(vr[n - j:n - 1 - t]))
+            q = lam * (h * (S + 0.5 * H_j))
             alpha = w + half_h * y
             if alpha <= 0.0:
                 raise RuntimeError(
                     f"trapezoid anchor went nonpositive at x={j * h:.6g}; grid step too coarse"
                 )
             w, y, a_j = node(j * h, q, alpha)
-            vr[n - 1 - j] = w
+            if one:
+                U += grow_j * w
+            else:
+                vr[n - 1 - j] = w
             ws.append(w)
             ys.append(y)
             avals.append(a_j)
         if min(ws) < _TINY:
-            j = lo + next(k for k, w_k in enumerate(ws) if w_k < _TINY)
+            j = lo + next(i for i, w_i in enumerate(ws) if w_i < _TINY)
             raise _out_of_range("v", j * h)
+        if one:
+            A = decay * (A + U)
+            U = 0.0
         v[lo:hi] = ws
         vp[lo:hi] = ys
         a[lo:hi] = avals

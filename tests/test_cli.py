@@ -618,17 +618,20 @@ def _solve_digests(capsys, tmp_path, name, mode):
                                   "bench2_exp_mu_r_rho0", "bench2_exp_mu_r_rho015"])
 def test_solve_output_pinned(capsys, tmp_path, name, mode):
     # the solves must keep their bytes through any speed-up that keeps the
-    # arithmetic.  One change moved them on purpose: carrying the far
+    # arithmetic.  Three changes moved them on purpose: carrying the far
     # history of exponential and Pareto claims as an exponential sum moved
-    # the Pareto CSVs' residual column in its ninth digit on 7 rows, and
+    # the Pareto CSVs' residual column in its ninth digit on 7 rows;
     # certifying the unrestricted solve by the HJB's own minimum renamed its
-    # JSON residual self_consistency to fixed_point, CSVs unchanged.  The
-    # Weibull(1, 0.5) and log-normal(-0.5, 1) laws have no such sum, so
-    # their solves pin the march's whole-history path.  The mu = r
-    # scenarios pin a* without an excess return: the hedge alone, a -0
-    # column at rho = 0 in the unrestricted CSV.  The sums run
-    # through numpy's dot and BLAS matmul, so the digests hold for one
-    # numpy build on one CPU family
+    # JSON residual self_consistency to fixed_point, CSVs unchanged; and
+    # carrying the exponential claims' whole history as one decaying state
+    # moved the three exponential scenarios' residual column in its ninth
+    # digit on 3 to 156 of 4,001 rows, every other column and the JSON
+    # unchanged.  The Weibull(1, 0.5) and log-normal(-0.5, 1) laws have no
+    # such sum, so their solves pin the march's whole-history path.  The
+    # mu = r scenarios pin a* without an excess return: the hedge alone, a
+    # -0 column at rho = 0 in the unrestricted CSV.  The sums run through
+    # numpy's dot and BLAS matmul, so the digests hold for one numpy build
+    # on one CPU family
     pinned = json.loads((PINNED / "solve.sha256.json").read_text(encoding="utf-8"))
     assert _solve_digests(capsys, tmp_path, name, mode) == pinned[f"{name}.{mode}"]
 

@@ -380,6 +380,70 @@ def test_march_history_sums_match_fsum(monkeypatch, cap, bench):
     assert _rel_gap(qs, want) <= 1e-14
 
 
+def _history_sums(monkeypatch, cap, params, dist, grid):
+    """The solve's march on `grid`, spied: (H, lam, q_j for j >= 1, v, v of
+    the plain whole-history march with the same node)."""
+    seen = []
+
+    def spy(grid, law, lam, start, node):
+        qs = []
+
+        def recording(x, q, alpha):
+            qs.append(q)
+            return node(x, q, alpha)
+
+        out = march_value_slope(grid, law, lam, start, recording)
+        seen.append((law.tail(grid.points), lam, np.array(qs), out[0],
+                     _march_sliced(grid, law, lam, start, node)[0]))
+        return out
+
+    monkeypatch.setattr(ruinopt.solve, "march_value_slope", spy)
+    _solve(cap, params, dist, grid)
+    return seen[0]
+
+
+@CAPS
+@pytest.mark.parametrize("law", ["bench2_exp", 200.0, 2000.0])
+def test_one_state_history_matches_fsum(monkeypatch, cap, law):
+    # exponential claims carry their whole history as one decaying state.
+    # Benchmark 2's exponential claims (mean 2) put fl(e^{-k h}) 4e-17
+    # relative off e^{-k h}: factors taken as its powers would put q_j
+    # about 5e-14 off.  Benchmark 1 with claims of rate 200 or 2000 at
+    # h = 5e-3 has k h L > 30 at L = _BLOCK, so the march's blocks shrink
+    # to 30 or 3 nodes; at rate 2000, e^{k o h} would overflow at o = 71.
+    # Every node's q_j must be within 1e-14 of its sum by math.fsum, and v
+    # within 1e-14 of the plain whole-history march
+    if law == "bench2_exp":
+        params, dist, x_max = ro.example2_params(), ro.make_exponential(0.5), 20.0
+    else:
+        params, dist, x_max = ro.example1_params(), ro.make_exponential(law), 4.0
+    grid = ro.Grid.from_xmax(5e-3, x_max)
+    H, lam, qs, v, v_plain = _history_sums(monkeypatch, cap, params, dist, grid)
+    h = grid.h
+    want = np.array([
+        lam * (h * (math.fsum((H[1:j] * v[j - 1:0:-1]).tolist()) + 0.5 * H[j]))
+        for j in range(1, grid.n)
+    ])
+    assert np.all(want > 0.0)
+    assert _rel_gap(qs, want) <= 1e-14
+    assert _rel_gap(v, v_plain) <= 1e-14
+
+
+@CAPS
+def test_one_term_mixture_short_of_the_grid_keeps_the_dot(monkeypatch, cap):
+    # a one-term exponential sum that holds only up to y_max = 10 serves no
+    # grid to 20: every node takes the whole-history dot, bit for bit the
+    # plain march.  The same law held to y_max = 20 takes the one state
+    params, exp1 = _bench_law(1)
+    grid = ro.Grid.from_xmax(5e-3, 20.0)
+    short = replace(exp1, tail_mixture=((1.0,), (1.0,), 10.0))
+    *_, v, v_plain = _history_sums(monkeypatch, cap, params, short, grid)
+    assert np.array_equal(v, v_plain)
+    held = replace(exp1, tail_mixture=((1.0,), (1.0,), grid.x_max))
+    *_, v, v_plain = _history_sums(monkeypatch, cap, params, held, grid)
+    assert not np.array_equal(v, v_plain)
+
+
 @CAPS
 def test_march_stores_what_each_node_returns(monkeypatch, cap):
     # the node contract: the march calls node(x_j, q_j, alpha_j) once for
