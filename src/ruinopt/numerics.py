@@ -17,7 +17,8 @@ of one entry per lag o in the block, each formed directly: powers of one
 rounded per-node factor e^{-k h} would compound its rounding over every
 lag the history spans, about j/2 of them where the history weights are
 nearly flat, as on benchmark 1.  The block of L nodes is held to
-k h L <= 30, so that e^{k o h} stays far from overflow.
+k h L <= 30, or to one node where k h > 30, so that e^{k o h} stays far
+from overflow.
 
 The slope equation is causal (Volterra): the value at node j depends only
 on the nodes before it and on itself.  So one forward pass, solving each
@@ -290,10 +291,11 @@ def march_value_slope(grid: Grid, dist, lam: float, start: tuple, node):
     as the matrices are: on benchmark 1 the products H_i v_{j-i} are nearly
     flat in i, so powers of a per-node factor would carry its rounding
     over about j/2 lags (1.2e-13 relative in q_j at h = 1e-2, n = 4001).
-    L shrinks to floor(30 / (k h)) where k h L > 30, so e^{k o h} < e^30
-    stays far from overflow, and exp magnifies the rounding of its
-    argument k o h at most 30-fold (unshrunk, claims of rate 200 at
-    h = 5e-3 put q_j 2.8e-14 off).
+    L shrinks to max(1, floor(30 / (k h))) where k h L > 30, so
+    e^{k o h} < e^30 stays far from overflow, and exp magnifies the
+    rounding of its argument k o h at most 30-fold (unshrunk, claims of
+    rate 200 at h = 5e-3 put q_j 2.8e-14 off).  With L = 1 the first
+    block holds only v_0, which the march skips.
 
     `start` is (v'(0), a*(0)), and `node(x_j, q_j, alpha_j)` solves node j
     in closed form to (v_j, v'_j, a*_j), raising RuntimeError, naming x_j,
@@ -350,6 +352,8 @@ def march_value_slope(grid: Grid, dist, lam: float, start: tuple, node):
             F = decay * F + E @ v[t - L + 1:t + 1]
             far = (P @ F).tolist()
         lo, hi = max(s, 1), min(s + L, n)
+        if lo == hi:
+            continue   # a first block of one node holds only v_0
         ws, ys, avals = [], [], []
         for j, far_j, grow_j, H_j in zip(range(lo, hi), far[lo - s:], grow[lo - s:], H[lo:hi].tolist()):
             if one:

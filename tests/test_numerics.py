@@ -290,12 +290,18 @@ def _march_sliced(grid, dist, lam, start, node, fsum=False):
 
 def _bench_law(bench):
     """(params, claim law): benchmark 1 with exponential claims, benchmark 2
-    with Pareto(2, 2) claims, or benchmark 2 with Weibull(2, 0.5) or
-    Pareto(2, 50) claims, neither of which has a tail fit."""
+    with Pareto(2, 2) or exponential (mean 2) claims, benchmark 1 with
+    exponential claims of a given float rate, or benchmark 2 with
+    Weibull(2, 0.5) or Pareto(2, 50) claims, neither of which has a tail
+    fit."""
     if bench == 1:
         return ro.example1_params(), ro.make_exponential(1.0)
     if bench == 2:
         return ro.example2_params(), ro.make_pareto(2.0, 2.0)
+    if bench == "exp2":
+        return ro.example2_params(), ro.make_exponential(0.5)
+    if isinstance(bench, float):
+        return ro.example1_params(), ro.make_exponential(bench)
     if bench == "pareto50":
         return ro.example2_params(), ro.make_pareto(2.0, 50.0)
     return ro.example2_params(), ro.make_weibull(2.0, 0.5)
@@ -347,11 +353,19 @@ def test_march_history_is_bit_identical(monkeypatch, cap, bench):
 
 
 @CAPS
-@pytest.mark.parametrize("bench", [1, 2])
+@pytest.mark.parametrize("bench", [1, 2, "exp2", 200.0, 2000.0, 4000.0])
 def test_march_history_sums_match_fsum(monkeypatch, cap, bench):
     # every node's claims term q_j = lam h (sum_i H_i v_{j-i} + H_j / 2),
     # with the far history taken from the tail's exponential sum, must be
-    # within 1e-14 relative of the same products summed by math.fsum
+    # within 1e-14 relative of the same products summed by math.fsum, and
+    # v within 1e-14 of the plain whole-history march.  Exponential claims
+    # carry their whole history as one decaying state: benchmark 2's (mean
+    # 2) put fl(e^{-k h}) 4e-17 relative off e^{-k h}, so factors taken as
+    # its powers would put q_j about 5e-14 off.  Benchmark 1 with claims of
+    # rate 200, 2000 or 4000 at h = 5e-3 has k h L > 30 at L = _BLOCK, so
+    # the march's blocks shrink to 30, 3 or 1 nodes; at rate 2000,
+    # e^{k o h} would overflow at o = 71, and at rate 4000 the first block
+    # holds only v_0
     seen = []
 
     def spy(grid, law, lam, start, node):
@@ -362,63 +376,17 @@ def test_march_history_sums_match_fsum(monkeypatch, cap, bench):
             return node(x, q, alpha)
 
         out = march_value_slope(grid, law, lam, start, recording)
-        seen.append((grid, law.tail(grid.points), lam, law.tail_mixture, np.array(qs), out[0]))
-        return out
-
-    monkeypatch.setattr(ruinopt.solve, "march_value_slope", spy)
-    params, dist = _bench_law(bench)
-    _solve(cap, params, dist, ro.Grid.from_xmax(5e-3, 20.0))
-    ((grid, H, lam, tail_mixture, qs, v),) = seen
-    assert tail_mixture is dist.tail_mixture
-    assert grid.n >= 2000
-    h = grid.h
-    want = np.array([
-        lam * (h * (math.fsum((H[1:j] * v[j - 1:0:-1]).tolist()) + 0.5 * H[j]))
-        for j in range(1, grid.n)
-    ])
-    assert np.all(want > 0.0)
-    assert _rel_gap(qs, want) <= 1e-14
-
-
-def _history_sums(monkeypatch, cap, params, dist, grid):
-    """The solve's march on `grid`, spied: (H, lam, q_j for j >= 1, v, v of
-    the plain whole-history march with the same node)."""
-    seen = []
-
-    def spy(grid, law, lam, start, node):
-        qs = []
-
-        def recording(x, q, alpha):
-            qs.append(q)
-            return node(x, q, alpha)
-
-        out = march_value_slope(grid, law, lam, start, recording)
-        seen.append((law.tail(grid.points), lam, np.array(qs), out[0],
+        seen.append((grid, law.tail(grid.points), lam, law.tail_mixture, np.array(qs), out[0],
                      _march_sliced(grid, law, lam, start, node)[0]))
         return out
 
     monkeypatch.setattr(ruinopt.solve, "march_value_slope", spy)
-    _solve(cap, params, dist, grid)
-    return seen[0]
-
-
-@CAPS
-@pytest.mark.parametrize("law", ["bench2_exp", 200.0, 2000.0])
-def test_one_state_history_matches_fsum(monkeypatch, cap, law):
-    # exponential claims carry their whole history as one decaying state.
-    # Benchmark 2's exponential claims (mean 2) put fl(e^{-k h}) 4e-17
-    # relative off e^{-k h}: factors taken as its powers would put q_j
-    # about 5e-14 off.  Benchmark 1 with claims of rate 200 or 2000 at
-    # h = 5e-3 has k h L > 30 at L = _BLOCK, so the march's blocks shrink
-    # to 30 or 3 nodes; at rate 2000, e^{k o h} would overflow at o = 71.
-    # Every node's q_j must be within 1e-14 of its sum by math.fsum, and v
-    # within 1e-14 of the plain whole-history march
-    if law == "bench2_exp":
-        params, dist, x_max = ro.example2_params(), ro.make_exponential(0.5), 20.0
-    else:
-        params, dist, x_max = ro.example1_params(), ro.make_exponential(law), 4.0
-    grid = ro.Grid.from_xmax(5e-3, x_max)
-    H, lam, qs, v, v_plain = _history_sums(monkeypatch, cap, params, dist, grid)
+    params, dist = _bench_law(bench)
+    rated = isinstance(bench, float)
+    _solve(cap, params, dist, ro.Grid.from_xmax(5e-3, 4.0 if rated else 20.0))
+    ((grid, H, lam, tail_mixture, qs, v, v_plain),) = seen
+    assert tail_mixture is dist.tail_mixture
+    assert rated or grid.n >= 2000
     h = grid.h
     want = np.array([
         lam * (h * (math.fsum((H[1:j] * v[j - 1:0:-1]).tolist()) + 0.5 * H[j]))
@@ -429,6 +397,21 @@ def test_one_state_history_matches_fsum(monkeypatch, cap, law):
     assert _rel_gap(v, v_plain) <= 1e-14
 
 
+def _march_against_plain(monkeypatch, cap, params, dist, grid):
+    """v of the solve's march on `grid`, and v of the plain whole-history
+    march with the same node."""
+    seen = []
+
+    def spy(grid, law, lam, start, node):
+        out = march_value_slope(grid, law, lam, start, node)
+        seen.append((out[0], _march_sliced(grid, law, lam, start, node)[0]))
+        return out
+
+    monkeypatch.setattr(ruinopt.solve, "march_value_slope", spy)
+    _solve(cap, params, dist, grid)
+    return seen[0]
+
+
 @CAPS
 def test_one_term_mixture_short_of_the_grid_keeps_the_dot(monkeypatch, cap):
     # a one-term exponential sum that holds only up to y_max = 10 serves no
@@ -437,10 +420,10 @@ def test_one_term_mixture_short_of_the_grid_keeps_the_dot(monkeypatch, cap):
     params, exp1 = _bench_law(1)
     grid = ro.Grid.from_xmax(5e-3, 20.0)
     short = replace(exp1, tail_mixture=((1.0,), (1.0,), 10.0))
-    *_, v, v_plain = _history_sums(monkeypatch, cap, params, short, grid)
+    v, v_plain = _march_against_plain(monkeypatch, cap, params, short, grid)
     assert np.array_equal(v, v_plain)
     held = replace(exp1, tail_mixture=((1.0,), (1.0,), grid.x_max))
-    *_, v, v_plain = _history_sums(monkeypatch, cap, params, held, grid)
+    v, v_plain = _march_against_plain(monkeypatch, cap, params, held, grid)
     assert not np.array_equal(v, v_plain)
 
 
