@@ -30,8 +30,6 @@ from .results import (
     HjbResidual,
     NormalizedSurvival,
     ValueGrid,
-    fixed_point_residual,
-    generator_residual,
     hjb_residual,
     normalize_delta,
 )
@@ -91,8 +89,6 @@ __all__ = [
     "HjbResidual",
     "NormalizedSurvival",
     "ValueGrid",
-    "fixed_point_residual",
-    "generator_residual",
     "hjb_residual",
     "normalize_delta",
     "solve_v",

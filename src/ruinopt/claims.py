@@ -54,6 +54,10 @@ class ClaimDistribution:
     """Positive claim-size distribution with vectorized evaluators.
 
     pdf/cdf/tail take y >= 0, ppf takes u in [0, 1).  All accept arrays.
+    The solve and its certificate read the law through tail, and the
+    Monte Carlo through ppf; pdf has no reader in the package but stays
+    for the tests and for the density at 0 that a second-order low-surplus
+    expansion needs.
 
     tail_mixture is None, or (weights, rates, y_max): positive tuples with
     tail(y) = sum_k weights[k] e^{-rates[k] y} to within 1e-14 relative

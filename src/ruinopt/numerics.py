@@ -25,16 +25,16 @@ on the nodes before it and on itself.  So one forward pass, solving each
 node's scalar implicit equation against the final history, is the exact
 discrete solution; no sweep over the grid could change it.
 
-The residual certificates convolve a whole sampled function with the tail
-at once (convolve_tail_all).  That runs as a blocked causal product: the
-grid is cut into blocks of _BLOCK nodes, and each lag between a source
-block and an output block is one Toeplitz block of tail samples, applied to
-every source block in one matrix product.  Only the n causal outputs are
-formed, about n^2/2 multiply-adds at BLAS-3 speed.  Every summand is a
-product of non-negative samples (tail, density, v, V), so regrouping the
-sum keeps each output within about n*eps relative of the plain sum, even
-where it has decayed to 1e-18.  An FFT would not: its error is relative to
-the largest output, not to each one.
+The residual certificate convolves the whole solved v with the tail at
+once (convolve_tail_all), once per certificate.  That runs as a blocked
+causal product: the grid is cut into blocks of _BLOCK nodes, and each lag
+between a source block and an output block is one Toeplitz block of tail
+samples, applied to every source block in one matrix product.  Only the n
+causal outputs are formed, about n^2/2 multiply-adds at BLAS-3 speed.
+Every summand is a product of non-negative samples (tail, v), so
+regrouping the sum keeps each output within about n*eps relative of the
+plain sum, even where it has decayed to 1e-18.  An FFT would not: its
+error is relative to the largest output, not to each one.
 """
 
 from __future__ import annotations
@@ -184,7 +184,7 @@ def convolve_tail_all(w_values: np.ndarray, tail_values: np.ndarray, h: float) -
     `tail_values` holds H on at least the n nodes of `w_values`.  The sums
     run through _causal_convolve (see the module docstring), which keeps
     each output within about n*eps relative of the plain sum when both
-    inputs are non-negative.
+    inputs are non-negative, as the certificate's tail and v are.
     """
     w_values = np.asarray(w_values, dtype=float)
     tail_values = np.asarray(tail_values, dtype=float)
@@ -294,8 +294,10 @@ def march_value_slope(grid: Grid, dist, lam: float, start: tuple, node):
     L shrinks to max(1, floor(30 / (k h))) where k h L > 30, so
     e^{k o h} < e^30 stays far from overflow, and exp magnifies the
     rounding of its argument k o h at most 30-fold (unshrunk, claims of
-    rate 200 at h = 5e-3 put q_j 2.8e-14 off).  With L = 1 the first
-    block holds only v_0, which the march skips.
+    rate 200 at h = 5e-3 put q_j 2.8e-14 off).  The product is tested
+    before anything is divided: a subnormal k h (claims of rate 1e-307)
+    would make 30 / (k h) infinite.  With L = 1 the first block holds only
+    v_0, which the march skips.
 
     `start` is (v'(0), a*(0)), and `node(x_j, q_j, alpha_j)` solves node j
     in closed form to (v_j, v'_j, a*_j), raising RuntimeError, naming x_j,
@@ -328,7 +330,8 @@ def march_value_slope(grid: Grid, dist, lam: float, start: tuple, node):
     one = mixture is not None and len(mixture[1]) == 1
     if one:
         (weight,), (k,), _ = mixture
-        L = min(L, max(1, int(30.0 / (k * h))))
+        if k * h * L > 30.0:
+            L = max(1, int(30.0 / (k * h)))
         lags = h * np.arange(L)
         far = (weight * np.exp(-k * lags)).tolist()
         grow = np.exp(k * lags).tolist()

@@ -20,7 +20,12 @@ Every solve is certified the same way, by hjb_residual with the params
 it was solved with: the fixed-point channel of its HjbResidual
 recomputes T(v), the HJB's minimum over the amounts params.cap allows
 (`model.curvature_best`), and the independent channel applies the
-controlled generator with the solve's a*.
+controlled generator with the solve's a*.  Both read one claims term, the
+tail convolution lam int_0^x H(y) v(x - y) dy, the only place the
+certificate reads the claim law.  The generator's M(V) is that
+convolution for every law: the density form lam (V - int V(x - y) f(y) dy)
+is a difference of two terms near V(inf), and its quadrature errors, which
+do not cancel, swamp the residual where v has decayed.
 """
 
 from __future__ import annotations
@@ -38,8 +43,6 @@ __all__ = [
     "ValueGrid",
     "NormalizedSurvival",
     "normalize_delta",
-    "generator_residual",
-    "fixed_point_residual",
     "HjbResidual",
     "hjb_residual",
 ]
@@ -152,67 +155,12 @@ def normalize_delta(vg: ValueGrid, claim_mean: float | None = None) -> Normalize
     )
 
 
-def generator_residual(
-    vg: ValueGrid, params: ModelParams, dist: ClaimDistribution
-) -> tuple[np.ndarray, float, float]:
-    """Pointwise residual of the controlled generator applied to V.
-
-    Evaluates 0.5 Q(a) V'' + (c + (mu-r) a + r x) V' - M(V) at each interior
-    node with a centered finite difference for V'' = v' and the solve's own
-    a = a*, so the check is independent of how the solver represented the
-    curvature.  The claims term M(V) uses the density form when the density
-    is bounded at 0 and the tail-convolution form otherwise.  Returns
-    (residuals, sup, x_at_sup) with NaN at the two endpoint nodes where the
-    stencil does not exist.
-    """
-    grid = vg.grid
-    x = grid.points
-    h = grid.h
-    n = grid.n
-
-    vpp = np.full(n, np.nan)
-    vpp[1:-1] = (vg.v[2:] - vg.v[:-2]) / (2.0 * h)
-
-    f0 = float(dist.pdf(0.0))
-    if math.isfinite(f0):
-        conv = convolve_tail_all(vg.V, dist.pdf(x), h)
-        M = params.lam * (vg.V - conv)
-    else:
-        # unbounded density at 0 (e.g. small-shape Weibull): integrate by
-        # parts against the bounded tail instead
-        M = params.lam * convolve_tail_all(vg.v, dist.tail(x), h)
-
-    Q = params.quadratic_form(vg.a_star)
-    P = params.c + params.excess * vg.a_star + params.r * x
-    res = 0.5 * Q * vpp + P * vg.v - M
-    res[0] = np.nan
-    res[-1] = np.nan
-    interior = res[1:-1]
-    k = int(np.argmax(np.abs(interior)))
-    return res, float(abs(interior[k])), float(x[k + 1])
-
-
-def fixed_point_residual(vg: ValueGrid, params: ModelParams, dist: ClaimDistribution) -> tuple[float, float]:
-    """sup_j |v'_j - T(v)(x_j)| recomputed from the solved slope.
-
-    T(v) is the HJB's own minimum, `curvature_best` over the amounts
-    params.cap allows, fed by the full tail convolution, both run from
-    scratch, so it verifies that the stored operator values are the fixed
-    point of T, not of some drifted variant.  Returns (sup, x at the sup);
-    a NaN deviation is reported as nan at the first node that has one.
-    """
-    x = vg.grid.points
-    MW = params.lam * convolve_tail_all(vg.v, dist.tail(x), vg.grid.h)
-    val, _ = curvature_best(params, x, vg.v, MW)
-    dev = np.abs(val - vg.vprime)
-    k = int(np.argmax(dev))
-    return float(dev[k]), float(x[k])
-
-
 @dataclass
 class HjbResidual:
     """The residual certificate of a solve: two channels.
 
+    Both read one claims term, the paper's M(W)(x) = lam int_0^x H(y)
+    v(x - y) dy, the tail convolution of v.
     fixed_point recomputes T(v) from scratch and compares it with the
     stored v'; it measures round-off and solver convergence, not
     discretization.  Its convolution is exact, so for a claim law with a
@@ -220,7 +168,10 @@ class HjbResidual:
     history, up to 1e-14 relative of each history sum.
     independent rebuilds the controlled generator with a centered finite
     difference for the curvature and the solve's a*, so it carries the
-    full O(h^2) discretization error and halves like h^2.
+    full O(h^2) discretization error and halves like h^2.  Its M(V) is the
+    same tail convolution, V - int V(x - y) f(y) dy integrated by parts
+    (the module docstring says why not the density form), so pointwise is
+    O(h^2) v at every node, also where v has decayed.
     """
 
     fixed_point: float
@@ -233,7 +184,31 @@ class HjbResidual:
 def hjb_residual(vg: ValueGrid, params: ModelParams, dist: ClaimDistribution) -> HjbResidual:
     """Both channels of the certificate of a solve of params' problem, T
     minimising over the amounts params.cap allows.  Given other params
-    than the solve's, fixed_point reads the gap between the two problems."""
-    fp, fp_at = fixed_point_residual(vg, params, dist)
-    pw, sup, at = generator_residual(vg, params, dist)
-    return HjbResidual(fp, fp_at, sup, at, pw)
+    than the solve's, fixed_point reads the gap between the two problems.
+
+    fixed_point is sup_j |v'_j - T(v)(x_j)|, T(v) being `curvature_best`
+    fed the claims term; a NaN deviation is reported as nan at the first
+    node that has one.  independent is the sup over interior nodes of
+    0.5 Q(a*) v' + (c + (mu-r) a* + r x) v - M(V), v' by a centered
+    difference of v; pointwise holds it at every node, NaN at the two
+    endpoints where the stencil does not exist.
+    """
+    x = vg.grid.points
+    h = vg.grid.h
+    MW = params.lam * convolve_tail_all(vg.v, dist.tail(x), h)
+
+    val, _ = curvature_best(params, x, vg.v, MW)
+    dev = np.abs(val - vg.vprime)
+    k = int(np.argmax(dev))
+    fp, fp_at = float(dev[k]), float(x[k])
+
+    vpp = np.full(vg.grid.n, np.nan)
+    vpp[1:-1] = (vg.v[2:] - vg.v[:-2]) / (2.0 * h)
+    Q = params.quadratic_form(vg.a_star)
+    P = params.c + params.excess * vg.a_star + params.r * x
+    res = 0.5 * Q * vpp + P * vg.v - MW
+    res[0] = np.nan
+    res[-1] = np.nan
+    interior = np.abs(res[1:-1])
+    k = int(np.argmax(interior))
+    return HjbResidual(fp, fp_at, float(interior[k]), float(x[k + 1]), res)

@@ -110,7 +110,9 @@ a_j at node j, so node j is w = 1 / (D(a_j) / N(a_j)).  Its psi, through
 The certificate, `results.hjb_residual`, shares none of the node algebra:
 it evaluates T(v), the HJB's own minimum over the amounts params.cap
 allows, at all nodes in one call of the array `curvature_best`, which
-picks the capped node's candidate bit for bit.
+picks the capped node's candidate bit for bit.  It forms M(W) as above,
+one tail convolution of the solved v, and both of its channels read it:
+the generator's M(V) too, for the stability the tail form gives here.
 """
 
 from __future__ import annotations

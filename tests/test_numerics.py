@@ -255,7 +255,9 @@ def test_convolve_tail_all_relative_accuracy_block_edges(n):
 
 
 def test_convolve_tail_all_relative_accuracy_bench2_long():
-    # benchmark 2, Pareto claims, n = 32001: both certificate convolutions
+    # benchmark 2, Pareto claims, n = 32001: the certificate's convolution
+    # of v with the tail, and V with the density, another pair of
+    # non-negative inputs whose outputs span many decades
     params, dist = ro.example2_params(), ro.make_pareto(2.0, 2.0)
     vg = ro.solve_v(params, dist, ro.Grid.from_xmax(5e-3, 160.0))
     x, h = vg.grid.points, vg.grid.h
@@ -353,7 +355,7 @@ def test_march_history_is_bit_identical(monkeypatch, cap, bench):
 
 
 @CAPS
-@pytest.mark.parametrize("bench", [1, 2, "exp2", 200.0, 2000.0, 4000.0])
+@pytest.mark.parametrize("bench", [1, 2, "exp2", 200.0, 2000.0, 4000.0, 1e-307])
 def test_march_history_sums_match_fsum(monkeypatch, cap, bench):
     # every node's claims term q_j = lam h (sum_i H_i v_{j-i} + H_j / 2),
     # with the far history taken from the tail's exponential sum, must be
@@ -365,7 +367,8 @@ def test_march_history_sums_match_fsum(monkeypatch, cap, bench):
     # rate 200, 2000 or 4000 at h = 5e-3 has k h L > 30 at L = _BLOCK, so
     # the march's blocks shrink to 30, 3 or 1 nodes; at rate 2000,
     # e^{k o h} would overflow at o = 71, and at rate 4000 the first block
-    # holds only v_0
+    # holds only v_0.  At rate 1e-307, k h is subnormal and 30 / (k h)
+    # overflows, so the block must keep its L nodes without that quotient
     seen = []
 
     def spy(grid, law, lam, start, node):
