@@ -55,9 +55,10 @@ class ClaimDistribution:
 
     pdf/cdf/tail take y >= 0, ppf takes u in [0, 1).  All accept arrays.
     The solve and its certificate read the law through tail, and the
-    Monte Carlo through ppf; pdf has no reader in the package but stays
-    for the tests and for the density at 0 that a second-order low-surplus
-    expansion needs.
+    Monte Carlo through ppf.  pdf and cdf have no reader in the package
+    but stay for the tests: pdf for the density at 0 that a second-order
+    low-surplus expansion needs, and cdf for the F(X-) that a conditional
+    Monte Carlo of psi needs.
 
     tail_mixture is None, or (weights, rates, y_max): positive tuples with
     tail(y) = sum_k weights[k] e^{-rates[k] y} to within 1e-14 relative

@@ -63,12 +63,13 @@ EXIT_UNKNOWN_KEY = 5
 
 def _nine(x):
     if isinstance(x, float):
-        return float(f"{x:.9g}") if math.isfinite(x) else x
+        return float(f"{x:.9g}") if math.isfinite(x) else None
     return x
 
 
 def _round9(obj):
-    """Clamp every float in a JSON-able structure to 9 significant digits."""
+    """Clamp every float in a JSON-able structure to 9 significant digits,
+    and make each non-finite one null: the JSON printed is strict."""
     if isinstance(obj, dict):
         return {k: _round9(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -83,7 +84,7 @@ def _round9(obj):
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(_round9(doc), indent=2, sort_keys=True, allow_nan=True))
+    print(json.dumps(_round9(doc), indent=2, sort_keys=True, allow_nan=False))
 
 
 _CSV_BLOCK = 1024   # rows formatted per write
@@ -134,7 +135,7 @@ def _cmd_constants(args) -> int:
     _emit(doc)
     if out:
         (out / "constants.json").write_text(
-            json.dumps(_round9(doc), indent=2, sort_keys=True) + "\n", encoding="utf-8"
+            json.dumps(_round9(doc), indent=2, sort_keys=True, allow_nan=False) + "\n", encoding="utf-8"
         )
         (out / "scenario_echo.txt").write_text(scenario_text(sc), encoding="utf-8")
     return EXIT_OK
@@ -251,10 +252,9 @@ def _cmd_exp_validate(args) -> int:
     rel = np.abs(a_tilde_solver - ode_vals) / np.abs(ode_vals)
     k = int(np.argmax(rel))
 
-    rx, rv = reconstruct_vprime(curve, sc.params, anchor=(x_seed, 1.0))
     pl_lo, pl_hi = tail_window(x_end)
-    keep = (rx >= pl_lo) & (rx <= pl_hi)
-    rx, rv = rx[keep], rv[keep]
+    rx = x[(x >= pl_lo) & (x <= pl_hi)]
+    rv = reconstruct_vprime(curve, sc.params, (x_seed, 1.0), rx)
     logc = tail_log_compensated(sc.params, m, rx, rv)
     with np.errstate(over="ignore"):
         plateau = float(np.exp(logc.max() - logc.min()))
@@ -266,7 +266,7 @@ def _cmd_exp_validate(args) -> int:
         "max_rel_deviation_at": float(x[mask][k]),
         "seed": {"x_seed": x_seed, "value": curve.seed},
         "series": {"limit": curve.series[0], "coeff": curve.series[1]},
-        "reconstructed_tail_plateau_ratio": plateau if plateau < math.inf else None,
+        "reconstructed_tail_plateau_ratio": plateau,
         "reconstructed_tail_window": [pl_lo, pl_hi],
     }
     _emit(doc)

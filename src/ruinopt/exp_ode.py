@@ -20,16 +20,19 @@ so integrating backward amplifies seed error instead.
 The feedback ODE's right-hand side depends on x only through two
 coefficients linear in x, b2(x) and b1(x) (`_feedback_terms`, which
 a_tilde_rhs also uses), and its cubic numerator is evaluated in Horner
-form.  The RK4 tables b2 and b1 at the three stage abscissae for a block
-of 2,048 steps with array expressions, and runs the stages themselves on
-Python floats in the operations and order of a_tilde_rhs, so its output
-equals a plain step-by-step loop over a_tilde_rhs bit for bit.
+form.  RK4 runs in blocks of at most 64 equal steps, each of
+h = max(step, min(step (1 + x/2), 0.5 / |df/da|)) at the block's first
+node: a~ is smooth on the scale of x, so far out only the stiffness
+df/da ~ d0 x limits h, and `step` is the smallest step.  A block tables b2
+and b1 at its stage abscissae and runs the stages on Python floats in the
+operations and order of a_tilde_rhs, so its output equals a plain
+step-by-step loop over a_tilde_rhs on the same nodes bit for bit.
 
 The curve keeps each step's first stage, a~' at its node, and is read
 between nodes by the cubic Hermite interpolant on those slopes, RK4's own
 dense output (Shampine 1985, SIAM J. Numer. Anal. 22): O(h^4), as the nodes
 are.  reconstruct_vprime stays O(h^4) too: its trapezoid of 1/a~ takes the
-Euler-Maclaurin end correction, and its anchor is read by the Hermite rule.
+end correction on every interval, and it reads the integral by Hermite.
 """
 
 from __future__ import annotations
@@ -54,10 +57,16 @@ __all__ = [
     "solve_linear_const_strategy",
 ]
 
-# RK4 steps whose stage coefficients are tabled at once.  The tables are
-# Python floats: for a 40,000-step span, tabling it whole raised peak
-# memory by 13.7 MB, and blocks of this size by 1.6 MB
+# nodes whose coefficients solve_linear_const_strategy tables at once.  The
+# tables are Python floats: for a 40,000-step span, tabling it whole raised
+# peak memory by 13.7 MB, and blocks of this size by 1.6 MB
 _BLOCK = 2048
+
+# the feedback ODE's mesh (module docstring); KAPPA keeps h |df/da| well
+# inside RK4's real stability interval (-2.79, 0)
+_MESH_BLOCK = 64
+X_ACC = 2.0
+KAPPA = 0.5
 
 
 def a_tilde_rhs(x: float, a: float, params: ModelParams, m: float) -> float:
@@ -114,40 +123,51 @@ class TildeACurve:
 
 
 def _hermite(x: np.ndarray, y: np.ndarray, dy: np.ndarray, xq):
-    """Cubic Hermite interpolant of values y and slopes dy on the uniform
+    """Cubic Hermite interpolant of values y and slopes dy on the increasing
     nodes x, at xq; outside [x[0], x[-1]] it holds the end values."""
-    n = len(x) - 1
-    h = (x[-1] - x[0]) / n
-    t = np.clip((np.asarray(xq, dtype=float) - x[0]) / h, 0.0, n)
-    i = np.minimum(t.astype(np.intp), n - 1)
-    t = t - i
+    xq = np.clip(np.asarray(xq, dtype=float), x[0], x[-1])
+    i = np.clip(np.searchsorted(x, xq, side="right") - 1, 0, len(x) - 2)
+    h = x[i + 1] - x[i]
+    t = (xq - x[i]) / h
     s = 1.0 - t
     out = (s * s * ((1.0 + 2.0 * t) * y[i] + t * h * dy[i])
            + t * t * ((3.0 - 2.0 * t) * y[i + 1] - s * h * dy[i + 1]))
     return out if np.ndim(out) else float(out)
 
 
-def _rk4(p: ModelParams, m: float, x0: float, y0: float, x1: float, n: int):
-    """Classic Runge-Kutta of the feedback ODE in n equal steps from x0 to x1.
+def _rk4(p: ModelParams, m: float, x0: float, y0: float, x1: float, step: float):
+    """Classic Runge-Kutta of the feedback ODE from x0 to x1 on the graded mesh.
 
-    b2 and b1 are tabled at the stage abscissae x_i, x_i + h/2 and x_i + h
-    with one array expression each, a block of steps at a time; the four
-    stages then run on Python floats in the operations and order of
-    a_tilde_rhs, so the result equals a step-by-step loop over it bit for
-    bit.  Returns x, a~ and a~' (each step's first stage; at x1, one more).
+    Each block's step is set at its first node; the last block is shortened
+    to land on x1.  b2 and b1 are tabled at the stage abscissae x_i,
+    x_i + h_i/2 and x_{i+1}, h_i = x_{i+1} - x_i; the stages run on Python
+    floats in the operations and order of a_tilde_rhs, so the result equals
+    a step-by-step loop over it on the same nodes bit for bit.  Returns x,
+    a~ and a~' (each step's first stage; at x1, one more).
     """
     q3, q0, s2, sigma_rho2, b = _feedback_terms(p, m)
     nq3 = -q3   # -q3 * a parses as (-q3) * a
-    h = (x1 - x0) / n
-    half_h, sixth_h = 0.5 * h, h / 6.0
-    xs = x0 + h * np.arange(n + 1)
-    ys, ks = np.empty(n + 1), np.empty(n + 1)
-    ys[0] = y = y0
-    for start in range(0, n, _BLOCK):
-        xb = xs[start : min(start + _BLOCK, n)]
-        tables = (*b(xb), *b(xb + half_h), *b(xb + h))
-        out = []     # k1 and the new a~ of each step
-        for b2, b1, b2m, b1m, b2e, b1e in zip(*(t.tolist() for t in tables)):
+    nodes, out = [np.array([x0])], [y0]   # y0, then k1 and the new a~ of each step
+    x, y = x0, y0
+    while x < x1:
+        b2, b1 = b(x)
+        d = s2 * y * y + sigma_rho2
+        f = (((nq3 * y - b2) * y + b1) * y - q0) / d
+        stiff = abs(((-3.0 * q3 * y - 2.0 * b2) * y + b1 - f * 2.0 * s2 * y) / d)
+        h = step * (1.0 + x / X_ACC)
+        if h * stiff > KAPPA:
+            h = KAPPA / stiff
+        h = max(step, h)
+        n = max(1, math.ceil((x1 - x) / h - 1e-12))
+        if n > _MESH_BLOCK:
+            xb = x + h * np.arange(_MESH_BLOCK + 1)
+        else:
+            xb = x + (x1 - x) / n * np.arange(n + 1)
+            xb[-1] = x1
+        hb = np.diff(xb)
+        b2s, b1s = (t.tolist() for t in b(np.stack((xb[:-1], xb[:-1] + 0.5 * hb, xb[1:]))))
+        for h, b2, b2m, b2e, b1, b1m, b1e in zip(hb.tolist(), *b2s, *b1s):
+            half_h, sixth_h = 0.5 * h, h / 6.0
             a = y
             k1 = (((nq3 * a - b2) * a + b1) * a - q0) / (s2 * a * a + sigma_rho2)
             a = y + half_h * k1
@@ -158,10 +178,10 @@ def _rk4(p: ModelParams, m: float, x0: float, y0: float, x1: float, n: int):
             k4 = (((nq3 * a - b2e) * a + b1e) * a - q0) / (s2 * a * a + sigma_rho2)
             y = y + sixth_h * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             out += k1, y
-        ks[start : start + len(out) // 2] = out[0::2]
-        ys[start + 1 : start + 1 + len(out) // 2] = out[1::2]
-    ks[n] = a_tilde_rhs(float(xs[n]), y, p, m)
-    return xs, ys, ks
+        nodes.append(xb[1:])
+        x = float(xb[-1])
+    out.append(a_tilde_rhs(x1, y, p, m))
+    return np.concatenate(nodes), np.array(out[0::2]), np.array(out[1::2])
 
 
 def solve_a_tilde(
@@ -174,11 +194,12 @@ def solve_a_tilde(
 ) -> TildeACurve:
     """Integrate the feedback ODE from a seed at x_seed forward to x_end.
 
-    Fixed-step RK4 with the largest step not above `step` that divides the
-    span; at most numerics.MAX_NODES steps.  Default seed is the two-term
-    large-x series limit + coeff / x_seed; when the dropped next order is
-    not obviously negligible at x_seed a note is attached (and a warning
-    emitted).
+    RK4 on the graded mesh of the module docstring.  `step` is its smallest
+    step, but for the last block's, so it never takes more steps than the
+    uniform mesh at `step`; at most numerics.MAX_NODES of those.  Default
+    seed is the two-term large-x series limit + coeff / x_seed; when the
+    dropped next order is not obviously negligible at x_seed a note is
+    attached (and a warning emitted).
     """
     p = params
     if not (0.0 < x_seed < x_end < math.inf):
@@ -206,34 +227,37 @@ def solve_a_tilde(
     else:
         seed = float(seed_value)
 
-    xs, ys, ks = _rk4(p, m, x_seed, seed, x_end, n)
+    xs, ys, ks = _rk4(p, m, x_seed, seed, x_end, step)
     return TildeACurve(x=xs, a=ys, da=ks, x_seed=x_seed, seed=seed, series=(a0, a1), seed_note=note)
 
 
 def reconstruct_vprime(
-    curve: TildeACurve, params: ModelParams, anchor: tuple[float, float]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rebuild the value slope from the feedback curve alone.
+    curve: TildeACurve, params: ModelParams, anchor: tuple[float, float], x
+) -> np.ndarray:
+    """Rebuild the value slope at the abscissae x from the feedback curve alone.
 
     V'(x) = V'(x0) * exp( -(mu-r)/sigma^2 * int_{x0}^x dy / a~(y) ),
-    anchored at anchor = (x0, V'(x0)); x0 must lie inside the curve.
-    The quadrature is the end-corrected trapezoid, O(h^4) as the curve is.
-    Returns (x, V'(x)) on the curve's nodes.
+    anchored at anchor = (x0, V'(x0)); x0 and x must lie inside the curve.
+    Each mesh interval takes h/2 (g_i + g_{i+1}) + h^2/12 (g'_i - g'_{i+1}),
+    g = 1/a~, exact for cubics on any mesh, and the integral is read at x0
+    and x by the cubic Hermite interpolant with slope g: O(h^4), as the
+    curve is.  Interpolating V' between the curve's nodes would not be.
     """
     p = params
     x0, val0 = anchor
     xs = curve.x
+    xq = np.asarray(x, dtype=float)
     if not (xs[0] <= x0 <= xs[-1]):
         raise ValueError(f"anchor x0={x0!r} outside the curve range [{xs[0]}, {xs[-1]}]")
+    if not np.all((xs[0] <= xq) & (xq <= xs[-1])):
+        raise ValueError(f"abscissae outside the curve range [{xs[0]}, {xs[-1]}]")
     if np.any(curve.a == 0.0):
         raise ValueError("feedback curve crosses zero; slope reconstruction undefined")
     g = 1.0 / curve.a
     dg = -curve.da * g * g
-    h = (xs[-1] - xs[0]) / (len(xs) - 1)
-    I = prefix_trapezoid(g, h) - h * h / 12.0 * (dg - dg[0])
-    I0 = _hermite(xs, I, g, x0)
-    vals = val0 * np.exp(-p.excess / p.sigma**2 * (I - I0))
-    return xs.copy(), vals
+    h = np.diff(xs)
+    I = np.concatenate(([0.0], np.cumsum(h / 2.0 * (g[:-1] + g[1:]) + h * h / 12.0 * (dg[:-1] - dg[1:]))))
+    return val0 * np.exp(-p.excess / p.sigma**2 * (_hermite(xs, I, g, xq) - _hermite(xs, I, g, x0)))
 
 
 @dataclass(frozen=True)

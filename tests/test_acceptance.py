@@ -101,10 +101,7 @@ def test_criterion_4_tail_plateau(acceptance, timed_solve, ex1):
 
     r_solver = plateau(timed_solve.vg.v[mask])
     curve = solve_a_tilde(ex1, 1.0, 8.0, 40.0)
-    rec = reconstruct_vprime(
-        curve, ex1, (10.0, float(np.interp(10.0, x, timed_solve.vg.v)))
-    )
-    r_ode = plateau(np.interp(xs, *rec))
+    r_ode = plateau(reconstruct_vprime(curve, ex1, (10.0, float(np.interp(10.0, x, timed_solve.vg.v))), xs))
     ok = r_solver <= 1.02 and r_ode <= 1.02
     assert acceptance(
         4, ok,

@@ -308,6 +308,67 @@ def _strict_json(text):
     return json.loads(text, parse_constant=refuse)
 
 
+# bench 1 with log-normal(5.51, 1) claims and r = 1.02e-3: v does not decay
+# on the grid, so V(inf) and the tail remainder are infinite
+STILL_LOG_NORMAL = BASE.replace("r = 0.32", "r = 1.02e-3").replace(
+    "claim.family = exponential\nclaim.p1 = 1.0", "claim.family = log_normal\nclaim.p1 = 5.51\nclaim.p2 = 1"
+) + "cap_A = 1.0\n"
+# bench 1 with a vanishing claim rate and a vanishing exponential rate
+# claim.p1 (mean 1.7e173): a~1 and the 1/x coefficient of the large-surplus
+# series overflow to -inf
+VANISHING_CLAIMS = BASE.replace("lambda = 0.3 ", "lambda = 1.03e-156 ").replace("claim.p1 = 1.0", "claim.p1 = 5.85e-174")
+
+
+def test_solve_prints_an_infinite_v_inf_as_null(capsys, tmp_path):
+    path = tmp_path / "still.txt"
+    path.write_text(STILL_LOG_NORMAL, encoding="utf-8")
+    code, out, err = run(capsys, ["solve", path, "--mode", "constrained", "--out", tmp_path])
+    assert code == 0, err
+    norm = _strict_json(out)["normalization"]
+    assert norm["v_inf_hat"] is norm["tail_remainder"] is None and norm["truncated"]
+
+
+def test_constants_print_an_infinite_constant_as_null(capsys, tmp_path):
+    path = tmp_path / "vanishing.txt"
+    path.write_text(VANISHING_CLAIMS, encoding="utf-8")
+    code, out, err = run(capsys, ["constants", path, "--out", tmp_path / "c"])
+    assert code == 0, err
+    for text in (out, (tmp_path / "c" / "constants.json").read_text(encoding="utf-8")):
+        assert _strict_json(text)["constants"]["a_tilde1"] is None
+
+
+def test_asymptotes_print_an_infinite_coefficient_as_null(capsys, tmp_path):
+    path = tmp_path / "vanishing.txt"
+    path.write_text(VANISHING_CLAIMS, encoding="utf-8")
+    code, out, err = run(capsys, ["asymptotes", path])
+    assert code == 0, err
+    assert _strict_json(out)["infinity_coeff"] is None
+
+
+# the pinned scenarios on which exp-validate refuses, and the key it names
+EXP_VALIDATE_REFUSES = {"bench1_log_normal": "claim.family", "bench2_pareto": "claim.family",
+                        "bench2_weibull": "claim.family", "bench2_exp_mu_r_rho0": "mu",
+                        "bench2_exp_mu_r_rho015": "mu"}
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in PINNED.glob("*.scn")))
+def test_every_json_output_is_strict(capsys, tmp_path, name):
+    # 128 paths, below mc._MIN_SHARE, so simulate forks no worker; mc.dt and
+    # mc.horizon cap a path at 500 steps
+    path = tmp_path / f"{name}.scn"
+    path.write_text((PINNED / f"{name}.scn").read_text(encoding="utf-8")
+                    + "mc.paths = 128\nmc.dt = 0.01\nmc.horizon = 5\n", encoding="utf-8")
+    for argv in (["constants"], ["asymptotes"], ["solve", "--mode", "unconstrained", "--out", tmp_path],
+                 ["solve", "--mode", "constrained", "--out", tmp_path], ["exp-validate"],
+                 ["simulate", "--x0", "1.0", "--strategy", "optimal"]):
+        code, out, err = run(capsys, [argv[0], path, *argv[1:]])
+        if argv[0] == "exp-validate" and name in EXP_VALIDATE_REFUSES:
+            assert code == 4 and out == "" and err.rstrip().endswith(f"(key: {EXP_VALIDATE_REFUSES[name]})"), err
+        else:
+            assert code == 0, (argv, err)
+            _strict_json(out)
+
+
 @pytest.mark.parametrize("setting", ["lambda = 1e20", "r = 1e-200"], ids=["lambda", "r"])
 def test_tail_numbers_out_of_float_range_print_null(capsys, tmp_path, setting):
     # a huge lam/r puts the compensated product x^{1 - lam/r} past the float
@@ -422,8 +483,8 @@ def test_delta_slope_zero_is_null_when_v_inf_is_unknown(capsys, tmp_path):
     )
     code, out, err = run(capsys, ["solve", path, "--mode", "constrained", "--out", tmp_path])
     assert code == 0, err
-    norm = json.loads(out)["normalization"]
-    assert norm["v_inf_hat"] == np.inf and norm["truncated"]
+    norm = _strict_json(out)["normalization"]
+    assert norm["v_inf_hat"] is None and norm["truncated"]
     assert norm["delta_slope_zero"] is None
     table = np.loadtxt(tmp_path / "solve_constrained.csv", delimiter=",", skiprows=1)
     assert table.shape == (401, 6) and np.all(np.isnan(table[:, 3]))

@@ -11,6 +11,7 @@ import pytest
 
 import ruinopt as ro
 from ruinopt.exp_ode import (
+    _MESH_BLOCK,
     TildeACurve,
     a_tilde_rhs,
     linear_ode_coeffs,
@@ -57,58 +58,64 @@ def test_bad_step_refused(ex1, step):
         solve_a_tilde(ex1, 1.0, 8.0, 40.0, step=step)
 
 
-def _plain_rk4(p, m, x0, y0, x1, step):
-    """Classic RK4 with one call of a_tilde_rhs per stage: the oracle for solve_a_tilde."""
-    span = x1 - x0
-    n = max(1, int(math.ceil(span / step - 1e-12)))
-    h = span / n
-    xs = x0 + h * np.arange(n + 1)
-    ys = np.empty(n + 1)
+def _plain_rk4(p, m, xs, y0):
+    """Classic RK4 with one call of a_tilde_rhs per stage, on the nodes xs:
+    the oracle for solve_a_tilde."""
+    xs = xs.tolist()
     y = y0
-    ys[0] = y
-    for i in range(n):
-        xi = xs[i]
+    ys = [y]
+    for xi, xn in zip(xs[:-1], xs[1:]):
+        h = xn - xi
         k1 = a_tilde_rhs(xi, y, p, m)
         k2 = a_tilde_rhs(xi + 0.5 * h, y + 0.5 * h * k1, p, m)
         k3 = a_tilde_rhs(xi + 0.5 * h, y + 0.5 * h * k2, p, m)
-        k4 = a_tilde_rhs(xi + h, y + h * k3, p, m)
+        k4 = a_tilde_rhs(xn, y + h * k3, p, m)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        ys[i + 1] = y
-    return xs, ys
+        ys.append(y)
+    return np.array(ys)
 
 
 @pytest.mark.parametrize(
     "which, m, x_seed, seed, x_end",
     [
         # the exp-validate span and seed on benchmark 1, and on benchmark 2
-        # with exponential claims
+        # with exponential claims: graded steps, then stiffness-capped ones
         ("ex1", 1.0, 1e-4, 0.4542, 40.0),
         ("ex2", 0.5, 1e-4, 0.0244, 40.0),
-        ("ex1", 1.0, 8.0, 8.9, 12.3),       # 4,300 steps: not a whole number of blocks
+        ("ex1", 1.0, 8.0, 8.9, 12.3),       # a last block shorter than the others
         ("ex1", 1.0, 8.0, 8.9, 8.0005),     # a single step
     ],
 )
 def test_rk4_equals_plain_loop_bit_for_bit(which, m, x_seed, seed, x_end, ex1, ex2):
     p = ex1 if which == "ex1" else ex2
-    xs, ys = _plain_rk4(p, m, x_seed, seed, x_end, 1e-3)
-    curve = solve_a_tilde(p, m, x_seed, x_end, step=1e-3, seed_value=seed)
-    assert np.array_equal(curve.x, xs)
+    curve = solve_a_tilde(p, m, x_seed, x_end, seed_value=seed)
+    assert curve.x[0] == x_seed and curve.x[-1] == x_end and np.all(np.diff(curve.x) > 0)
+    ys = _plain_rk4(p, m, curve.x, seed)
     assert np.array_equal(curve.a.view(np.int64), ys.view(np.int64))
 
 
-def _exp_validate_curve(p, k, m, step=2.5e-3):
-    """The feedback curve exp-validate integrates on a grid to 40."""
+def _exp_validate_curve(p, k, m, step=2.5e-3, x_end=40.0):
+    """The feedback curve exp-validate integrates on a grid to x_end."""
     seed = k.a_star_zero - ro.strategy_slope_zero(k, p) * 1e-4 + p.hedge
-    return solve_a_tilde(p, m, 1e-4, 40.0, step=step, seed_value=seed)
+    return solve_a_tilde(p, m, 1e-4, x_end, step=step, seed_value=seed)
+
+
+@pytest.mark.parametrize("which, x_end, most", [("ex1", 40.0, 3000), ("ex2", 40.0, 3300), ("ex1", 400.0, 100_000)])
+def test_graded_mesh_never_takes_more_steps_than_the_uniform_one(which, x_end, most, ex1, ex2, k1, k2):
+    # every step but the last block's is at least `step`, so the mesh takes
+    # no more steps than the uniform one (16,000 and 160,000 here); observed
+    # 2,805, 3,122 and 97,856
+    p, k, m = (ex1, k1, 1.0) if which == "ex1" else (ex2, k2, 2.0)
+    steps = np.diff(_exp_validate_curve(p, k, m, x_end=x_end).x)
+    assert len(steps) <= min(most, math.ceil((x_end - 1e-4) / 2.5e-3))
+    assert np.all(steps[:-_MESH_BLOCK] >= 2.5e-3 * (1.0 - 1e-12))
 
 
 @pytest.mark.parametrize("which", ["ex1", "ex2"])
 def test_default_step_reads_the_window_to_1e_8(which, ex1, ex2, k1, k2):
     # the default step read through the Hermite interpolant against a run at
     # step/8, on exp-validate's window nodes (h = 5e-3, [1, 10]): observed
-    # 2.8e-9 on benchmark 1 and 2.3e-10 on benchmark 2 (mean-2 claims).
-    # Linear interpolation between the same nodes reads 9.4e-8 and 3.6e-7
-    # against this reference
+    # 3.0e-9 on benchmark 1 and 4.5e-10 on benchmark 2 (mean-2 claims)
     p, k, m = (ex1, k1, 1.0) if which == "ex1" else (ex2, k2, 2.0)
     x = ro.Grid.from_xmax(5e-3, 10.0).points[200:]
     ref = _exp_validate_curve(p, k, m, step=2.5e-3 / 8)(x)
@@ -117,18 +124,36 @@ def test_default_step_reads_the_window_to_1e_8(which, ex1, ex2, k1, k2):
 
 
 @pytest.mark.parametrize("which", ["ex1", "ex2"])
-def test_reconstruction_at_the_default_step_is_fourth_order(which, ex1, ex2, k1, k2):
-    # anchored at 10, away from the seed, the slope on [10, 40] at the
-    # default step against step/8, on the default step's nodes: observed
-    # 3.2e-13 and 1.2e-12.  The trapezoid without its end correction reads
-    # 1.9e-10 and 3.7e-9
+def test_reconstruction_quadrature_is_fourth_order_on_any_mesh(which, ex1, ex2, k1, k2):
+    # one curve on two meshes: the step/8 curve, and its values, with their
+    # slopes from a_tilde_rhs, at the default mesh's nodes.  Anchored at 10,
+    # the slope on [10, 40] at the coarse nodes: observed 8.9e-14 and
+    # 7.8e-14; the trapezoid without its end correction reads 2.4e-8 and
+    # 4.4e-7
     p, k, m = (ex1, k1, 1.0) if which == "ex1" else (ex2, k2, 2.0)
-    rx, rv = reconstruct_vprime(_exp_validate_curve(p, k, m), p, (10.0, 1.0))
-    fx, fv = reconstruct_vprime(_exp_validate_curve(p, k, m, step=2.5e-3 / 8), p, (10.0, 1.0))
-    assert np.allclose(fx[::8], rx, rtol=0.0, atol=1e-12)
-    keep = rx >= 10.0
-    dev = max_rel_dev(rv[keep], fv[::8][keep])
-    assert dev <= 1e-11, f"reconstruction deviates {dev:.3e} from step/8"
+    x = _exp_validate_curve(p, k, m).x
+    fine = _exp_validate_curve(p, k, m, step=2.5e-3 / 8)
+    a = fine(x)
+    da = np.array([a_tilde_rhs(xi, ai, p, m) for xi, ai in zip(x.tolist(), a.tolist())])
+    coarse = replace(fine, x=x, a=a, da=da)
+    xq = x[x >= 10.0]
+    dev = max_rel_dev(reconstruct_vprime(coarse, p, (10.0, 1.0), xq), reconstruct_vprime(fine, p, (10.0, 1.0), xq))
+    assert dev <= 1e-11, f"quadrature deviates {dev:.3e} from the step/8 mesh's"
+
+
+@pytest.mark.parametrize("which, bound", [("ex1", 1e-9), ("ex2", 2e-8)], ids=["ex1", "ex2"])
+def test_reconstruction_at_the_default_step_is_fourth_order(which, bound, ex1, ex2, k1, k2):
+    # anchored at 10, away from the seed, the slope on [10, 40] at the
+    # default mesh's nodes against the step/8 curve's: observed 2.6e-10 and
+    # 6.3e-9, against 3.2e-13 and 1.2e-12 on the uniform mesh of 16,000
+    # steps that the graded one replaced.  The trapezoid without its end
+    # correction reads 2.5e-8 and 4.5e-7
+    p, k, m = (ex1, k1, 1.0) if which == "ex1" else (ex2, k2, 2.0)
+    curve = _exp_validate_curve(p, k, m)
+    xq = curve.x[curve.x >= 10.0]
+    fine = reconstruct_vprime(_exp_validate_curve(p, k, m, step=2.5e-3 / 8), p, (10.0, 1.0), xq)
+    dev = max_rel_dev(reconstruct_vprime(curve, p, (10.0, 1.0), xq), fine)
+    assert dev <= bound, f"reconstruction deviates {dev:.3e} from step/8"
 
 
 def test_curve_holds_its_end_values_outside_its_span(ex1):
@@ -182,22 +207,23 @@ def test_reconstruct_vprime_matches_solver(ex1, vg40):
     curve = solve_a_tilde(ex1, 1.0, 8.0, 40.0)
     x0 = 10.0
     v0 = float(np.interp(x0, vg40.x, vg40.v))
-    rec = reconstruct_vprime(curve, ex1, (x0, v0))
     mask = (vg40.x >= 10.0) & (vg40.x <= 35.0)
-    dev = max_rel_dev(np.interp(vg40.x[mask], *rec), vg40.v[mask])
+    dev = max_rel_dev(reconstruct_vprime(curve, ex1, (x0, v0), vg40.x[mask]), vg40.v[mask])
     assert dev <= 1e-6, f"reconstruction deviates {dev:.3e}"  # observed 1.3e-8
 
 
 def test_reconstruct_anchor_validation(ex1):
     curve = solve_a_tilde(ex1, 1.0, 8.0, 12.0)
     with pytest.raises(ValueError, match="anchor"):
-        reconstruct_vprime(curve, ex1, (5.0, 1.0))
+        reconstruct_vprime(curve, ex1, (5.0, 1.0), [9.0])
+    with pytest.raises(ValueError, match="abscissae"):
+        reconstruct_vprime(curve, ex1, (9.0, 1.0), [9.0, 12.5])
     bad = TildeACurve(
         x=np.array([1.0, 2.0, 3.0]), a=np.array([1.0, 0.0, -1.0]), da=np.array([-1.0, -1.0, -1.0]),
         x_seed=1.0, seed=1.0, series=(1.0, 0.0),
     )
     with pytest.raises(ValueError, match="crosses zero"):
-        reconstruct_vprime(bad, ex1, (2.0, 1.0))
+        reconstruct_vprime(bad, ex1, (2.0, 1.0), [2.5])
 
 
 def test_linear_coeffs_frozen(ex1):
