@@ -94,10 +94,11 @@ def ruin_tail_exp(params: ModelParams, m: float, K1: float, x) -> np.ndarray:
     return out if out.ndim else float(out)
 
 
-def tail_log_compensated(params: ModelParams, m: float, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """log(v e^{x/m} x^{1 - lam/r}), flat where v has the exponential-claims tail;
-    the log avoids the overflow of e^{x/m} at large x."""
-    return np.log(v) + x / m - (params.lam / params.r - 1.0) * np.log(x)
+def tail_log_compensated(params: ModelParams, m: float, x: np.ndarray, log_v: np.ndarray) -> np.ndarray:
+    """log(v e^{x/m} x^{1 - lam/r}) from log v, flat where v has the
+    exponential-claims tail; the logs avoid the overflow of e^{x/m} and the
+    underflow of v at large x."""
+    return log_v + x / m - (params.lam / params.r - 1.0) * np.log(x)
 
 
 @dataclass
@@ -136,7 +137,7 @@ def fit_tail_constant(vg: ValueGrid, params: ModelParams, m: float) -> TailFit:
         raise ValueError("fit window contains fewer than 4 grid nodes")
     if np.any(vs <= 0.0):
         raise ValueError("slope is not positive over the fit window")
-    logc = tail_log_compensated(params, m, xs, vs)
+    logc = tail_log_compensated(params, m, xs, np.log(vs))
     spread = float(logc.max() - logc.min())
     with np.errstate(over="ignore", under="ignore"):
         K_v = float(np.exp(np.median(logc)))

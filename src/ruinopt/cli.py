@@ -14,6 +14,18 @@ Subcommands:
 
 Exit codes: 0 success, 2 usage, 3 missing file, 4 invalid value,
 5 unknown scenario key.  Every error message names the offending key.
+
+Importing this module loads only numpy, `model`, `numerics` and `scenario`
+(with `claims`).  The five command modules, `solve`, `results`,
+`asymptotics`, `exp_ode` and `mc` (which brings numpy.random), load the
+first time a command needs them: `constants` loads none, `solve` the
+first three, `exp-validate` all but `mc`.  Their names are still bound in
+this module's namespace, not imported inside the functions, because code
+outside reads and sets them on the module: a command first calls `_bind`,
+which binds each of its modules' names that is not bound yet, and a read
+of cli.<name> binds it through the module `__getattr__`.  So a name that a
+test patches, or that perfbench's tracer wraps after finding it in
+vars(cli), stays the one the command calls.
 """
 
 from __future__ import annotations
@@ -25,22 +37,13 @@ import sys
 import time
 import warnings
 from dataclasses import asdict, replace
+from importlib import import_module
 from pathlib import Path
 
 import numpy as np
 
-from .asymptotics import (
-    asymptote_report,
-    fit_tail_constant,
-    strategy_slope_zero,
-    tail_log_compensated,
-    tail_window,
-)
-from .exp_ode import reconstruct_vprime, solve_a_tilde
-from .mc import MIN_PATHS, estimate_survival
 from .model import classify_infinity_regime, classify_zero_regime, derive_constants
 from .numerics import Grid, SampledFn
-from .results import ValueGrid, hjb_residual, normalize_delta
 from .scenario import (
     BadValueError,
     Scenario,
@@ -52,7 +55,39 @@ from .scenario import (
     load_scenario,
     scenario_text,
 )
-from .solve import evaluate_policy, solve_v
+
+# the names cli takes from the command modules, by module, bound into this
+# namespace on first use (module docstring)
+_DEFERRED = {
+    "asymptotics": ("asymptote_report", "fit_tail_constant", "strategy_slope_zero",
+                    "tail_log_compensated", "tail_window"),
+    "exp_ode": ("reconstruct_log_vprime", "solve_a_tilde"),
+    "mc": ("MIN_PATHS", "estimate_survival"),
+    "results": ("ValueGrid", "hjb_residual", "normalize_delta"),
+    "solve": ("evaluate_policy", "solve_v"),
+}
+_MODULE_OF = {name: module for module, names in _DEFERRED.items() for name in names}
+
+
+def _bind(*modules: str) -> None:
+    """Import `modules` and bind the names cli takes from them here.  A name
+    already bound, by an earlier call or by a patch or wrapper set on cli,
+    is left as it is."""
+    g = globals()
+    for module in modules:
+        missing = [name for name in _DEFERRED[module] if name not in g]
+        if missing:
+            mod = import_module(f".{module}", __package__)
+            g.update((name, getattr(mod, name)) for name in missing)
+
+
+def __getattr__(name: str):
+    # cli.<name> read from outside binds a deferred name on first read
+    if name not in _MODULE_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    _bind(_MODULE_OF[name])
+    return globals()[name]
+
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -155,6 +190,7 @@ def _solve(sc: Scenario, params, grid: Grid | None = None):
 
 
 def _cmd_solve(args) -> int:
+    _bind("solve", "results", "asymptotics")
     sc = load_scenario(args.scenario)
     out = _out_dir(args.out)
     capped = args.mode == "constrained"
@@ -207,12 +243,14 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_asymptotes(args) -> int:
+    _bind("asymptotics")
     sc = load_scenario(args.scenario)
     _emit(asdict(asymptote_report(sc.params, claim_mean=sc.dist.exponential_mean)))
     return EXIT_OK
 
 
 def _cmd_exp_validate(args) -> int:
+    _bind("solve", "asymptotics", "exp_ode")
     sc = load_scenario(args.scenario)
     m = sc.dist.exponential_mean
     if m is None:
@@ -254,8 +292,9 @@ def _cmd_exp_validate(args) -> int:
 
     pl_lo, pl_hi = tail_window(x_end)
     rx = x[(x >= pl_lo) & (x <= pl_hi)]
-    rv = reconstruct_vprime(curve, sc.params, (x_seed, 1.0), rx)
-    logc = tail_log_compensated(sc.params, m, rx, rv)
+    # V' underflows far out, its log does not
+    log_rv = reconstruct_log_vprime(curve, sc.params, (x_seed, 1.0), rx)
+    logc = tail_log_compensated(sc.params, m, rx, log_rv)
     with np.errstate(over="ignore"):
         plateau = float(np.exp(logc.max() - logc.min()))
 
@@ -344,6 +383,7 @@ def _price(sc: Scenario, x0: float, amounts: np.ndarray | None = None):
     prices amounts, one per node, on sc.grid; where it cannot, the result
     is (None, None, (mc.safe_level, None)).
     """
+    _bind("solve", "results")
     ceiling, n = sc.sim.safe_level, sc.grid.n
     if amounts is None:
         grid = sc.grid
@@ -377,6 +417,7 @@ class StrategyCurve(SampledFn):
 
 
 def _cmd_simulate(args) -> int:
+    _bind("solve", "results", "mc")
     sc = load_scenario(args.scenario)
     if sc.sim.n_paths < MIN_PATHS:
         raise BadValueError(
@@ -451,6 +492,7 @@ _EXAMPLE2_LEGACY = {
 
 
 def _run_example(n: int, out_dir: str) -> int:
+    _bind("solve", "results", "asymptotics")
     params = example1_params() if n == 1 else example2_params()
     dists = example1_distributions() if n == 1 else example2_distributions()
     grid = Grid.from_xmax(5e-3, 40.0)

@@ -52,6 +52,7 @@ __all__ = [
     "TildeACurve",
     "solve_a_tilde",
     "reconstruct_vprime",
+    "reconstruct_log_vprime",
     "LinearOdeCoeffs",
     "linear_ode_coeffs",
     "solve_linear_const_strategy",
@@ -63,10 +64,12 @@ __all__ = [
 _BLOCK = 2048
 
 # the feedback ODE's mesh (module docstring); KAPPA keeps h |df/da| well
-# inside RK4's real stability interval (-2.79, 0)
+# inside RK4's real stability interval (-RK4_LIMIT, 0), which the floor at
+# `step` leaves where step |df/da| reaches RK4_LIMIT
 _MESH_BLOCK = 64
 X_ACC = 2.0
 KAPPA = 0.5
+RK4_LIMIT = 2.785
 
 
 def a_tilde_rhs(x: float, a: float, params: ModelParams, m: float) -> float:
@@ -143,7 +146,8 @@ def _rk4(p: ModelParams, m: float, x0: float, y0: float, x1: float, step: float)
     x_i + h_i/2 and x_{i+1}, h_i = x_{i+1} - x_i; the stages run on Python
     floats in the operations and order of a_tilde_rhs, so the result equals
     a step-by-step loop over it on the same nodes bit for bit.  Returns x,
-    a~ and a~' (each step's first stage; at x1, one more).
+    a~ and a~' (each step's first stage; at x1, one more).  A ValueError
+    names the first block's node at which step |df/da| reaches RK4_LIMIT.
     """
     q3, q0, s2, sigma_rho2, b = _feedback_terms(p, m)
     nq3 = -q3   # -q3 * a parses as (-q3) * a
@@ -154,6 +158,11 @@ def _rk4(p: ModelParams, m: float, x0: float, y0: float, x1: float, step: float)
         d = s2 * y * y + sigma_rho2
         f = (((nq3 * y - b2) * y + b1) * y - q0) / d
         stiff = abs(((-3.0 * q3 * y - 2.0 * b2) * y + b1 - f * 2.0 * s2 * y) / d)
+        if step * stiff >= RK4_LIMIT:
+            raise ValueError(
+                f"the feedback ODE is too stiff for RK4 at x = {x:.6g}: step |df/da| = "
+                f"{step * stiff:.6g} at step {step!r} leaves its stability interval (-{RK4_LIMIT}, 0)"
+            )
         h = step * (1.0 + x / X_ACC)
         if h * stiff > KAPPA:
             h = KAPPA / stiff
@@ -196,7 +205,9 @@ def solve_a_tilde(
 
     RK4 on the graded mesh of the module docstring.  `step` is its smallest
     step, but for the last block's, so it never takes more steps than the
-    uniform mesh at `step`; at most numerics.MAX_NODES of those.  Default
+    uniform mesh at `step`; at most numerics.MAX_NODES of those.  Past the
+    x where the stiffness leaves RK4 unstable at `step`, a ValueError names
+    that x.  Default
     seed is the two-term large-x series limit + coeff / x_seed; when the
     dropped next order is not obviously negligible at x_seed a note is
     attached (and a warning emitted).
@@ -237,7 +248,20 @@ def reconstruct_vprime(
     """Rebuild the value slope at the abscissae x from the feedback curve alone.
 
     V'(x) = V'(x0) * exp( -(mu-r)/sigma^2 * int_{x0}^x dy / a~(y) ),
-    anchored at anchor = (x0, V'(x0)); x0 and x must lie inside the curve.
+    anchored at anchor = (x0, V'(x0)); the exponent is
+    reconstruct_log_vprime's with V'(x0) = 1.
+    """
+    x0, val0 = anchor
+    return val0 * np.exp(reconstruct_log_vprime(curve, params, (x0, 1.0), x))
+
+
+def reconstruct_log_vprime(
+    curve: TildeACurve, params: ModelParams, anchor: tuple[float, float], x
+) -> np.ndarray:
+    """log V'(x) = log V'(x0) - (mu-r)/sigma^2 * int_{x0}^x dy / a~(y), at the
+    abscissae x, anchored at anchor = (x0, V'(x0)); finite where V' itself
+    underflows.  x0 and x must lie inside the curve.
+
     Each mesh interval takes h/2 (g_i + g_{i+1}) + h^2/12 (g'_i - g'_{i+1}),
     g = 1/a~, exact for cubics on any mesh, and the integral is read at x0
     and x by the cubic Hermite interpolant with slope g: O(h^4), as the
@@ -257,7 +281,7 @@ def reconstruct_vprime(
     dg = -curve.da * g * g
     h = np.diff(xs)
     I = np.concatenate(([0.0], np.cumsum(h / 2.0 * (g[:-1] + g[1:]) + h * h / 12.0 * (dg[:-1] - dg[1:]))))
-    return val0 * np.exp(-p.excess / p.sigma**2 * (_hermite(xs, I, g, xq) - _hermite(xs, I, g, x0)))
+    return math.log(val0) + -p.excess / p.sigma**2 * (_hermite(xs, I, g, xq) - _hermite(xs, I, g, x0))
 
 
 @dataclass(frozen=True)

@@ -73,6 +73,11 @@ order and sums the ruin times per _COHORT slice, as a run in one process
 does, so every report is bit-identical to that run's.  The paths run in
 the calling process when there are too few for two shares, where fork is
 not available, and inside a daemonic process, which may have no children.
+
+SimConfig, the record of a scenario's mc.* keys, lives in `scenario` and
+is re-exported here.  Of the subcommands only `simulate` needs this
+module, and with it numpy.random, so `ruinopt.cli` imports it on first
+use.
 """
 
 from __future__ import annotations
@@ -88,6 +93,7 @@ from numpy.random.bit_generator import ISeedSequence
 from .claims import ClaimDistribution
 from .model import ModelParams
 from .numerics import SampledFn
+from .scenario import SimConfig
 
 __all__ = [
     "MIN_PATHS",
@@ -116,37 +122,6 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
 _PENDING, _RUINED, _SAFE, _HORIZON = -1, 0, 1, 2
 _STATUS_NAMES = {_RUINED: "ruined", _SAFE: "safe", _HORIZON: "horizon"}
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    dt: float = 1e-3
-    horizon: float = 200.0
-    n_paths: int = 100_000
-    safe_level: float = 60.0
-    master_seed: int = 0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"dt must be positive, got {self.dt!r}")
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ValueError(f"horizon must be positive, got {self.horizon!r}")
-        if self.dt > self.horizon:
-            raise ValueError(f"dt must not exceed the horizon, got dt={self.dt!r}, horizon={self.horizon!r}")
-        steps = self.horizon / self.dt
-        if not math.isfinite(steps):
-            raise ValueError(f"dt is too small for horizon={self.horizon!r}, got {self.dt!r}")
-        if abs(steps - round(steps)) > 1e-9 * steps:
-            raise ValueError(
-                f"horizon must be a whole number of steps, got horizon={self.horizon!r}, "
-                f"dt={self.dt!r} ({steps:.9g} steps)"
-            )
-        if self.n_paths < 1:
-            raise ValueError(f"n_paths must be positive, got {self.n_paths!r}")
-        if not (math.isfinite(self.safe_level) and self.safe_level > 0):
-            raise ValueError(f"safe_level must be positive, got {self.safe_level!r}")
-        if not (0 <= self.master_seed < 2**64):
-            raise ValueError(f"master_seed must fit in 64 bits, got {self.master_seed!r}")
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,12 @@ it is passed there, and its default.  The seven model keys, claim.family
 and claim.p1 are required; cap_A and claim.p2 are optional; grid.* and
 mc.* fall back to defaults.  Unknown keys and malformed values are hard
 errors that name the key, so a typo never silently runs the defaults.
+
+The four records a `Scenario` holds are ModelParams (`model`), a
+ClaimDistribution (`claims`), a Grid (`numerics`) and SimConfig, the
+record of the mc.* keys, defined here so that loading a scenario imports
+those three modules and no other: `mc`, which runs the simulation and
+loads numpy.random, takes SimConfig from here.
 """
 
 from __future__ import annotations
@@ -16,12 +22,12 @@ import math
 from dataclasses import dataclass
 
 from .claims import ClaimDistribution, from_config
-from .mc import SimConfig
 from .model import ModelParams
 from .numerics import Grid
 
 __all__ = [
     "Scenario",
+    "SimConfig",
     "ScenarioError",
     "UnknownKeyError",
     "BadValueError",
@@ -77,6 +83,37 @@ _KEYS = {
 # the key a constructor's message is about, by the field it starts with;
 # Grid's n < 2 means x_max is shorter than half a step
 _FIELD_KEYS = {field: key for key, (_, _, field, _) in _KEYS.items()} | {"n": "grid.xmax"}
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    dt: float = 1e-3
+    horizon: float = 200.0
+    n_paths: int = 100_000
+    safe_level: float = 60.0
+    master_seed: int = 0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive, got {self.dt!r}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be positive, got {self.horizon!r}")
+        if self.dt > self.horizon:
+            raise ValueError(f"dt must not exceed the horizon, got dt={self.dt!r}, horizon={self.horizon!r}")
+        steps = self.horizon / self.dt
+        if not math.isfinite(steps):
+            raise ValueError(f"dt is too small for horizon={self.horizon!r}, got {self.dt!r}")
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ValueError(
+                f"horizon must be a whole number of steps, got horizon={self.horizon!r}, "
+                f"dt={self.dt!r} ({steps:.9g} steps)"
+            )
+        if self.n_paths < 1:
+            raise ValueError(f"n_paths must be positive, got {self.n_paths!r}")
+        if not (math.isfinite(self.safe_level) and self.safe_level > 0):
+            raise ValueError(f"safe_level must be positive, got {self.safe_level!r}")
+        if not (0 <= self.master_seed < 2**64):
+            raise ValueError(f"master_seed must fit in 64 bits, got {self.master_seed!r}")
 
 
 @dataclass

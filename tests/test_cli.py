@@ -457,6 +457,104 @@ def test_import_leaves_scipy_linalg_signal_fft_out():
     assert out.stdout.strip() == "[]"
 
 
+# the modules that only some commands load (ruinopt.cli's docstring)
+COMMAND_MODULES = ("ruinopt.asymptotics", "ruinopt.exp_ode", "ruinopt.mc", "ruinopt.results", "ruinopt.solve",
+                   "numpy.random")
+
+
+def _fresh(code, *args):
+    """The JSON that `code` prints last, run in a fresh interpreter with
+    args in sys.argv[1:]."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code, *map(str, args)], env=env, capture_output=True, text=True,
+                         check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_import_ruinopt_loads_no_submodule():
+    code = "import json, sys, ruinopt\nprint(json.dumps([m for m in sys.modules if m.startswith('ruinopt.')]))"
+    assert _fresh(code) == []
+
+
+def test_cli_and_scenarios_leave_the_command_modules_out():
+    # what perfbench's set-up probe loads: the CLI and the scenario files.
+    # The log-normal law is built with scipy.special, which imports
+    # numpy.random itself, so it is loaded last
+    paths = sorted(PINNED.glob("*.scn"), key=lambda path: ("log_normal" in path.stem, path.stem))
+    code = (
+        "import json, sys, ruinopt.cli\n"
+        "from ruinopt.scenario import load_scenario\n"
+        "out = []\n"
+        "for path in sys.argv[1:]:\n"
+        "    load_scenario(path)\n"
+        f"    out.append([m for m in {COMMAND_MODULES!r} if m in sys.modules])\n"
+        "print(json.dumps(out))"
+    )
+    assert paths[-1].stem == "bench1_log_normal"
+    assert _fresh(code, *paths) == [[]] * (len(paths) - 1) + [["numpy.random"]]
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["constants"], COMMAND_MODULES),
+    (["solve", "--mode", "unconstrained"], ("ruinopt.exp_ode", "ruinopt.mc", "numpy.random")),
+    (["solve", "--mode", "constrained"], ("ruinopt.exp_ode", "ruinopt.mc", "numpy.random")),
+    (["exp-validate"], ("ruinopt.mc", "numpy.random")),
+], ids=["constants", "solve-unconstrained", "solve-constrained", "exp-validate"])
+def test_commands_leave_out_the_modules_they_do_not_use(tmp_path, argv, absent):
+    path = tmp_path / "capped.txt"
+    path.write_text(BASE + "cap_A = 1.0\n", encoding="utf-8")
+    argv = [argv[0], path, *argv[1:], *(["--out", tmp_path] if argv[0] == "solve" else [])]
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from ruinopt.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(sys.argv[1:])\n"
+        f"print(json.dumps([code, [m for m in {absent!r} if m in sys.modules]]))"
+    )
+    assert _fresh(code, *argv) == [0, []]
+
+
+def test_deferred_names_resolve_on_cli_before_any_command():
+    # perfbench's tracer and the tests read these on cli; a read binds the
+    # name in cli's namespace, where the tracer looks for what to wrap
+    code = (
+        "import importlib, json, ruinopt.cli as cli\n"
+        "bound = [name for name in cli._MODULE_OF if name in vars(cli)]\n"
+        "out = {}\n"
+        "for name, module in cli._MODULE_OF.items():\n"
+        "    same = getattr(cli, name) is getattr(importlib.import_module('ruinopt.' + module), name)\n"
+        "    out[name] = [same, name in vars(cli)]\n"
+        "print(json.dumps([bound, out]))"
+    )
+    bound, out = _fresh(code)
+    assert bound == []
+    assert {"estimate_survival", "MIN_PATHS", "solve_v", "evaluate_policy", "hjb_residual", "normalize_delta",
+            "solve_a_tilde", "asymptote_report", "fit_tail_constant"} <= set(out)
+    assert {name: flags for name, flags in out.items() if flags != [True, True]} == {}
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cli.no_such_name
+
+
+def test_a_patch_on_cli_outlives_the_first_binding(tmp_path):
+    # a results name set on cli before any command ran is the one solve
+    # calls; the binding fills in only the names still missing
+    path = tmp_path / "bench1.txt"
+    path.write_text(BASE, encoding="utf-8")
+    code = (
+        "import contextlib, io, json, sys, ruinopt.cli as cli\n"
+        "calls = []\n"
+        "def spy(*args):\n"
+        "    from ruinopt.results import hjb_residual\n"
+        "    calls.append(1)\n"
+        "    return hjb_residual(*args)\n"
+        "cli.hjb_residual = spy\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, len(calls), cli.hjb_residual is spy]))"
+    )
+    assert _fresh(code, "solve", path, "--mode", "unconstrained", "--out", tmp_path) == [0, 1, True]
+
+
 @pytest.mark.parametrize("mode", ["unconstrained", "constrained"])
 def test_solve_reports_one_residual_certificate(capsys, tmp_path, mode):
     # both modes print the same four residual keys, and the v'(0) the
@@ -828,9 +926,9 @@ def test_exp_validate_names_grid_xmax_when_the_ode_span_is_too_long(capsys, tmp_
     assert "at most 10000000 steps" in err and err.rstrip().endswith("(key: grid.xmax)"), err
 
 
-def _bench1_exp(tmp_path, xmax):
+def _bench1_exp(tmp_path, xmax, h=0.005):
     path = tmp_path / "bench1.scn"
-    path.write_text((PINNED / "bench1.scn").read_text(encoding="utf-8") + f"grid.h = 0.005\ngrid.xmax = {xmax}\n",
+    path.write_text((PINNED / "bench1.scn").read_text(encoding="utf-8") + f"grid.h = {h}\ngrid.xmax = {xmax}\n",
                     encoding="utf-8")
     return path
 
@@ -869,6 +967,29 @@ def test_exp_validate_runs_where_the_solve_underflows(capsys, tmp_path):
     doc = _strict_json(out)
     assert doc["reconstructed_tail_window"] == [30.0, 400.0]
     assert_close(doc["reconstructed_tail_plateau_ratio"], 1.0050204, 1e-6, "plateau ratio on [30, 400]")
+
+
+@pytest.mark.parametrize("xmax, plateau", [(800, 1.00523522), (1800, 1.00535495)])
+def test_exp_validate_reads_the_plateau_where_v_prime_underflows(capsys, tmp_path, xmax, plateau):
+    # the reconstructed V' underflows near x = 745; its log, from which the
+    # plateau is formed, does not
+    path = _bench1_exp(tmp_path, xmax, h=0.05)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["exp-validate", path])
+    assert code == 0 and err == "", err
+    doc = _strict_json(out)
+    assert doc["reconstructed_tail_window"] == [30.0, xmax]
+    assert_close(doc["reconstructed_tail_plateau_ratio"], plateau, 1e-6, f"plateau ratio on [30, {xmax}]")
+
+
+def test_exp_validate_names_grid_xmax_past_rk4s_stability_interval(capsys, tmp_path):
+    # the feedback ODE's stiffness grows like x: at its smallest step RK4
+    # turns unstable near x = 1804.6, where the curve used to run off
+    path = _bench1_exp(tmp_path, 2500, h=0.05)
+    code, out, err = run(capsys, ["exp-validate", path])
+    assert code == 4 and out == ""
+    assert "too stiff for RK4 at x = 1804.6" in err and err.rstrip().endswith("(key: grid.xmax)"), err
 
 
 def test_simulate_deterministic(capsys, scenario_file):

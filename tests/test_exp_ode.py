@@ -15,6 +15,7 @@ from ruinopt.exp_ode import (
     TildeACurve,
     a_tilde_rhs,
     linear_ode_coeffs,
+    reconstruct_log_vprime,
     reconstruct_vprime,
     solve_a_tilde,
     solve_linear_const_strategy,
@@ -210,6 +211,27 @@ def test_reconstruct_vprime_matches_solver(ex1, vg40):
     mask = (vg40.x >= 10.0) & (vg40.x <= 35.0)
     dev = max_rel_dev(reconstruct_vprime(curve, ex1, (x0, v0), vg40.x[mask]), vg40.v[mask])
     assert dev <= 1e-6, f"reconstruction deviates {dev:.3e}"  # observed 1.3e-8
+
+
+def test_reconstruct_log_vprime_is_the_log_of_the_slope(ex1):
+    # the same exponent: the slope is its anchor times e^{exponent} bit for
+    # bit, and far out, where the slope underflows, the log stays finite
+    curve = solve_a_tilde(ex1, 1.0, 8.0, 800.0)
+    xq = np.linspace(10.0, 800.0, 4001)
+    log_v = reconstruct_log_vprime(curve, ex1, (10.0, 1.0), xq)
+    assert reconstruct_vprime(curve, ex1, (10.0, 0.25), xq).tobytes() == (0.25 * np.exp(log_v)).tobytes()
+    assert np.all(np.isfinite(log_v)) and log_v[-1] < math.log(np.finfo(float).smallest_subnormal)
+    shifted = reconstruct_log_vprime(curve, ex1, (10.0, 0.25), xq)
+    assert np.max(np.abs(shifted - (log_v + math.log(0.25)))) <= 1e-12
+
+
+def test_stiffness_past_rk4s_stability_interval_is_refused(ex1):
+    # at step 2.5e-3 the floor of the mesh meets step |df/da| = 2.785 near
+    # x = 1804.6 on benchmark 1, where RK4 turns unstable; up to 1800 it runs
+    curve = solve_a_tilde(ex1, 1.0, 1500.0, 1800.0)
+    assert abs(curve.a[-1] - 10.0) < 1e-3
+    with pytest.raises(ValueError, match=r"too stiff for RK4 at x = 1804\.6"):
+        solve_a_tilde(ex1, 1.0, 1500.0, 1900.0)
 
 
 def test_reconstruct_anchor_validation(ex1):
