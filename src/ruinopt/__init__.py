@@ -34,7 +34,7 @@ _MODULE_OF = {
     "ruin_tail_exp": "asymptotics", "strategy_expansion_infinity_exp": "asymptotics",
     "strategy_slope_zero": "asymptotics", "value_expansion_zero": "asymptotics",
     "TildeACurve": "exp_ode", "a_tilde_rhs": "exp_ode", "linear_ode_coeffs": "exp_ode",
-    "reconstruct_vprime": "exp_ode", "solve_a_tilde": "exp_ode",
+    "reconstruct_log_vprime": "exp_ode", "solve_a_tilde": "exp_ode",
     "solve_linear_const_strategy": "exp_ode",
     "SimConfig": "scenario",
     "SimReport": "mc", "estimate_survival": "mc", "simulate_path": "mc",

@@ -180,7 +180,11 @@ def _solve(sc: Scenario, params, grid: Grid | None = None):
     """Value grid, a* included, of params' problem with sc's claims, on
     sc.grid or on grid, which shares its step and ends before or after it.
     An underflow refusal names grid.xmax where its node lies on sc.grid,
-    and mc.safe_level past it."""
+    and mc.safe_level past it; a Sharpe ratio too large or too small for
+    the unrestricted node to square names mu."""
+    kappa = params.excess / params.sigma   # the unrestricted node squares it, and divides by its root
+    if params.cap is None and kappa and not sys.float_info.min <= kappa * kappa < math.inf:
+        raise BadValueError("mu", f"((mu - r) / sigma)^2 must be 0 or normal, got (mu - r) / sigma {kappa!r}")
     try:
         return solve_v(params, sc.dist, grid or sc.grid)
     except RuntimeError as exc:  # a node without a positive root: h is too coarse
@@ -197,6 +201,8 @@ def _cmd_solve(args) -> int:
     if capped and sc.params.cap is None:
         raise BadValueError("cap_A", "constrained solve needs cap_A in the scenario")
     params = sc.params if capped else replace(sc.params, cap=None)
+    if sc.grid.n < 3:   # the certificate's centred difference needs an interior node
+        raise BadValueError("grid.xmax", f"x_max must reach 2 h = {2 * sc.grid.h!r}, got {sc.grid.x_max!r}")
     t0 = time.perf_counter()
     vg = _solve(sc, params)
     res = hjb_residual(vg, params, sc.dist)
@@ -293,7 +299,10 @@ def _cmd_exp_validate(args) -> int:
     pl_lo, pl_hi = tail_window(x_end)
     rx = x[(x >= pl_lo) & (x <= pl_hi)]
     # V' underflows far out, its log does not
-    log_rv = reconstruct_log_vprime(curve, sc.params, (x_seed, 1.0), rx)
+    try:
+        log_rv = reconstruct_log_vprime(curve, sc.params, (x_seed, 1.0), rx)
+    except ValueError as exc:   # a~ changed sign: a*(0) + rho sigma1 / sigma lost a~ to the hedge
+        raise BadValueError("sigma", f"{exc}: a~({x_seed:g}) = {curve.seed!r}, the hedge {shift!r}") from None
     logc = tail_log_compensated(sc.params, m, rx, log_rv)
     with np.errstate(over="ignore"):
         plateau = float(np.exp(logc.max() - logc.min()))
@@ -320,29 +329,20 @@ def _parses(cell: str) -> bool:
     return True
 
 
-def _read_rows(path: str, skiprows: int) -> np.ndarray:
-    with warnings.catch_warnings():
-        # a file without rows is refused by the caller, with its key
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        return np.loadtxt(path, delimiter=",", ndmin=2, comments="#", skiprows=skiprows)
-
-
 def _load_strategy_file(path: str) -> tuple[np.ndarray, np.ndarray]:
+    # only a first line in which no cell parses is a header; any other
+    # unreadable cell, there or further down, is an error
     try:
-        table = _read_rows(path, 0)
-    except ValueError as exc:
-        # only a first line in which no cell parses is a header; any other
-        # unreadable cell, there or further down, is an error
         with open(path, encoding="utf-8", errors="replace") as fh:
-            first = fh.readline()
-        if any(_parses(cell) for cell in first.split(",")):
-            raise BadValueError("strategy", f"strategy file {path!r}: {exc}") from None
-        try:
-            table = _read_rows(path, 1)
-        except ValueError as exc:
-            raise BadValueError("strategy", f"strategy file {path!r}: {exc}") from None
+            header = not any(_parses(cell) for cell in fh.readline().split(","))
+        with warnings.catch_warnings():
+            # a file without rows is refused below, with its key
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(path, delimiter=",", ndmin=2, comments="#", skiprows=int(header))
     except OSError:
         raise FileNotFoundError(path) from None
+    except ValueError as exc:
+        raise BadValueError("strategy", f"strategy file {path!r}: {exc}") from None
     if len(table) == 0:
         raise BadValueError("strategy", f"strategy file {path!r} holds no rows")
     if table.shape[1] < 2:
@@ -427,6 +427,9 @@ def _cmd_simulate(args) -> int:
         raise BadValueError(
             "x0", f"x0 must sit in [0, mc.safe_level = {sc.sim.safe_level!r}), got {args.x0!r}"
         )
+    claims = sc.params.lam * sc.sim.horizon   # expected per path; a path settles them one by one
+    if not claims <= 1e6:
+        raise BadValueError("mc.horizon", f"lambda * mc.horizon must be at most 1e6 claims, got {claims!r}")
     spec = args.strategy
     x = sc.grid.points
     if spec == "optimal":

@@ -8,7 +8,7 @@ solvers:
   explicit first-order ODE; the optimal investment is a~(x) - rho sigma1/sigma,
   so integrating it forward from a large-x series seed reproduces the
   solver's strategy with no dynamic programming, and the value slope
-  follows from the curve by one quadrature (reconstruct_vprime),
+  follows from the curve by one quadrature (reconstruct_log_vprime),
 
 * for a constant strategy the value slope satisfies a linear second-order
   ODE with polynomial coefficients, integrable to machine accuracy.
@@ -31,8 +31,8 @@ step-by-step loop over a_tilde_rhs on the same nodes bit for bit.
 The curve keeps each step's first stage, a~' at its node, and is read
 between nodes by the cubic Hermite interpolant on those slopes, RK4's own
 dense output (Shampine 1985, SIAM J. Numer. Anal. 22): O(h^4), as the nodes
-are.  reconstruct_vprime stays O(h^4) too: its trapezoid of 1/a~ takes the
-end correction on every interval, and it reads the integral by Hermite.
+are.  reconstruct_log_vprime stays O(h^4) too: its trapezoid of 1/a~ takes
+the end correction on every interval, and it reads the integral by Hermite.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ __all__ = [
     "a_tilde_rhs",
     "TildeACurve",
     "solve_a_tilde",
-    "reconstruct_vprime",
     "reconstruct_log_vprime",
     "LinearOdeCoeffs",
     "linear_ode_coeffs",
@@ -116,7 +115,6 @@ class TildeACurve:
     x: np.ndarray
     a: np.ndarray
     da: np.ndarray                       # a~' at the nodes, for the Hermite interpolant
-    x_seed: float
     seed: float
     series: tuple[float, float]          # (limit, 1/x coefficient) used for seeding
     seed_note: str | None = None
@@ -239,20 +237,7 @@ def solve_a_tilde(
         seed = float(seed_value)
 
     xs, ys, ks = _rk4(p, m, x_seed, seed, x_end, step)
-    return TildeACurve(x=xs, a=ys, da=ks, x_seed=x_seed, seed=seed, series=(a0, a1), seed_note=note)
-
-
-def reconstruct_vprime(
-    curve: TildeACurve, params: ModelParams, anchor: tuple[float, float], x
-) -> np.ndarray:
-    """Rebuild the value slope at the abscissae x from the feedback curve alone.
-
-    V'(x) = V'(x0) * exp( -(mu-r)/sigma^2 * int_{x0}^x dy / a~(y) ),
-    anchored at anchor = (x0, V'(x0)); the exponent is
-    reconstruct_log_vprime's with V'(x0) = 1.
-    """
-    x0, val0 = anchor
-    return val0 * np.exp(reconstruct_log_vprime(curve, params, (x0, 1.0), x))
+    return TildeACurve(x=xs, a=ys, da=ks, seed=seed, series=(a0, a1), seed_note=note)
 
 
 def reconstruct_log_vprime(
@@ -260,7 +245,7 @@ def reconstruct_log_vprime(
 ) -> np.ndarray:
     """log V'(x) = log V'(x0) - (mu-r)/sigma^2 * int_{x0}^x dy / a~(y), at the
     abscissae x, anchored at anchor = (x0, V'(x0)); finite where V' itself
-    underflows.  x0 and x must lie inside the curve.
+    underflows.  x0 and x must lie inside the curve, and a~ keep one sign.
 
     Each mesh interval takes h/2 (g_i + g_{i+1}) + h^2/12 (g'_i - g'_{i+1}),
     g = 1/a~, exact for cubics on any mesh, and the integral is read at x0
@@ -275,7 +260,7 @@ def reconstruct_log_vprime(
         raise ValueError(f"anchor x0={x0!r} outside the curve range [{xs[0]}, {xs[-1]}]")
     if not np.all((xs[0] <= xq) & (xq <= xs[-1])):
         raise ValueError(f"abscissae outside the curve range [{xs[0]}, {xs[-1]}]")
-    if np.any(curve.a == 0.0):
+    if not (np.all(curve.a > 0.0) or np.all(curve.a < 0.0)):
         raise ValueError("feedback curve crosses zero; slope reconstruction undefined")
     g = 1.0 / curve.a
     dg = -curve.da * g * g

@@ -36,8 +36,8 @@ search for one.  When at most _FEW_DUE paths have a claim due, each
 settles its claims one by one on Python floats; more settle in rounds of
 one claim per path, which cost a few array passes per round however many
 paths take part.  The live state (surplus, next claim time, normal column)
-is kept dense, in the order of the live paths, and is compacted only on a
-step where some path leaves.  Neither layout changes which numbers a path
+is kept dense, in the order of the live paths, and is compacted once, at
+the end of a step where some path leaves.  Neither layout changes which numbers a path
 draws or the order it uses them in.
 
 An array pass over a few thousand live paths costs a few microseconds,
@@ -54,8 +54,8 @@ formed once per run.  Other callables are called on the live surplus and
 their result read before the surplus moves.  Every path still does the
 IEEE operations of x + ((c + r x) + (mu - r) a) dt + sqrt(Q(a)) (sqrt(dt) z)
 in that grouping, so its outcome does not depend on the strategy's form.
-Ruin and the safe level are tested by one x.min() and one x.max() a step,
-and a mask is built only when one of them fires.  Those two reductions
+Ruin and the safe level are tested by one x.min() and one x.max() taken
+after the Euler step, and a mask is built only when one of them fires.  Those two reductions
 also see a NaN or infinite surplus, which a strategy with non-finite
 values produces; the run refuses it with a ValueError naming the path, the
 time and the value, since NaN fails both x < 0 and x >= safe_level and
@@ -337,16 +337,19 @@ def _run_paths(
         f1 *= root_q if const else f2
         x += f1
 
-        low = x.min()
-        if not low >= 0.0:
-            if not math.isfinite(low):
+        # each exit is marked where it is found and the live state compacted
+        # once, at the step's end; a ruined path's next claim is inf
+        low, high = x.min(), x.max()
+        leaving = not (low >= 0.0 and high < safe_level)
+        if leaving:
+            if not (math.isfinite(low) and math.isfinite(high)):
                 raise _nonfinite(x, alive, t_new)
-            ruined = x < 0.0
-            hit = alive[ruined]
-            status[hit] = _RUINED
-            ruin_time[hit] = t_new
-            keep = ~ruined
-            alive, col, x, next_claim = alive[keep], col[keep], x[keep], next_claim[keep]
+            if low < 0.0:
+                ruined = x < 0.0
+                hit = alive[ruined]
+                status[hit] = _RUINED
+                ruin_time[hit] = t_new
+                next_claim[ruined] = math.inf
 
         # claims due this step, each path in its own order: size refill,
         # subtract, ruin check, arrival refill, advance.  A few due paths
@@ -354,7 +357,6 @@ def _run_paths(
         # per path; due holds live positions and ids the paths at them
         if t_next <= t_new:
             due = np.flatnonzero(next_claim <= t_new)
-            any_broke = False
             if due.size <= _FEW_DUE:
                 for k in due.tolist():
                     i = int(alive[k])
@@ -366,9 +368,10 @@ def _run_paths(
                         xk -= sbuf.item(i, spos[i])
                         spos[i] += 1
                         if xk < 0.0:
-                            any_broke = True
+                            leaving = True
                             status[i] = _RUINED
                             ruin_time[i] = tk
+                            tk = math.inf
                             break
                         if apos[i] == _CLAIM_CHUNK:
                             abuf[i] = rng_c[i].standard_exponential(_CLAIM_CHUNK) / p.lam
@@ -388,9 +391,10 @@ def _run_paths(
                     spos[ids] += 1
                     broke = x[due] < 0.0
                     if broke.any():
-                        any_broke = True
+                        leaving = True
                         status[ids[broke]] = _RUINED
                         ruin_time[ids[broke]] = next_claim[due[broke]]
+                        next_claim[due[broke]] = math.inf
                         due, ids = due[~broke], ids[~broke]
                     for i in ids[apos[ids] == _CLAIM_CHUNK]:
                         abuf[i] = rng_c[i].standard_exponential(_CLAIM_CHUNK) / p.lam
@@ -398,20 +402,13 @@ def _run_paths(
                     next_claim[due] += abuf[ids, apos[ids]]
                     apos[ids] += 1
                     due = due[next_claim[due] <= t_new]
-            if any_broke:
-                keep = status[alive] == _PENDING
-                alive, col, x, next_claim = alive[keep], col[keep], x[keep], next_claim[keep]
-            t_next = float(next_claim.min()) if next_claim.size else math.inf
+            t_next = float(next_claim.min())
 
-        if x.size:
-            high = x.max()
-            if not high < safe_level:
-                if not math.isfinite(high):
-                    raise _nonfinite(x, alive, t_new)
-                reached = x >= safe_level
-                status[alive[reached]] = _SAFE
-                keep = ~reached
-                alive, col, x, next_claim = alive[keep], col[keep], x[keep], next_claim[keep]
+        if leaving:
+            if not high < safe_level:   # claims only lower x
+                status[alive[x >= safe_level]] = _SAFE
+            keep = status[alive] == _PENDING
+            alive, col, x, next_claim = alive[keep], col[keep], x[keep], next_claim[keep]
 
     status[alive] = _HORIZON
     return status, ruin_time

@@ -63,7 +63,8 @@ class ModelParams:
     def __post_init__(self):
         # the closed forms and node rules square these (Q(a), the cap's
         # rho2, the node's ((mu-r)/sigma)^2), so no square may overflow; they
-        # divide by sigma^2 and sigma_rho^2, so those two may not underflow
+        # divide by sigma^2 and sigma_rho^2, so those two may not underflow,
+        # and the thresholds rho1 and rho2 by 2 c sigma and 2 c sigma1
         tiny = np.finfo(float).tiny
         for name in ("c", "r", "mu", "sigma", "sigma1", "lam", "cap"):
             val = getattr(self, name)
@@ -76,6 +77,8 @@ class ModelParams:
                 raise ValueError(f"{name} must have a square in the normal float range, got {val!r}")
         if not (math.isfinite(self.rho) and abs(self.rho) < 1.0):
             raise ValueError(f"rho must satisfy |rho| < 1, got {self.rho!r}")
+        if not (2.0 * self.c * self.sigma > 0.0 and 2.0 * self.c * self.sigma1 > 0.0):
+            raise ValueError(f"c must keep 2 c sigma and 2 c sigma1 above 0, got c={self.c!r}")
 
     @property
     def excess(self) -> float:
@@ -310,7 +313,7 @@ def derive_constants(params: ModelParams, claim_mean: float | None = None) -> De
     B = -_negative_root(c_rho, ex / p.sigma, sigma_rho2)
     s = B * sigma_rho2 - c_rho
     eta = -(p.lam - p.r + 2.0 * gamma + B * c_rho) / (2.0 * s)
-    a_star_zero = ex / (p.sigma**2 * B) - p.hedge
+    a_star_zero = (ex / (p.sigma**2 * B) if ex else 0.0) - p.hedge
     tail_exponent = p.lam / p.r - 1.0
 
     rho1 = ex * p.sigma1 / (2.0 * p.c * p.sigma)

@@ -171,13 +171,17 @@ class HjbResidual:
     full O(h^2) discretization error and halves like h^2.  Its M(V) is the
     same tail convolution, V - int V(x - y) f(y) dy integrated by parts
     (the module docstring says why not the density form), so pointwise is
-    O(h^2) v at every node, also where v has decayed.
+    O(h^2) v at every node, also where v has decayed.  independent, an
+    absolute sup, sits where v is largest; relative is the sup of
+    |pointwise| / v, which fails where v has decayed if the generator does.
     """
 
     fixed_point: float
     fixed_point_at: float
     independent: float
     independent_at: float
+    relative: float
+    relative_at: float
     pointwise: np.ndarray
 
 
@@ -190,8 +194,9 @@ def hjb_residual(vg: ValueGrid, params: ModelParams, dist: ClaimDistribution) ->
     fed the claims term; a NaN deviation is reported as nan at the first
     node that has one.  independent is the sup over interior nodes of
     0.5 Q(a*) v' + (c + (mu-r) a* + r x) v - M(V), v' by a centered
-    difference of v; pointwise holds it at every node, NaN at the two
-    endpoints where the stencil does not exist.
+    difference of v, and relative the sup over the same nodes of its ratio
+    to v; pointwise holds it at every node, NaN at the two endpoints where
+    the stencil does not exist.
     """
     x = vg.grid.points
     h = vg.grid.h
@@ -211,4 +216,6 @@ def hjb_residual(vg: ValueGrid, params: ModelParams, dist: ClaimDistribution) ->
     res[-1] = np.nan
     interior = np.abs(res[1:-1])
     k = int(np.argmax(interior))
-    return HjbResidual(fp, fp_at, float(interior[k]), float(x[k + 1]), res)
+    rel = interior / vg.v[1:-1]
+    j = int(np.argmax(rel))
+    return HjbResidual(fp, fp_at, float(interior[k]), float(x[k + 1]), float(rel[j]), float(x[j + 1]), res)

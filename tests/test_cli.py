@@ -557,14 +557,15 @@ def test_a_patch_on_cli_outlives_the_first_binding(tmp_path):
 
 @pytest.mark.parametrize("mode", ["unconstrained", "constrained"])
 def test_solve_reports_one_residual_certificate(capsys, tmp_path, mode):
-    # both modes print the same four residual keys, and the v'(0) the
+    # both modes print the same six residual keys, and the v'(0) the
     # certificate recomputes is the closed form's
     path = tmp_path / "capped.txt"
     path.write_text(BASE + "cap_A = 1.0\n", encoding="utf-8")
     code, out, err = run(capsys, ["solve", path, "--mode", mode, "--out", tmp_path])
     assert code == 0, err
     res = json.loads(out)["residuals"]
-    assert sorted(res) == ["fixed_point", "fixed_point_at", "independent", "independent_at"]
+    assert sorted(res) == ["fixed_point", "fixed_point_at", "independent", "independent_at",
+                           "relative", "relative_at"]
     assert res["fixed_point"] <= 1e-13
 
 
@@ -777,7 +778,7 @@ def _solve_digests(capsys, tmp_path, name, mode):
                                   "bench2_exp_mu_r_rho0", "bench2_exp_mu_r_rho015"])
 def test_solve_output_pinned(capsys, tmp_path, name, mode):
     # the solves must keep their bytes through any speed-up that keeps the
-    # arithmetic.  Four changes moved them on purpose: carrying the far
+    # arithmetic.  Five changes moved them on purpose: carrying the far
     # history of exponential and Pareto claims as an exponential sum moved
     # the Pareto CSVs' residual column in its ninth digit on 7 rows;
     # certifying the unrestricted solve by the HJB's own minimum renamed its
@@ -785,11 +786,14 @@ def test_solve_output_pinned(capsys, tmp_path, name, mode):
     # carrying the exponential claims' whole history as one decaying state
     # moved the three exponential scenarios' residual column in its ninth
     # digit on 3 to 156 of 4,001 rows, every other column and the JSON
-    # unchanged; and taking the certificate's M(V) as the tail convolution
+    # unchanged; taking the certificate's M(V) as the tail convolution
     # of v for every law, not V less its density convolution, moved the
     # residual column on 3,999 of 4,001 rows and residuals.independent of
     # every scenario but Weibull(1, 0.5), which already took the tail form
-    # (independent_at and every other column and field unchanged).  The
+    # (independent_at and every other column and field unchanged); and
+    # adding residuals.relative and relative_at moved every JSON digest,
+    # each JSON less those two keys hashing to its digest before (CSVs
+    # unchanged).  The
     # Weibull(1, 0.5) and log-normal(-0.5, 1) laws have no exponential
     # sum, so their solves pin the march's whole-history path.  The
     # mu = r scenarios pin a* without an excess return: the hedge alone, a

@@ -85,6 +85,22 @@ def test_pointwise_residual_is_order_h2_where_v_has_decayed(bench, cap):
     assert np.all((3.5 <= rel[0] / rel[1]) & (rel[0] / rel[1] <= 4.5)), rel
 
 
+@pytest.mark.parametrize("cap", [None, 1.0])
+def test_relative_certificate_is_bounded_where_v_has_decayed(cap):
+    # relative is the sup of |pointwise| / v over the interior nodes: on
+    # bench 1 at h = 5e-3 it reads 1.37e-3 at x = 0.055 in both modes (5.5e-3
+    # at h = 1e-2), and past x = 5 at most 3.3e-6.  The density form of the
+    # claims term read 1.2e8 v at x = 30, which the absolute sup, at x = h
+    # where v = 1, could not see
+    p, dist = ro.example1_params(cap=cap), ro.make_exponential(1.0)
+    vg = ro.solve_v(p, dist, ro.Grid.from_xmax(5e-3, 40.0))
+    res = ro.hjb_residual(vg, p, dist)
+    rel = np.abs(res.pointwise[1:-1]) / vg.v[1:-1]
+    j = int(np.argmax(rel))
+    assert (res.relative, res.relative_at) == (rel[j], vg.x[j + 1])
+    assert res.relative <= 2e-3, res.relative
+
+
 def test_solution_refines_at_order_h2(ex1, exp1):
     p = replace(ex1, cap=1.0)
     sols = {}
